@@ -6,15 +6,16 @@ Exit codes: 0 success, 2 validation error, 3 infeasible simulation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .experiment import run_experiment, run_trial, write_event_log
+from .experiment import run_experiment
 from .meeting import MeetingInfeasible
 from .scenario import ScenarioError, generate_tasks, load_scenario
 from .simulator import SimulationError
-from .strategies import STRATEGY_KINDS, StrategyConfig
+from .strategies import STRATEGY_KINDS
 from .workspace import MapError, Unreachable
 
 EXIT_OK = 0
@@ -32,21 +33,10 @@ def _cmd_run(args) -> int:
         cfg.seed = args.seed
     strategy = None
     if args.strategy is not None:
-        strategy = StrategyConfig(kind=args.strategy,
-                                  threshold_n=cfg.strategy.threshold_n,
-                                  interval=cfg.strategy.interval,
-                                  fixed_point=cfg.strategy.fixed_point,
-                                  leader=cfg.strategy.leader,
-                                  ring_order=cfg.strategy.ring_order)
+        strategy = dataclasses.replace(cfg.strategy, kind=args.strategy)
     try:
         rows = run_experiment(cfg, args.trials, out_path=args.out, strategy=strategy,
-                              series_path=args.series)
-        if args.log_dir is not None:
-            log_dir = Path(args.log_dir)
-            log_dir.mkdir(parents=True, exist_ok=True)
-            for trial in range(args.trials):
-                _, events, _ = run_trial(cfg, trial, strategy=strategy)
-                write_event_log(log_dir / f"trial_{trial}.log", events)
+                              series_path=args.series, log_dir=args.log_dir)
     except (MeetingInfeasible, Unreachable, SimulationError) as exc:
         print(f"infeasible simulation: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from pathlib import Path
 from typing import Optional
 
 from .scenario import ScenarioConfig, build_simulator
@@ -32,11 +33,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def run_trial(cfg: ScenarioConfig, trial: int, strategy: Optional[StrategyConfig] = None,
-              trace_positions: bool = False):
+def run_trial(cfg: ScenarioConfig, trial: int, strategy: Optional[StrategyConfig] = None):
     """One deterministic simulation run; trial index offsets the seed."""
     sim, controller = build_simulator(cfg, seed=cfg.seed + trial, strategy=strategy)
-    events, metrics = sim.run(controller, trace_positions=trace_positions)
+    events, metrics = sim.run(controller)
     return sim, events, metrics
 
 
@@ -57,20 +57,26 @@ def metrics_row(cfg: ScenarioConfig, strategy_kind: str, trial, metrics: Metrics
 def run_experiment(cfg: ScenarioConfig, trials: int, out_path=None,
                    strategy: Optional[StrategyConfig] = None,
                    series_path=None, series_bin: float = 10.0,
-                   slope_window: float = 60.0) -> list[dict]:
+                   slope_window: float = 60.0, log_dir=None) -> list[dict]:
     """Per-trial metric rows plus mean/std summary rows.
 
     With `series_path`, also writes the per-10s robustness series: the
     cross-trial variance of cumulative completions and the least-squares
-    slope of the completion curve over a sliding window.
+    slope of the completion curve over a sliding window. With `log_dir`,
+    writes each trial's event log there as `trial_{k}.log`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if log_dir is not None:
+        log_dir = Path(log_dir)
+        log_dir.mkdir(parents=True, exist_ok=True)
     strategy_kind = (strategy or cfg.strategy).kind
     rows = []
     completion_series: list[dict[int, float]] = []
     for trial in range(trials):
-        _, _, metrics = run_trial(cfg, trial, strategy=strategy)
+        _, events, metrics = run_trial(cfg, trial, strategy=strategy)
+        if log_dir is not None:
+            write_event_log(log_dir / f"trial_{trial}.log", events)
         rows.append(metrics_row(cfg, strategy_kind, trial, metrics))
         completion_series.append(metrics.completion_times)
 

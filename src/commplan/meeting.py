@@ -16,7 +16,7 @@ import time as _time
 from dataclasses import dataclass
 from typing import Optional
 
-from .radio import CommParams, comm_graph, is_connected, quality
+from .radio import CommParams, comm_graph, is_connected, linked
 from .workspace import GridMap, Position, Unreachable, astar_length, astar_path
 
 DEFAULT_GAP = 0.5       # s, convergence tolerance on successive event times
@@ -72,12 +72,12 @@ def sel_com(p_from: Position, p_to: Position, grid: GridMap, params: CommParams)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if quality(p_from, p_to, grid, params) > params.threshold:
+    if linked(p_from, p_to, grid, params):
         cache[key] = p_from
         return p_from
     result = p_to
     for waypoint in astar_path(p_from, p_to, grid):
-        if quality(waypoint, p_to, grid, params) > params.threshold:
+        if linked(waypoint, p_to, grid, params):
             result = waypoint
             break
     cache[key] = result
@@ -134,8 +134,7 @@ def all_gather_event(last: LastTaskState, grid: GridMap) -> CommEvent:
     return CommEvent(t, positions)
 
 
-def com_opt_fast(last: LastTaskState, grid: GridMap, params: CommParams,
-                 gap: float = DEFAULT_GAP) -> CommEvent:
+def com_opt_fast(last: LastTaskState, grid: GridMap, params: CommParams) -> CommEvent:
     """Single-pass event refinement: the better of the all-gather event and
     one chain anchored at the latest finisher. Used inside bound evaluation
     where the optimizer runs thousands of times per planning call."""
@@ -181,7 +180,7 @@ def com_opt(last: LastTaskState, grid: GridMap, params: CommParams,
     anchor_fin = last.latest()
     p0 = anchor_fin.position
     try:
-        best = com_opt_fast(last, grid, params, gap)
+        best = com_opt_fast(last, grid, params)
 
         # Scan virtual anchors along the path from the arrival bottleneck
         # toward the latest finisher; each candidate yields a full chain event.

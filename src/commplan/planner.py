@@ -82,7 +82,7 @@ class PlannerProblem:
             positions = {a: fin.position for a, fin in last.finishes.items()}
             if is_connected(comm_graph(positions, self.grid, self.params)):
                 return CommEvent(self.now, positions)
-        return com_opt_fast(last, self.grid, self.params, gap=self.gap)
+        return com_opt_fast(last, self.grid, self.params)
 
     def groups_for(self, task_id: int) -> list[tuple[int, ...]]:
         if task_id not in self._groups_memo:
@@ -223,29 +223,15 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
     return children
 
 
-def _last_state(sequences: Mapping[int, Sequence[int]], timetable: Timetable,
-                problem: PlannerProblem) -> LastTaskState:
+def last_state(sequences: Mapping[int, Sequence[int]], timetable: Timetable,
+               team: Mapping[int, AgentContext], tasks: Mapping[int, Task]) -> LastTaskState:
+    """Per-agent finish time and position implied by scheduled task sequences."""
     finishes = {}
-    for a, ctx in problem.team.items():
+    for a, ctx in team.items():
         seq = sequences.get(a, ())
         if seq:
             last = seq[-1]
             finishes[a] = AgentFinish(a, timetable.intervals[last].finish,
-                                      problem.tasks[last].region_center, ctx.v_max)
-        else:
-            finishes[a] = AgentFinish(a, ctx.ready_time, ctx.position, ctx.v_max)
-    return LastTaskState(finishes)
-
-
-def plan_last_state(plan: CollectivePlan, team: Mapping[int, AgentContext],
-                    tasks: Mapping[int, Task]) -> LastTaskState:
-    """Per-agent finish time and position implied by a collective plan."""
-    finishes = {}
-    for a, ctx in team.items():
-        seq = plan.sequences.get(a, ())
-        if seq:
-            last = seq[-1]
-            finishes[a] = AgentFinish(a, plan.timetable.intervals[last].finish,
                                       tasks[last].region_center, ctx.v_max)
         else:
             finishes[a] = AgentFinish(a, ctx.ready_time, ctx.position, ctx.v_max)
@@ -261,7 +247,7 @@ def build_plan(sequences: Mapping[int, Sequence[int]], groups: Mapping[int, tupl
                                           problem.grid, problem.team)
     except InfeasibleSchedule:
         return None
-    event = problem.event_optimizer(_last_state(sequences, timetable, problem))
+    event = problem.event_optimizer(last_state(sequences, timetable, problem.team, problem.tasks))
     if event is None:
         return None
     if groups and event.time > problem.now:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .workspace import GridMap, Position, los_obstacle_length
 
 
@@ -35,32 +33,42 @@ class CommParams:
             raise ValueError("attenuation must be >= 0")
 
 
-def quality(p_i: Position, p_j: Position, grid: GridMap, params: CommParams) -> float:
-    """Received quality in dB between two positions.
+def _free_space(p_i: Position, p_j: Position, params: CommParams) -> float:
+    """Quality in dB before the obstacle penalty.
 
     Distances below ref_dist/10 are clamped to ref_dist/10 so coincident
     agents get a finite (high) quality instead of a log singularity.
     """
-    grid.require_inside(p_i)
-    grid.require_inside(p_j)
     d = max(p_i.dist(p_j), params.ref_dist / 10.0)
     path_loss = params.pl_ref + 10.0 * params.path_exponent * math.log10(d / params.ref_dist)
-    return params.tx_power - path_loss - params.attenuation * los_obstacle_length(p_i, p_j, grid)
+    return params.tx_power - path_loss
+
+
+def quality(p_i: Position, p_j: Position, grid: GridMap, params: CommParams) -> float:
+    """Received quality in dB between two positions."""
+    grid.require_inside(p_i)
+    grid.require_inside(p_j)
+    return _free_space(p_i, p_j, params) - params.attenuation * los_obstacle_length(p_i, p_j, grid)
+
+
+def linked(p_i: Position, p_j: Position, grid: GridMap, params: CommParams) -> bool:
+    """True iff quality(p_i, p_j) strictly exceeds the threshold.
+
+    The obstacle penalty is never negative, so a pair already at or below
+    the threshold in free space is refused without tracing the line of sight.
+    """
+    grid.require_inside(p_i)
+    grid.require_inside(p_j)
+    free = _free_space(p_i, p_j, params)
+    if free <= params.threshold:
+        return False
+    return free - params.attenuation * los_obstacle_length(p_i, p_j, grid) > params.threshold
 
 
 @dataclass(frozen=True)
 class CommGraph:
     nodes: tuple[int, ...]
     edges: frozenset[tuple[int, int]]  # pairs stored as (min_id, max_id)
-
-    def neighbors(self, node: int) -> list[int]:
-        out = []
-        for i, j in self.edges:
-            if i == node:
-                out.append(j)
-            elif j == node:
-                out.append(i)
-        return sorted(out)
 
 
 def comm_graph(positions: Mapping[int, Position] | Sequence[Position], grid: GridMap,
@@ -76,7 +84,7 @@ def comm_graph(positions: Mapping[int, Position] | Sequence[Position], grid: Gri
         for b in range(a + 1, len(items)):
             i, p_i = items[a]
             j, p_j = items[b]
-            if quality(p_i, p_j, grid, params) > params.threshold:
+            if linked(p_i, p_j, grid, params):
                 edges.add((min(i, j), max(i, j)))
     return CommGraph(nodes=ids, edges=frozenset(edges))
 
@@ -100,26 +108,3 @@ def is_connected(g: CommGraph) -> bool:
                     nxt.append(m)
         frontier = nxt
     return len(seen) == len(g.nodes)
-
-
-def quality_field(grid: GridMap, params: CommParams, anchor: Position) -> np.ndarray:
-    """Quality from the anchor to every free cell center (occupied cells: nan)."""
-    field = np.full((grid.height_cells, grid.width_cells), np.nan)
-    for cy in range(grid.height_cells):
-        for cx in range(grid.width_cells):
-            if grid.is_free_cell((cx, cy)):
-                field[cy, cx] = quality(anchor, grid.center((cx, cy)), grid, params)
-    return field
-
-
-def save_quality_csv(path, grid: GridMap, params: CommParams, anchor: Position) -> None:
-    """Dump the quality field as CSV rows of x,y,quality_db."""
-    field = quality_field(grid, params, anchor)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,quality_db\n")
-        for cy in range(grid.height_cells):
-            for cx in range(grid.width_cells):
-                v = field[cy, cx]
-                if not math.isnan(v):
-                    c = grid.center((cx, cy))
-                    fh.write(f"{c.x:.3f},{c.y:.3f},{v:.6f}\n")

@@ -238,7 +238,10 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
             elif not grid.is_free(start):
                 errors.append(f"{fieldname}.start: agent {aid} starts on an obstacle")
             else:
-                agents.append(AgentSpec(aid, grid.snap(start), float(a["v_max"]),
+                v_max = float(a["v_max"])
+                if not v_max > 0:
+                    errors.append(f"{fieldname}.v_max: must be > 0")
+                agents.append(AgentSpec(aid, grid.snap(start), v_max,
                                         float(a["sensor_range"]),
                                         tuple(sorted(set(a["capabilities"])))))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -321,6 +324,13 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
         errors.append("horizon: required positive number")
         horizon = 0.0
 
+    try:
+        dt = float(raw.get("dt", 0.1))
+    except (TypeError, ValueError):
+        dt = math.nan
+    if not 0 < dt < math.inf:
+        errors.append("dt: must be a finite number > 0")
+
     if errors:
         raise ScenarioError("; ".join(errors))
 
@@ -328,7 +338,7 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
         map_path=map_path, grid=grid, agents=sorted(agents, key=lambda a: a.id),
         params=params, tasks=sorted(tasks, key=lambda t: t.id), relations=relations,
         strategy=strategy, horizon=horizon,
-        seed=int(raw.get("seed", 0)), dt=float(raw.get("dt", 0.1)),
+        seed=int(raw.get("seed", 0)), dt=dt,
         planner_budget=raw.get("planner_budget"),
         node_limit=raw.get("node_limit", 200),
         gap=float(raw.get("gap", 0.5)),
@@ -342,6 +352,10 @@ def load_scenario(path) -> ScenarioConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path.name} line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path.name}: top-level value must be a JSON object")
     return scenario_from_dict(raw, path.parent)
 
 
@@ -409,7 +423,7 @@ def build_simulator(cfg: ScenarioConfig, seed: Optional[int] = None,
     agents = [AgentState(a.id, a.start, a.v_max, a.sensor_range, frozenset(a.capabilities))
               for a in cfg.agents]
     sim = Simulator(cfg.grid, agents, cfg.params, tasks, cfg.relations,
-                    horizon=cfg.horizon, dt=cfg.dt, seed=seed,
+                    horizon=cfg.horizon, dt=cfg.dt,
                     recheck_interval=cfg.recheck_interval)
     controller = make_controller(strategy or cfg.strategy,
                                  PlannerOptions(budget=cfg.planner_budget,

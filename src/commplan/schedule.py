@@ -50,10 +50,6 @@ class AssignedPlan:
     def assigned_ids(self) -> set[int]:
         return set(self.groups)
 
-    def copy(self) -> "AssignedPlan":
-        return AssignedPlan({a: list(s) for a, s in self.sequences.items()},
-                            dict(self.groups))
-
 
 @dataclass
 class Timetable:

@@ -132,7 +132,7 @@ class Simulator:
 
     def __init__(self, grid: GridMap, agents: Sequence[AgentState], params: CommParams,
                  tasks: dict[int, Task], relations: Sequence[TemporalRelation],
-                 horizon: float, dt: float = DEFAULT_DT, seed: int = 0,
+                 horizon: float, dt: float = DEFAULT_DT,
                  recheck_interval: float = 5.0):
         self.grid = grid
         self.agents = {a.id: a for a in agents}
@@ -141,7 +141,6 @@ class Simulator:
         self.relations = list(relations)
         self.horizon = horizon
         self.dt = dt
-        self.seed = seed
         self.recheck_interval = recheck_interval
 
         self.now = 0.0

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .meeting import AgentFinish, CommEvent, LastTaskState, chain_event, com_opt
-from .planner import SearchStats, cocoplan, plan_last_state
-from .radio import quality
+from .planner import cocoplan, last_state
+from .radio import linked
 from .schedule import group_covers
 from .simulator import CycleRecord, Simulator
 from .workspace import Position, astar_travel_time
@@ -66,7 +66,6 @@ class TeamCycleController:
         self.recheck_at: Optional[float] = None
         self.cycle = 0
         self.fimr_index = 0
-        self.last_stats: Optional[SearchStats] = None
 
     def on_start(self, sim: Simulator) -> None:
         pass
@@ -134,13 +133,11 @@ class TeamCycleController:
         tasks = _pending_known(sim, sorted(sim.agents))
         if self.cfg.kind == "fix" and len(tasks) < self.cfg.threshold_n:
             tasks = {}
-        stats = SearchStats()
         plan = cocoplan(team, tasks, sim.relations, sim.grid, sim.params,
                         self.options.budget, now=now, completed=sim.done_ids(),
                         event_optimizer=self._event_optimizer(sim, now),
                         gap=self.options.gap, node_limit=self.options.node_limit,
-                        generated_limit=self.options.generated_limit, stats=stats)
-        self.last_stats = stats
+                        generated_limit=self.options.generated_limit)
         self.cycle += 1
         if self.cfg.kind == "fimr":
             self.fimr_index += 1
@@ -164,8 +161,8 @@ class TeamCycleController:
         if self.cfg.kind in ("cocoplan", "fix") and plan.task_count() > 0:
             # Bound evaluation uses the fast single-pass optimizer; polish the
             # executed event with the thorough one.
-            refined = com_opt(plan_last_state(plan, team, sim.tasks), sim.grid, sim.params,
-                              gap=self.options.gap)
+            refined = com_opt(last_state(plan.sequences, plan.timetable, team, sim.tasks),
+                              sim.grid, sim.params, gap=self.options.gap)
             if refined.time < event.time:
                 event = refined
         sim.apply_team_plan(plan.sequences, plan.groups, event.time,
@@ -288,8 +285,7 @@ class GreedyController:
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 a, b = ids[i], ids[j]
-                q = quality(sim.agents[a].position, sim.agents[b].position, sim.grid, sim.params)
-                if q > sim.params.threshold:
+                if linked(sim.agents[a].position, sim.agents[b].position, sim.grid, sim.params):
                     now_in_range.add((a, b))
         for pair in sorted(now_in_range):
             # One exchange per piece of news: a fresh encounter, a knowledge

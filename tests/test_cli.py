@@ -68,6 +68,28 @@ def test_cli_run_writes_metrics_csv(small_scenario, tmp_path, capsys):
     assert all(r["strategy"] == "cocoplan" for r in rows)
 
 
+def test_cli_run_log_dir_matches_separate_trials(small_scenario, tmp_path):
+    logs = tmp_path / "logs"
+    assert main(["run", str(small_scenario), "--trials", "2", "--log-dir", str(logs)]) == 0
+    assert sorted(p.name for p in logs.iterdir()) == ["trial_0.log", "trial_1.log"]
+    cfg = load_scenario(small_scenario)
+    for k in range(2):
+        _, events, _ = run_trial(cfg, k)
+        expected = tmp_path / f"expected_{k}.log"
+        write_event_log(expected, events)
+        assert (logs / f"trial_{k}.log").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("text", [None, "[1, 2]", "3", '"scenario"', "null"])
+def test_cli_unreadable_scenario_exit_code(tmp_path, capsys, command, text):
+    path = tmp_path / "scenario.json"
+    if text is not None:  # None: the file does not exist
+        path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_cli_run_strategy_override(small_scenario, tmp_path):
     out = tmp_path / "metrics.csv"
     assert main(["run", str(small_scenario), "--strategy", "greedy", "--out", str(out)]) == 0

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
 
-from commplan.radio import CommParams, comm_graph, is_connected, quality, quality_field
-from commplan.workspace import Position
+from commplan.radio import CommParams, comm_graph, is_connected, linked, quality
+from commplan.workspace import MapError, Position, load_grid
 
 from conftest import UnionFind, empty_grid, grid_from_rows
 
@@ -127,16 +129,40 @@ def test_is_connected_trivial_cases():
         is_connected(CommGraph((), frozenset()))
 
 
-def test_quality_field_dump(tmp_path):
-    from commplan.radio import save_quality_csv
-    rows = ["....", ".#..", "....", "...."]
-    grid = grid_from_rows(rows)
+@pytest.mark.parametrize("map_name", ["desk.map", "subt.map"])
+def test_linked_matches_quality_threshold(map_name):
+    grid = load_grid(Path(__file__).parent / "data" / map_name)
     p = CommParams()
-    field = quality_field(grid, p, Position(0.5, 0.5))
-    assert field.shape == (4, 4)
-    assert field[1, 1] != field[1, 1]  # nan at the obstacle
-    out = tmp_path / "q.csv"
-    save_quality_csv(out, grid, p, Position(0.5, 0.5))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x,y,quality_db"
-    assert len(lines) == 1 + 15  # 16 cells minus the obstacle
+    rng = random.Random(11)
+
+    def inside():
+        return Position(rng.uniform(0, grid.width_m), rng.uniform(0, grid.height_m))
+
+    # Free-space quality equals the threshold at 10 m with the default params.
+    pairs = [(q, q) for q in (inside() for _ in range(50))]
+    for _ in range(400):
+        a = inside()
+        r = 10.0 + rng.uniform(-3.0, 3.0)
+        ang = rng.uniform(0, 2 * math.pi)
+        b = Position(a.x + r * math.cos(ang), a.y + r * math.sin(ang))
+        if grid.contains(b):
+            pairs.append((a, b))
+    pairs += [(inside(), inside()) for _ in range(400)]
+    outcomes = set()
+    for a, b in pairs:
+        want = quality(a, b, grid, p) > p.threshold
+        assert linked(a, b, grid, p) == want
+        outcomes.add((want, a.dist(b) < 10.0))
+    assert {(True, True), (False, False)} <= outcomes
+    if grid.occupancy.any():
+        # Walls refuse some pairs that free space alone would link.
+        assert (False, True) in outcomes
+
+
+def test_linked_rejects_points_outside_the_map():
+    grid = empty_grid()
+    p = CommParams()
+    inside, near_out, far_out = Position(1, 1), Position(-0.5, 1), Position(100, 100)
+    for a, b in ((inside, near_out), (near_out, inside), (inside, far_out), (far_out, inside)):
+        with pytest.raises(MapError):
+            linked(a, b, grid, p)

@@ -66,6 +66,23 @@ def test_validation_collects_multiple_errors(tmp_path):
     assert "horizon" in msg
 
 
+@pytest.mark.parametrize("section,key,value,path", [
+    (None, "dt", 0, "dt"),
+    (None, "dt", -0.1, "dt"),
+    (None, "dt", math.inf, "dt"),
+    (None, "dt", "abc", "dt"),
+    ("agent", "v_max", 0, "agents[0].v_max"),
+    ("agent", "v_max", -1.0, "agents[0].v_max"),
+    ("agent", "v_max", math.nan, "agents[0].v_max"),
+])
+def test_nonpositive_timestep_and_speed_rejected(tmp_path, section, key, value, path):
+    raw = minimal_raw()
+    (raw["agents"][0] if section == "agent" else raw)[key] = value
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write_scenario(tmp_path, raw))
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_json_syntax_error_reports_line(tmp_path):
     (tmp_path / "arena.map").write_text(MAP_TEXT)
     path = tmp_path / "bad.json"

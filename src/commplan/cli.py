@@ -24,16 +24,17 @@ EXIT_INFEASIBLE = 3
 
 
 def _cmd_run(args) -> int:
+    strategy = None
     try:
         cfg = load_scenario(args.scenario)
-    except ScenarioError as exc:
+        if args.strategy is not None:
+            # StrategyConfig refuses a kind whose field the scenario lacks.
+            strategy = dataclasses.replace(cfg.strategy, kind=args.strategy)
+    except ValueError as exc:  # ScenarioError, or the StrategyConfig check
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.seed is not None:
         cfg.seed = args.seed
-    strategy = None
-    if args.strategy is not None:
-        strategy = dataclasses.replace(cfg.strategy, kind=args.strategy)
     try:
         rows = run_experiment(cfg, args.trials, out_path=args.out, strategy=strategy,
                               series_path=args.series, log_dir=args.log_dir)

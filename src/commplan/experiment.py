@@ -11,6 +11,8 @@ from .scenario import ScenarioConfig, build_simulator
 from .simulator import MetricsRecord, SimEvent
 from .strategies import StrategyConfig
 
+SERIES_BIN = 10.0      # s between robustness-series rows
+SLOPE_WINDOW = 60.0    # s of completion curve behind each slope
 CSV_COLUMNS = ("strategy", "env", "trial", "finished", "comm_num",
                "comm_int_mean", "comm_int_std", "idle_gap_mean", "idle_gap_std")
 
@@ -56,8 +58,7 @@ def metrics_row(cfg: ScenarioConfig, strategy_kind: str, trial, metrics: Metrics
 
 def run_experiment(cfg: ScenarioConfig, trials: int, out_path=None,
                    strategy: Optional[StrategyConfig] = None,
-                   series_path=None, series_bin: float = 10.0,
-                   slope_window: float = 60.0, log_dir=None) -> list[dict]:
+                   series_path=None, log_dir=None) -> list[dict]:
     """Per-trial metric rows plus mean/std summary rows.
 
     With `series_path`, also writes the per-10s robustness series: the
@@ -92,7 +93,7 @@ def run_experiment(cfg: ScenarioConfig, trials: int, out_path=None,
     if out_path is not None:
         write_metrics_csv(out_path, rows)
     if series_path is not None:
-        write_series_csv(series_path, completion_series, cfg.horizon, series_bin, slope_window)
+        write_series_csv(series_path, completion_series, cfg.horizon)
     return rows
 
 
@@ -104,10 +105,9 @@ def write_metrics_csv(path, rows) -> None:
             writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
 
 
-def write_series_csv(path, completion_series, horizon: float,
-                     series_bin: float = 10.0, slope_window: float = 60.0) -> None:
+def write_series_csv(path, completion_series, horizon: float) -> None:
     trials = len(completion_series)
-    grid_times = [k * series_bin for k in range(int(horizon // series_bin) + 1)]
+    grid_times = [k * SERIES_BIN for k in range(int(horizon // SERIES_BIN) + 1)]
     cumulative = []
     for series in completion_series:
         finishes = sorted(series.values())
@@ -134,7 +134,7 @@ def write_series_csv(path, completion_series, horizon: float,
             vals = [cumulative[k][i] for k in range(trials)]
             mean_c = _mean(vals)
             var_c = _std(vals) ** 2
-            lo = max(0, i - int(slope_window // series_bin))
+            lo = max(0, i - int(SLOPE_WINDOW // SERIES_BIN))
             slopes = [slope([cumulative[k][j] for j in range(lo, i + 1)],
                             grid_times[lo:i + 1]) for k in range(trials)]
             writer.writerow([_fmt(float(t)), _fmt(mean_c), _fmt(var_c),

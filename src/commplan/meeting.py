@@ -12,12 +12,11 @@ gathering everyone at the latest finisher.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 from typing import Optional
 
 from .radio import CommParams, comm_graph, is_connected, linked
-from .workspace import GridMap, Position, Unreachable, astar_length, astar_path
+from .workspace import GridMap, Position, Unreachable, astar_length, astar_path, memoized
 
 DEFAULT_GAP = 0.5       # s, convergence tolerance on successive event times
 MAX_ANCHOR_CANDIDATES = 24
@@ -56,32 +55,21 @@ class CommEvent:
     positions: dict[int, Position]
 
 
+@memoized
 def sel_com(p_from: Position, p_to: Position, grid: GridMap, params: CommParams) -> Position:
     """Earliest point along the path from p_from toward p_to with a link to p_to.
 
     Walks the grid path and returns the first position whose quality to p_to
     strictly exceeds the threshold; p_to itself always qualifies through the
-    coincidence clamp, so the walk cannot fail. Results are cached on the map
-    since the same endpoints recur heavily during bound evaluation.
+    coincidence clamp, so the walk cannot fail. Memoized on the map since the
+    same endpoints recur heavily during bound evaluation.
     """
-    cache = getattr(grid, "_selcom_cache", None)
-    if cache is None:
-        cache = {}
-        grid._selcom_cache = cache
-    key = (p_from, p_to, params)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if linked(p_from, p_to, grid, params):
-        cache[key] = p_from
         return p_from
-    result = p_to
     for waypoint in astar_path(p_from, p_to, grid):
         if linked(waypoint, p_to, grid, params):
-            result = waypoint
-            break
-    cache[key] = result
-    return result
+            return waypoint
+    return p_to
 
 
 def _arrival(fin: AgentFinish, target: Position, grid: GridMap) -> float:
@@ -156,26 +144,21 @@ def com_opt_fast(last: LastTaskState, grid: GridMap, params: CommParams) -> Comm
 
 
 def com_opt(last: LastTaskState, grid: GridMap, params: CommParams,
-            budget: Optional[float] = None, gap: float = DEFAULT_GAP) -> CommEvent:
+            gap: float = DEFAULT_GAP) -> CommEvent:
     """Optimize the next communication event for the whole team.
 
     Guarantees: the returned meeting positions induce a connected graph, the
     event satisfies every agent's travel constraint, and the worst-case delay
     never exceeds the all-gather baseline at the latest finisher. After the
     anchored single pass, the anchor itself is scanned along the path toward
-    the arrival bottleneck; the scan stops when the budget runs out or an
-    accepted improvement falls below `gap`.
+    the arrival bottleneck; the scan stops when an accepted improvement
+    falls below `gap`.
     """
     fins = last.finishes
     ids = last.ids()
     if len(ids) == 1:
         only = fins[ids[0]]
         return CommEvent(only.time, {only.agent_id: only.position})
-
-    t_start = _time.monotonic()
-
-    def budget_left() -> bool:
-        return budget is None or (_time.monotonic() - t_start) < budget
 
     anchor_fin = last.latest()
     p0 = anchor_fin.position
@@ -188,8 +171,6 @@ def com_opt(last: LastTaskState, grid: GridMap, params: CommParams,
         path = astar_path(fins[bottleneck].position, p0, grid)
         stride = max(1, len(path) // MAX_ANCHOR_CANDIDATES)
         for idx in range(0, len(path), stride):
-            if not budget_left():
-                break
             cand = chain_event(last, path[idx], grid, params)
             if cand is not None and cand.time < best.time:
                 improvement = best.time - cand.time

@@ -29,7 +29,6 @@ IMPROVEMENT_EPS = 1e-9
 
 @dataclass
 class CollectivePlan:
-    cycle_start: float
     sequences: dict[int, tuple[int, ...]]   # agent -> ordered task ids
     groups: dict[int, tuple[int, ...]]      # task -> agent group
     timetable: Timetable
@@ -202,19 +201,11 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
             return
         t = cluster[idx]
         for group in problem.groups_for(t):
-            if interior:
-                slots = [range(len(seqs[a]) + 1) for a in group]
-                for combo in itertools.product(*slots):
-                    new_seqs = {a: list(s) for a, s in seqs.items()}
-                    for a, pos in zip(group, combo):
-                        new_seqs[a].insert(pos, t)
-                    new_groups = dict(groups)
-                    new_groups[t] = group
-                    place(idx + 1, new_seqs, new_groups)
-            else:
+            slots = [range(len(seqs[a]) + 1) if interior else (len(seqs[a]),) for a in group]
+            for combo in itertools.product(*slots):
                 new_seqs = {a: list(s) for a, s in seqs.items()}
-                for a in group:
-                    new_seqs[a].append(t)
+                for a, pos in zip(group, combo):
+                    new_seqs[a].insert(pos, t)
                 new_groups = dict(groups)
                 new_groups[t] = group
                 place(idx + 1, new_seqs, new_groups)
@@ -254,7 +245,7 @@ def build_plan(sequences: Mapping[int, Sequence[int]], groups: Mapping[int, tupl
         rate = len(groups) / (event.time - problem.now)
     else:
         rate = 0.0
-    return CollectivePlan(problem.now, {a: tuple(sequences.get(a, ())) for a in problem.team},
+    return CollectivePlan({a: tuple(sequences.get(a, ())) for a in problem.team},
                           dict(groups), timetable, event, rate)
 
 
@@ -388,9 +379,8 @@ def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
     # Custom event optimizers may refuse even the empty plan; gather instead.
     last = LastTaskState({a: AgentFinish(a, ctx.ready_time, ctx.position, ctx.v_max)
                           for a, ctx in problem.team.items()})
-    event = com_opt(last, problem.grid, problem.params, budget=None, gap=problem.gap)
-    tt = Timetable({}, {a: [] for a in problem.team}, 0.0)
-    return CollectivePlan(problem.now, empty_seqs, {}, tt, event, 0.0)
+    event = com_opt(last, problem.grid, problem.params, gap=problem.gap)
+    return CollectivePlan(empty_seqs, {}, Timetable({}, 0.0), event, 0.0)
 
 
 def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
@@ -436,17 +426,15 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
     if stats.keep_nodes:
         stats.nodes.append(root)
 
-    heap: list[tuple[float, int, int]] = []
-    nodes: dict[int, PlanNode] = {}
+    # node_id is unique, so heap entries never compare their nodes.
+    heap: list[tuple[float, int, int, PlanNode]] = []
     if root.ub > lb_star:
-        heap.append((-root.ub, -root.depth, root.node_id))
-        nodes[root.node_id] = root
+        heap.append((-root.ub, -root.depth, root.node_id, root))
 
     while heap and time_left():
         if node_limit is not None and stats.nodes_expanded >= node_limit:
             break
-        neg_ub, _, nid = heapq.heappop(heap)
-        node = nodes.pop(nid)
+        node = heapq.heappop(heap)[3]
         next_ub = -heap[0][0] if heap else None
         stats.extraction_trace.append((node.ub, next_ub))
         stats.incumbent_trace.append(lb_star)
@@ -470,8 +458,7 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
                 if child_plan is not None and child_plan.rate > lb_star:
                     incumbent, lb_star = child_plan, child_plan.rate
                 if child.ub > lb_star:
-                    nodes[child.node_id] = child
-                    heapq.heappush(heap, (-child.ub, -child.depth, child.node_id))
+                    heapq.heappush(heap, (-child.ub, -child.depth, child.node_id, child))
                 else:
                     stats.nodes_pruned += 1
     stats.elapsed = _time.monotonic() - t_start

@@ -208,6 +208,16 @@ def _parse_generator(raw: dict, errors: list[str]) -> Optional[GeneratorSpec]:
         return None
 
 
+def _is_int(value) -> bool:
+    """A JSON integer (booleans excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A JSON number (booleans excluded); NaN and infinities pass here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
     errors: list[str] = []
 
@@ -331,6 +341,22 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
     if not 0 < dt < math.inf:
         errors.append("dt: must be a finite number > 0")
 
+    seed = raw.get("seed", 0)
+    if not _is_int(seed):
+        errors.append("seed: must be an integer")
+    gap = raw.get("gap", 0.5)
+    if not (_is_real(gap) and 0 <= gap < math.inf):
+        errors.append("gap: must be a finite number >= 0")
+    recheck_interval = raw.get("recheck_interval", 5.0)
+    if not (_is_real(recheck_interval) and 0 < recheck_interval < math.inf):
+        errors.append("recheck_interval: must be a finite number > 0")
+    node_limit = raw.get("node_limit", 200)
+    if not (node_limit is None or _is_int(node_limit) and node_limit >= 0):
+        errors.append("node_limit: must be null or an integer >= 0")
+    planner_budget = raw.get("planner_budget")
+    if not (planner_budget is None or _is_real(planner_budget) and 0 <= planner_budget < math.inf):
+        errors.append("planner_budget: must be null or a finite number >= 0")
+
     if errors:
         raise ScenarioError("; ".join(errors))
 
@@ -338,11 +364,8 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
         map_path=map_path, grid=grid, agents=sorted(agents, key=lambda a: a.id),
         params=params, tasks=sorted(tasks, key=lambda t: t.id), relations=relations,
         strategy=strategy, horizon=horizon,
-        seed=int(raw.get("seed", 0)), dt=dt,
-        planner_budget=raw.get("planner_budget"),
-        node_limit=raw.get("node_limit", 200),
-        gap=float(raw.get("gap", 0.5)),
-        recheck_interval=float(raw.get("recheck_interval", 5.0)),
+        seed=seed, dt=dt, planner_budget=planner_budget, node_limit=node_limit,
+        gap=float(gap), recheck_interval=float(recheck_interval),
         generator=generator)
 
 

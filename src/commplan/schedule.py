@@ -54,7 +54,6 @@ class AssignedPlan:
 @dataclass
 class Timetable:
     intervals: dict[int, ExecutionInterval]
-    arrivals: dict[int, list[tuple[int, float]]]  # agent -> [(task, arrival time)]
     makespan: float
 
     def interval_list(self) -> list[ExecutionInterval]:
@@ -128,9 +127,6 @@ def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
                           relations: Sequence[TemporalRelation], grid: GridMap,
                           team: Mapping[int, AgentContext], *,
                           zero_travel: bool = False,
-                          mutex_gap: float = MUTEX_GAP,
-                          conc_margin: float = CONC_MARGIN,
-                          exhaustive_limit: int = EXHAUSTIVE_MUTEX_LIMIT,
                           enforce_concurrency: bool = True) -> Timetable:
     """Timetable with minimal makespan for the given assignment and orders.
 
@@ -153,12 +149,11 @@ def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
 
     task_ids = sorted(assigned)
     if not task_ids:
-        return Timetable({}, {a: [] for a in plan.sequences}, 0.0)
+        return Timetable({}, 0.0)
 
     # Chain and source constraints from each agent's sequence.
     source_bound: dict[int, float] = {}
     chain_edges: list[tuple[int, int, float]] = []
-    first_arrival: dict[tuple[int, int], float] = {}  # (agent, task) -> arrival lower bound
     for agent_id in sorted(plan.sequences):
         seq = plan.sequences[agent_id]
         if not seq:
@@ -175,7 +170,6 @@ def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
                 source_bound[tid] = max(source_bound.get(tid, 0.0), bound)
             else:
                 chain_edges.append((prev, tid, tasks[prev].duration + travel))
-            first_arrival[(agent_id, tid)] = travel  # offset past the predecessor finish
             prev = tid
             pos = target
 
@@ -199,7 +193,7 @@ def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
     def solve(oriented: list[tuple[int, int]]) -> Optional[dict[int, float]]:
         edges = list(fixed_edges)
         for u, v in oriented:
-            edges.append((u, v, tasks[u].duration + mutex_gap))
+            edges.append((u, v, tasks[u].duration + MUTEX_GAP))
         return _longest_path(task_ids, source_bound, edges)
 
     def conc_ok(starts: dict[int, float]) -> bool:
@@ -210,13 +204,13 @@ def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
         for a, b in conc_pairs:
             sa, fa = starts[a], starts[a] + tasks[a].duration
             sb, fb = starts[b], starts[b] + tasks[b].duration
-            if not max(sa, sb) + conc_margin <= min(fa, fb):
+            if not max(sa, sb) + CONC_MARGIN <= min(fa, fb):
                 return False
         return True
 
     best: Optional[dict[int, float]] = None
     best_mk = float("inf")
-    if len(mutex_pairs) <= exhaustive_limit:
+    if len(mutex_pairs) <= EXHAUSTIVE_MUTEX_LIMIT:
         for bits in range(1 << len(mutex_pairs)):
             oriented = [(p if not (bits >> k) & 1 else (p[1], p[0]))
                         for k, p in enumerate(mutex_pairs)]
@@ -244,12 +238,4 @@ def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
         raise InfeasibleSchedule("no feasible orientation of the constraint graph")
 
     intervals = {t: ExecutionInterval(t, best[t], best[t] + tasks[t].duration) for t in task_ids}
-    arrivals: dict[int, list[tuple[int, float]]] = {a: [] for a in plan.sequences}
-    for agent_id in sorted(plan.sequences):
-        seq = plan.sequences[agent_id]
-        prev_finish = team[agent_id].ready_time
-        for tid in seq:
-            arrival = prev_finish + first_arrival[(agent_id, tid)]
-            arrivals[agent_id].append((tid, arrival))
-            prev_finish = intervals[tid].finish
-    return Timetable(intervals, arrivals, best_mk)
+    return Timetable(intervals, best_mk)

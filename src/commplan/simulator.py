@@ -297,7 +297,7 @@ class Simulator:
 
     def _waypoints(self, start: Position, goal: Position) -> list[Position]:
         path = astar_path(start, goal, self.grid)
-        return [start] + path[1:] if path else [start]
+        return [start, *path[1:]]
 
     def _move(self, t: float) -> None:
         for aid in sorted(self.agents):

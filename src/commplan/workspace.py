@@ -8,6 +8,7 @@ diagonal steps cost sqrt(2) * resolution.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
+MEMO_LIMIT = 1 << 16  # entries in one map's memo before it is cleared
 
 
 class MapError(ValueError):
@@ -35,8 +37,9 @@ class Position:
 
 
 class GridMap:
-    """Immutable occupancy grid. Safe for concurrent reads; the internal
-    path cache is only ever extended, never invalidated."""
+    """Immutable occupancy grid. `_memo` holds the results of the pure
+    geometry queries decorated with `memoized`; it only changes by adding
+    entries or by being cleared whole, so no read sees a stale value."""
 
     def __init__(self, occupancy: np.ndarray, resolution: float):
         occ = np.asarray(occupancy, dtype=bool)
@@ -48,8 +51,7 @@ class GridMap:
         self._occ.setflags(write=False)
         self.resolution = float(resolution)
         self.height_cells, self.width_cells = occ.shape
-        self._path_cache: dict[tuple[tuple[int, int], tuple[int, int]], tuple[float, tuple[tuple[int, int], ...]]] = {}
-        self._los_cache: dict[tuple[float, float, float, float], float] = {}
+        self._memo: dict[tuple, object] = {}
 
     @property
     def width_m(self) -> float:
@@ -147,6 +149,28 @@ def format_grid(grid: GridMap) -> str:
     return "\n".join([f"{grid.width_cells} {grid.height_cells} {res_text}"] + rows) + "\n"
 
 
+def memoized(fn):
+    """Memoize a pure query `fn(a, b, grid, *rest)` in `grid._memo`.
+
+    Keys are `(fn, a, b, *rest)`, so one dict per map serves every decorated
+    query. The dict is cleared when it reaches MEMO_LIMIT entries. Raised
+    exceptions are not stored; results must never be None.
+    """
+    @functools.wraps(fn)
+    def wrapper(a, b, grid, *rest):
+        memo = grid._memo
+        key = (fn, a, b, *rest)
+        result = memo.get(key)
+        if result is None:
+            result = fn(a, b, grid, *rest)
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            memo[key] = result
+        return result
+    return wrapper
+
+
+@memoized
 def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
     """Total length of the straight segment a-b that lies inside occupied cells.
 
@@ -163,10 +187,6 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
     seg_len = math.hypot(dx, dy)
     if seg_len == 0.0:
         return 0.0
-    cache_key = (a.x, a.y, b.x, b.y)
-    cached = grid._los_cache.get(cache_key)
-    if cached is not None:
-        return cached
 
     res = grid.resolution
     cx = min(int(a.x / res), grid.width_cells - 1)
@@ -214,10 +234,7 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
             t_max_y += t_delta_y
         if not (0 <= cx < grid.width_cells and 0 <= cy < grid.height_cells):
             break
-    total = max(total, 0.0)
-    if len(grid._los_cache) < 1_000_000:
-        grid._los_cache[cache_key] = total
-    return total
+    return max(total, 0.0)
 
 
 _NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -234,20 +251,15 @@ def astar_cells(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) ->
     """Shortest 8-connected path between cell centers; (length_m, cells).
 
     Diagonal moves are blocked when either adjacent orthogonal cell is
-    occupied (no corner cutting). Results are cached on the map; the search
-    direction is canonicalized so lengths are exactly symmetric.
+    occupied (no corner cutting). The search always runs from the smaller
+    cell to the larger one, so lengths are exactly symmetric; the path is
+    reversed when start is the larger cell.
     """
     if start == goal:
         return 0.0, (start,)
     if not grid.is_free_cell(start) or not grid.is_free_cell(goal):
         raise MapError(f"cell {start if not grid.is_free_cell(start) else goal} is occupied or out of bounds")
-    key = (start, goal) if start <= goal else (goal, start)
-    cached = grid._path_cache.get(key)
-    if cached is not None:
-        length, path = cached
-        return (length, path) if path[0] == start else (length, tuple(reversed(path)))
-
-    s, g = key
+    s, g = (start, goal) if start <= goal else (goal, start)
     res = grid.resolution
     occ = grid.occupancy
     w, h = grid.width_cells, grid.height_cells
@@ -264,10 +276,9 @@ def astar_cells(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) ->
             while cur in parent:
                 cur = parent[cur]
                 cells.append(cur)
-            cells.reverse()
-            path = tuple(cells)
-            grid._path_cache[key] = (g_score[g], path)
-            return (g_score[g], path) if path[0] == start else (g_score[g], tuple(reversed(path)))
+            if s == start:
+                cells.reverse()
+            return g_score[g], tuple(cells)
         closed.add(cur)
         cx, cy = cur
         base = g_score[cur]
@@ -286,12 +297,14 @@ def astar_cells(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) ->
     raise Unreachable(f"no path between cells {start} and {goal}")
 
 
-def astar_path(a: Position, b: Position, grid: GridMap) -> list[Position]:
+@memoized
+def astar_path(a: Position, b: Position, grid: GridMap) -> tuple[Position, ...]:
     """Cell-center waypoints from the cell of a to the cell of b."""
     _, cells = astar_cells(grid, grid.cell_at(a), grid.cell_at(b))
-    return [grid.center(c) for c in cells]
+    return tuple(grid.center(c) for c in cells)
 
 
+@memoized
 def astar_length(a: Position, b: Position, grid: GridMap) -> float:
     """Metric length of the shortest grid path between the cells of a and b,
     never below the euclidean distance between a and b themselves."""

@@ -98,6 +98,28 @@ def test_cli_run_strategy_override(small_scenario, tmp_path):
     assert rows[0]["comm_int_mean"] == ""  # greedy reports no interval metric
 
 
+@pytest.mark.parametrize("kind, field", [("fix", "threshold_n"), ("fimr", "interval"),
+                                         ("fpmr", "fixed_point"), ("frdt", "leader")])
+def test_cli_run_strategy_override_missing_field(small_scenario, capsys, kind, field):
+    assert main(["run", str(small_scenario), "--strategy", kind]) == 2
+    assert f"validation error: strategy '{kind}' requires {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("field, value", [
+    ("seed", "x"), ("seed", 1.5), ("gap", -0.1), ("gap", math.inf), ("recheck_interval", 0),
+    ("recheck_interval", "5"), ("node_limit", "abc"), ("node_limit", -1),
+    ("planner_budget", "x"), ("planner_budget", math.nan)])
+def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value):
+    (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
+    raw = small_raw()
+    raw[field] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, str(path)]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+
+
 def test_cli_run_infeasible_exit_code(tmp_path, capsys):
     # Two agents in separate rooms: the planner cannot build any connected event.
     (tmp_path / "split.map").write_text("5 3 1\n..#..\n..#..\n..#..\n")

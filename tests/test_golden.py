@@ -1,4 +1,4 @@
-"""Behaviour pin: the desk scenario's trial-0 cocoplan event log.
+"""Behaviour pin: the desk scenario's trial-0 event log for every strategy.
 
 The hash is the sha256 of the newline-joined `SimEvent.line()`s. A change to
 it is a change in what the system computes and must be explained when it is
@@ -8,15 +8,45 @@ updated.
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from commplan.experiment import run_trial
 from commplan.scenario import load_scenario
+from commplan.strategies import StrategyConfig
+from commplan.workspace import Position
 
+DESK = Path(__file__).parent / "data" / "desk_scenario.json"
 DESK_COCOPLAN_TRIAL0_SHA256 = "a61c8ca6ba2a0e32df5e8b900ef396529862c0eaaf885e3140c1fd99a2899369"
+# The other strategies with the criterion-5 configs (fix3, fpmr, frdt, fimr35, ring, greedy).
+DESK_TRIAL0_SHA256 = {
+    "fix": (lambda cfg: StrategyConfig("fix", threshold_n=3),
+            "ffb72a80177b1cfedf2837c4b5e64fe931362755ad00dfae6a15264ee279e35a"),
+    "fpmr": (lambda cfg: StrategyConfig("fpmr", fixed_point=cfg.grid.snap(Position(10.0, 15.0))),
+             "f74b5ba7fcd48aed6a3ee6a2a34f0edd57805bd21012da611ed97289da99d779"),
+    "frdt": (lambda cfg: StrategyConfig("frdt", leader=0),
+             "a08e88f37980eabe87c4d37c1bbe1c160b0dbfa968f96b7c892e767f0c9f3410"),
+    "fimr": (lambda cfg: StrategyConfig("fimr", interval=35.0),
+             "8487db83d7c22662b1c8da25fcb540943a91e9b7fffc44be6bb0fd874fffe306"),
+    "ring": (lambda cfg: StrategyConfig("ring"),
+             "534dfe7d6a70e52e5fdf325c81ddd36267d3ba8a4ec19d9a3e6d2ea48c6b0afc"),
+    "greedy": (lambda cfg: StrategyConfig("greedy"),
+               "6bcd968510eedb977d9e6b40babe62a572647b2244d824588b605dad243a24b9"),
+}
+
+
+def _trial0_digest(cfg, strategy=None) -> str:
+    _, events, _ = run_trial(cfg, 0, strategy=strategy)
+    return hashlib.sha256("\n".join(e.line() for e in events).encode()).hexdigest()
 
 
 def test_desk_cocoplan_trial0_log_hash():
-    cfg = load_scenario(Path(__file__).parent / "data" / "desk_scenario.json")
+    cfg = load_scenario(DESK)
     assert cfg.strategy.kind == "cocoplan"
-    _, events, _ = run_trial(cfg, 0)
-    digest = hashlib.sha256("\n".join(e.line() for e in events).encode()).hexdigest()
-    assert digest == DESK_COCOPLAN_TRIAL0_SHA256
+    assert _trial0_digest(cfg) == DESK_COCOPLAN_TRIAL0_SHA256
+
+
+@pytest.mark.parametrize("kind", DESK_TRIAL0_SHA256)
+def test_desk_trial0_log_hash_per_strategy(kind):
+    cfg = load_scenario(DESK)
+    make_strategy, want = DESK_TRIAL0_SHA256[kind]
+    assert _trial0_digest(cfg, make_strategy(cfg)) == want

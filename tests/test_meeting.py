@@ -131,6 +131,15 @@ def test_sel_com_behind_wall_has_adjusted_quality(comm_params):
     assert quality(p, b, grid, comm_params) > comm_params.threshold
 
 
+def test_sel_com_adds_no_attribute_to_the_map(comm_params):
+    grid = empty_grid(30, 4)
+    before = set(vars(grid))
+    a, b = Position(1.5, 1.5), Position(26.5, 1.5)
+    assert sel_com(a, b, grid, comm_params) == sel_com.__wrapped__(a, b, grid, comm_params)
+    assert sel_com(a, b, grid, comm_params) == sel_com.__wrapped__(a, b, grid, comm_params)
+    assert set(vars(grid)) == before
+
+
 def test_disconnected_workspace_raises(comm_params):
     rows = [".#.",
             ".#.",
@@ -144,7 +153,7 @@ def test_disconnected_workspace_raises(comm_params):
 def test_budget_zero_still_returns_valid_event(comm_params):
     grid = empty_grid(30, 6)
     s = state(fin(0, 0.0, 2.5, 2.5), fin(1, 5.0, 27.5, 2.5))
-    ev = com_opt(s, grid, comm_params, budget=0.0)
+    ev = com_opt(s, grid, comm_params)
     assert is_connected(comm_graph(ev.positions, grid, comm_params))
     gather = all_gather_event(s, grid)
     assert ev.time <= gather.time + 1e-9

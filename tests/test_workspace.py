@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from commplan import workspace
 from commplan.workspace import (GridMap, MapError, Position, Unreachable, astar_length,
                                 astar_path, astar_travel_time, format_grid,
                                 los_obstacle_length, parse_grid)
@@ -174,3 +175,43 @@ def test_astar_path_endpoints_are_cell_centers():
     assert path[-1] == grid.center((5, 3))
     for p, q in zip(path, path[1:]):
         assert p.dist(q) <= grid.resolution * math.sqrt(2) + 1e-9
+
+
+def test_memoized_queries_match_the_plain_functions():
+    rng = random.Random(6)
+    grid = random_connected_grid(rng, density=0.2)
+    free = grid.free_cells()
+    for _ in range(60):
+        a, b = (Position(cx + rng.random(), cy + rng.random()) for cx, cy in rng.sample(free, 2))
+        for p, q in ((a, b), (b, a), (a, b)):  # the repeat is served from the memo
+            for fn in (astar_length, astar_path, los_obstacle_length):
+                assert fn(p, q, grid) == fn.__wrapped__(p, q, grid)
+
+
+def test_memo_serves_a_zero_result():
+    grid = grid_from_rows(["..#........."] + ["." * 12] * 11)
+    a, b = Position(0.5, 0.5), Position(5.5, 0.5)
+    grid._memo[(los_obstacle_length.__wrapped__, a, b)] = 0.0
+    assert los_obstacle_length(a, b, grid) == 0.0  # the wall would give 1.0
+
+
+def test_memo_stays_within_its_limit(monkeypatch):
+    monkeypatch.setattr(workspace, "MEMO_LIMIT", 8)
+    rng = random.Random(7)
+    grid = random_connected_grid(rng, density=0.2)
+    free = grid.free_cells()
+    sizes = []
+    for _ in range(40):
+        a, b = (grid.center(c) for c in rng.sample(free, 2))
+        astar_length(a, b, grid)
+        los_obstacle_length(a, b, grid)
+        sizes.append(len(grid._memo))
+    assert max(sizes) == 8
+    assert min(sizes[sizes.index(8):]) < 8  # cleared, then filled again
+
+
+def test_memo_does_not_store_exceptions():
+    grid = empty_grid()
+    with pytest.raises(MapError):
+        los_obstacle_length(Position(-1, 0), Position(1, 1), grid)
+    assert grid._memo == {}

@@ -6,6 +6,10 @@ the best full plan reachable by greedily appending tasks (scheduling each
 candidate and optimizing its communication event), and its upper bound is a
 zero-travel relaxation that dominates every descendant's achievable rate.
 The search is anytime: the incumbent is always a feasible full plan.
+
+Bounds compare rates only. A planning cycle scores each distinct candidate
+once, keeping its rate, and builds the full plan again only for a candidate
+that becomes the incumbent.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import itertools
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .meeting import AgentFinish, CommEvent, LastTaskState, com_opt, com_opt_fast
 from .radio import CommParams, comm_graph, is_connected
@@ -47,7 +51,6 @@ class PlanNode:
     groups: dict[int, tuple[int, ...]]
     lb: float = -math.inf
     ub: float = math.inf
-    plan: Optional[CollectivePlan] = None
 
     def assigned(self) -> frozenset[int]:
         return frozenset(self.groups)
@@ -67,6 +70,8 @@ class PlannerProblem:
     gap: float = 0.5
     _clusters: Optional[dict[int, tuple[int, ...]]] = field(default=None, repr=False)
     _groups_memo: dict[int, list[tuple[int, ...]]] = field(default_factory=dict, repr=False)
+    _rates: dict[tuple[tuple[int, ...], ...], Optional[float]] = field(default_factory=dict,
+                                                                      repr=False)
 
     def __post_init__(self):
         if self.event_optimizer is None:
@@ -87,6 +92,20 @@ class PlannerProblem:
         if task_id not in self._groups_memo:
             self._groups_memo[task_id] = eligible_groups(self.tasks[task_id], self.team)
         return self._groups_memo[task_id]
+
+    def rate_for(self, sequences: Mapping[int, Sequence[int]],
+                 groups: Mapping[int, tuple[int, ...]]) -> Optional[float]:
+        """Rate of `build_plan(sequences, groups, self)`, None when that is None.
+
+        Each candidate is built once per cycle. The key is the per-agent
+        sequences in team order: schedule_min_makespan requires every group
+        to equal the holders of its task, so the sequences determine it.
+        """
+        key = tuple(tuple(sequences.get(a, ())) for a in self.team)
+        if key not in self._rates:
+            plan = build_plan(sequences, groups, self)
+            self._rates[key] = None if plan is None else plan.rate
+        return self._rates[key]
 
     def cluster_of(self, task_id: int) -> tuple[int, ...]:
         """Concurrency component of a task over the known task set.
@@ -249,29 +268,29 @@ def build_plan(sequences: Mapping[int, Sequence[int]], groups: Mapping[int, tupl
                           dict(groups), timetable, event, rate)
 
 
-def objective_rate(plan: CollectivePlan, cycle_start: float) -> float:
-    """Tasks finished by the event divided by the cycle span."""
-    if plan.event.time <= cycle_start:
-        raise ValueError("event time must lie strictly after the cycle start")
-    count = sum(1 for iv in plan.timetable.intervals.values() if iv.finish <= plan.event.time)
-    return count / (plan.event.time - cycle_start)
+class Bound(NamedTuple):
+    """A node's lower bound: the rate of its best greedy completion, whose
+    full plan is `build_plan(sequences, groups, problem)`."""
+    rate: float
+    sequences: dict[int, tuple[int, ...]]   # every team agent, in team order
+    groups: dict[int, tuple[int, ...]]
 
 
-def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[CollectivePlan]:
-    """Best full plan from greedy completion of the node's partial plan.
+def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
+    """Best rate from greedy completion of the node's partial plan.
 
     Iteratively appends the feasible cluster whose cheapest eligible group
     minimizes the worst member travel time, re-schedules, re-optimizes the
     event, and keeps going while the completion rate strictly improves.
-    Returns the best plan seen (the node's own plan counts), or None when no
-    candidate schedules.
+    Returns the best candidate seen (the node's own plan counts), or None
+    when no candidate schedules.
     """
-    best = build_plan(node.sequences, node.groups, problem)
-    seqs = {a: list(s) for a, s in node.sequences.items()}
+    seqs = {a: tuple(node.sequences.get(a, ())) for a in problem.team}
     groups = dict(node.groups)
+    best = problem.rate_for(seqs, groups)
     end_pos = {}
     for a, ctx in problem.team.items():
-        seq = seqs.get(a, [])
+        seq = seqs[a]
         end_pos[a] = problem.tasks[seq[-1]].region_center if seq else ctx.position
 
     skipped: set[int] = set()
@@ -287,9 +306,13 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[CollectivePla
             for t in cluster:
                 target = problem.tasks[t].region_center
                 best_group, best_cost = None, math.inf
+                travel: dict[int, float] = {}  # one lookup per agent, shared by its groups
                 for group in problem.groups_for(t):
-                    c = max(astar_travel_time(end_pos[a], target, problem.grid,
-                                              problem.team[a].v_max) for a in group)
+                    for a in group:
+                        if a not in travel:
+                            travel[a] = astar_travel_time(end_pos[a], target, problem.grid,
+                                                          problem.team[a].v_max)
+                    c = max(travel[a] for a in group)
                     if c < best_cost:
                         best_group, best_cost = group, c
                 chosen[t] = best_group
@@ -299,27 +322,27 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[CollectivePla
 
         progressed = False
         for cost, rep, cluster, chosen in scored:
-            new_seqs = {a: list(s) for a, s in seqs.items()}
-            new_groups = dict(groups)
+            new_seqs = dict(seqs)
             for t in cluster:
                 for a in chosen[t]:
-                    new_seqs[a].append(t)
-                new_groups[t] = chosen[t]
-            cand = build_plan(new_seqs, new_groups, problem)
-            if cand is None:
+                    new_seqs[a] += (t,)
+            new_groups = {**groups, **chosen}
+            rate = problem.rate_for(new_seqs, new_groups)
+            if rate is None:
                 skipped.add(rep)
                 continue
-            if best is None or cand.rate > best.rate + IMPROVEMENT_EPS:
+            if best is None or rate > best + IMPROVEMENT_EPS:
                 seqs, groups = new_seqs, new_groups
                 for t in cluster:
                     for a in chosen[t]:
                         end_pos[a] = problem.tasks[t].region_center
-                best = cand
+                best = rate
                 progressed = True
             break
         if not progressed:
             break
-    return best
+    # Every accepted candidate replaces seqs and groups, so they hold the best one.
+    return None if best is None else Bound(best, seqs, groups)
 
 
 def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
@@ -365,7 +388,7 @@ class SearchStats:
     extraction_trace: list[tuple[float, Optional[float]]] = field(default_factory=list)
     incumbent_trace: list[float] = field(default_factory=list)
     elapsed: float = 0.0
-    keep_nodes: bool = False
+    keep_nodes: bool = False  # record nodes and both traces; off, they stay empty
     nodes: list[PlanNode] = field(default_factory=list)
 
 
@@ -375,6 +398,7 @@ def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
     empty_seqs = {a: () for a in problem.team}
     plan = build_plan(empty_seqs, {}, problem)
     if plan is not None:
+        problem._rates[tuple(empty_seqs.values())] = plan.rate  # the root's first candidate
         return plan
     # Custom event optimizers may refuse even the empty plan; gather instead.
     last = LastTaskState({a: AgentFinish(a, ctx.ready_time, ctx.position, ctx.v_max)
@@ -416,12 +440,12 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
     next_node_id = itertools.count()
     root = PlanNode(node_id=next(next_node_id), depth=0,
                     sequences={a: () for a in problem.team}, groups={})
-    root_plan = low_bound(root, problem)
-    if root_plan is not None and root_plan.rate > lb_star:
-        incumbent, lb_star = root_plan, root_plan.rate
-    root.lb = root_plan.rate if root_plan else -math.inf
+    root_bound = low_bound(root, problem)
+    if root_bound is not None and root_bound.rate > lb_star:
+        incumbent = build_plan(root_bound.sequences, root_bound.groups, problem)
+        lb_star = root_bound.rate
+    root.lb = root_bound.rate if root_bound is not None else -math.inf
     root.ub = up_bound(root, problem)
-    root.plan = root_plan
     stats.nodes_generated += 1
     if stats.keep_nodes:
         stats.nodes.append(root)
@@ -435,9 +459,9 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
         if node_limit is not None and stats.nodes_expanded >= node_limit:
             break
         node = heapq.heappop(heap)[3]
-        next_ub = -heap[0][0] if heap else None
-        stats.extraction_trace.append((node.ub, next_ub))
-        stats.incumbent_trace.append(lb_star)
+        if stats.keep_nodes:
+            stats.extraction_trace.append((node.ub, -heap[0][0] if heap else None))
+            stats.incumbent_trace.append(lb_star)
         if not node.ub > lb_star:
             stats.nodes_pruned += 1
             continue
@@ -448,15 +472,15 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
             for child in expand_node(node, rep, problem, lambda: next(next_node_id)):
                 if not time_left():
                     break
-                child_plan = low_bound(child, problem)
-                child.plan = child_plan
-                child.lb = child_plan.rate if child_plan is not None else -math.inf
+                child_bound = low_bound(child, problem)
+                child.lb = child_bound.rate if child_bound is not None else -math.inf
                 child.ub = up_bound(child, problem)
                 stats.nodes_generated += 1
                 if stats.keep_nodes:
                     stats.nodes.append(child)
-                if child_plan is not None and child_plan.rate > lb_star:
-                    incumbent, lb_star = child_plan, child_plan.rate
+                if child_bound is not None and child_bound.rate > lb_star:
+                    incumbent = build_plan(child_bound.sequences, child_bound.groups, problem)
+                    lb_star = child_bound.rate
                 if child.ub > lb_star:
                     heapq.heappush(heap, (-child.ub, -child.depth, child.node_id, child))
                 else:

@@ -22,6 +22,7 @@ from .workspace import GridMap, MapError, Position, load_grid
 
 SPATIAL_PATTERNS = ("clustered", "uniform", "sparse")
 TEMPORAL_PATTERNS = ("spiky", "uniform", "low_frequency")
+MAX_TICKS = 1_000_000  # most ticks (horizon / dt) one trial may simulate
 
 
 class ScenarioError(ValueError):
@@ -251,8 +252,11 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
                 v_max = float(a["v_max"])
                 if not v_max > 0:
                     errors.append(f"{fieldname}.v_max: must be > 0")
-                agents.append(AgentSpec(aid, grid.snap(start), v_max,
-                                        float(a["sensor_range"]),
+                sensor_range = a["sensor_range"]
+                if not (_is_real(sensor_range) and sensor_range >= 0):
+                    errors.append(f"{fieldname}.sensor_range: must be a number >= 0")
+                    sensor_range = math.nan
+                agents.append(AgentSpec(aid, grid.snap(start), v_max, float(sensor_range),
                                         tuple(sorted(set(a["capabilities"])))))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             errors.append(f"{fieldname}: {exc}")
@@ -326,13 +330,10 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
     except (TypeError, ValueError) as exc:
         errors.append(f"strategy: {exc}")
 
-    try:
-        horizon = float(raw["horizon"])
-        if horizon <= 0:
-            errors.append("horizon: must be > 0")
-    except (KeyError, TypeError, ValueError):
-        errors.append("horizon: required positive number")
-        horizon = 0.0
+    horizon = raw.get("horizon")
+    horizon_ok = _is_real(horizon) and 0 < horizon < math.inf
+    if not horizon_ok:
+        errors.append("horizon: required finite number > 0")
 
     try:
         dt = float(raw.get("dt", 0.1))
@@ -340,6 +341,9 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
         dt = math.nan
     if not 0 < dt < math.inf:
         errors.append("dt: must be a finite number > 0")
+    elif horizon_ok and horizon / dt > MAX_TICKS:
+        errors.append(f"horizon: {horizon} s at dt {dt} s is {horizon / dt:.3g} ticks, "
+                      f"more than the {MAX_TICKS} one trial may simulate")
 
     seed = raw.get("seed", 0)
     if not _is_int(seed):
@@ -363,7 +367,7 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
     return ScenarioConfig(
         map_path=map_path, grid=grid, agents=sorted(agents, key=lambda a: a.id),
         params=params, tasks=sorted(tasks, key=lambda t: t.id), relations=relations,
-        strategy=strategy, horizon=horizon,
+        strategy=strategy, horizon=float(horizon),
         seed=seed, dt=dt, planner_budget=planner_budget, node_limit=node_limit,
         gap=float(gap), recheck_interval=float(recheck_interval),
         generator=generator)

@@ -62,6 +62,10 @@ class Timetable:
 
 def group_covers(task: Task, agent_ids: Sequence[int], team: Mapping[int, AgentContext]) -> bool:
     """True if the agents can be partitioned onto the task's requirement slots."""
+    if len(task.requirements) == 1:
+        n, action = task.requirements[0]
+        return (len(agent_ids) == n and len(set(agent_ids)) == n
+                and all(action in team[a].capabilities for a in agent_ids))
     slots: list[str] = []
     for n, action in task.requirements:
         slots.extend([action] * n)
@@ -135,14 +139,16 @@ def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
     cannot hold under earliest starts.
     """
     assigned = plan.assigned_ids()
+    holders: dict[int, list[int]] = {}
     for agent_id, seq in plan.sequences.items():
         if len(seq) != len(set(seq)):
             raise ValueError(f"agent {agent_id}: a task appears twice in its sequence")
-    if {t for seq in plan.sequences.values() for t in seq} != assigned:
+        for tid in seq:
+            holders.setdefault(tid, []).append(agent_id)
+    if holders.keys() != assigned:
         raise ValueError("sequences and groups disagree on the assigned task set")
     for tid, group in plan.groups.items():
-        members = [a for a, seq in plan.sequences.items() if tid in seq]
-        if tuple(sorted(members)) != tuple(sorted(group)):
+        if sorted(holders[tid]) != sorted(group):
             raise ValueError(f"task {tid}: group does not match the sequences")
         if not group_covers(tasks[tid], group, team):
             raise CapabilityError(f"task {tid}: group {group} cannot cover requirements")

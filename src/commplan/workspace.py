@@ -152,14 +152,17 @@ def format_grid(grid: GridMap) -> str:
 def memoized(fn):
     """Memoize a pure query `fn(a, b, grid, *rest)` in `grid._memo`.
 
-    Keys are `(fn, a, b, *rest)`, so one dict per map serves every decorated
-    query. The dict is cleared when it reaches MEMO_LIMIT entries. Raised
-    exceptions are not stored; results must never be None.
+    Keys are `(fn, a.x, a.y, b.x, b.y, *rest)`, so one dict per map serves
+    every decorated query. Float coordinates hash and compare as the
+    `Position` pair does (`-0.0 == 0.0` included), without running the
+    dataclass `__hash__` on every lookup. The dict is cleared when it reaches
+    MEMO_LIMIT entries. Raised exceptions are not stored; results must never
+    be None.
     """
     @functools.wraps(fn)
     def wrapper(a, b, grid, *rest):
         memo = grid._memo
-        key = (fn, a, b, *rest)
+        key = (fn, a.x, a.y, b.x, b.y, *rest)
         result = memo.get(key)
         if result is None:
             result = fn(a, b, grid, *rest)

@@ -7,7 +7,7 @@ import pytest
 
 from commplan.cli import main
 from commplan.experiment import CSV_COLUMNS, run_experiment, run_trial, write_event_log
-from commplan.scenario import load_scenario
+from commplan.scenario import MAX_TICKS, load_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,7 +109,8 @@ def test_cli_run_strategy_override_missing_field(small_scenario, capsys, kind, f
 @pytest.mark.parametrize("field, value", [
     ("seed", "x"), ("seed", 1.5), ("gap", -0.1), ("gap", math.inf), ("recheck_interval", 0),
     ("recheck_interval", "5"), ("node_limit", "abc"), ("node_limit", -1),
-    ("planner_budget", "x"), ("planner_budget", math.nan)])
+    ("planner_budget", "x"), ("planner_budget", math.nan), ("horizon", math.nan),
+    ("horizon", "nan"), ("horizon", math.inf), ("horizon", 1e12), ("horizon", "60")])
 def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
     raw = small_raw()
@@ -118,6 +119,31 @@ def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value
     path.write_text(json.dumps(raw))
     assert main([command, str(path)]) == 2
     assert f"{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, "x", None])
+def test_cli_bad_sensor_range_exit_code(tmp_path, capsys, command, value):
+    (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
+    raw = small_raw()
+    raw["agents"][1]["sensor_range"] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, str(path)]) == 2
+    assert "agents[1].sensor_range:" in capsys.readouterr().err
+
+
+def test_horizon_tick_bound_message(tmp_path, capsys):
+    (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
+    raw = small_raw()
+    raw["horizon"] = MAX_TICKS * 0.1 + 1.0  # one step past the bound at dt 0.1
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+    assert f"more than the {MAX_TICKS}" in capsys.readouterr().err
+    raw["horizon"] = MAX_TICKS * 0.1
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 0
 
 
 def test_cli_run_infeasible_exit_code(tmp_path, capsys):

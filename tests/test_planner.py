@@ -1,11 +1,13 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from commplan import planner
 from commplan.planner import (PlanNode, PlannerProblem, SearchStats, build_plan,
                               cocoplan, expand_node, get_feasible_tasks, low_bound,
-                              objective_rate, up_bound)
+                              up_bound)
 from commplan.radio import CommParams, comm_graph, is_connected
 from commplan.schedule import AgentContext
 from commplan.tasks import (RelationKind, Task, TemporalRelation, check_schedule,
@@ -62,9 +64,10 @@ def test_objective_rate_examples():
     plan = build_plan(seqs, groups, problem)
     # single agent: event sits at the last task, rate = 3 / makespan
     assert plan.rate == pytest.approx(3.0 / plan.event.time)
-    assert objective_rate(plan, 0.0) == pytest.approx(plan.rate)
-    with pytest.raises(ValueError):
-        objective_rate(plan, plan.event.time + 1.0)
+    # the rate is the tasks finished by the event over the cycle span
+    finished = sum(1 for iv in plan.timetable.intervals.values() if iv.finish <= plan.event.time)
+    assert finished == 3
+    assert finished / (plan.event.time - problem.now) == pytest.approx(plan.rate)
 
 
 def test_get_feasible_tasks_gating():
@@ -213,9 +216,10 @@ def test_anytime_incumbent_monotone_and_heap_discipline():
     rng = random.Random(19)
     for _ in range(8):
         grid, team, tasks, rels = random_planner_instance(rng)
-        stats = SearchStats()
+        stats = SearchStats(keep_nodes=True)
         cocoplan(team, tasks, rels, grid, CommParams(), stats=stats)
         trace = stats.incumbent_trace
+        assert trace and stats.extraction_trace
         assert all(a <= b + 1e-12 for a, b in zip(trace, trace[1:]))
         for extracted_ub, next_ub in stats.extraction_trace:
             if next_ub is not None:
@@ -259,3 +263,92 @@ def test_low_bound_on_fully_assigned_node_returns_own_rate():
     own = build_plan({0: (1,)}, {1: (0,)}, problem)
     assert plan.rate == pytest.approx(own.rate)
     assert plan.sequences == own.sequences
+
+
+def test_traces_are_recorded_only_with_keep_nodes():
+    rng = random.Random(19)
+    grid, team, tasks, rels = random_planner_instance(rng)
+    stats = SearchStats()
+    cocoplan(team, tasks, rels, grid, CommParams(), stats=stats)
+    assert stats.nodes_expanded > 0
+    assert stats.extraction_trace == [] and stats.incumbent_trace == [] and stats.nodes == []
+
+
+def test_low_bound_rate_equals_a_fresh_build_of_its_plan():
+    rng = random.Random(22)
+    checked = 0
+    for _ in range(15):
+        grid, team, tasks, rels = random_planner_instance(rng, max_tasks=4)
+        problem = PlannerProblem(team=team, tasks=tasks, relations=rels,
+                                 grid=grid, params=CommParams(), now=0.0)
+        root = empty_node(problem)
+        nodes = [root] + [child for rep in get_feasible_tasks(frozenset(), problem)
+                          for child in expand_node(root, rep, problem, iter(range(1, 1000)).__next__)]
+        for node in nodes:
+            bound = low_bound(node, problem)
+            if bound is None:
+                continue
+            fresh = PlannerProblem(team=team, tasks=tasks, relations=rels,
+                                   grid=grid, params=CommParams(), now=0.0)
+            plan = build_plan(bound.sequences, bound.groups, fresh)
+            assert plan is not None
+            assert bound.rate == plan.rate
+            assert bound.sequences == plan.sequences and bound.groups == plan.groups
+            checked += 1
+    assert checked >= 40
+
+
+def test_cocoplan_returns_a_fresh_build_of_its_plan():
+    rng = random.Random(23)
+    for _ in range(10):
+        grid, team, tasks, rels = random_planner_instance(rng)
+        plan = cocoplan(team, tasks, rels, grid, CommParams())
+        problem = PlannerProblem(team=team, tasks=tasks, relations=rels,
+                                 grid=grid, params=CommParams(), now=0.0)
+        assert build_plan(plan.sequences, plan.groups, problem) == plan
+
+
+def test_cocoplan_schedules_each_candidate_once(monkeypatch):
+    """Only a rebuild of a new incumbent may schedule a sequence key again."""
+    schedule, build = planner.schedule_min_makespan, planner.build_plan
+    scheduled: list[tuple] = []
+    built: list[tuple] = []
+
+    def key_of(sequences, team):
+        return tuple(tuple(sequences.get(a, ())) for a in team)
+
+    def counting_schedule(plan, tasks, relations, grid, team, **kwargs):
+        if not kwargs.get("zero_travel"):
+            scheduled.append(key_of(plan.sequences, team))
+        return schedule(plan, tasks, relations, grid, team, **kwargs)
+
+    def recording_build(sequences, groups, problem):
+        plan = build(sequences, groups, problem)
+        built.append((key_of(sequences, problem.team), plan))
+        return plan
+
+    monkeypatch.setattr(planner, "schedule_min_makespan", counting_schedule)
+    monkeypatch.setattr(planner, "build_plan", recording_build)
+    rng = random.Random(24)
+    total = 0
+    for _ in range(10):
+        grid, team, tasks, rels = random_planner_instance(rng)
+        scheduled.clear()
+        built.clear()
+        plan = cocoplan(team, tasks, rels, grid, CommParams())
+        counts = Counter(scheduled)
+        assert max(counts.values()) <= 2
+        seen: set[tuple] = set()
+        rebuilds = []
+        for key, result in built:
+            if key in seen:
+                rebuilds.append((key, result))
+            seen.add(key)
+        assert {k for k, n in counts.items() if n == 2} == {k for k, _ in rebuilds}
+        # rebuilds are exactly the successive incumbents, the last one returned
+        rates = [result.rate for _, result in rebuilds]
+        assert all(a < b for a, b in zip(rates, rates[1:]))
+        if rebuilds:
+            assert rebuilds[-1][1] is plan
+        total += len(scheduled)
+    assert total >= 100

@@ -73,9 +73,25 @@ def test_group_cover_and_eligible_groups():
     assert group_covers(t, (0, 1), team)
     assert group_covers(t, (0, 2), team)
     assert not group_covers(t, (0,), team)
-    assert not group_covers(t, (0, 0), team) or True  # duplicate ids never passed
+    assert not group_covers(t, (0, 0), team)  # 0 cannot fill the "b" slot
+    assert not group_covers(t, (1, 1), team)  # nor fill both slots alone
     groups = eligible_groups(t, team)
     assert groups == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_group_cover_refuses_repeated_ids_and_partial_cover():
+    team = {0: ctx(0, 0, 0, caps=("a",)), 1: ctx(1, 0, 0, caps=("a", "b")),
+            2: ctx(2, 0, 0, caps=("b",))}
+    single = task(1, 1.5, 1.5, 4.0, reqs=((2, "a"),))
+    assert group_covers(single, (0, 1), team)
+    assert not group_covers(single, (0, 0), team)  # a repeated id fills one slot
+    assert not group_covers(single, (1, 2), team)  # 2 cannot do "a"
+    assert not group_covers(single, (0,), team)
+    multi = task(2, 1.5, 1.5, 4.0, reqs=((2, "a"), (1, "b")))
+    assert group_covers(multi, (0, 1, 2), team)
+    assert not group_covers(multi, (0, 1, 1), team)
+    assert not group_covers(multi, (0, 2, 2), team)  # covers "b" but only one "a"
+    assert not group_covers(multi, (0, 1), team)
 
 
 def _oracle_min_makespan(plan, tasks, relations, grid, team):

@@ -191,7 +191,7 @@ def test_memoized_queries_match_the_plain_functions():
 def test_memo_serves_a_zero_result():
     grid = grid_from_rows(["..#........."] + ["." * 12] * 11)
     a, b = Position(0.5, 0.5), Position(5.5, 0.5)
-    grid._memo[(los_obstacle_length.__wrapped__, a, b)] = 0.0
+    grid._memo[(los_obstacle_length.__wrapped__, a.x, a.y, b.x, b.y)] = 0.0
     assert los_obstacle_length(a, b, grid) == 0.0  # the wall would give 1.0
 
 

@@ -24,6 +24,9 @@ EXIT_INFEASIBLE = 3
 
 
 def _cmd_run(args) -> int:
+    if args.trials < 1:
+        print("validation error: --trials must be >= 1", file=sys.stderr)
+        return EXIT_VALIDATION
     strategy = None
     try:
         cfg = load_scenario(args.scenario)

@@ -25,7 +25,7 @@ from .meeting import AgentFinish, CommEvent, LastTaskState, com_opt, com_opt_fas
 from .radio import CommParams, comm_graph, is_connected
 from .schedule import (AgentContext, AssignedPlan, InfeasibleSchedule, Timetable,
                        eligible_groups, schedule_min_makespan)
-from .tasks import RelationKind, Task, TemporalRelation, concurrency_partners
+from .tasks import RelationIndex, Task, TemporalRelation
 from .workspace import GridMap, astar_travel_time
 
 IMPROVEMENT_EPS = 1e-9
@@ -68,8 +68,9 @@ class PlannerProblem:
     completed: frozenset[int] = frozenset()
     event_optimizer: Optional[Callable[[LastTaskState], Optional[CommEvent]]] = None
     gap: float = 0.5
-    _clusters: Optional[dict[int, tuple[int, ...]]] = field(default=None, repr=False)
-    _groups_memo: dict[int, list[tuple[int, ...]]] = field(default_factory=dict, repr=False)
+    index: RelationIndex = field(init=False, repr=False)
+    groups: dict[int, list[tuple[int, ...]]] = field(init=False, repr=False)  # eligible, per task
+    clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     _rates: dict[tuple[tuple[int, ...], ...], Optional[float]] = field(default_factory=dict,
                                                                       repr=False)
 
@@ -78,6 +79,17 @@ class PlannerProblem:
             self.event_optimizer = self._default_event
         if not self.team:
             raise ValueError("team must be nonempty")
+        self.index = RelationIndex(self.relations)
+        self.groups = {t: eligible_groups(task, self.team) for t, task in self.tasks.items()}
+        # Concurrency-linked tasks must execute with overlapping intervals, so
+        # plans admit them only jointly: each task's concurrency component over
+        # the known task set is the unit of insertion.
+        self.clusters = {t: (t,) for t in self.tasks}
+        for t in sorted(self.tasks):
+            for p in self.index.conc.get(t, ()):
+                if p in self.tasks and p not in self.clusters[t]:
+                    merged = tuple(sorted(self.clusters[t] + self.clusters[p]))
+                    self.clusters.update(dict.fromkeys(merged, merged))
 
     def _default_event(self, last: LastTaskState) -> CommEvent:
         at_start = all(fin.time == self.team[a].ready_time and fin.position == self.team[a].position
@@ -87,11 +99,6 @@ class PlannerProblem:
             if is_connected(comm_graph(positions, self.grid, self.params)):
                 return CommEvent(self.now, positions)
         return com_opt_fast(last, self.grid, self.params)
-
-    def groups_for(self, task_id: int) -> list[tuple[int, ...]]:
-        if task_id not in self._groups_memo:
-            self._groups_memo[task_id] = eligible_groups(self.tasks[task_id], self.team)
-        return self._groups_memo[task_id]
 
     def rate_for(self, sequences: Mapping[int, Sequence[int]],
                  groups: Mapping[int, tuple[int, ...]]) -> Optional[float]:
@@ -107,44 +114,6 @@ class PlannerProblem:
             self._rates[key] = None if plan is None else plan.rate
         return self._rates[key]
 
-    def cluster_of(self, task_id: int) -> tuple[int, ...]:
-        """Concurrency component of a task over the known task set.
-
-        Concurrency-linked tasks must execute with overlapping intervals, so
-        plans admit them only jointly; the component is the unit of insertion.
-        """
-        if self._clusters is None:
-            parent = {t: t for t in self.tasks}
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for rel in self.relations:
-                if rel.kind is RelationKind.CONCURRENCY and rel.first in parent and rel.second in parent:
-                    ra, rb = find(rel.first), find(rel.second)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-            comps: dict[int, list[int]] = {}
-            for t in self.tasks:
-                comps.setdefault(find(t), []).append(t)
-            self._clusters = {}
-            for members in comps.values():
-                tup = tuple(sorted(members))
-                for t in tup:
-                    self._clusters[t] = tup
-        return self._clusters[task_id]
-
-
-def _predecessor_map(problem: PlannerProblem) -> dict[int, list[int]]:
-    preds: dict[int, list[int]] = {}
-    for rel in problem.relations:
-        if rel.kind is RelationKind.PRECEDENCE:
-            preds.setdefault(rel.second, []).append(rel.first)
-    return preds
-
 
 def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> list[int]:
     """Representative tasks whose concurrency cluster can be added next.
@@ -154,13 +123,12 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
     already assigned or completed. Only the lowest member id is returned for
     each cluster; expansion inserts the whole cluster jointly.
     """
-    preds = _predecessor_map(problem)
+    preds = problem.index.preds
     done = assigned | problem.completed
 
     def member_ok(t: int, cluster: set[int]) -> bool:
-        if t not in problem.tasks or t in assigned or t in problem.completed:
-            return False
-        if not problem.groups_for(t):
+        # Members are known, unassigned and not completed by construction.
+        if not problem.groups[t]:
             return False
         # Predecessors must be assigned, completed, or co-added in the same
         # cluster insertion.
@@ -169,15 +137,14 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
         # A concurrency partner outside the known set (undetected, or already
         # completed in an earlier cycle) makes the required overlap impossible
         # for now, so the whole cluster stays out.
-        partners = concurrency_partners(t, problem.relations)
-        return all(p in problem.tasks for p in partners)
+        return all(p in problem.tasks for p in problem.index.conc.get(t, ()))
 
     out = []
     seen: set[int] = set()
     for t in sorted(problem.tasks):
         if t in assigned or t in problem.completed or t in seen:
             continue
-        cluster = [m for m in problem.cluster_of(t) if m not in assigned]
+        cluster = [m for m in problem.clusters[t] if m not in assigned]
         seen.update(cluster)
         if any(m in problem.completed for m in cluster):
             continue  # overlap with an already-finished partner is impossible
@@ -206,7 +173,7 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
     Multi-task clusters always use interior insertion so every relative
     placement of the jointly added members stays reachable.
     """
-    cluster = sorted(m for m in problem.cluster_of(task_id) if m not in node.groups)
+    cluster = sorted(m for m in problem.clusters[task_id] if m not in node.groups)
     interior = (len(cluster) > 1
                 or _related_to_assigned(cluster, node.assigned(), problem.relations))
     children: list[PlanNode] = []
@@ -219,7 +186,7 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
                 groups=dict(groups)))
             return
         t = cluster[idx]
-        for group in problem.groups_for(t):
+        for group in problem.groups[t]:
             slots = [range(len(seqs[a]) + 1) if interior else (len(seqs[a]),) for a in group]
             for combo in itertools.product(*slots):
                 new_seqs = {a: list(s) for a, s in seqs.items()}
@@ -300,14 +267,14 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
             break
         scored = []
         for rep in feas:
-            cluster = sorted(m for m in problem.cluster_of(rep) if m not in groups)
+            cluster = sorted(m for m in problem.clusters[rep] if m not in groups)
             chosen: dict[int, tuple[int, ...]] = {}
             cost = 0.0
             for t in cluster:
                 target = problem.tasks[t].region_center
                 best_group, best_cost = None, math.inf
                 travel: dict[int, float] = {}  # one lookup per agent, shared by its groups
-                for group in problem.groups_for(t):
+                for group in problem.groups[t]:
                     for a in group:
                         if a not in travel:
                             travel[a] = astar_travel_time(end_pos[a], target, problem.grid,
@@ -366,7 +333,7 @@ def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
     rates = [count0 / floor0 if count0 and floor0 > 0 else 0.0]
 
     addable = [problem.tasks[t] for t in sorted(problem.tasks)
-               if t not in node.groups and t not in problem.completed and problem.groups_for(t)]
+               if t not in node.groups and t not in problem.completed and problem.groups[t]]
     durs = sorted(t.duration for t in addable)
     works = sorted(t.duration * t.agents_required for t in addable)
     w_assigned = sum(problem.tasks[t].duration * problem.tasks[t].agents_required

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -23,6 +24,7 @@ from .workspace import GridMap, MapError, Position, load_grid
 SPATIAL_PATTERNS = ("clustered", "uniform", "sparse")
 TEMPORAL_PATTERNS = ("spiky", "uniform", "low_frequency")
 MAX_TICKS = 1_000_000  # most ticks (horizon / dt) one trial may simulate
+MAX_ARRIVALS = 100_000  # most tasks a generator may expect to release in one trial
 
 
 class ScenarioError(ValueError):
@@ -71,6 +73,26 @@ class GeneratorSpec:
             if ph.start < prev_end:
                 raise ScenarioError(f"generator.phases[{i}]: phases overlap or are unordered")
             prev_end = ph.end
+        for name in ("rate", "low_frequency_factor", "burst_rate", "burst_size", "burst_window",
+                     "cluster_std", "sparse_min_dist", "radius"):
+            if not (_is_finite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ScenarioError(f"generator.{name}: must be a finite number >= 0")
+        if not (_is_int(self.cluster_count) and self.cluster_count >= 1):
+            raise ScenarioError("generator.cluster_count: must be an integer >= 1")
+        lo_hi = self.duration_range
+        if not (len(lo_hi) == 2 and all(_is_finite(v) for v in lo_hi) and 0 < lo_hi[0] <= lo_hi[1]):
+            raise ScenarioError("generator.duration_range: must be [lo, hi] with 0 < lo <= hi")
+        if not (self.requirement_options and all(option and min(n for n, _ in option) >= 1
+                                                 for option in self.requirement_options)):
+            raise ScenarioError("generator.requirement_options: must list at least one option, "
+                                "each a nonempty list of [count >= 1, action]")
+        # Sampling time grows with the Poisson rates, so bound the expected arrivals.
+        per_second = {"uniform": self.rate, "low_frequency": self.rate * self.low_frequency_factor,
+                      "spiky": self.burst_rate * max(self.burst_size, 1.0)}
+        expected = sum(per_second[ph.temporal] * max(ph.end - ph.start, 0.0) for ph in self.phases)
+        if not expected <= MAX_ARRIVALS:  # NaN: a phase bound is not finite
+            raise ScenarioError(f"generator: phases expect {expected:.3g} arrivals, at most "
+                                f"{MAX_ARRIVALS} in one trial and finite phase bounds allowed")
 
 
 @dataclass
@@ -204,7 +226,10 @@ def _parse_generator(raw: dict, errors: list[str]) -> Optional[GeneratorSpec]:
             opts["requirement_options"] = tuple(
                 tuple((int(n), str(a)) for n, a in option) for option in opts["requirement_options"])
         return GeneratorSpec(phases=phases, **opts)
-    except (KeyError, TypeError, ValueError, ScenarioError) as exc:
+    except ScenarioError as exc:  # names its field already
+        errors.append(str(exc))
+        return None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: not a dict
         errors.append(f"generator: {exc}")
         return None
 
@@ -217,6 +242,12 @@ def _is_int(value) -> bool:
 def _is_real(value) -> bool:
     """A JSON number (booleans excluded); NaN and infinities pass here."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A JSON number that converts to a finite float (no NaN, no infinity,
+    no integer beyond the float range)."""
+    return _is_real(value) and abs(value) <= sys.float_info.max
 
 
 def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
@@ -256,16 +287,22 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
                 if not (_is_real(sensor_range) and sensor_range >= 0):
                     errors.append(f"{fieldname}.sensor_range: must be a number >= 0")
                     sensor_range = math.nan
+                caps = a["capabilities"]
+                if not (isinstance(caps, list) and all(isinstance(c, str) for c in caps)):
+                    errors.append(f"{fieldname}.capabilities: must be a list of strings")
                 agents.append(AgentSpec(aid, grid.snap(start), v_max, float(sensor_range),
-                                        tuple(sorted(set(a["capabilities"])))))
+                                        tuple(sorted(set(caps)))))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             errors.append(f"{fieldname}: {exc}")
     if not agents:
         errors.append("agents: at least one agent required")
 
+    comm = raw.get("comm", {})
     try:
-        params = CommParams(**raw.get("comm", {}))
-    except (TypeError, ValueError) as exc:
+        errors.extend(f"comm.{k}: must be a finite number" for k, v in comm.items()
+                      if not _is_finite(v))
+        params = CommParams(**comm)
+    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: not a dict
         errors.append(f"comm: {exc}")
         params = CommParams()
 
@@ -331,15 +368,12 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
         errors.append(f"strategy: {exc}")
 
     horizon = raw.get("horizon")
-    horizon_ok = _is_real(horizon) and 0 < horizon < math.inf
+    horizon_ok = _is_finite(horizon) and horizon > 0
     if not horizon_ok:
         errors.append("horizon: required finite number > 0")
 
-    try:
-        dt = float(raw.get("dt", 0.1))
-    except (TypeError, ValueError):
-        dt = math.nan
-    if not 0 < dt < math.inf:
+    dt = raw.get("dt", 0.1)
+    if not (_is_finite(dt) and dt > 0):
         errors.append("dt: must be a finite number > 0")
     elif horizon_ok and horizon / dt > MAX_TICKS:
         errors.append(f"horizon: {horizon} s at dt {dt} s is {horizon / dt:.3g} ticks, "
@@ -349,16 +383,16 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
     if not _is_int(seed):
         errors.append("seed: must be an integer")
     gap = raw.get("gap", 0.5)
-    if not (_is_real(gap) and 0 <= gap < math.inf):
+    if not (_is_finite(gap) and gap >= 0):
         errors.append("gap: must be a finite number >= 0")
     recheck_interval = raw.get("recheck_interval", 5.0)
-    if not (_is_real(recheck_interval) and 0 < recheck_interval < math.inf):
+    if not (_is_finite(recheck_interval) and recheck_interval > 0):
         errors.append("recheck_interval: must be a finite number > 0")
     node_limit = raw.get("node_limit", 200)
     if not (node_limit is None or _is_int(node_limit) and node_limit >= 0):
         errors.append("node_limit: must be null or an integer >= 0")
     planner_budget = raw.get("planner_budget")
-    if not (planner_budget is None or _is_real(planner_budget) and 0 <= planner_budget < math.inf):
+    if not (planner_budget is None or _is_finite(planner_budget) and planner_budget >= 0):
         errors.append("planner_budget: must be null or a finite number >= 0")
 
     if errors:
@@ -368,7 +402,7 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
         map_path=map_path, grid=grid, agents=sorted(agents, key=lambda a: a.id),
         params=params, tasks=sorted(tasks, key=lambda t: t.id), relations=relations,
         strategy=strategy, horizon=float(horizon),
-        seed=seed, dt=dt, planner_budget=planner_budget, node_limit=node_limit,
+        seed=seed, dt=float(dt), planner_budget=planner_budget, node_limit=node_limit,
         gap=float(gap), recheck_interval=float(recheck_interval),
         generator=generator)
 

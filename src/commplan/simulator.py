@@ -16,8 +16,7 @@ from typing import Optional, Protocol, Sequence
 
 from .radio import CommParams, comm_graph, is_connected
 from .schedule import AgentContext
-from .tasks import (RelationKind, Task, TemporalRelation, concurrency_partners,
-                    detect_tasks, predecessors)
+from .tasks import RelationIndex, Task, TemporalRelation, detect_tasks
 from .workspace import GridMap, Position, astar_path, astar_travel_time
 
 DEFAULT_DT = 0.1
@@ -112,7 +111,6 @@ class CycleRecord:
     assigned: tuple[int, ...]
     planned_event: Optional[float]
     actual_event: Optional[float] = None
-    finish_times: dict[int, float] = field(default_factory=dict)
 
 
 class Controller(Protocol):
@@ -151,16 +149,7 @@ class Simulator:
         self.task_finish: dict[int, float] = {}
         self.planned_start: dict[int, float] = {}
         self.cycle_records: list[CycleRecord] = []
-        self.position_trace: Optional[list[dict[int, Position]]] = None
-        self._preds = {t: predecessors(t, self.relations) for t in tasks}
-        self._mutex: dict[int, list[int]] = {t: [] for t in tasks}
-        for rel in self.relations:
-            if rel.kind is RelationKind.MUTEX:
-                if rel.second in self._mutex.setdefault(rel.first, []):
-                    continue
-                self._mutex.setdefault(rel.first, []).append(rel.second)
-                self._mutex.setdefault(rel.second, []).append(rel.first)
-        self._conc = {t: concurrency_partners(t, self.relations) for t in tasks}
+        self.index = RelationIndex(self.relations)
 
     # -- logging helpers -------------------------------------------------
 
@@ -247,9 +236,7 @@ class Simulator:
 
     # -- engine ------------------------------------------------------------
 
-    def run(self, controller: Controller, trace_positions: bool = False):
-        if trace_positions:
-            self.position_trace = []
+    def run(self, controller: Controller):
         controller.on_start(self)
         ticks = int(round(self.horizon / self.dt))
         for k in range(ticks + 1):
@@ -261,8 +248,6 @@ class Simulator:
             self._detect(t)
             self._start_tasks(t)
             controller.on_tick(self, t)
-            if self.position_trace is not None:
-                self.position_trace.append({a: self.agents[a].position for a in sorted(self.agents)})
         return self.events, self._metrics(controller)
 
     def _complete_executions(self, t: float) -> None:
@@ -328,10 +313,10 @@ class Simulator:
             undetected = [task for task in undetected if task.detected_at is None]
 
     def _gates_pass(self, tid: int, t: float) -> bool:
-        for p in self._preds.get(tid, ()):
+        for p in self.index.preds.get(tid, ()):
             if p in self.task_state and not (self.task_state[p] == "done" and self.task_finish[p] <= t):
                 return False
-        for m in self._mutex.get(tid, ()):
+        for m in self.index.mutex.get(tid, ()):
             if m not in self.task_state:
                 continue
             if self.task_state[m] == "executing":
@@ -386,7 +371,7 @@ class Simulator:
             feasible = True
             while stack and feasible:
                 m = stack.pop()
-                for p in self._conc.get(m, ()):
+                for p in self.index.conc.get(m, ()):
                     if p not in self.task_state:
                         continue
                     verdict = partner_state(m, p)
@@ -402,7 +387,7 @@ class Simulator:
                 continue
             mutex_conflict = False
             for m in tie_group:
-                for other in self._mutex.get(m, ()):
+                for other in self.index.mutex.get(m, ()):
                     if other in started or self.task_state.get(other) == "executing":
                         mutex_conflict = True
             if mutex_conflict:

@@ -82,9 +82,7 @@ class TeamCycleController:
                 return
             sim.fire_comm_event(ids, actual)
             if self.cycle_records_open(sim):
-                rec = sim.cycle_records[-1]
-                rec.actual_event = actual
-                rec.finish_times = {tid: sim.task_finish[tid] for tid in rec.assigned}
+                sim.cycle_records[-1].actual_event = actual
             self.pending_event = None
             self._replan(sim, actual)
         elif self.recheck_at is not None and t >= self.recheck_at - 1e-9:
@@ -306,7 +304,7 @@ class GreedyController:
         task = sim.tasks[tid]
         if sim.task_state[tid] != "pending":
             return None
-        if any(sim.task_state.get(p) != "done" for p in sim._preds.get(tid, ())):
+        if any(sim.task_state.get(p) != "done" for p in sim.index.preds.get(tid, ())):
             return None
         slots = [(n, a) for n, a in task.requirements]
         needed = task.agents_required
@@ -330,13 +328,13 @@ class GreedyController:
         return None
 
     def _cluster_ids(self, sim: Simulator, tid: int) -> list[int]:
-        return sorted(set([tid] + [p for p in sim._conc.get(tid, ()) if p in sim.tasks]))
+        return sorted(set([tid] + [p for p in sim.index.conc.get(tid, ()) if p in sim.tasks]))
 
     def _solo_claims(self, sim: Simulator, t: float) -> None:
         for aid in sorted(sim.agents):
             ag = sim.agents[aid]
             for tid in sorted(ag.known):
-                if sim.task_state[tid] != "pending" or sim._conc.get(tid):
+                if sim.task_state[tid] != "pending" or sim.index.conc.get(tid):
                     continue
                 group = self._claimable(sim, tid, (aid,))
                 if group is not None:

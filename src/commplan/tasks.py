@@ -53,12 +53,6 @@ class TemporalRelation:
             raise ValueError("relation endpoints must differ")
         object.__setattr__(self, "kind", RelationKind(self.kind))
 
-    def involves(self, task_id: int) -> bool:
-        return task_id in (self.first, self.second)
-
-    def other(self, task_id: int) -> int:
-        return self.second if task_id == self.first else self.first
-
 
 @dataclass(frozen=True)
 class ExecutionInterval:
@@ -136,11 +130,22 @@ def relations_between(relations: Iterable[TemporalRelation], ids: set[int]) -> l
     return [r for r in relations if r.first in ids and r.second in ids]
 
 
-def concurrency_partners(task_id: int, relations: Iterable[TemporalRelation]) -> list[int]:
-    return sorted(r.other(task_id) for r in relations
-                  if r.kind is RelationKind.CONCURRENCY and r.involves(task_id))
+class RelationIndex:
+    """Per-task views of the temporal relations, built once.
 
+    `preds[t]` holds the tasks that must finish before t starts, `mutex[t]`
+    the tasks whose intervals must be disjoint from t's, and `conc[t]` the
+    tasks whose intervals must intersect t's. Each value is a sorted tuple;
+    a task with no relation of a kind has no entry in that view.
+    """
 
-def predecessors(task_id: int, relations: Iterable[TemporalRelation]) -> list[int]:
-    return sorted(r.first for r in relations
-                  if r.kind is RelationKind.PRECEDENCE and r.second == task_id)
+    def __init__(self, relations: Iterable[TemporalRelation]):
+        views: dict[RelationKind, dict[int, set[int]]] = {kind: {} for kind in RelationKind}
+        for rel in relations:
+            view = views[rel.kind]
+            view.setdefault(rel.second, set()).add(rel.first)
+            if rel.kind is not RelationKind.PRECEDENCE:
+                view.setdefault(rel.first, set()).add(rel.second)
+        self.preds, self.mutex, self.conc = (
+            {t: tuple(sorted(others)) for t, others in views[kind].items()}
+            for kind in (RelationKind.PRECEDENCE, RelationKind.MUTEX, RelationKind.CONCURRENCY))

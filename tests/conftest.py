@@ -11,8 +11,7 @@ import pytest
 from commplan.planner import PlannerProblem, build_plan
 from commplan.radio import CommParams
 from commplan.schedule import AgentContext, eligible_groups
-from commplan.tasks import (RelationKind, Task, TemporalRelation,
-                            concurrency_partners, predecessors)
+from commplan.tasks import RelationKind, Task, TemporalRelation
 from commplan.workspace import GridMap, Position, parse_grid
 
 
@@ -169,8 +168,11 @@ def enumerate_candidate_plans(problem: PlannerProblem):
     (rate, sequences, groups) for the feasible ones."""
     tasks = problem.tasks
     ids = sorted(tasks)
-    preds = {t: predecessors(t, problem.relations) for t in ids}
-    conc = {t: set(concurrency_partners(t, problem.relations)) & set(ids) for t in ids}
+    preds = {t: [r.first for r in problem.relations
+                 if r.kind is RelationKind.PRECEDENCE and r.second == t] for t in ids}
+    conc = {t: {r.second if r.first == t else r.first for r in problem.relations
+                if r.kind is RelationKind.CONCURRENCY and t in (r.first, r.second)} & set(ids)
+            for t in ids}
     for r in range(0, len(ids) + 1):
         for subset in itertools.combinations(ids, r):
             sset = set(subset)

@@ -110,11 +110,17 @@ def test_cli_run_strategy_override_missing_field(small_scenario, capsys, kind, f
     ("seed", "x"), ("seed", 1.5), ("gap", -0.1), ("gap", math.inf), ("recheck_interval", 0),
     ("recheck_interval", "5"), ("node_limit", "abc"), ("node_limit", -1),
     ("planner_budget", "x"), ("planner_budget", math.nan), ("horizon", math.nan),
-    ("horizon", "nan"), ("horizon", math.inf), ("horizon", 1e12), ("horizon", "60")])
+    ("horizon", "nan"), ("horizon", math.inf), ("horizon", 1e12), ("horizon", "60"),
+    ("horizon", 10 ** 400), ("comm.threshold", "abc"), ("comm.tx_power", "20"),
+    ("comm.threshold", math.nan), ("comm.tx_power", 10 ** 400)])
 def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
     raw = small_raw()
-    raw[field] = value
+    *outer, key = field.split(".")
+    target = raw
+    for part in outer:
+        target = target.setdefault(part, {})
+    target[key] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
     assert main([command, str(path)]) == 2
@@ -131,6 +137,52 @@ def test_cli_bad_sensor_range_exit_code(tmp_path, capsys, command, value):
     path.write_text(json.dumps(raw))
     assert main([command, str(path)]) == 2
     assert "agents[1].sensor_range:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("field, value, message", [
+    ("rate", "x", "generator.rate:"), ("radius", -1, "generator.radius:"),
+    ("cluster_std", math.nan, "generator.cluster_std:"),
+    ("burst_size", -2.0, "generator.burst_size:"),
+    ("requirement_options", [], "generator.requirement_options:"),
+    ("requirement_options", [[[0, "work"]]], "generator.requirement_options:"),
+    ("cluster_count", 0, "generator.cluster_count:"),
+    ("duration_range", [5.0, 1.0], "generator.duration_range:"),
+    ("duration_range", [0, 4.0], "generator.duration_range:"),
+    ("rate", 1e9, "arrivals, at most"),
+    ("phases", [{"start": 0.0, "end": "nan", "spatial": "uniform", "temporal": "uniform"}],
+     "finite phase bounds")])
+def test_cli_bad_generator_field_exit_code(tmp_path, capsys, command, field, value, message):
+    (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
+    raw = small_raw()
+    raw["generator"] = {
+        "phases": [{"start": 0.0, "end": 50.0, "spatial": "clustered", "temporal": "uniform"}],
+        "rate": 0.05,
+        "cluster_count": 2,
+        field: value,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("value", ["work", ["work", 3], {"work": 1}])
+def test_cli_capabilities_must_be_list_of_strings(tmp_path, capsys, command, value):
+    (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
+    raw = small_raw()
+    raw["agents"][0]["capabilities"] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, str(path)]) == 2
+    assert "agents[0].capabilities:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_cli_run_trials_below_one_exit_code(small_scenario, capsys, trials):
+    assert main(["run", str(small_scenario), "--trials", trials]) == 2
+    assert "validation error: --trials must be >= 1" in capsys.readouterr().err
 
 
 def test_horizon_tick_bound_message(tmp_path, capsys):

@@ -71,6 +71,8 @@ def test_validation_collects_multiple_errors(tmp_path):
     (None, "dt", -0.1, "dt"),
     (None, "dt", math.inf, "dt"),
     (None, "dt", "abc", "dt"),
+    (None, "dt", "0.1", "dt"),
+    (None, "dt", 10 ** 400, "dt"),
     ("agent", "v_max", 0, "agents[0].v_max"),
     ("agent", "v_max", -1.0, "agents[0].v_max"),
     ("agent", "v_max", math.nan, "agents[0].v_max"),

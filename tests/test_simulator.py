@@ -18,12 +18,15 @@ def task(tid, x, y, duration=5.0, reqs=((1, "work"),), release=0.0):
     return Task(tid, Position(x, y), 1.0, duration, reqs, release_time=release)
 
 
-def run_sim(grid, agents, tasks, rels=(), kind="cocoplan", horizon=60.0, trace=False, **kw):
+def make_ctrl(kind="cocoplan", **kw):
+    return make_controller(StrategyConfig(kind, **kw), PlannerOptions(node_limit=30,
+                                                                      generated_limit=200))
+
+
+def run_sim(grid, agents, tasks, rels=(), kind="cocoplan", horizon=60.0, ctrl=None, **kw):
     sim = Simulator(grid, agents, CommParams(), {t.id: t for t in tasks}, list(rels),
                     horizon=horizon)
-    ctrl = make_controller(StrategyConfig(kind, **kw), PlannerOptions(node_limit=30,
-                                                                      generated_limit=200))
-    events, metrics = sim.run(ctrl, trace_positions=trace)
+    events, metrics = sim.run(ctrl or make_ctrl(kind, **kw))
     return sim, events, metrics
 
 
@@ -85,12 +88,29 @@ def test_replay_determinism_byte_identical():
     assert run_once() == run_once()
 
 
+class PositionRecorder:
+    """Controller wrapper that records every agent's position after each tick."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.scheduled_events = inner.scheduled_events
+        self.trace = []
+
+    def on_start(self, sim):
+        self.inner.on_start(sim)
+
+    def on_tick(self, sim, t):
+        self.inner.on_tick(sim, t)
+        self.trace.append({a: sim.agents[a].position for a in sorted(sim.agents)})
+
+
 def test_speed_bound_per_tick():
     grid = empty_grid(20, 20)
+    recorder = PositionRecorder(make_ctrl())
     sim, events, _ = run_sim(grid, [agent(0, 0.5, 0.5), agent(1, 18.5, 0.5)],
                              [task(1, 18.5, 18.5), task(2, 0.5, 18.5)],
-                             horizon=60.0, trace=True)
-    trace = sim.position_trace
+                             horizon=60.0, ctrl=recorder)
+    trace = recorder.trace
     for prev, cur in zip(trace, trace[1:]):
         for aid in prev:
             moved = prev[aid].dist(cur[aid])

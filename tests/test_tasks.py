@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from commplan.tasks import (ExecutionInterval, RelationKind, Task, TemporalRelation,
-                            check_schedule, detect_tasks)
+from commplan.tasks import (ExecutionInterval, RelationIndex, RelationKind, Task,
+                            TemporalRelation, check_schedule, detect_tasks)
 from commplan.workspace import Position
 
 from conftest import empty_grid, grid_from_rows
@@ -148,3 +148,25 @@ def test_check_schedule_against_integer_point_set_oracle():
         else:
             want = bool(pts1 & pts2)
         assert ok == want, (s1, f1, s2, f2, kind)
+
+
+def test_relation_index_matches_a_scan_of_the_relations():
+    rng = random.Random(11)
+    for _ in range(50):
+        pairs = rng.sample([(a, b) for a in range(8) for b in range(8) if a != b], 10)
+        rels = [TemporalRelation(a, b, rng.choice(list(RelationKind))) for a, b in pairs]
+        index = RelationIndex(rels)
+
+        def view(kind, symmetric):
+            out = {}
+            for t in range(8):
+                others = {r.first for r in rels if r.kind is kind and r.second == t}
+                if symmetric:
+                    others |= {r.second for r in rels if r.kind is kind and r.first == t}
+                if others:
+                    out[t] = tuple(sorted(others))
+            return out
+
+        assert index.preds == view(RelationKind.PRECEDENCE, False)
+        assert index.mutex == view(RelationKind.MUTEX, True)
+        assert index.conc == view(RelationKind.CONCURRENCY, True)

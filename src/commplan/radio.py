@@ -65,6 +65,29 @@ def linked(p_i: Position, p_j: Position, grid: GridMap, params: CommParams) -> b
     return free - params.attenuation * los_obstacle_length(p_i, p_j, grid) > params.threshold
 
 
+def update_links(prev_links: set[tuple[int, int]], prev_pos: Mapping[int, Position],
+                 pos: Mapping[int, Position], grid: GridMap,
+                 params: CommParams) -> set[tuple[int, int]]:
+    """Linked pairs (i, j), i < j, among the agents of `pos`.
+
+    `prev_links` must be the result for `prev_pos`. A link depends only on
+    its two positions, so a pair whose two ends sit where they sat in
+    `prev_pos` keeps its old result and only pairs with a moved end call
+    `linked`. With empty `prev_pos` every pair is checked. A position off
+    the map or not finite never passed `linked`, so it differs from every
+    stored one and `linked` still raises `MapError` for it.
+    """
+    still = {a for a, p in pos.items() if prev_pos.get(a) == p}
+    links = {pair for pair in prev_links if pair[0] in still and pair[1] in still}
+    ids = sorted(pos)
+    for k, a in enumerate(ids):
+        a_still = a in still
+        for b in ids[k + 1:]:
+            if not (a_still and b in still) and linked(pos[a], pos[b], grid, params):
+                links.add((a, b))
+    return links
+
+
 @dataclass(frozen=True)
 class CommGraph:
     nodes: tuple[int, ...]

@@ -223,8 +223,12 @@ def _parse_generator(raw: dict, errors: list[str]) -> Optional[GeneratorSpec]:
         if "duration_range" in opts:
             opts["duration_range"] = tuple(opts["duration_range"])
         if "requirement_options" in opts:
+            n_errors = len(errors)
             opts["requirement_options"] = tuple(
-                tuple((int(n), str(a)) for n, a in option) for option in opts["requirement_options"])
+                _requirements(option, "generator.requirement_options", errors)
+                for option in opts["requirement_options"])
+            if len(errors) > n_errors:
+                return None
         return GeneratorSpec(phases=phases, **opts)
     except ScenarioError as exc:  # names its field already
         errors.append(str(exc))
@@ -239,15 +243,43 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """A JSON number (booleans excluded); NaN and infinities pass here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_finite(value) -> bool:
-    """A JSON number that converts to a finite float (no NaN, no infinity,
-    no integer beyond the float range)."""
-    return _is_real(value) and abs(value) <= sys.float_info.max
+    """A JSON number (booleans excluded) that converts to a finite float (no
+    NaN, no infinity, no integer beyond the float range)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _number(value, fieldname: str, errors: list[str], *, above: Optional[float] = None,
+            at_least: Optional[float] = None) -> float:
+    """`value` as a float if it is a finite JSON number, greater than `above`
+    and at least `at_least` where given; otherwise NaN, with the field named
+    in `errors`."""
+    if _is_finite(value) and (above is None or value > above) \
+            and (at_least is None or value >= at_least):
+        return float(value)
+    need = "".join(f" {op} {bound:g}" for op, bound in ((">", above), (">=", at_least))
+                   if bound is not None)
+    errors.append(f"{fieldname}: must be a finite number{need}")
+    return math.nan
+
+
+def _position(value, fieldname: str, errors: list[str]) -> Optional[Position]:
+    """An [x, y] pair of finite JSON numbers; None, with the field named in `errors`."""
+    if isinstance(value, list) and len(value) == 2 and all(_is_finite(v) for v in value):
+        return Position(float(value[0]), float(value[1]))
+    errors.append(f"{fieldname}: must be [x, y] with finite numbers")
+    return None
+
+
+def _requirements(value, fieldname: str, errors: list[str]) -> tuple[tuple[int, str], ...]:
+    """[[count, action], ...] with integer counts >= 1; a bad count is named in `errors`."""
+    reqs = []
+    for n, action in value:
+        if not (_is_int(n) and n >= 1):
+            errors.append(f"{fieldname}: count {n!r} must be an integer >= 1")
+        reqs.append((n, str(action)))
+    return tuple(reqs)
 
 
 def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
@@ -271,26 +303,24 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
         fieldname = f"agents[{i}]"
         try:
             aid = int(a["id"])
-            start = Position(float(a["start"][0]), float(a["start"][1]))
+            start = _position(a["start"], f"{fieldname}.start", errors)
             if aid in seen_ids:
                 errors.append(f"{fieldname}.id: duplicate agent id {aid}")
             seen_ids.add(aid)
-            if not grid.contains(start):
+            if start is None:
+                pass  # named by _position
+            elif not grid.contains(start):
                 errors.append(f"{fieldname}.start: outside the map")
             elif not grid.is_free(start):
                 errors.append(f"{fieldname}.start: agent {aid} starts on an obstacle")
             else:
-                v_max = float(a["v_max"])
-                if not v_max > 0:
-                    errors.append(f"{fieldname}.v_max: must be > 0")
-                sensor_range = a["sensor_range"]
-                if not (_is_real(sensor_range) and sensor_range >= 0):
-                    errors.append(f"{fieldname}.sensor_range: must be a number >= 0")
-                    sensor_range = math.nan
+                v_max = _number(a["v_max"], f"{fieldname}.v_max", errors, above=0.0)
+                sensor_range = _number(a["sensor_range"], f"{fieldname}.sensor_range", errors,
+                                       at_least=0.0)
                 caps = a["capabilities"]
                 if not (isinstance(caps, list) and all(isinstance(c, str) for c in caps)):
                     errors.append(f"{fieldname}.capabilities: must be a list of strings")
-                agents.append(AgentSpec(aid, grid.snap(start), v_max, float(sensor_range),
+                agents.append(AgentSpec(aid, grid.snap(start), v_max, sensor_range,
                                         tuple(sorted(set(caps)))))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             errors.append(f"{fieldname}: {exc}")
@@ -312,19 +342,27 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
         fieldname = f"tasks[{i}]"
         try:
             tid = int(t["id"])
-            center = Position(float(t["center"][0]), float(t["center"][1]))
+            center = _position(t["center"], f"{fieldname}.center", errors)
             if tid in task_ids:
                 errors.append(f"{fieldname}.id: duplicate task id {tid}")
             task_ids.add(tid)
-            if not grid.contains(center):
+            if center is None:
+                pass  # named by _position
+            elif not grid.contains(center):
                 errors.append(f"{fieldname}.center: outside the map")
             elif not grid.is_free(center):
                 errors.append(f"{fieldname}.center: task {tid} lies on an obstacle")
             else:
-                tasks.append(Task(tid, grid.snap(center), float(t.get("radius", 1.0)),
-                                  float(t["duration"]),
-                                  tuple((int(n), str(act)) for n, act in t["requirements"]),
-                                  release_time=float(t.get("release_time", 0.0))))
+                n_errors = len(errors)
+                radius = _number(t.get("radius", 1.0), f"{fieldname}.radius", errors,
+                                 at_least=0.0)
+                duration = _number(t["duration"], f"{fieldname}.duration", errors, above=0.0)
+                reqs = _requirements(t["requirements"], f"{fieldname}.requirements", errors)
+                release = _number(t.get("release_time", 0.0), f"{fieldname}.release_time",
+                                  errors)
+                if len(errors) == n_errors:
+                    tasks.append(Task(tid, grid.snap(center), radius, duration, reqs,
+                                      release_time=release))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             errors.append(f"{fieldname}: {exc}")
 
@@ -355,10 +393,10 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
     try:
         s = dict(raw.get("strategy", {}))
         if "fixed_point" in s and s["fixed_point"] is not None:
-            fp = Position(float(s["fixed_point"][0]), float(s["fixed_point"][1]))
-            if not grid.contains(fp) or not grid.is_free(fp):
+            fp = _position(s["fixed_point"], "strategy.fixed_point", errors)
+            if fp is not None and (not grid.contains(fp) or not grid.is_free(fp)):
                 errors.append("strategy.fixed_point: not a free position")
-            s["fixed_point"] = grid.snap(fp)
+            s["fixed_point"] = None if fp is None else grid.snap(fp)
         if "ring_order" in s and s["ring_order"] is not None:
             s["ring_order"] = tuple(int(x) for x in s["ring_order"])
         strategy = StrategyConfig(**s)

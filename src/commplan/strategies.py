@@ -14,7 +14,7 @@ from typing import Optional
 
 from .meeting import AgentFinish, CommEvent, LastTaskState, chain_event, com_opt
 from .planner import cocoplan, last_state
-from .radio import linked
+from .radio import update_links
 from .schedule import group_covers
 from .simulator import CycleRecord, Simulator
 from .workspace import Position, astar_travel_time
@@ -270,6 +270,7 @@ class GreedyController:
         self.cfg = cfg
         self.options = options
         self.in_range: set[tuple[int, int]] = set()
+        self.in_range_pos: dict[int, Position] = {}  # where in_range was computed
         self.last_sig: dict[tuple[int, int], tuple] = {}
 
     def on_start(self, sim: Simulator) -> None:
@@ -277,14 +278,10 @@ class GreedyController:
 
     def on_tick(self, sim: Simulator, t: float) -> None:
         self._solo_claims(sim, t)
-        ids = sorted(sim.agents)
         done_count = sum(1 for s in sim.task_state.values() if s == "done")
-        now_in_range = set()
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                a, b = ids[i], ids[j]
-                if linked(sim.agents[a].position, sim.agents[b].position, sim.grid, sim.params):
-                    now_in_range.add((a, b))
+        positions = {a: ag.position for a, ag in sim.agents.items()}
+        now_in_range = update_links(self.in_range, self.in_range_pos, positions,
+                                    sim.grid, sim.params)
         for pair in sorted(now_in_range):
             # One exchange per piece of news: a fresh encounter, a knowledge
             # difference, or a completion since this pair last talked.
@@ -298,6 +295,7 @@ class GreedyController:
                 self._pair_claims(sim, pair, t)
                 self.last_sig[pair] = (len(sim.agents[pair[0]].known), done_count)
         self.in_range = now_in_range
+        self.in_range_pos = positions
 
     def _claimable(self, sim: Simulator, tid: int, agents: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         """Smallest group from `agents` able to run the task now; None if none."""

@@ -112,14 +112,29 @@ def test_cli_run_strategy_override_missing_field(small_scenario, capsys, kind, f
     ("planner_budget", "x"), ("planner_budget", math.nan), ("horizon", math.nan),
     ("horizon", "nan"), ("horizon", math.inf), ("horizon", 1e12), ("horizon", "60"),
     ("horizon", 10 ** 400), ("comm.threshold", "abc"), ("comm.tx_power", "20"),
-    ("comm.threshold", math.nan), ("comm.tx_power", 10 ** 400)])
+    ("comm.threshold", math.nan), ("comm.tx_power", 10 ** 400),
+    ("agents[0].start", ["2.0", 2.0]), ("agents[0].start", [2.0, 10 ** 400]),
+    ("agents[0].start", [2.0]), ("agents[0].start", [math.nan, 2.0]),
+    ("agents[0].v_max", "2.0"), ("agents[0].v_max", 10 ** 400), ("agents[1].v_max", math.inf),
+    ("tasks[0].center", ["10", 3.0]), ("tasks[0].center", [10 ** 400, 3.0]),
+    ("tasks[0].duration", "5"), ("tasks[0].duration", 10 ** 400), ("tasks[0].duration", 0),
+    ("tasks[0].radius", "1"), ("tasks[0].radius", -1.0), ("tasks[0].radius", math.nan),
+    ("tasks[1].release_time", math.nan), ("tasks[1].release_time", "10"),
+    ("tasks[1].release_time", 10 ** 400),
+    ("tasks[0].requirements", [[1.5, "work"]]), ("tasks[0].requirements", [[0, "work"]]),
+    ("tasks[1].requirements", [[1, "work"], ["2", "work"]]),
+    ("tasks[1].requirements", [[True, "work"]]),
+    ("strategy.fixed_point", ["10", 3.0]), ("strategy.fixed_point", [10 ** 400, 3.0])])
 def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
     raw = small_raw()
     *outer, key = field.split(".")
     target = raw
-    for part in outer:
-        target = target.setdefault(part, {})
+    for part in outer:  # "comm" or "agents[0]"
+        name, _, index = part.rstrip("]").partition("[")
+        target = target.setdefault(name, {})
+        if index:
+            target = target[int(index)]
     target[key] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
@@ -128,7 +143,7 @@ def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("value", [-1.0, math.nan, "x", None])
+@pytest.mark.parametrize("value", [-1.0, math.nan, "x", None, "20", 10 ** 400])
 def test_cli_bad_sensor_range_exit_code(tmp_path, capsys, command, value):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
     raw = small_raw()
@@ -146,6 +161,9 @@ def test_cli_bad_sensor_range_exit_code(tmp_path, capsys, command, value):
     ("burst_size", -2.0, "generator.burst_size:"),
     ("requirement_options", [], "generator.requirement_options:"),
     ("requirement_options", [[[0, "work"]]], "generator.requirement_options:"),
+    ("requirement_options", [[[1.5, "work"]]], "generator.requirement_options: count 1.5"),
+    ("requirement_options", [[[1, "work"]], [[1, "work"], ["2", "work"]]],
+     "generator.requirement_options: count '2'"),
     ("cluster_count", 0, "generator.cluster_count:"),
     ("duration_range", [5.0, 1.0], "generator.duration_range:"),
     ("duration_range", [0, 4.0], "generator.duration_range:"),

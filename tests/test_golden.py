@@ -1,4 +1,5 @@
-"""Behaviour pin: the desk scenario's trial-0 event log for every strategy.
+"""Behaviour pin: the desk scenario's trial-0 event log for every strategy,
+and greedy on the 10-agent subt scenario.
 
 The hash is the sha256 of the newline-joined `SimEvent.line()`s. A change to
 it is a change in what the system computes and must be explained when it is
@@ -15,7 +16,9 @@ from commplan.scenario import load_scenario
 from commplan.strategies import StrategyConfig
 from commplan.workspace import Position
 
-DESK = Path(__file__).parent / "data" / "desk_scenario.json"
+DATA = Path(__file__).parent / "data"
+DESK = DATA / "desk_scenario.json"
+SUBT10_GREEDY = DATA / "subt10_greedy.json"
 DESK_COCOPLAN_TRIAL0_SHA256 = "a61c8ca6ba2a0e32df5e8b900ef396529862c0eaaf885e3140c1fd99a2899369"
 # The other strategies with the criterion-5 configs (fix3, fpmr, frdt, fimr35, ring, greedy).
 DESK_TRIAL0_SHA256 = {
@@ -32,6 +35,8 @@ DESK_TRIAL0_SHA256 = {
     "greedy": (lambda cfg: StrategyConfig("greedy"),
                "6bcd968510eedb977d9e6b40babe62a572647b2244d824588b605dad243a24b9"),
 }
+# The same scenario as perfbench's subt10-greedy workload; 1,033 events.
+SUBT10_GREEDY_TRIAL0_SHA256 = "5e82bed4d463f74b901e2d486d2725d60122dee422aa5378066cb8d039a35f87"
 
 
 def _trial0_digest(cfg, strategy=None) -> str:
@@ -50,3 +55,9 @@ def test_desk_trial0_log_hash_per_strategy(kind):
     cfg = load_scenario(DESK)
     make_strategy, want = DESK_TRIAL0_SHA256[kind]
     assert _trial0_digest(cfg, make_strategy(cfg)) == want
+
+
+def test_subt10_greedy_trial0_log_hash():
+    cfg = load_scenario(SUBT10_GREEDY)
+    assert cfg.strategy.kind == "greedy"
+    assert _trial0_digest(cfg) == SUBT10_GREEDY_TRIAL0_SHA256

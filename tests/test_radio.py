@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from commplan.radio import CommParams, comm_graph, is_connected, linked, quality
+from commplan import radio
+from commplan.radio import CommParams, comm_graph, is_connected, linked, quality, update_links
 from commplan.workspace import MapError, Position, load_grid
 
 from conftest import UnionFind, empty_grid, grid_from_rows
@@ -166,3 +167,55 @@ def test_linked_rejects_points_outside_the_map():
     for a, b in ((inside, near_out), (near_out, inside), (inside, far_out), (far_out, inside)):
         with pytest.raises(MapError):
             linked(a, b, grid, p)
+
+
+def test_update_links_rechecks_only_pairs_with_a_moved_end(monkeypatch):
+    grid = empty_grid(30, 6)
+    p = CommParams()  # free space: linked iff closer than 10 m
+    checked = []
+
+    def recording_linked(p_i, p_j, grid, params):
+        checked.append((p_i, p_j))
+        return linked(p_i, p_j, grid, params)
+
+    monkeypatch.setattr(radio, "linked", recording_linked)
+
+    def step(prev_links, prev_pos, pos):
+        checked.clear()
+        links = update_links(prev_links, prev_pos, pos, grid, p)
+        assert links == {(a, b) for a, b in itertools.combinations(sorted(pos), 2)
+                         if linked(pos[a], pos[b], grid, p)}
+        return links
+
+    # No stored positions: every pair is checked.
+    pos0 = {0: Position(1, 1), 1: Position(5, 1), 2: Position(20, 1)}
+    links0 = step(set(), {}, pos0)
+    assert links0 == {(0, 1)}
+    assert checked == [(pos0[0], pos0[1]), (pos0[0], pos0[2]), (pos0[1], pos0[2])]
+
+    # Agent 2 moves into range of 1: the pair is added, (0, 1) is carried unchecked.
+    pos1 = {**pos0, 2: Position(12, 1)}
+    links1 = step(links0, pos0, pos1)
+    assert links1 == {(0, 1), (1, 2)}
+    assert checked == [(pos1[0], pos1[2]), (pos1[1], pos1[2])]
+
+    # Agent 1 moves away from 0: the pair is dropped, (1, 2) is re-checked at the new place.
+    pos2 = {**pos1, 1: Position(16, 1)}
+    links2 = step(links1, pos1, pos2)
+    assert links2 == {(1, 2)}
+    assert checked == [(pos2[0], pos2[1]), (pos2[1], pos2[2])]
+
+    # Nobody moves (equal, not identical, positions): no check at all.
+    pos3 = {a: Position(q.x, q.y) for a, q in pos2.items()}
+    assert step(links2, pos2, pos3) == links2
+    assert checked == []
+
+
+def test_update_links_rechecks_a_position_off_the_map():
+    grid = empty_grid()
+    p = CommParams()
+    prev = {0: Position(1, 1), 1: Position(2, 1)}
+    links = update_links(set(), {}, prev, grid, p)
+    for bad in (Position(math.nan, 1), Position(100, 100), Position(-0.5, 1)):
+        with pytest.raises(MapError):
+            update_links(links, prev, {**prev, 1: bad}, grid, p)

@@ -1,16 +1,22 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from commplan import radio
 from commplan.meeting import AgentFinish, LastTaskState, all_gather_event, com_opt, sel_com
-from commplan.radio import CommParams, comm_graph, is_connected
+from commplan.radio import CommParams, comm_graph, is_connected, linked
+from commplan.scenario import build_simulator, load_scenario
 from commplan.simulator import AgentState, Simulator
-from commplan.strategies import (PlannerOptions, StrategyConfig, TeamCycleController,
-                                 make_controller)
+from commplan.strategies import (GreedyController, PlannerOptions, StrategyConfig,
+                                 TeamCycleController, make_controller)
 from commplan.tasks import Task
 from commplan.workspace import Position, astar_travel_time
 
 from conftest import empty_grid, random_connected_grid
+
+DATA = Path(__file__).parent / "data"
 
 
 def agent(aid, x, y, v=2.0, sensor=50.0, caps=("work",)):
@@ -229,6 +235,48 @@ def test_greedy_claims_at_encounter():
     assert sim.task_state[1] == "done"
     assert metrics.finished_tasks == 3
     assert metrics.comm_intervals == []  # no interval metric for greedy
+
+
+class AllPairsCheckedGreedy(GreedyController):
+    """Greedy that asserts after every tick that its links equal all-pairs
+    `linked` and that it checked exactly the pairs with an end that moved."""
+
+    def __init__(self, cfg, options, calls):
+        super().__init__(cfg, options)
+        self.calls = calls  # appended to by the patched radio.linked
+        self.seen_pos = {}
+        self.ticks = 0
+
+    def on_tick(self, sim, t):
+        pos = {a: ag.position for a, ag in sim.agents.items()}
+        pairs = list(itertools.combinations(sorted(pos), 2))
+        moved = {a for a in pos if self.seen_pos.get(a) != pos[a]}
+        self.calls.clear()
+        super().on_tick(sim, t)
+        assert len(self.calls) == sum(1 for a, b in pairs if a in moved or b in moved), t
+        assert self.in_range == {(a, b) for a, b in pairs
+                                 if linked(pos[a], pos[b], sim.grid, sim.params)}, t
+        self.seen_pos = pos
+        self.ticks += 1
+
+
+@pytest.mark.parametrize("scenario, horizon", [("desk_scenario.json", 150.0),
+                                               ("subt10_greedy.json", 200.0)])
+def test_greedy_links_equal_all_pairs_every_tick(monkeypatch, scenario, horizon):
+    calls = []
+
+    def counting_linked(*args):
+        calls.append(args)
+        return linked(*args)
+
+    monkeypatch.setattr(radio, "linked", counting_linked)
+    cfg = load_scenario(DATA / scenario)
+    cfg.horizon = horizon  # shortened for test speed
+    sim, ctrl = build_simulator(cfg, strategy=StrategyConfig("greedy"))
+    checked = AllPairsCheckedGreedy(ctrl.cfg, ctrl.options, calls)
+    _, metrics = sim.run(checked)
+    assert checked.ticks == round(horizon / cfg.dt) + 1
+    assert metrics.comm_count > 0
 
 
 def test_greedy_out_of_range_only_solo_tasks():

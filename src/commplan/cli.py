@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .experiment import run_experiment
 from .meeting import MeetingInfeasible
-from .scenario import ScenarioError, generate_tasks, load_scenario
+from .scenario import ScenarioError, generate_tasks, load_scenario, task_to_dict
 from .simulator import SimulationError
 from .strategies import STRATEGY_KINDS
 from .workspace import MapError, Unreachable
@@ -64,11 +64,7 @@ def _cmd_generate(args) -> int:
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    payload = [{"id": t.id, "center": [t.region_center.x, t.region_center.y],
-                "radius": t.region_radius, "duration": t.duration,
-                "requirements": [[n, a] for n, a in t.requirements],
-                "release_time": t.release_time} for t in tasks]
-    text = json.dumps(payload, indent=2)
+    text = json.dumps([task_to_dict(t) for t in tasks], indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"{len(tasks)} tasks written to {args.out}")

@@ -155,12 +155,11 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
 
 
 def _related_to_assigned(cluster: Sequence[int], assigned: frozenset[int],
-                         relations: Sequence[TemporalRelation]) -> bool:
-    cset = set(cluster)
-    for rel in relations:
-        if (rel.first in cset and rel.second in assigned) or (rel.second in cset and rel.first in assigned):
-            return True
-    return False
+                         index: RelationIndex) -> bool:
+    """True if a relation of any kind joins a cluster member to an assigned task."""
+    views = (index.preds, index.mutex, index.conc)
+    return (any(o in assigned for t in cluster for view in views for o in view.get(t, ()))
+            or any(t in index.preds.get(a, ()) for a in assigned for t in cluster))
 
 
 def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
@@ -175,7 +174,7 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
     """
     cluster = sorted(m for m in problem.clusters[task_id] if m not in node.groups)
     interior = (len(cluster) > 1
-                or _related_to_assigned(cluster, node.assigned(), problem.relations))
+                or _related_to_assigned(cluster, node.assigned(), problem.index))
     children: list[PlanNode] = []
 
     def place(idx: int, seqs: dict[int, list[int]], groups: dict[int, tuple[int, ...]]):
@@ -220,7 +219,7 @@ def build_plan(sequences: Mapping[int, Sequence[int]], groups: Mapping[int, tupl
     """Schedule + event-optimize a candidate assignment; None when infeasible."""
     plan = AssignedPlan({a: list(sequences.get(a, ())) for a in problem.team}, dict(groups))
     try:
-        timetable = schedule_min_makespan(plan, problem.tasks, problem.relations,
+        timetable = schedule_min_makespan(plan, problem.tasks, problem.index,
                                           problem.grid, problem.team)
     except InfeasibleSchedule:
         return None
@@ -324,7 +323,7 @@ def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
     plan = AssignedPlan({a: list(node.sequences.get(a, ())) for a in problem.team},
                         dict(node.groups))
     try:
-        tt0 = schedule_min_makespan(plan, problem.tasks, problem.relations, problem.grid,
+        tt0 = schedule_min_makespan(plan, problem.tasks, problem.index, problem.grid,
                                     problem.team, zero_travel=True, enforce_concurrency=False)
     except InfeasibleSchedule:
         return -math.inf  # constraint cycle: no descendant can schedule either

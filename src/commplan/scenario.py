@@ -302,7 +302,10 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
     for i, a in enumerate(raw.get("agents", [])):
         fieldname = f"agents[{i}]"
         try:
-            aid = int(a["id"])
+            aid = a["id"]
+            if not _is_int(aid):
+                errors.append(f"{fieldname}.id: must be an integer")
+                continue
             start = _position(a["start"], f"{fieldname}.start", errors)
             if aid in seen_ids:
                 errors.append(f"{fieldname}.id: duplicate agent id {aid}")
@@ -341,7 +344,10 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
     for i, t in enumerate(raw.get("tasks", [])):
         fieldname = f"tasks[{i}]"
         try:
-            tid = int(t["id"])
+            tid = t["id"]
+            if not _is_int(tid):
+                errors.append(f"{fieldname}.id: must be an integer")
+                continue
             center = _position(t["center"], f"{fieldname}.center", errors)
             if tid in task_ids:
                 errors.append(f"{fieldname}.id: duplicate task id {tid}")
@@ -375,7 +381,10 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
     for i, r in enumerate(raw.get("relations", [])):
         fieldname = f"relations[{i}]"
         try:
-            rel = TemporalRelation(int(r[0]), int(r[1]), RelationKind(r[2]))
+            if not (_is_int(r[0]) and _is_int(r[1])):
+                errors.append(f"{fieldname}: task ids must be integers")
+                continue
+            rel = TemporalRelation(r[0], r[1], RelationKind(r[2]))
             key = (min(rel.first, rel.second), max(rel.first, rel.second))
             if key in pair_seen:
                 errors.append(f"{fieldname}: duplicate relation for pair {key}")
@@ -386,7 +395,7 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
                 if rel.second not in task_ids:
                     errors.append(f"{fieldname}: dangling task id {rel.second}")
             relations.append(rel)
-        except (TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError) as exc:  # KeyError: an object
             errors.append(f"{fieldname}: {exc}")
 
     strategy = None
@@ -397,8 +406,12 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
             if fp is not None and (not grid.contains(fp) or not grid.is_free(fp)):
                 errors.append("strategy.fixed_point: not a free position")
             s["fixed_point"] = None if fp is None else grid.snap(fp)
-        if "ring_order" in s and s["ring_order"] is not None:
-            s["ring_order"] = tuple(int(x) for x in s["ring_order"])
+        if s.get("ring_order") is not None:
+            order = s["ring_order"]
+            ids_ok = isinstance(order, list) and all(_is_int(x) for x in order)
+            if not (ids_ok and sorted(order) == sorted(a.id for a in agents)):
+                errors.append("strategy.ring_order: must list each agent id once, as integers")
+            s["ring_order"] = tuple(order) if ids_ok else None
         strategy = StrategyConfig(**s)
         if strategy.kind == "frdt" and strategy.leader not in {a.id for a in agents}:
             errors.append("strategy.leader: unknown agent id")
@@ -458,6 +471,14 @@ def load_scenario(path) -> ScenarioConfig:
     return scenario_from_dict(raw, path.parent)
 
 
+def task_to_dict(t: Task) -> dict:
+    """A task as a scenario file lists it."""
+    return {"id": t.id, "center": [t.region_center.x, t.region_center.y],
+            "radius": t.region_radius, "duration": t.duration,
+            "requirements": [[n, a] for n, a in t.requirements],
+            "release_time": t.release_time}
+
+
 def serialize_scenario(cfg: ScenarioConfig) -> dict:
     out = {
         "map": cfg.map_path,
@@ -467,10 +488,7 @@ def serialize_scenario(cfg: ScenarioConfig) -> dict:
         "comm": {"tx_power": cfg.params.tx_power, "pl_ref": cfg.params.pl_ref,
                  "ref_dist": cfg.params.ref_dist, "path_exponent": cfg.params.path_exponent,
                  "attenuation": cfg.params.attenuation, "threshold": cfg.params.threshold},
-        "tasks": [{"id": t.id, "center": [t.region_center.x, t.region_center.y],
-                   "radius": t.region_radius, "duration": t.duration,
-                   "requirements": [[n, a] for n, a in t.requirements],
-                   "release_time": t.release_time} for t in cfg.tasks],
+        "tasks": [task_to_dict(t) for t in cfg.tasks],
         "relations": [[r.first, r.second, r.kind.value] for r in cfg.relations],
         "strategy": {"kind": cfg.strategy.kind},
         "horizon": cfg.horizon,

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .tasks import ExecutionInterval, RelationKind, Task, TemporalRelation
+from .tasks import ExecutionInterval, RelationIndex, Task
 from .workspace import GridMap, Position, astar_travel_time
 
 MUTEX_GAP = 1e-6  # strict separation between mutex intervals, seconds
@@ -128,7 +128,7 @@ def _longest_path(task_ids: list[int], source_bound: dict[int, float],
 
 
 def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
-                          relations: Sequence[TemporalRelation], grid: GridMap,
+                          index: RelationIndex, grid: GridMap,
                           team: Mapping[int, AgentContext], *,
                           zero_travel: bool = False,
                           enforce_concurrency: bool = True) -> Timetable:
@@ -179,20 +179,14 @@ def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
             prev = tid
             pos = target
 
-    rel_edges: list[tuple[int, int, float]] = []
-    mutex_pairs: list[tuple[int, int]] = []
-    conc_pairs: list[tuple[int, int]] = []
-    for rel in relations:
-        if rel.first not in assigned or rel.second not in assigned:
-            continue
-        if rel.kind is RelationKind.PRECEDENCE:
-            rel_edges.append((rel.first, rel.second, tasks[rel.first].duration))
-        elif rel.kind is RelationKind.MUTEX:
-            pair = (min(rel.first, rel.second), max(rel.first, rel.second))
-            if pair not in mutex_pairs:
-                mutex_pairs.append(pair)
-        else:
-            conc_pairs.append((rel.first, rel.second))
+    # Mutex pairs are sorted, so a makespan tie among their orientations does
+    # not depend on the order in which the relations were listed.
+    rel_edges = [(p, t, tasks[p].duration) for t, ps in index.preds.items() if t in assigned
+                 for p in ps if p in assigned]
+    mutex_pairs = sorted((t, m) for t, ms in index.mutex.items() if t in assigned
+                         for m in ms if t < m and m in assigned)
+    conc_pairs = [(t, c) for t, cs in index.conc.items() if t in assigned
+                  for c in cs if t < c and c in assigned]
 
     fixed_edges = chain_edges + rel_edges
 

@@ -12,11 +12,11 @@ log byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence
+from typing import Mapping, Optional, Protocol, Sequence
 
 from .radio import CommParams, comm_graph, is_connected
 from .schedule import AgentContext
-from .tasks import RelationIndex, Task, TemporalRelation, detect_tasks
+from .tasks import ExecutionInterval, RelationIndex, Task, TemporalRelation, detect_tasks
 from .workspace import GridMap, Position, astar_path, astar_travel_time
 
 DEFAULT_DT = 0.1
@@ -184,19 +184,21 @@ class Simulator:
         for a in group:
             self.agents[a].queue.append(task_id)
 
-    def apply_team_plan(self, plan_sequences: dict[int, tuple[int, ...]],
+    def apply_team_plan(self, agent_ids: Sequence[int],
+                        plan_sequences: dict[int, tuple[int, ...]],
                         plan_groups: dict[int, tuple[int, ...]],
-                        event_time: Optional[float],
-                        event_positions: Optional[dict[int, Position]],
-                        planned_starts: Optional[dict[int, float]] = None) -> None:
+                        planned: Mapping[int, ExecutionInterval],
+                        event_time: Optional[float] = None,
+                        event_positions: Optional[dict[int, Position]] = None) -> None:
+        """Claim the plan's tasks and give each of `agent_ids`, and no other
+        agent, its queue and its place at the next event."""
         for tid in sorted(plan_groups):
             self.groups[tid] = plan_groups[tid]
             if self.task_state[tid] != "pending":
                 raise SimulationError(f"task {tid} re-assigned while {self.task_state[tid]}")
             self.task_state[tid] = "claimed"
-            if planned_starts is not None and tid in planned_starts:
-                self.planned_start[tid] = planned_starts[tid]
-        for aid in sorted(self.agents):
+            self.planned_start[tid] = planned[tid].start
+        for aid in sorted(agent_ids):
             ag = self.agents[aid]
             ag.queue = list(plan_sequences.get(aid, ()))
             ag.leg = None
@@ -303,14 +305,14 @@ class Simulator:
                 ag.leg = None
 
     def _detect(self, t: float) -> None:
-        undetected = [self.tasks[tid] for tid in sorted(self.tasks)
-                      if self.tasks[tid].detected_at is None]
+        # detect_tasks skips a task detected by an earlier agent this tick.
+        undetected = [task for _, task in sorted(self.tasks.items())
+                      if task.detected_at is None and task.release_time <= t]
         for aid in sorted(self.agents):
             ag = self.agents[aid]
             for tid in detect_tasks(ag.position, ag.sensor_range, undetected, t, self.grid):
                 ag.known.add(tid)
                 self.log(t, "detection", aid, tid)
-            undetected = [task for task in undetected if task.detected_at is None]
 
     def _gates_pass(self, tid: int, t: float) -> bool:
         for p in self.index.preds.get(tid, ()):

@@ -10,7 +10,7 @@ whenever two agents come into range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .meeting import AgentFinish, CommEvent, LastTaskState, chain_event, com_opt
 from .planner import cocoplan, last_state
@@ -49,9 +49,20 @@ class PlannerOptions:
     gap: float = 0.5
 
 
-def _pending_known(sim: Simulator, agent_ids) -> dict:
+def _plan(sim: Simulator, agent_ids: Sequence[int], now: float, options: PlannerOptions,
+          event_optimizer=None, min_tasks: int = 0):
+    """Team contexts at `now` and the plan for the pending tasks the agents
+    know; with fewer than `min_tasks` of them, the plan assigns nothing."""
+    team = {a: sim.agents[a].context(now) for a in agent_ids}
     known = sim.known_tasks(agent_ids)
-    return {tid: task for tid, task in known.items() if sim.task_state[tid] == "pending"}
+    tasks = {tid: task for tid, task in known.items() if sim.task_state[tid] == "pending"}
+    if len(tasks) < min_tasks:
+        tasks = {}
+    plan = cocoplan(team, tasks, sim.relations, sim.grid, sim.params, options.budget,
+                    now=now, completed=sim.done_ids(), event_optimizer=event_optimizer,
+                    gap=options.gap, node_limit=options.node_limit,
+                    generated_limit=options.generated_limit)
+    return team, plan
 
 
 class TeamCycleController:
@@ -65,7 +76,6 @@ class TeamCycleController:
         self.pending_event: Optional[float] = None
         self.recheck_at: Optional[float] = None
         self.cycle = 0
-        self.fimr_index = 0
 
     def on_start(self, sim: Simulator) -> None:
         pass
@@ -81,7 +91,7 @@ class TeamCycleController:
             if actual is None:
                 return
             sim.fire_comm_event(ids, actual)
-            if self.cycle_records_open(sim):
+            if sim.cycle_records and sim.cycle_records[-1].actual_event is None:
                 sim.cycle_records[-1].actual_event = actual
             self.pending_event = None
             self._replan(sim, actual)
@@ -90,10 +100,7 @@ class TeamCycleController:
             self.recheck_at = None
             self._replan(sim, t)
 
-    def cycle_records_open(self, sim: Simulator) -> bool:
-        return bool(sim.cycle_records) and sim.cycle_records[-1].actual_event is None
-
-    def _event_optimizer(self, sim: Simulator, now: float):
+    def _event_optimizer(self, sim: Simulator):
         cfg, grid, params = self.cfg, sim.grid, sim.params
         if cfg.kind == "fpmr":
             point = cfg.fixed_point
@@ -112,7 +119,7 @@ class TeamCycleController:
                 return chain_event(last, anchor, grid, params, resident=leader)
             return frdt_event
         if cfg.kind == "fimr":
-            deadline = (self.fimr_index + 1) * cfg.interval
+            deadline = (self.cycle + 1) * cfg.interval
             # Reserve slack for tick-quantized execution so agents are in
             # place when the fixed-interval event fires.
             margin = 30.0 * sim.dt
@@ -127,18 +134,11 @@ class TeamCycleController:
         return None  # default com_opt
 
     def _replan(self, sim: Simulator, now: float) -> None:
-        team = {aid: sim.agents[aid].context(now) for aid in sorted(sim.agents)}
-        tasks = _pending_known(sim, sorted(sim.agents))
-        if self.cfg.kind == "fix" and len(tasks) < self.cfg.threshold_n:
-            tasks = {}
-        plan = cocoplan(team, tasks, sim.relations, sim.grid, sim.params,
-                        self.options.budget, now=now, completed=sim.done_ids(),
-                        event_optimizer=self._event_optimizer(sim, now),
-                        gap=self.options.gap, node_limit=self.options.node_limit,
-                        generated_limit=self.options.generated_limit)
+        ids = sorted(sim.agents)
+        event_optimizer = self._event_optimizer(sim)
+        min_tasks = self.cfg.threshold_n if self.cfg.kind == "fix" else 0
+        team, plan = _plan(sim, ids, now, self.options, event_optimizer, min_tasks)
         self.cycle += 1
-        if self.cfg.kind == "fimr":
-            self.fimr_index += 1
         assigned = tuple(sorted(plan.groups))
         sim.log(now, "replanned", self.cycle, *assigned)
 
@@ -147,7 +147,7 @@ class TeamCycleController:
             # Nothing to do and nowhere to go: poll again later if tasks may
             # still appear, otherwise the mission is over for this team.
             if self.cfg.kind == "fimr":
-                sim.apply_team_plan({a: () for a in team}, {}, plan.event.time,
+                sim.apply_team_plan(ids, plan.sequences, {}, {}, plan.event.time,
                                     plan.event.positions)
                 self.pending_event = plan.event.time
             elif sim.has_future_work():
@@ -156,19 +156,17 @@ class TeamCycleController:
                 self.recheck_at = None
             return
         event = plan.event
-        if self.cfg.kind in ("cocoplan", "fix") and plan.task_count() > 0:
+        if event_optimizer is None and plan.task_count() > 0:
             # Bound evaluation uses the fast single-pass optimizer; polish the
             # executed event with the thorough one.
             refined = com_opt(last_state(plan.sequences, plan.timetable, team, sim.tasks),
                               sim.grid, sim.params, gap=self.options.gap)
             if refined.time < event.time:
                 event = refined
-        sim.apply_team_plan(plan.sequences, plan.groups, event.time,
-                            dict(event.positions),
-                            planned_starts={tid: iv.start for tid, iv
-                                            in plan.timetable.intervals.items()})
+        sim.apply_team_plan(ids, plan.sequences, plan.groups, plan.timetable.intervals,
+                            event.time, dict(event.positions))
         self.pending_event = event.time
-        sim.cycle_records.append(CycleRecord(start=now, participants=tuple(sorted(sim.agents)),
+        sim.cycle_records.append(CycleRecord(start=now, participants=tuple(ids),
                                              assigned=assigned, planned_event=event.time))
 
 
@@ -226,12 +224,8 @@ class RingController:
                                                  sim.agents[a].v_max) for a in pair})
             event = com_opt(last, sim.grid, sim.params, gap=self.options.gap)
             planned = max(event.time, t + sim.dt)
-            for a in pair:
-                ag = sim.agents[a]
-                ag.comm_target = event.positions[a]
-                ag.comm_time = planned
-                ag.depart_time = None
-                ag.arrived_comm_at = None
+            # Both agents are free, so an empty plan sets only the meeting.
+            sim.apply_team_plan(pair, {}, {}, {}, planned, event.positions)
             self.meeting = (pair, planned)
 
     def _free(self, sim: Simulator, aid: int) -> bool:
@@ -239,21 +233,8 @@ class RingController:
         return ag.status in ("idle",) and not ag.queue and ag.comm_target is None
 
     def _plan_pair(self, sim: Simulator, pair, now: float) -> bool:
-        team = {a: sim.agents[a].context(now) for a in pair}
-        tasks = _pending_known(sim, pair)
-        plan = cocoplan(team, tasks, sim.relations, sim.grid, sim.params,
-                        self.options.budget, now=now, completed=sim.done_ids(),
-                        gap=self.options.gap, node_limit=self.options.node_limit,
-                        generated_limit=self.options.generated_limit)
-        for tid in sorted(plan.groups):
-            sim.groups[tid] = plan.groups[tid]
-            sim.task_state[tid] = "claimed"
-            sim.planned_start[tid] = plan.timetable.intervals[tid].start
-        for a in sorted(pair):
-            ag = sim.agents[a]
-            ag.queue = list(plan.sequences.get(a, ()))
-            ag.status = "idle"
-            ag.leg = None
+        _, plan = _plan(sim, pair, now, self.options)
+        sim.apply_team_plan(pair, plan.sequences, plan.groups, plan.timetable.intervals)
         sim.log(now, "replanned", self.edge_idx + 1, *sorted(plan.groups))
         sim.cycle_records.append(CycleRecord(start=now, participants=tuple(sorted(pair)),
                                              assigned=tuple(sorted(plan.groups)),
@@ -285,11 +266,10 @@ class GreedyController:
         for pair in sorted(now_in_range):
             # One exchange per piece of news: a fresh encounter, a knowledge
             # difference, or a completion since this pair last talked.
-            sig = (len(sim.agents[pair[0]].known | sim.agents[pair[1]].known), done_count)
-            fresh = pair not in self.in_range
-            delta = sim.agents[pair[0]].known != sim.agents[pair[1]].known
-            stale = self.last_sig.get(pair) != sig
-            if fresh or delta or stale:
+            # Equal sets make the pair's union the size of either one.
+            known_a, known_b = sim.agents[pair[0]].known, sim.agents[pair[1]].known
+            if (pair not in self.in_range or known_a != known_b
+                    or self.last_sig.get(pair) != (len(known_a), done_count)):
                 sim.log(t, "comm_event", *pair)
                 sim.merge_knowledge(pair)
                 self._pair_claims(sim, pair, t)

@@ -124,7 +124,9 @@ def test_cli_run_strategy_override_missing_field(small_scenario, capsys, kind, f
     ("tasks[0].requirements", [[1.5, "work"]]), ("tasks[0].requirements", [[0, "work"]]),
     ("tasks[1].requirements", [[1, "work"], ["2", "work"]]),
     ("tasks[1].requirements", [[True, "work"]]),
-    ("strategy.fixed_point", ["10", 3.0]), ("strategy.fixed_point", [10 ** 400, 3.0])])
+    ("strategy.fixed_point", ["10", 3.0]), ("strategy.fixed_point", [10 ** 400, 3.0]),
+    ("agents[0].id", 1.5), ("agents[1].id", "1"), ("tasks[0].id", 2.7),
+    ("tasks[1].id", True), ("strategy.ring_order", [0, 1.0])])
 def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
     raw = small_raw()
@@ -140,6 +142,27 @@ def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value
     path.write_text(json.dumps(raw))
     assert main([command, str(path)]) == 2
     assert f"{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("section, value, message", [
+    ("relations", [[1.5, 2, "mutex"]], "relations[0]: task ids must be integers"),
+    ("relations", [[1, "2", "precedence"]], "relations[0]: task ids must be integers"),
+    ("relations", [[1, 2, "mutex"], [True, 2, "concurrency"]], "relations[1]: task ids"),
+    ("relations", [{"first": 1, "second": 2, "kind": "mutex"}], "relations[0]:"),
+    ("strategy", {"kind": "ring", "ring_order": [0, 1, 7]}, "strategy.ring_order:"),
+    ("strategy", {"kind": "ring", "ring_order": [1]}, "strategy.ring_order:"),
+    ("strategy", {"kind": "ring", "ring_order": [0, 0, 1]}, "strategy.ring_order:"),
+    ("strategy", {"kind": "ring", "ring_order": "01"}, "strategy.ring_order:")])
+def test_cli_bad_relation_or_ring_order_exit_code(tmp_path, capsys, command, section, value,
+                                                  message):
+    (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
+    raw = small_raw()
+    raw[section] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -10,8 +11,8 @@ from commplan.planner import (PlanNode, PlannerProblem, SearchStats, build_plan,
                               up_bound)
 from commplan.radio import CommParams, comm_graph, is_connected
 from commplan.schedule import AgentContext
-from commplan.tasks import (RelationKind, Task, TemporalRelation, check_schedule,
-                            relations_between)
+from commplan.tasks import (RelationIndex, RelationKind, Task, TemporalRelation,
+                            check_schedule, relations_between)
 from commplan.workspace import Position, astar_travel_time
 
 from conftest import empty_grid, exhaustive_best_rate, random_planner_instance
@@ -352,3 +353,18 @@ def test_cocoplan_schedules_each_candidate_once(monkeypatch):
             assert rebuilds[-1][1] is plan
         total += len(scheduled)
     assert total >= 100
+
+
+def test_related_to_assigned_matches_relation_scan():
+    rng = random.Random(31)
+    ids = list(range(8))
+    for _ in range(300):
+        pairs = rng.sample(list(itertools.combinations(ids, 2)), rng.randint(0, 10))
+        rels = [TemporalRelation(*((p, q) if rng.random() < 0.5 else (q, p)),
+                                 rng.choice(list(RelationKind))) for p, q in pairs]
+        members = rng.sample(ids, 6)
+        cluster = sorted(members[:rng.randint(1, 2)])
+        assigned = frozenset(members[2:2 + rng.randint(0, 4)])
+        want = any((r.first in cluster and r.second in assigned)
+                   or (r.second in cluster and r.first in assigned) for r in rels)
+        assert planner._related_to_assigned(cluster, assigned, RelationIndex(rels)) == want

@@ -6,10 +6,12 @@ import pytest
 from commplan.schedule import (AgentContext, AssignedPlan, CapabilityError,
                                InfeasibleSchedule, eligible_groups, group_covers,
                                schedule_min_makespan)
-from commplan.tasks import RelationKind, Task, TemporalRelation, check_schedule
+from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position, astar_travel_time
 
 from conftest import empty_grid, random_connected_grid
+
+NO_RELATIONS = RelationIndex([])
 
 
 def ctx(aid, x, y, caps=("work",), v=1.0):
@@ -24,7 +26,7 @@ def test_single_chain_travel_then_duration():
     grid = empty_grid(20, 4)
     team = {0: ctx(0, 0.5, 0.5)}
     tasks = {1: task(1, 2.5, 0.5, 10.0)}
-    tt = schedule_min_makespan(AssignedPlan({0: [1]}, {1: (0,)}), tasks, [], grid, team)
+    tt = schedule_min_makespan(AssignedPlan({0: [1]}, {1: (0,)}), tasks, NO_RELATIONS, grid, team)
     assert tt.intervals[1].start == pytest.approx(2.0)
     assert tt.intervals[1].finish == pytest.approx(12.0)
 
@@ -33,7 +35,7 @@ def test_two_task_chain_example():
     grid = empty_grid(20, 4)
     team = {0: ctx(0, 0.5, 0.5)}
     tasks = {1: task(1, 2.5, 0.5, 10.0), 2: task(2, 5.5, 0.5, 5.0)}
-    tt = schedule_min_makespan(AssignedPlan({0: [1, 2]}, {1: (0,), 2: (0,)}), tasks, [], grid, team)
+    tt = schedule_min_makespan(AssignedPlan({0: [1, 2]}, {1: (0,), 2: (0,)}), tasks, NO_RELATIONS, grid, team)
     assert tt.intervals[1].finish == pytest.approx(12.0)
     assert tt.intervals[2].finish == pytest.approx(20.0)
     assert tt.makespan == pytest.approx(20.0)
@@ -43,7 +45,7 @@ def test_synchronized_start_waits_for_all_agents():
     grid = empty_grid(20, 4)
     team = {0: ctx(0, 4.5, 0.5, v=1.0), 1: ctx(1, 9.5, 0.5, v=1.0)}
     tasks = {1: task(1, 0.5, 0.5, 3.0, reqs=((2, "work"),))}
-    tt = schedule_min_makespan(AssignedPlan({0: [1], 1: [1]}, {1: (0, 1)}), tasks, [], grid, team)
+    tt = schedule_min_makespan(AssignedPlan({0: [1], 1: [1]}, {1: (0, 1)}), tasks, NO_RELATIONS, grid, team)
     assert tt.intervals[1].start == pytest.approx(9.0)  # later arrival wins
 
 
@@ -52,7 +54,7 @@ def test_capability_violation_raises():
     team = {0: ctx(0, 0.5, 0.5, caps=("scan",))}
     tasks = {1: task(1, 2.5, 0.5, 5.0, reqs=((1, "lift"),))}
     with pytest.raises(CapabilityError):
-        schedule_min_makespan(AssignedPlan({0: [1]}, {1: (0,)}), tasks, [], grid, team)
+        schedule_min_makespan(AssignedPlan({0: [1]}, {1: (0,)}), tasks, NO_RELATIONS, grid, team)
 
 
 def test_cyclic_precedence_infeasible():
@@ -63,7 +65,7 @@ def test_cyclic_precedence_infeasible():
             TemporalRelation(2, 1, RelationKind.PRECEDENCE)]
     with pytest.raises(InfeasibleSchedule):
         schedule_min_makespan(AssignedPlan({0: [1], 1: [2]}, {1: (0,), 2: (1,)}),
-                              tasks, rels, grid, team)
+                              tasks, RelationIndex(rels), grid, team)
 
 
 def test_group_cover_and_eligible_groups():
@@ -180,7 +182,7 @@ def test_makespan_matches_exhaustive_orientation_oracle():
         plan = AssignedPlan(seqs, groups)
         want = _oracle_min_makespan(plan, tasks, rels, grid, team)
         try:
-            tt = schedule_min_makespan(plan, tasks, rels, grid, team)
+            tt = schedule_min_makespan(plan, tasks, RelationIndex(rels), grid, team)
             got = tt.makespan
         except InfeasibleSchedule:
             got = None
@@ -206,7 +208,8 @@ def test_schedule_passes_check_schedule():
         rels = [TemporalRelation(0, 2, RelationKind.MUTEX),
                 TemporalRelation(1, 3, RelationKind.PRECEDENCE)]
         try:
-            tt = schedule_min_makespan(AssignedPlan(seqs, groups), tasks, rels, grid, team)
+            tt = schedule_min_makespan(AssignedPlan(seqs, groups), tasks, RelationIndex(rels),
+                                       grid, team)
         except InfeasibleSchedule:
             continue
         ok, bad = check_schedule(tt.interval_list(), rels)
@@ -221,13 +224,54 @@ def test_makespan_monotone_in_appended_tasks():
     for upto in (1, 2, 3):
         seq = list(range(1, upto + 1))
         plan = AssignedPlan({0: seq}, {t: (0,) for t in seq})
-        mk.append(schedule_min_makespan(plan, tasks, [], grid, team).makespan)
+        mk.append(schedule_min_makespan(plan, tasks, NO_RELATIONS, grid, team).makespan)
     assert mk[0] <= mk[1] <= mk[2]
 
 
 def test_empty_plan_schedules_to_zero():
     grid = empty_grid()
     team = {0: ctx(0, 0.5, 0.5)}
-    tt = schedule_min_makespan(AssignedPlan({0: []}, {}), {}, [], grid, team)
+    tt = schedule_min_makespan(AssignedPlan({0: []}, {}), {}, NO_RELATIONS, grid, team)
     assert tt.makespan == 0.0
     assert tt.intervals == {}
+
+
+def _mutex_instance(seed):
+    """Open 10x10 map, 2 agents, 5 one-agent tasks, 4 mutex relations."""
+    rng = random.Random(seed)
+    grid = empty_grid(10, 10)
+    free = grid.free_cells()
+    team = {i: AgentContext(i, grid.center(c), 0.0, 1.0, frozenset({"work"}))
+            for i, c in enumerate(rng.sample(free, 2))}
+    tasks = {}
+    for t in range(5):
+        c = grid.center(rng.choice(free))
+        tasks[t] = task(t, c.x, c.y, float(rng.randint(1, 6)))
+    seqs = {a: [] for a in team}
+    groups = {}
+    for t in tasks:
+        a = rng.choice(sorted(team))
+        seqs[a].append(t)
+        groups[t] = (a,)
+    pairs = rng.sample(list(itertools.combinations(sorted(tasks), 2)), 4)
+    rels = [TemporalRelation(*((p, q) if rng.random() < 0.5 else (q, p)), RelationKind.MUTEX)
+            for p, q in pairs]
+    return grid, team, tasks, AssignedPlan(seqs, groups), rels, rng
+
+
+def test_starts_do_not_depend_on_relation_order():
+    # Seeds 23 and 192 break a makespan tie differently per list order when
+    # mutex orientations follow the order the relations are listed in.
+    def starts(rels):
+        try:
+            tt = schedule_min_makespan(plan, tasks, RelationIndex(rels), grid, team)
+        except InfeasibleSchedule:
+            return None
+        return {t: iv.start for t, iv in tt.intervals.items()}
+
+    for seed in range(200):
+        grid, team, tasks, plan, rels, rng = _mutex_instance(seed)
+        want = starts(rels)
+        for _ in range(6):
+            rng.shuffle(rels)
+            assert starts(rels) == want, seed

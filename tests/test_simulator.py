@@ -248,3 +248,24 @@ def test_concurrency_cluster_with_internal_precedence_executes():
     intervals = [ExecutionInterval(t, sim.task_start[t], sim.task_finish[t]) for t in sorted(done)]
     ok, bad = check_schedule(intervals, relations_between(rels, done))
     assert ok, bad
+
+
+def test_apply_team_plan_leaves_other_agents_untouched():
+    grid = empty_grid(12, 4)
+    tasks = [task(1, 6.5, 0.5), task(2, 9.5, 0.5)]
+    sim = Simulator(grid, [agent(0, 0.5, 0.5), agent(1, 2.5, 0.5), agent(2, 4.5, 0.5)],
+                    CommParams(), {t.id: t for t in tasks}, [], horizon=10.0)
+    sim.assign(2, (2,))
+    other = sim.agents[2]
+    other.status = "traveling"
+    other.comm_target, other.comm_time = Position(8.5, 0.5), 7.0
+    other.depart_time, other.arrived_comm_at = 3.0, 2.0
+    snapshot = dict(vars(other), queue=list(other.queue))
+
+    meet = {0: Position(3.5, 0.5), 1: Position(3.5, 1.5)}
+    sim.apply_team_plan((0, 1), {0: (1,), 1: ()}, {1: (0,)},
+                        {1: ExecutionInterval(1, 4.0, 9.0)}, 12.0, meet)
+    assert vars(other) == snapshot
+    assert sim.agents[0].queue == [1] and sim.agents[1].queue == []
+    assert [sim.agents[a].comm_target for a in (0, 1)] == [meet[0], meet[1]]
+    assert sim.task_state[1] == "claimed" and sim.planned_start[1] == 4.0

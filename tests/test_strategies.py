@@ -86,7 +86,7 @@ def test_fpmr_event_is_full_gather_at_fixed_point(comm_params):
     cfg = StrategyConfig("fpmr", fixed_point=fixed)
     ctrl = TeamCycleController(cfg, PlannerOptions())
     sim = Simulator(grid, [agent(0, 2.5, 2.5), agent(1, 27.5, 2.5)], comm_params, {}, [], 10.0)
-    opt = ctrl._event_optimizer(sim, 0.0)
+    opt = ctrl._event_optimizer(sim)
     last = LastTaskState({0: AgentFinish(0, 4.0, Position(2.5, 2.5), 2.0),
                           1: AgentFinish(1, 9.0, Position(27.5, 2.5), 2.0)})
     ev = opt(last)
@@ -104,7 +104,7 @@ def test_fpmr_at_latest_finisher_equals_all_gather(comm_params):
     cfg = StrategyConfig("fpmr", fixed_point=last.latest().position)
     ctrl = TeamCycleController(cfg, PlannerOptions())
     sim = Simulator(grid, [agent(0, 2.5, 2.5), agent(1, 27.5, 2.5)], comm_params, {}, [], 10.0)
-    ev = ctrl._event_optimizer(sim, 0.0)(last)
+    ev = ctrl._event_optimizer(sim)(last)
     assert ev.time == pytest.approx(gather.time)
 
 
@@ -129,7 +129,7 @@ def test_frdt_leader_stays_and_cluster_connects(comm_params):
     ctrl = TeamCycleController(cfg, PlannerOptions())
     sim = Simulator(grid, [agent(0, 2.5, 2.5), agent(1, 8.5, 2.5), agent(2, 30.5, 2.5)],
                     comm_params, {}, [], 10.0)
-    opt = ctrl._event_optimizer(sim, 0.0)
+    opt = ctrl._event_optimizer(sim)
     last = LastTaskState({0: AgentFinish(0, 5.0, Position(2.5, 2.5), 2.0),
                           1: AgentFinish(1, 1.0, Position(8.5, 2.5), 2.0),
                           2: AgentFinish(2, 2.0, Position(30.5, 2.5), 2.0)})
@@ -146,7 +146,7 @@ def test_frdt_single_follower_uses_sel_com(comm_params):
     sim = Simulator(grid, [agent(0, 2.5, 2.5), agent(1, 30.5, 2.5)], comm_params, {}, [], 10.0)
     leader_pos = Position(2.5, 2.5)
     follower = Position(30.5, 2.5)
-    ev = ctrl._event_optimizer(sim, 0.0)(
+    ev = ctrl._event_optimizer(sim)(
         LastTaskState({0: AgentFinish(0, 0.0, leader_pos, 2.0),
                        1: AgentFinish(1, 0.0, follower, 2.0)}))
     assert ev.positions[1] == sel_com(follower, leader_pos, grid, comm_params)
@@ -165,7 +165,7 @@ def test_frdt_cluster_connectivity_randomized(comm_params):
         ctrl = TeamCycleController(cfg, PlannerOptions())
         sim = Simulator(grid, [AgentState(i, grid.center(c), 2.0, 8.0, frozenset({"work"}))
                                for i, c in enumerate(cells)], comm_params, {}, [], 10.0)
-        ev = ctrl._event_optimizer(sim, 0.0)(last)
+        ev = ctrl._event_optimizer(sim)(last)
         assert is_connected(comm_graph(ev.positions, grid, comm_params))
 
 

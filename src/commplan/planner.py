@@ -7,9 +7,10 @@ candidate and optimizing its communication event), and its upper bound is a
 zero-travel relaxation that dominates every descendant's achievable rate.
 The search is anytime: the incumbent is always a feasible full plan.
 
-Bounds compare rates only. A planning cycle scores each distinct candidate
-once, keeping its rate, and builds the full plan again only for a candidate
-that becomes the incumbent.
+Every node, the root included, goes through one step that bounds it, keeps
+a better incumbent and pushes the node while it can still win. Bounds compare
+rates only: each distinct candidate is scored once per cycle, and the
+incumbent's full plan is built once, when the search returns.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .meeting import AgentFinish, CommEvent, LastTaskState, com_opt, com_opt_fast
 from .radio import CommParams, comm_graph, is_connected
-from .schedule import (AgentContext, AssignedPlan, InfeasibleSchedule, Timetable,
-                       eligible_groups, schedule_min_makespan)
+from .schedule import (AgentContext, InfeasibleSchedule, Timetable, eligible_groups,
+                       schedule_min_makespan)
 from .tasks import RelationIndex, Task, TemporalRelation
 from .workspace import GridMap, astar_travel_time
 
@@ -60,7 +61,7 @@ class PlanNode:
 class PlannerProblem:
     """Inputs shared by every bound evaluation of one planning cycle."""
     team: dict[int, AgentContext]
-    tasks: dict[int, Task]                  # detected, not yet completed
+    tasks: dict[int, Task]                  # detected; those in `completed` are dropped
     relations: Sequence[TemporalRelation]
     grid: GridMap
     params: CommParams
@@ -79,6 +80,7 @@ class PlannerProblem:
             self.event_optimizer = self._default_event
         if not self.team:
             raise ValueError("team must be nonempty")
+        self.tasks = {t: task for t, task in self.tasks.items() if t not in self.completed}
         self.index = RelationIndex(self.relations)
         self.groups = {t: eligible_groups(task, self.team) for t, task in self.tasks.items()}
         # Concurrency-linked tasks must execute with overlapping intervals, so
@@ -142,12 +144,10 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
     out = []
     seen: set[int] = set()
     for t in sorted(problem.tasks):
-        if t in assigned or t in problem.completed or t in seen:
+        if t in assigned or t in seen:
             continue
         cluster = [m for m in problem.clusters[t] if m not in assigned]
         seen.update(cluster)
-        if any(m in problem.completed for m in cluster):
-            continue  # overlap with an already-finished partner is impossible
         cset = set(cluster)
         if all(member_ok(m, cset) for m in cluster):
             out.append(min(cluster))
@@ -217,9 +217,8 @@ def last_state(sequences: Mapping[int, Sequence[int]], timetable: Timetable,
 def build_plan(sequences: Mapping[int, Sequence[int]], groups: Mapping[int, tuple[int, ...]],
                problem: PlannerProblem) -> Optional[CollectivePlan]:
     """Schedule + event-optimize a candidate assignment; None when infeasible."""
-    plan = AssignedPlan({a: list(sequences.get(a, ())) for a in problem.team}, dict(groups))
     try:
-        timetable = schedule_min_makespan(plan, problem.tasks, problem.index,
+        timetable = schedule_min_makespan(sequences, groups, problem.tasks, problem.index,
                                           problem.grid, problem.team)
     except InfeasibleSchedule:
         return None
@@ -320,11 +319,9 @@ def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
     of capacity. The best count/time quotient over j dominates every
     descendant's achievable rate.
     """
-    plan = AssignedPlan({a: list(node.sequences.get(a, ())) for a in problem.team},
-                        dict(node.groups))
     try:
-        tt0 = schedule_min_makespan(plan, problem.tasks, problem.index, problem.grid,
-                                    problem.team, zero_travel=True, enforce_concurrency=False)
+        tt0 = schedule_min_makespan(node.sequences, node.groups, problem.tasks, problem.index,
+                                    problem.grid, problem.team, relaxed=True)
     except InfeasibleSchedule:
         return -math.inf  # constraint cycle: no descendant can schedule either
     count0 = len(node.groups)
@@ -332,7 +329,7 @@ def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
     rates = [count0 / floor0 if count0 and floor0 > 0 else 0.0]
 
     addable = [problem.tasks[t] for t in sorted(problem.tasks)
-               if t not in node.groups and t not in problem.completed and problem.groups[t]]
+               if t not in node.groups and problem.groups[t]]
     durs = sorted(t.duration for t in addable)
     works = sorted(t.duration * t.agents_required for t in addable)
     w_assigned = sum(problem.tasks[t].duration * problem.tasks[t].agents_required
@@ -353,7 +350,6 @@ class SearchStats:
     nodes_pruned: int = 0
     extraction_trace: list[tuple[float, Optional[float]]] = field(default_factory=list)
     incumbent_trace: list[float] = field(default_factory=list)
-    elapsed: float = 0.0
     keep_nodes: bool = False  # record nodes and both traces; off, they stay empty
     nodes: list[PlanNode] = field(default_factory=list)
 
@@ -400,27 +396,32 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
             return False
         return budget is None or (_time.monotonic() - t_start) < budget
 
-    incumbent = zero_task_plan(problem)
-    lb_star = incumbent.rate
-
-    next_node_id = itertools.count()
-    root = PlanNode(node_id=next(next_node_id), depth=0,
-                    sequences={a: () for a in problem.team}, groups={})
-    root_bound = low_bound(root, problem)
-    if root_bound is not None and root_bound.rate > lb_star:
-        incumbent = build_plan(root_bound.sequences, root_bound.groups, problem)
-        lb_star = root_bound.rate
-    root.lb = root_bound.rate if root_bound is not None else -math.inf
-    root.ub = up_bound(root, problem)
-    stats.nodes_generated += 1
-    if stats.keep_nodes:
-        stats.nodes.append(root)
-
+    fallback = zero_task_plan(problem)
+    lb_star = fallback.rate
+    best: Optional[Bound] = None  # the incumbent, once a bound beats the fallback
     # node_id is unique, so heap entries never compare their nodes.
     heap: list[tuple[float, int, int, PlanNode]] = []
-    if root.ub > lb_star:
-        heap.append((-root.ub, -root.depth, root.node_id, root))
 
+    def evaluate(node: PlanNode) -> bool:
+        """Bound the node, keep a better incumbent; True if the node is pushed."""
+        nonlocal best, lb_star
+        bound = low_bound(node, problem)
+        node.lb = -math.inf if bound is None else bound.rate
+        node.ub = up_bound(node, problem)
+        stats.nodes_generated += 1
+        if stats.keep_nodes:
+            stats.nodes.append(node)
+        if node.lb > lb_star:
+            best, lb_star = bound, node.lb
+        if node.ub > lb_star:
+            heapq.heappush(heap, (-node.ub, -node.depth, node.node_id, node))
+            return True
+        return False
+
+    next_node_id = itertools.count()
+    # Only children count in nodes_pruned; a root that is not pushed does not.
+    evaluate(PlanNode(node_id=next(next_node_id), depth=0,
+                      sequences={a: () for a in problem.team}, groups={}))
     while heap and time_left():
         if node_limit is not None and stats.nodes_expanded >= node_limit:
             break
@@ -438,18 +439,6 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
             for child in expand_node(node, rep, problem, lambda: next(next_node_id)):
                 if not time_left():
                     break
-                child_bound = low_bound(child, problem)
-                child.lb = child_bound.rate if child_bound is not None else -math.inf
-                child.ub = up_bound(child, problem)
-                stats.nodes_generated += 1
-                if stats.keep_nodes:
-                    stats.nodes.append(child)
-                if child_bound is not None and child_bound.rate > lb_star:
-                    incumbent = build_plan(child_bound.sequences, child_bound.groups, problem)
-                    lb_star = child_bound.rate
-                if child.ub > lb_star:
-                    heapq.heappush(heap, (-child.ub, -child.depth, child.node_id, child))
-                else:
+                if not evaluate(child):
                     stats.nodes_pruned += 1
-    stats.elapsed = _time.monotonic() - t_start
-    return incumbent
+    return fallback if best is None else build_plan(best.sequences, best.groups, problem)

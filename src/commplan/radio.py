@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .workspace import GridMap, Position, los_obstacle_length
 
@@ -94,22 +94,11 @@ class CommGraph:
     edges: frozenset[tuple[int, int]]  # pairs stored as (min_id, max_id)
 
 
-def comm_graph(positions: Mapping[int, Position] | Sequence[Position], grid: GridMap,
+def comm_graph(positions: Mapping[int, Position], grid: GridMap,
                params: CommParams) -> CommGraph:
     """Graph over agent ids with an edge wherever quality > threshold."""
-    if isinstance(positions, Mapping):
-        items = sorted(positions.items())
-    else:
-        items = list(enumerate(positions))
-    ids = tuple(i for i, _ in items)
-    edges = set()
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            i, p_i = items[a]
-            j, p_j = items[b]
-            if linked(p_i, p_j, grid, params):
-                edges.add((min(i, j), max(i, j)))
-    return CommGraph(nodes=ids, edges=frozenset(edges))
+    return CommGraph(nodes=tuple(sorted(positions)),
+                     edges=frozenset(update_links(set(), {}, positions, grid, params)))
 
 
 def is_connected(g: CommGraph) -> bool:

@@ -217,18 +217,20 @@ def generate_tasks(spec: GeneratorSpec, seed: int, grid: GridMap, start_id: int 
 
 def _parse_generator(raw: dict, errors: list[str]) -> Optional[GeneratorSpec]:
     try:
-        phases = [Phase(float(p["start"]), float(p["end"]), p["spatial"], p["temporal"])
-                  for p in raw.get("phases", [])]
+        n_errors = len(errors)
+        phases = [Phase(_number(p["start"], f"generator.phases[{i}].start", errors),
+                        _number(p["end"], f"generator.phases[{i}].end", errors),
+                        p["spatial"], p["temporal"])
+                  for i, p in enumerate(raw.get("phases", []))]
         opts = {k: v for k, v in raw.items() if k != "phases"}
         if "duration_range" in opts:
             opts["duration_range"] = tuple(opts["duration_range"])
         if "requirement_options" in opts:
-            n_errors = len(errors)
             opts["requirement_options"] = tuple(
                 _requirements(option, "generator.requirement_options", errors)
                 for option in opts["requirement_options"])
-            if len(errors) > n_errors:
-                return None
+        if len(errors) > n_errors:
+            return None
         return GeneratorSpec(phases=phases, **opts)
     except ScenarioError as exc:  # names its field already
         errors.append(str(exc))
@@ -412,8 +414,16 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
             if not (ids_ok and sorted(order) == sorted(a.id for a in agents)):
                 errors.append("strategy.ring_order: must list each agent id once, as integers")
             s["ring_order"] = tuple(order) if ids_ok else None
+        if s.get("interval") is not None:
+            _number(s["interval"], "strategy.interval", errors, above=0.0)
+        threshold_n = s.get("threshold_n")
+        if threshold_n is not None and not (_is_int(threshold_n) and threshold_n >= 1):
+            errors.append("strategy.threshold_n: must be an integer >= 1")
+        leader = s.get("leader")
+        if leader is not None and not _is_int(leader):
+            errors.append("strategy.leader: must be an integer agent id")
         strategy = StrategyConfig(**s)
-        if strategy.kind == "frdt" and strategy.leader not in {a.id for a in agents}:
+        if strategy.kind == "frdt" and _is_int(leader) and leader not in {a.id for a in agents}:
             errors.append("strategy.leader: unknown agent id")
     except (TypeError, ValueError) as exc:
         errors.append(f"strategy: {exc}")

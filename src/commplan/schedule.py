@@ -43,15 +43,6 @@ class AgentContext:
 
 
 @dataclass
-class AssignedPlan:
-    sequences: dict[int, list[int]]        # agent id -> ordered task ids
-    groups: dict[int, tuple[int, ...]]     # task id -> sorted agent ids
-
-    def assigned_ids(self) -> set[int]:
-        return set(self.groups)
-
-
-@dataclass
 class Timetable:
     intervals: dict[int, ExecutionInterval]
     makespan: float
@@ -127,27 +118,30 @@ def _longest_path(task_ids: list[int], source_bound: dict[int, float],
     return start
 
 
-def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
+def schedule_min_makespan(sequences: Mapping[int, Sequence[int]],
+                          groups: Mapping[int, tuple[int, ...]], tasks: Mapping[int, Task],
                           index: RelationIndex, grid: GridMap,
                           team: Mapping[int, AgentContext], *,
-                          zero_travel: bool = False,
-                          enforce_concurrency: bool = True) -> Timetable:
+                          relaxed: bool = False) -> Timetable:
     """Timetable with minimal makespan for the given assignment and orders.
+
+    `sequences` maps agent -> ordered task ids, `groups` task -> its agents.
+    `relaxed` drops travel and concurrency, for the planner's upper bound.
 
     Raises CapabilityError when a group cannot cover its task and
     InfeasibleSchedule when constraints are cyclic or a concurrency relation
     cannot hold under earliest starts.
     """
-    assigned = plan.assigned_ids()
+    assigned = set(groups)
     holders: dict[int, list[int]] = {}
-    for agent_id, seq in plan.sequences.items():
+    for agent_id, seq in sequences.items():
         if len(seq) != len(set(seq)):
             raise ValueError(f"agent {agent_id}: a task appears twice in its sequence")
         for tid in seq:
             holders.setdefault(tid, []).append(agent_id)
     if holders.keys() != assigned:
         raise ValueError("sequences and groups disagree on the assigned task set")
-    for tid, group in plan.groups.items():
+    for tid, group in groups.items():
         if sorted(holders[tid]) != sorted(group):
             raise ValueError(f"task {tid}: group does not match the sequences")
         if not group_covers(tasks[tid], group, team):
@@ -160,8 +154,8 @@ def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
     # Chain and source constraints from each agent's sequence.
     source_bound: dict[int, float] = {}
     chain_edges: list[tuple[int, int, float]] = []
-    for agent_id in sorted(plan.sequences):
-        seq = plan.sequences[agent_id]
+    for agent_id in sorted(sequences):
+        seq = sequences[agent_id]
         if not seq:
             continue
         ctx = team[agent_id]
@@ -170,7 +164,7 @@ def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
         clock = ctx.ready_time
         for tid in seq:
             target = tasks[tid].region_center
-            travel = 0.0 if zero_travel else astar_travel_time(pos, target, grid, ctx.v_max)
+            travel = 0.0 if relaxed else astar_travel_time(pos, target, grid, ctx.v_max)
             if prev is None:
                 bound = ctx.ready_time + travel
                 source_bound[tid] = max(source_bound.get(tid, 0.0), bound)
@@ -197,7 +191,7 @@ def schedule_min_makespan(plan: AssignedPlan, tasks: Mapping[int, Task],
         return _longest_path(task_ids, source_bound, edges)
 
     def conc_ok(starts: dict[int, float]) -> bool:
-        if not enforce_concurrency:
+        if relaxed:
             return True
         # Overlap must leave a margin so tick-quantized execution cannot
         # squeeze the intersection shut at runtime.

@@ -284,13 +284,12 @@ class GreedyController:
             return None
         if any(sim.task_state.get(p) != "done" for p in sim.index.preds.get(tid, ())):
             return None
-        slots = [(n, a) for n, a in task.requirements]
         needed = task.agents_required
         if needed > len(agents):
             return None
         candidates = []
         if needed == 1:
-            action = slots[0][1]
+            action = task.requirements[0][1]
             for a in agents:
                 if action in sim.agents[a].capabilities:
                     travel = astar_travel_time(sim.agents[a].position, task.region_center,
@@ -336,17 +335,13 @@ class GreedyController:
                     continue
                 if sim.task_state.get(a) != "pending" or sim.task_state.get(b) != "pending":
                     continue
-                g_a = self._claimable(sim, a, (pair[0],))
-                g_b = self._claimable(sim, b, (pair[1],))
-                if g_a and g_b:
-                    sim.assign(a, g_a)
-                    sim.assign(b, g_b)
-                    continue
-                g_a = self._claimable(sim, a, (pair[1],))
-                g_b = self._claimable(sim, b, (pair[0],))
-                if g_a and g_b:
-                    sim.assign(a, g_a)
-                    sim.assign(b, g_b)
+                for agent_a, agent_b in (pair, pair[::-1]):
+                    g_a = self._claimable(sim, a, (agent_a,))
+                    g_b = self._claimable(sim, b, (agent_b,))
+                    if g_a and g_b:
+                        sim.assign(a, g_a)
+                        sim.assign(b, g_b)
+                        break
 
 
 def make_controller(cfg: StrategyConfig, options: Optional[PlannerOptions] = None):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,27 @@ def random_connected_grid(rng: random.Random, width=10, height=10, density=0.12)
             frontier = nxt
         if len(seen) == len(fset):
             return grid
+
+
+def criterion7_instance():
+    """Acceptance criterion 7's planning input: 10 agents and 18 tasks on subt.map."""
+    grid = parse_grid((Path(__file__).parent / "data" / "subt.map").read_text())
+    rng = random.Random(4242)
+    free = grid.free_cells()
+    team = {}
+    cells = rng.sample([c for c in free if c[1] < 12], 10)
+    caps = [frozenset({"work"}), frozenset({"work", "aux"})]
+    for i, c in enumerate(cells):
+        team[i] = AgentContext(i, grid.center(c), 0.0, 2.0, caps[i % 2])
+    tasks = {}
+    for t in range(18):
+        c = grid.center(rng.choice(free))
+        req = ((1, "work"),) if t % 4 else ((2, "work"),)
+        tasks[t] = Task(t, c, 1.0, rng.uniform(5.0, 20.0), req)
+    rels = [TemporalRelation(0, 1, RelationKind.PRECEDENCE),
+            TemporalRelation(4, 7, RelationKind.PRECEDENCE),
+            TemporalRelation(9, 12, RelationKind.MUTEX)]
+    return grid, team, tasks, rels
 
 
 def random_planner_instance(rng: random.Random, max_agents=3, max_tasks=5):

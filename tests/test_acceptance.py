@@ -18,15 +18,15 @@ from commplan.meeting import AgentFinish, LastTaskState, all_gather_event, com_o
 from commplan.planner import PlannerProblem, SearchStats, cocoplan
 from commplan.radio import CommParams, comm_graph, is_connected, quality
 from commplan.scenario import load_scenario
-from commplan.schedule import AgentContext
 from commplan.simulator import AgentState, Simulator
 from commplan.strategies import PlannerOptions, StrategyConfig, make_controller
 from commplan.tasks import (ExecutionInterval, RelationKind, Task, TemporalRelation,
                             check_schedule, relations_between)
 from commplan.workspace import Position, astar_travel_time, parse_grid
 
-from conftest import (empty_grid, enumerate_candidate_plans, exhaustive_best_rate,
-                      grid_from_rows, random_connected_grid, random_planner_instance)
+from conftest import (criterion7_instance, empty_grid, enumerate_candidate_plans,
+                      exhaustive_best_rate, grid_from_rows, random_connected_grid,
+                      random_planner_instance)
 
 DATA = Path(__file__).parent / "data"
 DESK = DATA / "desk_scenario.json"
@@ -254,22 +254,7 @@ def test_criterion_6_fimr_interval_exactness():
 
 
 def test_criterion_7_runtime_envelope():
-    grid = parse_grid((DATA / "subt.map").read_text())
-    rng = random.Random(4242)
-    free = grid.free_cells()
-    team = {}
-    cells = rng.sample([c for c in free if c[1] < 12], 10)
-    caps = [frozenset({"work"}), frozenset({"work", "aux"})]
-    for i, c in enumerate(cells):
-        team[i] = AgentContext(i, grid.center(c), 0.0, 2.0, caps[i % 2])
-    tasks = {}
-    for t in range(18):
-        c = grid.center(rng.choice(free))
-        req = ((1, "work"),) if t % 4 else ((2, "work"),)
-        tasks[t] = Task(t, c, 1.0, rng.uniform(5.0, 20.0), req)
-    rels = [TemporalRelation(0, 1, RelationKind.PRECEDENCE),
-            TemporalRelation(4, 7, RelationKind.PRECEDENCE),
-            TemporalRelation(9, 12, RelationKind.MUTEX)]
+    grid, team, tasks, rels = criterion7_instance()
     stats = SearchStats()
     t0 = time.monotonic()
     plan = cocoplan(team, tasks, rels, grid, CommParams(), budget=15.0, stats=stats)

@@ -153,7 +153,15 @@ def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value
     ("strategy", {"kind": "ring", "ring_order": [0, 1, 7]}, "strategy.ring_order:"),
     ("strategy", {"kind": "ring", "ring_order": [1]}, "strategy.ring_order:"),
     ("strategy", {"kind": "ring", "ring_order": [0, 0, 1]}, "strategy.ring_order:"),
-    ("strategy", {"kind": "ring", "ring_order": "01"}, "strategy.ring_order:")])
+    ("strategy", {"kind": "ring", "ring_order": "01"}, "strategy.ring_order:"),
+    ("strategy", {"kind": "fimr", "interval": "x"}, "strategy.interval:"),
+    ("strategy", {"kind": "fimr", "interval": -5}, "strategy.interval:"),
+    ("strategy", {"kind": "fimr", "interval": math.nan}, "strategy.interval:"),
+    ("strategy", {"kind": "fix", "threshold_n": "x"}, "strategy.threshold_n:"),
+    ("strategy", {"kind": "fix", "threshold_n": 1.5}, "strategy.threshold_n:"),
+    ("strategy", {"kind": "fix", "threshold_n": 0}, "strategy.threshold_n:"),
+    ("strategy", {"kind": "frdt", "leader": True}, "strategy.leader:"),
+    ("strategy", {"kind": "frdt", "leader": "0"}, "strategy.leader:")])
 def test_cli_bad_relation_or_ring_order_exit_code(tmp_path, capsys, command, section, value,
                                                   message):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
@@ -192,7 +200,15 @@ def test_cli_bad_sensor_range_exit_code(tmp_path, capsys, command, value):
     ("duration_range", [0, 4.0], "generator.duration_range:"),
     ("rate", 1e9, "arrivals, at most"),
     ("phases", [{"start": 0.0, "end": "nan", "spatial": "uniform", "temporal": "uniform"}],
-     "finite phase bounds")])
+     "generator.phases[0].end:"),
+    ("phases", [{"start": "0", "end": 50.0, "spatial": "uniform", "temporal": "uniform"}],
+     "generator.phases[0].start:"),
+    ("phases", [{"start": 0.0, "end": "50", "spatial": "uniform", "temporal": "uniform"}],
+     "generator.phases[0].end:"),
+    ("phases", [{"start": False, "end": 50.0, "spatial": "uniform", "temporal": "uniform"}],
+     "generator.phases[0].start:"),
+    ("phases", [{"start": 0.0, "end": True, "spatial": "uniform", "temporal": "uniform"}],
+     "generator.phases[0].end:")])
 def test_cli_bad_generator_field_exit_code(tmp_path, capsys, command, field, value, message):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
     raw = small_raw()

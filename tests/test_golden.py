@@ -1,9 +1,9 @@
 """Behaviour pin: the desk scenario's trial-0 event log for every strategy,
-and greedy on the 10-agent subt scenario.
+greedy on the 10-agent subt scenario, and the criterion-7 plan.
 
 The hash is the sha256 of the newline-joined `SimEvent.line()`s. A change to
-it is a change in what the system computes and must be explained when it is
-updated.
+a pinned value is a change in what the system computes and must be explained
+when it is updated.
 """
 
 import hashlib
@@ -12,9 +12,13 @@ from pathlib import Path
 import pytest
 
 from commplan.experiment import run_trial
+from commplan.planner import cocoplan
+from commplan.radio import CommParams
 from commplan.scenario import load_scenario
 from commplan.strategies import StrategyConfig
 from commplan.workspace import Position
+
+from conftest import criterion7_instance
 
 DATA = Path(__file__).parent / "data"
 DESK = DATA / "desk_scenario.json"
@@ -37,6 +41,9 @@ DESK_TRIAL0_SHA256 = {
 }
 # The same scenario as perfbench's subt10-greedy workload; 1,033 events.
 SUBT10_GREEDY_TRIAL0_SHA256 = "5e82bed4d463f74b901e2d486d2725d60122dee422aa5378066cb8d039a35f87"
+# Criterion 7's 10-agent instance searched until 300 nodes are generated.
+CRITERION7_RATE = 0.1452596131931247
+CRITERION7_GROUPS = {3: (5,), 4: (0, 4), 5: (0,), 7: (1,), 9: (4,), 15: (7,)}
 
 
 def _trial0_digest(cfg, strategy=None) -> str:
@@ -61,3 +68,10 @@ def test_subt10_greedy_trial0_log_hash():
     cfg = load_scenario(SUBT10_GREEDY)
     assert cfg.strategy.kind == "greedy"
     assert _trial0_digest(cfg) == SUBT10_GREEDY_TRIAL0_SHA256
+
+
+def test_criterion7_plan_at_300_generated_nodes():
+    grid, team, tasks, rels = criterion7_instance()
+    plan = cocoplan(team, tasks, rels, grid, CommParams(), generated_limit=300)
+    assert plan.rate == CRITERION7_RATE
+    assert plan.groups == CRITERION7_GROUPS

@@ -103,6 +103,22 @@ def test_concurrency_cluster_gating_until_partner_known():
     assert get_feasible_tasks(frozenset(), problem2) == [1]
 
 
+def test_completed_tasks_are_never_planned():
+    grid = empty_grid(20, 6)
+    team = {0: ctx(0, 0.5, 0.5), 1: ctx(1, 2.5, 0.5)}
+    tasks = {t: task(t, 2.5 * t, 2.5, 3.0) for t in range(1, 5)}
+    # 2 is done; 3 must overlap it, so it can never run; 4 only had to follow it.
+    rels = [TemporalRelation(2, 3, RelationKind.CONCURRENCY),
+            TemporalRelation(2, 4, RelationKind.PRECEDENCE)]
+    done = frozenset({2})
+    problem = PlannerProblem(team=team, tasks=tasks, relations=rels, grid=grid,
+                             params=CommParams(), now=0.0, completed=done)
+    assert sorted(problem.tasks) == [1, 3, 4]
+    assert get_feasible_tasks(frozenset(), problem) == [1, 4]
+    plan = cocoplan(team, tasks, rels, grid, CommParams(), completed=done)
+    assert plan.task_count() > 0 and not {2, 3} & set(plan.groups)
+
+
 def test_expand_node_group_enumeration():
     grid = empty_grid()
     team = {0: ctx(0, 0.5, 0.5), 1: ctx(1, 2.5, 0.5), 2: ctx(2, 4.5, 0.5)}
@@ -310,49 +326,32 @@ def test_cocoplan_returns_a_fresh_build_of_its_plan():
 
 
 def test_cocoplan_schedules_each_candidate_once(monkeypatch):
-    """Only a rebuild of a new incumbent may schedule a sequence key again."""
-    schedule, build = planner.schedule_min_makespan, planner.build_plan
+    """Only the returned plan's sequences may be scheduled twice: once when
+    scored and once when built on return."""
+    schedule = planner.schedule_min_makespan
     scheduled: list[tuple] = []
-    built: list[tuple] = []
 
     def key_of(sequences, team):
         return tuple(tuple(sequences.get(a, ())) for a in team)
 
-    def counting_schedule(plan, tasks, relations, grid, team, **kwargs):
-        if not kwargs.get("zero_travel"):
-            scheduled.append(key_of(plan.sequences, team))
-        return schedule(plan, tasks, relations, grid, team, **kwargs)
-
-    def recording_build(sequences, groups, problem):
-        plan = build(sequences, groups, problem)
-        built.append((key_of(sequences, problem.team), plan))
-        return plan
+    def counting_schedule(sequences, groups, tasks, relations, grid, team, **kwargs):
+        if not kwargs.get("relaxed"):
+            scheduled.append(key_of(sequences, team))
+        return schedule(sequences, groups, tasks, relations, grid, team, **kwargs)
 
     monkeypatch.setattr(planner, "schedule_min_makespan", counting_schedule)
-    monkeypatch.setattr(planner, "build_plan", recording_build)
     rng = random.Random(24)
-    total = 0
+    total = twice = 0
     for _ in range(10):
         grid, team, tasks, rels = random_planner_instance(rng)
         scheduled.clear()
-        built.clear()
         plan = cocoplan(team, tasks, rels, grid, CommParams())
-        counts = Counter(scheduled)
-        assert max(counts.values()) <= 2
-        seen: set[tuple] = set()
-        rebuilds = []
-        for key, result in built:
-            if key in seen:
-                rebuilds.append((key, result))
-            seen.add(key)
-        assert {k for k, n in counts.items() if n == 2} == {k for k, _ in rebuilds}
-        # rebuilds are exactly the successive incumbents, the last one returned
-        rates = [result.rate for _, result in rebuilds]
-        assert all(a < b for a, b in zip(rates, rates[1:]))
-        if rebuilds:
-            assert rebuilds[-1][1] is plan
+        repeated = [k for k, n in Counter(scheduled).items() if n > 1]
+        assert repeated in ([], [key_of(plan.sequences, team)])
+        assert all(n <= 2 for n in Counter(scheduled).values())
         total += len(scheduled)
-    assert total >= 100
+        twice += len(repeated)
+    assert total >= 100 and twice > 0
 
 
 def test_related_to_assigned_matches_relation_scan():

@@ -65,16 +65,16 @@ def test_params_validation():
 def test_edge_rule_is_strict():
     grid = empty_grid(14, 6)
     p = CommParams()  # free-space quality at exactly 10 m is exactly the -40 threshold
-    g = comm_graph([Position(1, 1), Position(11, 1)], grid, p)
+    g = comm_graph(dict(enumerate([Position(1, 1), Position(11, 1)])), grid, p)
     assert g.edges == frozenset()
-    g2 = comm_graph([Position(1, 1), Position(10.9, 1)], grid, p)
+    g2 = comm_graph(dict(enumerate([Position(1, 1), Position(10.9, 1)])), grid, p)
     assert (0, 1) in g2.edges
 
 
 def test_coincident_agents_form_complete_graph():
     grid = empty_grid()
     p = CommParams()
-    g = comm_graph([Position(2, 2)] * 4, grid, p)
+    g = comm_graph(dict(enumerate([Position(2, 2)] * 4)), grid, p)
     assert len(g.edges) == 6
     assert is_connected(g)
 
@@ -83,7 +83,7 @@ def test_line_of_agents_forms_path_graph():
     grid = empty_grid(40, 4)
     p = CommParams()
     positions = [Position(1 + 9 * k, 1) for k in range(4)]
-    g = comm_graph(positions, grid, p)
+    g = comm_graph(dict(enumerate(positions)), grid, p)
     want = set()
     for i, j in itertools.combinations(range(4), 2):
         if quality(positions[i], positions[j], grid, p) > p.threshold:
@@ -97,7 +97,7 @@ def test_permutation_equivariance():
     grid = empty_grid(30, 30)
     pts = [Position(rng.uniform(0, 29), rng.uniform(0, 29)) for _ in range(6)]
     p = CommParams()
-    base = comm_graph(pts, grid, p)
+    base = comm_graph(dict(enumerate(pts)), grid, p)
     perm = list(range(6))
     rng.shuffle(perm)
     permuted = comm_graph({perm[i]: pts[i] for i in range(6)}, grid, p)

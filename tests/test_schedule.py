@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from commplan.schedule import (AgentContext, AssignedPlan, CapabilityError,
-                               InfeasibleSchedule, eligible_groups, group_covers,
-                               schedule_min_makespan)
+from commplan.schedule import (AgentContext, CapabilityError, InfeasibleSchedule,
+                               eligible_groups, group_covers, schedule_min_makespan)
 from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position, astar_travel_time
 
@@ -26,7 +25,7 @@ def test_single_chain_travel_then_duration():
     grid = empty_grid(20, 4)
     team = {0: ctx(0, 0.5, 0.5)}
     tasks = {1: task(1, 2.5, 0.5, 10.0)}
-    tt = schedule_min_makespan(AssignedPlan({0: [1]}, {1: (0,)}), tasks, NO_RELATIONS, grid, team)
+    tt = schedule_min_makespan({0: [1]}, {1: (0,)}, tasks, NO_RELATIONS, grid, team)
     assert tt.intervals[1].start == pytest.approx(2.0)
     assert tt.intervals[1].finish == pytest.approx(12.0)
 
@@ -35,7 +34,7 @@ def test_two_task_chain_example():
     grid = empty_grid(20, 4)
     team = {0: ctx(0, 0.5, 0.5)}
     tasks = {1: task(1, 2.5, 0.5, 10.0), 2: task(2, 5.5, 0.5, 5.0)}
-    tt = schedule_min_makespan(AssignedPlan({0: [1, 2]}, {1: (0,), 2: (0,)}), tasks, NO_RELATIONS, grid, team)
+    tt = schedule_min_makespan({0: [1, 2]}, {1: (0,), 2: (0,)}, tasks, NO_RELATIONS, grid, team)
     assert tt.intervals[1].finish == pytest.approx(12.0)
     assert tt.intervals[2].finish == pytest.approx(20.0)
     assert tt.makespan == pytest.approx(20.0)
@@ -45,7 +44,7 @@ def test_synchronized_start_waits_for_all_agents():
     grid = empty_grid(20, 4)
     team = {0: ctx(0, 4.5, 0.5, v=1.0), 1: ctx(1, 9.5, 0.5, v=1.0)}
     tasks = {1: task(1, 0.5, 0.5, 3.0, reqs=((2, "work"),))}
-    tt = schedule_min_makespan(AssignedPlan({0: [1], 1: [1]}, {1: (0, 1)}), tasks, NO_RELATIONS, grid, team)
+    tt = schedule_min_makespan({0: [1], 1: [1]}, {1: (0, 1)}, tasks, NO_RELATIONS, grid, team)
     assert tt.intervals[1].start == pytest.approx(9.0)  # later arrival wins
 
 
@@ -54,7 +53,7 @@ def test_capability_violation_raises():
     team = {0: ctx(0, 0.5, 0.5, caps=("scan",))}
     tasks = {1: task(1, 2.5, 0.5, 5.0, reqs=((1, "lift"),))}
     with pytest.raises(CapabilityError):
-        schedule_min_makespan(AssignedPlan({0: [1]}, {1: (0,)}), tasks, NO_RELATIONS, grid, team)
+        schedule_min_makespan({0: [1]}, {1: (0,)}, tasks, NO_RELATIONS, grid, team)
 
 
 def test_cyclic_precedence_infeasible():
@@ -64,7 +63,7 @@ def test_cyclic_precedence_infeasible():
     rels = [TemporalRelation(1, 2, RelationKind.PRECEDENCE),
             TemporalRelation(2, 1, RelationKind.PRECEDENCE)]
     with pytest.raises(InfeasibleSchedule):
-        schedule_min_makespan(AssignedPlan({0: [1], 1: [2]}, {1: (0,), 2: (1,)}),
+        schedule_min_makespan({0: [1], 1: [2]}, {1: (0,), 2: (1,)},
                               tasks, RelationIndex(rels), grid, team)
 
 
@@ -96,19 +95,19 @@ def test_group_cover_refuses_repeated_ids_and_partial_cover():
     assert not group_covers(multi, (0, 1), team)
 
 
-def _oracle_min_makespan(plan, tasks, relations, grid, team):
+def _oracle_min_makespan(sequences, groups, tasks, relations, grid, team):
     """Enumerate every mutex orientation; longest path by repeated relaxation."""
-    assigned = sorted(plan.groups)
+    assigned = sorted(groups)
     prec = [(r.first, r.second) for r in relations
-            if r.kind is RelationKind.PRECEDENCE and r.first in plan.groups and r.second in plan.groups]
+            if r.kind is RelationKind.PRECEDENCE and r.first in groups and r.second in groups]
     mutex = [(r.first, r.second) for r in relations
-             if r.kind is RelationKind.MUTEX and r.first in plan.groups and r.second in plan.groups]
+             if r.kind is RelationKind.MUTEX and r.first in groups and r.second in groups]
     conc = [(r.first, r.second) for r in relations
-            if r.kind is RelationKind.CONCURRENCY and r.first in plan.groups and r.second in plan.groups]
+            if r.kind is RelationKind.CONCURRENCY and r.first in groups and r.second in groups]
 
     base_edges = []
     lower = {t: 0.0 for t in assigned}
-    for aid, seq in plan.sequences.items():
+    for aid, seq in sequences.items():
         pos = team[aid].position
         for i, t in enumerate(seq):
             travel = astar_travel_time(pos, tasks[t].region_center, grid, team[aid].v_max)
@@ -179,10 +178,9 @@ def test_makespan_matches_exhaustive_orientation_oracle():
         for p, q in pairs[:rng.randint(0, 2)]:
             rels.append(TemporalRelation(p, q, rng.choice([RelationKind.PRECEDENCE,
                                                            RelationKind.MUTEX])))
-        plan = AssignedPlan(seqs, groups)
-        want = _oracle_min_makespan(plan, tasks, rels, grid, team)
+        want = _oracle_min_makespan(seqs, groups, tasks, rels, grid, team)
         try:
-            tt = schedule_min_makespan(plan, tasks, RelationIndex(rels), grid, team)
+            tt = schedule_min_makespan(seqs, groups, tasks, RelationIndex(rels), grid, team)
             got = tt.makespan
         except InfeasibleSchedule:
             got = None
@@ -208,8 +206,7 @@ def test_schedule_passes_check_schedule():
         rels = [TemporalRelation(0, 2, RelationKind.MUTEX),
                 TemporalRelation(1, 3, RelationKind.PRECEDENCE)]
         try:
-            tt = schedule_min_makespan(AssignedPlan(seqs, groups), tasks, RelationIndex(rels),
-                                       grid, team)
+            tt = schedule_min_makespan(seqs, groups, tasks, RelationIndex(rels), grid, team)
         except InfeasibleSchedule:
             continue
         ok, bad = check_schedule(tt.interval_list(), rels)
@@ -223,15 +220,16 @@ def test_makespan_monotone_in_appended_tasks():
     mk = []
     for upto in (1, 2, 3):
         seq = list(range(1, upto + 1))
-        plan = AssignedPlan({0: seq}, {t: (0,) for t in seq})
-        mk.append(schedule_min_makespan(plan, tasks, NO_RELATIONS, grid, team).makespan)
+        groups = {t: (0,) for t in seq}
+        tt = schedule_min_makespan({0: seq}, groups, tasks, NO_RELATIONS, grid, team)
+        mk.append(tt.makespan)
     assert mk[0] <= mk[1] <= mk[2]
 
 
 def test_empty_plan_schedules_to_zero():
     grid = empty_grid()
     team = {0: ctx(0, 0.5, 0.5)}
-    tt = schedule_min_makespan(AssignedPlan({0: []}, {}), {}, NO_RELATIONS, grid, team)
+    tt = schedule_min_makespan({0: []}, {}, {}, NO_RELATIONS, grid, team)
     assert tt.makespan == 0.0
     assert tt.intervals == {}
 
@@ -256,7 +254,7 @@ def _mutex_instance(seed):
     pairs = rng.sample(list(itertools.combinations(sorted(tasks), 2)), 4)
     rels = [TemporalRelation(*((p, q) if rng.random() < 0.5 else (q, p)), RelationKind.MUTEX)
             for p, q in pairs]
-    return grid, team, tasks, AssignedPlan(seqs, groups), rels, rng
+    return grid, team, tasks, seqs, groups, rels, rng
 
 
 def test_starts_do_not_depend_on_relation_order():
@@ -264,13 +262,13 @@ def test_starts_do_not_depend_on_relation_order():
     # mutex orientations follow the order the relations are listed in.
     def starts(rels):
         try:
-            tt = schedule_min_makespan(plan, tasks, RelationIndex(rels), grid, team)
+            tt = schedule_min_makespan(seqs, groups, tasks, RelationIndex(rels), grid, team)
         except InfeasibleSchedule:
             return None
         return {t: iv.start for t, iv in tt.intervals.items()}
 
     for seed in range(200):
-        grid, team, tasks, plan, rels, rng = _mutex_instance(seed)
+        grid, team, tasks, seqs, groups, rels, rng = _mutex_instance(seed)
         want = starts(rels)
         for _ in range(6):
             rng.shuffle(rels)

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .meeting import AgentFinish, CommEvent, LastTaskState, com_opt, com_opt_fast
 from .radio import CommParams, comm_graph, is_connected
-from .schedule import (AgentContext, InfeasibleSchedule, Timetable, eligible_groups,
+from .schedule import (AgentContext, InfeasibleSchedule, Timetable, eligible_groups, groups_of,
                        schedule_min_makespan)
 from .tasks import RelationIndex, Task, TemporalRelation
 from .workspace import GridMap, astar_travel_time
@@ -35,13 +35,17 @@ IMPROVEMENT_EPS = 1e-9
 @dataclass
 class CollectivePlan:
     sequences: dict[int, tuple[int, ...]]   # agent -> ordered task ids
-    groups: dict[int, tuple[int, ...]]      # task -> agent group
     timetable: Timetable
     event: CommEvent
     rate: float
 
+    @property
+    def groups(self) -> dict[int, tuple[int, ...]]:
+        """Task -> the agents whose sequences hold it."""
+        return groups_of(self.sequences)
+
     def task_count(self) -> int:
-        return len(self.groups)
+        return len(self.timetable.intervals)
 
 
 @dataclass
@@ -49,12 +53,11 @@ class PlanNode:
     node_id: int
     depth: int
     sequences: dict[int, tuple[int, ...]]
-    groups: dict[int, tuple[int, ...]]
     lb: float = -math.inf
     ub: float = math.inf
 
     def assigned(self) -> frozenset[int]:
-        return frozenset(self.groups)
+        return frozenset().union(*self.sequences.values())
 
 
 @dataclass
@@ -102,17 +105,15 @@ class PlannerProblem:
                 return CommEvent(self.now, positions)
         return com_opt_fast(last, self.grid, self.params)
 
-    def rate_for(self, sequences: Mapping[int, Sequence[int]],
-                 groups: Mapping[int, tuple[int, ...]]) -> Optional[float]:
-        """Rate of `build_plan(sequences, groups, self)`, None when that is None.
+    def rate_for(self, sequences: Mapping[int, Sequence[int]]) -> Optional[float]:
+        """Rate of `build_plan(sequences, self)`, None when that is None.
 
-        Each candidate is built once per cycle. The key is the per-agent
-        sequences in team order: schedule_min_makespan requires every group
-        to equal the holders of its task, so the sequences determine it.
+        Each candidate is built once per cycle, keyed by the per-agent
+        sequences in team order.
         """
         key = tuple(tuple(sequences.get(a, ())) for a in self.team)
         if key not in self._rates:
-            plan = build_plan(sequences, groups, self)
+            plan = build_plan(sequences, self)
             self._rates[key] = None if plan is None else plan.rate
         return self._rates[key]
 
@@ -172,17 +173,15 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
     Multi-task clusters always use interior insertion so every relative
     placement of the jointly added members stays reachable.
     """
-    cluster = sorted(m for m in problem.clusters[task_id] if m not in node.groups)
-    interior = (len(cluster) > 1
-                or _related_to_assigned(cluster, node.assigned(), problem.index))
+    assigned = node.assigned()
+    cluster = sorted(m for m in problem.clusters[task_id] if m not in assigned)
+    interior = len(cluster) > 1 or _related_to_assigned(cluster, assigned, problem.index)
     children: list[PlanNode] = []
 
-    def place(idx: int, seqs: dict[int, list[int]], groups: dict[int, tuple[int, ...]]):
+    def place(idx: int, seqs: dict[int, list[int]]):
         if idx == len(cluster):
-            children.append(PlanNode(
-                node_id=next_id(), depth=node.depth + 1,
-                sequences={a: tuple(s) for a, s in seqs.items()},
-                groups=dict(groups)))
+            children.append(PlanNode(node_id=next_id(), depth=node.depth + 1,
+                                     sequences={a: tuple(s) for a, s in seqs.items()}))
             return
         t = cluster[idx]
         for group in problem.groups[t]:
@@ -191,11 +190,9 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
                 new_seqs = {a: list(s) for a, s in seqs.items()}
                 for a, pos in zip(group, combo):
                     new_seqs[a].insert(pos, t)
-                new_groups = dict(groups)
-                new_groups[t] = group
-                place(idx + 1, new_seqs, new_groups)
+                place(idx + 1, new_seqs)
 
-    place(0, {a: list(s) for a, s in node.sequences.items()}, dict(node.groups))
+    place(0, {a: list(s) for a, s in node.sequences.items()})
     return children
 
 
@@ -214,31 +211,28 @@ def last_state(sequences: Mapping[int, Sequence[int]], timetable: Timetable,
     return LastTaskState(finishes)
 
 
-def build_plan(sequences: Mapping[int, Sequence[int]], groups: Mapping[int, tuple[int, ...]],
+def build_plan(sequences: Mapping[int, Sequence[int]],
                problem: PlannerProblem) -> Optional[CollectivePlan]:
     """Schedule + event-optimize a candidate assignment; None when infeasible."""
     try:
-        timetable = schedule_min_makespan(sequences, groups, problem.tasks, problem.index,
+        timetable = schedule_min_makespan(sequences, problem.tasks, problem.index,
                                           problem.grid, problem.team)
     except InfeasibleSchedule:
         return None
     event = problem.event_optimizer(last_state(sequences, timetable, problem.team, problem.tasks))
     if event is None:
         return None
-    if groups and event.time > problem.now:
-        rate = len(groups) / (event.time - problem.now)
-    else:
-        rate = 0.0
+    count = len(timetable.intervals)
+    rate = count / (event.time - problem.now) if count and event.time > problem.now else 0.0
     return CollectivePlan({a: tuple(sequences.get(a, ())) for a in problem.team},
-                          dict(groups), timetable, event, rate)
+                          timetable, event, rate)
 
 
 class Bound(NamedTuple):
     """A node's lower bound: the rate of its best greedy completion, whose
-    full plan is `build_plan(sequences, groups, problem)`."""
+    full plan is `build_plan(sequences, problem)`."""
     rate: float
     sequences: dict[int, tuple[int, ...]]   # every team agent, in team order
-    groups: dict[int, tuple[int, ...]]
 
 
 def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
@@ -251,8 +245,8 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
     when no candidate schedules.
     """
     seqs = {a: tuple(node.sequences.get(a, ())) for a in problem.team}
-    groups = dict(node.groups)
-    best = problem.rate_for(seqs, groups)
+    assigned = node.assigned()
+    best = problem.rate_for(seqs)
     end_pos = {}
     for a, ctx in problem.team.items():
         seq = seqs[a]
@@ -260,12 +254,12 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
 
     skipped: set[int] = set()
     while True:
-        feas = [t for t in get_feasible_tasks(frozenset(groups), problem) if t not in skipped]
+        feas = [t for t in get_feasible_tasks(assigned, problem) if t not in skipped]
         if not feas:
             break
         scored = []
         for rep in feas:
-            cluster = sorted(m for m in problem.clusters[rep] if m not in groups)
+            cluster = sorted(m for m in problem.clusters[rep] if m not in assigned)
             chosen: dict[int, tuple[int, ...]] = {}
             cost = 0.0
             for t in cluster:
@@ -291,13 +285,13 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
             for t in cluster:
                 for a in chosen[t]:
                     new_seqs[a] += (t,)
-            new_groups = {**groups, **chosen}
-            rate = problem.rate_for(new_seqs, new_groups)
+            rate = problem.rate_for(new_seqs)
             if rate is None:
                 skipped.add(rep)
                 continue
             if best is None or rate > best + IMPROVEMENT_EPS:
-                seqs, groups = new_seqs, new_groups
+                seqs = new_seqs
+                assigned = assigned.union(cluster)
                 for t in cluster:
                     for a in chosen[t]:
                         end_pos[a] = problem.tasks[t].region_center
@@ -306,8 +300,8 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
             break
         if not progressed:
             break
-    # Every accepted candidate replaces seqs and groups, so they hold the best one.
-    return None if best is None else Bound(best, seqs, groups)
+    # Every accepted candidate replaces seqs, so it holds the best one.
+    return None if best is None else Bound(best, seqs)
 
 
 def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
@@ -320,20 +314,21 @@ def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
     descendant's achievable rate.
     """
     try:
-        tt0 = schedule_min_makespan(node.sequences, node.groups, problem.tasks, problem.index,
+        tt0 = schedule_min_makespan(node.sequences, problem.tasks, problem.index,
                                     problem.grid, problem.team, relaxed=True)
     except InfeasibleSchedule:
         return -math.inf  # constraint cycle: no descendant can schedule either
-    count0 = len(node.groups)
+    assigned = tt0.intervals
+    count0 = len(assigned)
     floor0 = max(tt0.makespan - problem.now, 0.0)
     rates = [count0 / floor0 if count0 and floor0 > 0 else 0.0]
 
     addable = [problem.tasks[t] for t in sorted(problem.tasks)
-               if t not in node.groups and problem.groups[t]]
+               if t not in assigned and problem.groups[t]]
     durs = sorted(t.duration for t in addable)
     works = sorted(t.duration * t.agents_required for t in addable)
     w_assigned = sum(problem.tasks[t].duration * problem.tasks[t].agents_required
-                     for t in node.groups)
+                     for t in assigned)
     n_team = len(problem.team)
     w_prefix = 0.0
     for j in range(1, len(addable) + 1):
@@ -358,7 +353,7 @@ def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
     """Fallback plan assigning nothing; rendezvous at the current positions
     when they are already connected, otherwise a gathered event."""
     empty_seqs = {a: () for a in problem.team}
-    plan = build_plan(empty_seqs, {}, problem)
+    plan = build_plan(empty_seqs, problem)
     if plan is not None:
         problem._rates[tuple(empty_seqs.values())] = plan.rate  # the root's first candidate
         return plan
@@ -366,7 +361,7 @@ def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
     last = LastTaskState({a: AgentFinish(a, ctx.ready_time, ctx.position, ctx.v_max)
                           for a, ctx in problem.team.items()})
     event = com_opt(last, problem.grid, problem.params, gap=problem.gap)
-    return CollectivePlan(empty_seqs, {}, Timetable({}, 0.0), event, 0.0)
+    return CollectivePlan(empty_seqs, Timetable({}, 0.0), event, 0.0)
 
 
 def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
@@ -421,7 +416,7 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
     next_node_id = itertools.count()
     # Only children count in nodes_pruned; a root that is not pushed does not.
     evaluate(PlanNode(node_id=next(next_node_id), depth=0,
-                      sequences={a: () for a in problem.team}, groups={}))
+                      sequences={a: () for a in problem.team}))
     while heap and time_left():
         if node_limit is not None and stats.nodes_expanded >= node_limit:
             break
@@ -441,4 +436,4 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
                     break
                 if not evaluate(child):
                     stats.nodes_pruned += 1
-    return fallback if best is None else build_plan(best.sequences, best.groups, problem)
+    return fallback if best is None else build_plan(best.sequences, problem)

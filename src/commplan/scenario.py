@@ -19,7 +19,7 @@ from .radio import CommParams
 from .simulator import AgentState, Simulator
 from .strategies import PlannerOptions, StrategyConfig, make_controller
 from .tasks import RelationKind, Task, TemporalRelation
-from .workspace import GridMap, MapError, Position, load_grid
+from .workspace import GridMap, Position, load_grid
 
 SPATIAL_PATTERNS = ("clustered", "uniform", "sparse")
 TEMPORAL_PATTERNS = ("spiky", "uniform", "low_frequency")
@@ -275,13 +275,26 @@ def _position(value, fieldname: str, errors: list[str]) -> Optional[Position]:
 
 
 def _requirements(value, fieldname: str, errors: list[str]) -> tuple[tuple[int, str], ...]:
-    """[[count, action], ...] with integer counts >= 1; a bad count is named in `errors`."""
+    """[[count, action], ...] with integer counts >= 1 and string actions; a bad
+    count or action is named in `errors`."""
     reqs = []
     for n, action in value:
         if not (_is_int(n) and n >= 1):
             errors.append(f"{fieldname}: count {n!r} must be an integer >= 1")
-        reqs.append((n, str(action)))
+        if not isinstance(action, str):
+            errors.append(f"{fieldname}: action {action!r} must be a string")
+        reqs.append((n, action))
     return tuple(reqs)
+
+
+def _list(raw: dict, key: str, errors: list[str]) -> list:
+    """The top-level section `key`, [] when absent; [] with the field named in
+    `errors` when it is not a JSON list."""
+    value = raw.get(key, [])
+    if isinstance(value, list):
+        return value
+    errors.append(f"{key}: must be a list")
+    return []
 
 
 def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
@@ -294,14 +307,14 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
     else:
         try:
             grid = load_grid(base_dir / map_path)
-        except (OSError, MapError) as exc:
+        except (OSError, ValueError) as exc:  # MapError, a NUL byte, or text that is not UTF-8
             errors.append(f"map: {exc}")
     if errors:
         raise ScenarioError("; ".join(errors))
 
     agents: list[AgentSpec] = []
     seen_ids = set()
-    for i, a in enumerate(raw.get("agents", [])):
+    for i, a in enumerate(_list(raw, "agents", errors)):
         fieldname = f"agents[{i}]"
         try:
             aid = a["id"]
@@ -343,7 +356,7 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
 
     tasks: list[Task] = []
     task_ids = set()
-    for i, t in enumerate(raw.get("tasks", [])):
+    for i, t in enumerate(_list(raw, "tasks", errors)):
         fieldname = f"tasks[{i}]"
         try:
             tid = t["id"]
@@ -380,7 +393,7 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
 
     relations: list[TemporalRelation] = []
     pair_seen = set()
-    for i, r in enumerate(raw.get("relations", [])):
+    for i, r in enumerate(_list(raw, "relations", errors)):
         fieldname = f"relations[{i}]"
         try:
             if not (_is_int(r[0]) and _is_int(r[1])):

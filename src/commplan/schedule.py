@@ -118,35 +118,37 @@ def _longest_path(task_ids: list[int], source_bound: dict[int, float],
     return start
 
 
-def schedule_min_makespan(sequences: Mapping[int, Sequence[int]],
-                          groups: Mapping[int, tuple[int, ...]], tasks: Mapping[int, Task],
+def groups_of(sequences: Mapping[int, Sequence[int]]) -> dict[int, tuple[int, ...]]:
+    """Each task's group: the sorted ids of the agents whose sequences hold it."""
+    groups: dict[int, tuple[int, ...]] = {}
+    for agent_id in sorted(sequences):
+        for tid in sequences[agent_id]:
+            groups[tid] = groups.get(tid, ()) + (agent_id,)
+    return groups
+
+
+def schedule_min_makespan(sequences: Mapping[int, Sequence[int]], tasks: Mapping[int, Task],
                           index: RelationIndex, grid: GridMap,
                           team: Mapping[int, AgentContext], *,
                           relaxed: bool = False) -> Timetable:
-    """Timetable with minimal makespan for the given assignment and orders.
+    """Timetable with minimal makespan for the given per-agent task orders.
 
-    `sequences` maps agent -> ordered task ids, `groups` task -> its agents.
+    `sequences` maps agent -> ordered task ids; `groups_of` gives each task's group.
     `relaxed` drops travel and concurrency, for the planner's upper bound.
 
     Raises CapabilityError when a group cannot cover its task and
     InfeasibleSchedule when constraints are cyclic or a concurrency relation
     cannot hold under earliest starts.
     """
-    assigned = set(groups)
-    holders: dict[int, list[int]] = {}
     for agent_id, seq in sequences.items():
         if len(seq) != len(set(seq)):
             raise ValueError(f"agent {agent_id}: a task appears twice in its sequence")
-        for tid in seq:
-            holders.setdefault(tid, []).append(agent_id)
-    if holders.keys() != assigned:
-        raise ValueError("sequences and groups disagree on the assigned task set")
+    groups = groups_of(sequences)
     for tid, group in groups.items():
-        if sorted(holders[tid]) != sorted(group):
-            raise ValueError(f"task {tid}: group does not match the sequences")
         if not group_covers(tasks[tid], group, team):
             raise CapabilityError(f"task {tid}: group {group} cannot cover requirements")
 
+    assigned = groups.keys()
     task_ids = sorted(assigned)
     if not task_ids:
         return Timetable({}, 0.0)

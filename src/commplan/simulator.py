@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Protocol, Sequence
 
 from .radio import CommParams, comm_graph, is_connected
-from .schedule import AgentContext
+from .schedule import AgentContext, groups_of
 from .tasks import ExecutionInterval, RelationIndex, Task, TemporalRelation, detect_tasks
 from .workspace import GridMap, Position, astar_path, astar_travel_time
 
@@ -186,12 +186,12 @@ class Simulator:
 
     def apply_team_plan(self, agent_ids: Sequence[int],
                         plan_sequences: dict[int, tuple[int, ...]],
-                        plan_groups: dict[int, tuple[int, ...]],
                         planned: Mapping[int, ExecutionInterval],
                         event_time: Optional[float] = None,
                         event_positions: Optional[dict[int, Position]] = None) -> None:
-        """Claim the plan's tasks and give each of `agent_ids`, and no other
-        agent, its queue and its place at the next event."""
+        """Claim each plan task for the agents holding it and give each of
+        `agent_ids`, and no other agent, its queue and its place at the next event."""
+        plan_groups = groups_of(plan_sequences)
         for tid in sorted(plan_groups):
             self.groups[tid] = plan_groups[tid]
             if self.task_state[tid] != "pending":

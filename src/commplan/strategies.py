@@ -147,7 +147,7 @@ class TeamCycleController:
             # Nothing to do and nowhere to go: poll again later if tasks may
             # still appear, otherwise the mission is over for this team.
             if self.cfg.kind == "fimr":
-                sim.apply_team_plan(ids, plan.sequences, {}, {}, plan.event.time,
+                sim.apply_team_plan(ids, plan.sequences, {}, plan.event.time,
                                     plan.event.positions)
                 self.pending_event = plan.event.time
             elif sim.has_future_work():
@@ -163,7 +163,7 @@ class TeamCycleController:
                               sim.grid, sim.params, gap=self.options.gap)
             if refined.time < event.time:
                 event = refined
-        sim.apply_team_plan(ids, plan.sequences, plan.groups, plan.timetable.intervals,
+        sim.apply_team_plan(ids, plan.sequences, plan.timetable.intervals,
                             event.time, dict(event.positions))
         self.pending_event = event.time
         sim.cycle_records.append(CycleRecord(start=now, participants=tuple(ids),
@@ -225,7 +225,7 @@ class RingController:
             event = com_opt(last, sim.grid, sim.params, gap=self.options.gap)
             planned = max(event.time, t + sim.dt)
             # Both agents are free, so an empty plan sets only the meeting.
-            sim.apply_team_plan(pair, {}, {}, {}, planned, event.positions)
+            sim.apply_team_plan(pair, {}, {}, planned, event.positions)
             self.meeting = (pair, planned)
 
     def _free(self, sim: Simulator, aid: int) -> bool:
@@ -234,7 +234,7 @@ class RingController:
 
     def _plan_pair(self, sim: Simulator, pair, now: float) -> bool:
         _, plan = _plan(sim, pair, now, self.options)
-        sim.apply_team_plan(pair, plan.sequences, plan.groups, plan.timetable.intervals)
+        sim.apply_team_plan(pair, plan.sequences, plan.timetable.intervals)
         sim.log(now, "replanned", self.edge_idx + 1, *sorted(plan.groups))
         sim.cycle_records.append(CycleRecord(start=now, participants=tuple(sorted(pair)),
                                              assigned=tuple(sorted(plan.groups)),

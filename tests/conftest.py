@@ -217,7 +217,7 @@ def enumerate_candidate_plans(problem: PlannerProblem):
                     if key in seen:
                         continue
                     seen.add(key)
-                    plan = build_plan(seqs, groups, problem)
+                    plan = build_plan(seqs, problem)
                     if plan is not None:
                         yield plan.rate, {a: tuple(s) for a, s in seqs.items()}, dict(groups)
 

@@ -18,6 +18,7 @@ from commplan.meeting import AgentFinish, LastTaskState, all_gather_event, com_o
 from commplan.planner import PlannerProblem, SearchStats, cocoplan
 from commplan.radio import CommParams, comm_graph, is_connected, quality
 from commplan.scenario import load_scenario
+from commplan.schedule import groups_of
 from commplan.simulator import AgentState, Simulator
 from commplan.strategies import PlannerOptions, StrategyConfig, make_controller
 from commplan.tasks import (ExecutionInterval, RelationKind, Task, TemporalRelation,
@@ -70,7 +71,7 @@ def test_criterion_1_exact_optimality(search_transcripts):
 
 
 def _extends(node, cand_seqs, cand_groups):
-    for tid, grp in node.groups.items():
+    for tid, grp in groups_of(node.sequences).items():
         if cand_groups.get(tid) != grp:
             return False
     for aid, seq in node.sequences.items():
@@ -98,7 +99,7 @@ def test_criterion_3_bound_soundness(search_transcripts):
                 if (best_ext is None or rate > best_ext) and _extends(node, seqs, groups):
                     best_ext = rate
             if best_ext is not None:  # nodes with no feasible descendant are dead
-                assert node.ub >= best_ext - 1e-9, (node.groups, node.ub, best_ext)
+                assert node.ub >= best_ext - 1e-9, (node.sequences, node.ub, best_ext)
             subtree_checked += 1
     # Criterion 1 equality already implies pruning never lost the optimum.
     _passline(3, f"UB>=LB on {nodes_checked} nodes; UB dominates the subtree optimum "

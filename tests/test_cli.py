@@ -124,6 +124,8 @@ def test_cli_run_strategy_override_missing_field(small_scenario, capsys, kind, f
     ("tasks[0].requirements", [[1.5, "work"]]), ("tasks[0].requirements", [[0, "work"]]),
     ("tasks[1].requirements", [[1, "work"], ["2", "work"]]),
     ("tasks[1].requirements", [[True, "work"]]),
+    ("tasks[0].requirements", [[1, 5]]), ("tasks[1].requirements", [[1, ["x"]]]),
+    ("tasks[0].requirements", [[1, None]]),
     ("strategy.fixed_point", ["10", 3.0]), ("strategy.fixed_point", [10 ** 400, 3.0]),
     ("agents[0].id", 1.5), ("agents[1].id", "1"), ("tasks[0].id", 2.7),
     ("tasks[1].id", True), ("strategy.ring_order", [0, 1.0])])
@@ -161,7 +163,11 @@ def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value
     ("strategy", {"kind": "fix", "threshold_n": 1.5}, "strategy.threshold_n:"),
     ("strategy", {"kind": "fix", "threshold_n": 0}, "strategy.threshold_n:"),
     ("strategy", {"kind": "frdt", "leader": True}, "strategy.leader:"),
-    ("strategy", {"kind": "frdt", "leader": "0"}, "strategy.leader:")])
+    ("strategy", {"kind": "frdt", "leader": "0"}, "strategy.leader:"),
+    ("agents", 5, "agents: must be a list"), ("agents", None, "agents: must be a list"),
+    ("agents", {"0": {}}, "agents: must be a list"), ("tasks", 5, "tasks: must be a list"),
+    ("tasks", "tasks", "tasks: must be a list"), ("relations", 5, "relations: must be a list"),
+    ("relations", None, "relations: must be a list")])
 def test_cli_bad_relation_or_ring_order_exit_code(tmp_path, capsys, command, section, value,
                                                   message):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
@@ -185,7 +191,7 @@ def test_cli_bad_sensor_range_exit_code(tmp_path, capsys, command, value):
     assert "agents[1].sensor_range:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("command", ["validate", "run", "generate"])
 @pytest.mark.parametrize("field, value, message", [
     ("rate", "x", "generator.rate:"), ("radius", -1, "generator.radius:"),
     ("cluster_std", math.nan, "generator.cluster_std:"),
@@ -195,6 +201,8 @@ def test_cli_bad_sensor_range_exit_code(tmp_path, capsys, command, value):
     ("requirement_options", [[[1.5, "work"]]], "generator.requirement_options: count 1.5"),
     ("requirement_options", [[[1, "work"]], [[1, "work"], ["2", "work"]]],
      "generator.requirement_options: count '2'"),
+    ("requirement_options", [[[1, None]]], "generator.requirement_options: action None"),
+    ("requirement_options", [[[1, "work"]], [[2, 7]]], "generator.requirement_options: action 7"),
     ("cluster_count", 0, "generator.cluster_count:"),
     ("duration_range", [5.0, 1.0], "generator.duration_range:"),
     ("duration_range", [0, 4.0], "generator.duration_range:"),
@@ -234,6 +242,16 @@ def test_cli_capabilities_must_be_list_of_strings(tmp_path, capsys, command, val
     path.write_text(json.dumps(raw))
     assert main([command, str(path)]) == 2
     assert "agents[0].capabilities:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("map_name", ["small\x00.map", "binary.map"])
+def test_cli_unreadable_map_exit_code(tmp_path, capsys, command, map_name):
+    (tmp_path / "binary.map").write_bytes(b"12 10 1\n\xff\xfe\n")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(small_raw(map_name)))
+    assert main([command, str(path)]) == 2
+    assert "map:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])

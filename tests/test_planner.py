@@ -10,7 +10,7 @@ from commplan.planner import (PlanNode, PlannerProblem, SearchStats, build_plan,
                               cocoplan, expand_node, get_feasible_tasks, low_bound,
                               up_bound)
 from commplan.radio import CommParams, comm_graph, is_connected
-from commplan.schedule import AgentContext
+from commplan.schedule import AgentContext, eligible_groups, groups_of
 from commplan.tasks import (RelationIndex, RelationKind, Task, TemporalRelation,
                             check_schedule, relations_between)
 from commplan.workspace import Position, astar_travel_time
@@ -32,7 +32,7 @@ def make_problem(team, tasks, relations=(), grid=None, now=0.0):
 
 
 def empty_node(problem):
-    return PlanNode(0, 0, {a: () for a in problem.team}, {})
+    return PlanNode(0, 0, {a: () for a in problem.team})
 
 
 def test_no_tasks_returns_zero_task_plan_at_current_positions():
@@ -60,9 +60,7 @@ def test_objective_rate_examples():
     team = {0: ctx(0, 0.5, 0.5, v=1.0)}
     tasks = {1: task(1, 3.5, 0.5, 10.0), 2: task(2, 6.5, 0.5, 10.0), 3: task(3, 9.5, 0.5, 10.0)}
     problem = make_problem(team, tasks, grid=grid)
-    seqs = {0: (1, 2, 3)}
-    groups = {t: (0,) for t in tasks}
-    plan = build_plan(seqs, groups, problem)
+    plan = build_plan({0: (1, 2, 3)}, problem)
     # single agent: event sits at the last task, rate = 3 / makespan
     assert plan.rate == pytest.approx(3.0 / plan.event.time)
     # the rate is the tasks finished by the event over the cycle span
@@ -128,7 +126,7 @@ def test_expand_node_group_enumeration():
     counter = iter(range(1, 100))
     children = expand_node(node, 1, problem, lambda: next(counter))
     assert len(children) == 3  # C(3,2) groups, tails only
-    assert sorted(c.groups[1] for c in children) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(groups_of(c.sequences)[1] for c in children) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_expand_node_single_child_for_singleton():
@@ -163,7 +161,7 @@ def test_low_bound_picks_min_max_travel_group():
     problem = make_problem(team, tasks, grid=grid)
     plan = low_bound(empty_node(problem), problem)
     assert plan is not None
-    assert plan.groups[1] == (0,)
+    assert groups_of(plan.sequences)[1] == (0,)
 
 
 def test_low_bound_le_exhaustive_optimum():
@@ -216,6 +214,8 @@ def test_returned_plan_is_feasible():
         scoped = relations_between(rels, set(plan.groups))
         ok, bad = check_schedule(plan.timetable.interval_list(), scoped)
         assert ok, bad
+        for t, group in plan.groups.items():
+            assert group in eligible_groups(tasks[t], team)
         assert is_connected(comm_graph(plan.event.positions, grid, params))
         # Every assigned task finishes before the event and every agent can
         # reach its meeting point in time.
@@ -275,9 +275,9 @@ def test_low_bound_on_fully_assigned_node_returns_own_rate():
     team = {0: ctx(0, 0.5, 0.5, v=1.0)}
     tasks = {1: task(1, 4.5, 0.5, 6.0)}
     problem = make_problem(team, tasks, grid=grid)
-    node = PlanNode(0, 1, {0: (1,)}, {1: (0,)})
+    node = PlanNode(0, 1, {0: (1,)})
     plan = low_bound(node, problem)
-    own = build_plan({0: (1,)}, {1: (0,)}, problem)
+    own = build_plan({0: (1,)}, problem)
     assert plan.rate == pytest.approx(own.rate)
     assert plan.sequences == own.sequences
 
@@ -307,10 +307,11 @@ def test_low_bound_rate_equals_a_fresh_build_of_its_plan():
                 continue
             fresh = PlannerProblem(team=team, tasks=tasks, relations=rels,
                                    grid=grid, params=CommParams(), now=0.0)
-            plan = build_plan(bound.sequences, bound.groups, fresh)
+            plan = build_plan(bound.sequences, fresh)
             assert plan is not None
             assert bound.rate == plan.rate
-            assert bound.sequences == plan.sequences and bound.groups == plan.groups
+            assert bound.sequences == plan.sequences
+            assert groups_of(bound.sequences) == plan.groups
             checked += 1
     assert checked >= 40
 
@@ -322,7 +323,7 @@ def test_cocoplan_returns_a_fresh_build_of_its_plan():
         plan = cocoplan(team, tasks, rels, grid, CommParams())
         problem = PlannerProblem(team=team, tasks=tasks, relations=rels,
                                  grid=grid, params=CommParams(), now=0.0)
-        assert build_plan(plan.sequences, plan.groups, problem) == plan
+        assert build_plan(plan.sequences, problem) == plan
 
 
 def test_cocoplan_schedules_each_candidate_once(monkeypatch):
@@ -334,10 +335,10 @@ def test_cocoplan_schedules_each_candidate_once(monkeypatch):
     def key_of(sequences, team):
         return tuple(tuple(sequences.get(a, ())) for a in team)
 
-    def counting_schedule(sequences, groups, tasks, relations, grid, team, **kwargs):
+    def counting_schedule(sequences, tasks, relations, grid, team, **kwargs):
         if not kwargs.get("relaxed"):
             scheduled.append(key_of(sequences, team))
-        return schedule(sequences, groups, tasks, relations, grid, team, **kwargs)
+        return schedule(sequences, tasks, relations, grid, team, **kwargs)
 
     monkeypatch.setattr(planner, "schedule_min_makespan", counting_schedule)
     rng = random.Random(24)

@@ -1,11 +1,14 @@
-"""Property tests: the link carry-over equals the all-pairs link rule."""
+"""Property tests: the link carry-over equals the all-pairs link rule, and a
+malformed scenario is refused with exit 2, never a traceback."""
 
 import itertools
+import json
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commplan.cli import main
 from commplan.radio import CommParams, linked, update_links
 from commplan.workspace import Position, load_grid
 
@@ -39,3 +42,21 @@ def test_update_links_equals_all_pairs_links(case, threshold):
         prev_pos = pos
         assert links == {(a, b) for a, b in itertools.combinations(sorted(pos), 2)
                          if linked(pos[a], pos[b], grid, params)}
+
+
+DESK = json.loads((DATA / "desk_scenario.json").read_text())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10 ** 300, 10 ** 400)
+    | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DESK)), JSON_VALUES)
+def test_malformed_top_level_field_is_refused_not_raised(tmp_path_factory, field, value):
+    raw = {**DESK, "map": str(DATA / "desk.map"), field: value}
+    path = tmp_path_factory.mktemp("malformed") / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) in (0, 2)

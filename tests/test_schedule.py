@@ -4,7 +4,7 @@ import random
 import pytest
 
 from commplan.schedule import (AgentContext, CapabilityError, InfeasibleSchedule,
-                               eligible_groups, group_covers, schedule_min_makespan)
+                               eligible_groups, group_covers, groups_of, schedule_min_makespan)
 from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position, astar_travel_time
 
@@ -25,7 +25,7 @@ def test_single_chain_travel_then_duration():
     grid = empty_grid(20, 4)
     team = {0: ctx(0, 0.5, 0.5)}
     tasks = {1: task(1, 2.5, 0.5, 10.0)}
-    tt = schedule_min_makespan({0: [1]}, {1: (0,)}, tasks, NO_RELATIONS, grid, team)
+    tt = schedule_min_makespan({0: [1]}, tasks, NO_RELATIONS, grid, team)
     assert tt.intervals[1].start == pytest.approx(2.0)
     assert tt.intervals[1].finish == pytest.approx(12.0)
 
@@ -34,7 +34,7 @@ def test_two_task_chain_example():
     grid = empty_grid(20, 4)
     team = {0: ctx(0, 0.5, 0.5)}
     tasks = {1: task(1, 2.5, 0.5, 10.0), 2: task(2, 5.5, 0.5, 5.0)}
-    tt = schedule_min_makespan({0: [1, 2]}, {1: (0,), 2: (0,)}, tasks, NO_RELATIONS, grid, team)
+    tt = schedule_min_makespan({0: [1, 2]}, tasks, NO_RELATIONS, grid, team)
     assert tt.intervals[1].finish == pytest.approx(12.0)
     assert tt.intervals[2].finish == pytest.approx(20.0)
     assert tt.makespan == pytest.approx(20.0)
@@ -44,7 +44,7 @@ def test_synchronized_start_waits_for_all_agents():
     grid = empty_grid(20, 4)
     team = {0: ctx(0, 4.5, 0.5, v=1.0), 1: ctx(1, 9.5, 0.5, v=1.0)}
     tasks = {1: task(1, 0.5, 0.5, 3.0, reqs=((2, "work"),))}
-    tt = schedule_min_makespan({0: [1], 1: [1]}, {1: (0, 1)}, tasks, NO_RELATIONS, grid, team)
+    tt = schedule_min_makespan({0: [1], 1: [1]}, tasks, NO_RELATIONS, grid, team)
     assert tt.intervals[1].start == pytest.approx(9.0)  # later arrival wins
 
 
@@ -53,7 +53,18 @@ def test_capability_violation_raises():
     team = {0: ctx(0, 0.5, 0.5, caps=("scan",))}
     tasks = {1: task(1, 2.5, 0.5, 5.0, reqs=((1, "lift"),))}
     with pytest.raises(CapabilityError):
-        schedule_min_makespan({0: [1]}, {1: (0,)}, tasks, NO_RELATIONS, grid, team)
+        schedule_min_makespan({0: [1]}, tasks, NO_RELATIONS, grid, team)
+
+
+def test_groups_come_from_the_sequences():
+    assert groups_of({1: [3, 2], 0: [2], 2: []}) == {3: (1,), 2: (0, 1)}
+    grid = empty_grid(20, 4)
+    team = {0: ctx(0, 4.5, 0.5), 1: ctx(1, 9.5, 0.5)}
+    tasks = {1: task(1, 0.5, 0.5, 3.0, reqs=((2, "work"),))}
+    with pytest.raises(CapabilityError):  # one holder cannot cover two slots
+        schedule_min_makespan({0: [1], 1: []}, tasks, NO_RELATIONS, grid, team)
+    with pytest.raises(ValueError, match="twice"):
+        schedule_min_makespan({0: [1, 1], 1: [1]}, tasks, NO_RELATIONS, grid, team)
 
 
 def test_cyclic_precedence_infeasible():
@@ -63,8 +74,7 @@ def test_cyclic_precedence_infeasible():
     rels = [TemporalRelation(1, 2, RelationKind.PRECEDENCE),
             TemporalRelation(2, 1, RelationKind.PRECEDENCE)]
     with pytest.raises(InfeasibleSchedule):
-        schedule_min_makespan({0: [1], 1: [2]}, {1: (0,), 2: (1,)},
-                              tasks, RelationIndex(rels), grid, team)
+        schedule_min_makespan({0: [1], 1: [2]}, tasks, RelationIndex(rels), grid, team)
 
 
 def test_group_cover_and_eligible_groups():
@@ -180,7 +190,7 @@ def test_makespan_matches_exhaustive_orientation_oracle():
                                                            RelationKind.MUTEX])))
         want = _oracle_min_makespan(seqs, groups, tasks, rels, grid, team)
         try:
-            tt = schedule_min_makespan(seqs, groups, tasks, RelationIndex(rels), grid, team)
+            tt = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
             got = tt.makespan
         except InfeasibleSchedule:
             got = None
@@ -202,11 +212,10 @@ def test_schedule_passes_check_schedule():
             c = grid.center(rng.choice(free))
             tasks[t] = task(t, c.x, c.y, rng.uniform(1, 6))
         seqs = {0: [0, 1], 1: [2, 3]}
-        groups = {t: (0,) if t < 2 else (1,) for t in tasks}
         rels = [TemporalRelation(0, 2, RelationKind.MUTEX),
                 TemporalRelation(1, 3, RelationKind.PRECEDENCE)]
         try:
-            tt = schedule_min_makespan(seqs, groups, tasks, RelationIndex(rels), grid, team)
+            tt = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
         except InfeasibleSchedule:
             continue
         ok, bad = check_schedule(tt.interval_list(), rels)
@@ -220,8 +229,7 @@ def test_makespan_monotone_in_appended_tasks():
     mk = []
     for upto in (1, 2, 3):
         seq = list(range(1, upto + 1))
-        groups = {t: (0,) for t in seq}
-        tt = schedule_min_makespan({0: seq}, groups, tasks, NO_RELATIONS, grid, team)
+        tt = schedule_min_makespan({0: seq}, tasks, NO_RELATIONS, grid, team)
         mk.append(tt.makespan)
     assert mk[0] <= mk[1] <= mk[2]
 
@@ -229,7 +237,7 @@ def test_makespan_monotone_in_appended_tasks():
 def test_empty_plan_schedules_to_zero():
     grid = empty_grid()
     team = {0: ctx(0, 0.5, 0.5)}
-    tt = schedule_min_makespan({0: []}, {}, {}, NO_RELATIONS, grid, team)
+    tt = schedule_min_makespan({0: []}, {}, NO_RELATIONS, grid, team)
     assert tt.makespan == 0.0
     assert tt.intervals == {}
 
@@ -246,15 +254,12 @@ def _mutex_instance(seed):
         c = grid.center(rng.choice(free))
         tasks[t] = task(t, c.x, c.y, float(rng.randint(1, 6)))
     seqs = {a: [] for a in team}
-    groups = {}
     for t in tasks:
-        a = rng.choice(sorted(team))
-        seqs[a].append(t)
-        groups[t] = (a,)
+        seqs[rng.choice(sorted(team))].append(t)
     pairs = rng.sample(list(itertools.combinations(sorted(tasks), 2)), 4)
     rels = [TemporalRelation(*((p, q) if rng.random() < 0.5 else (q, p)), RelationKind.MUTEX)
             for p, q in pairs]
-    return grid, team, tasks, seqs, groups, rels, rng
+    return grid, team, tasks, seqs, rels, rng
 
 
 def test_starts_do_not_depend_on_relation_order():
@@ -262,13 +267,13 @@ def test_starts_do_not_depend_on_relation_order():
     # mutex orientations follow the order the relations are listed in.
     def starts(rels):
         try:
-            tt = schedule_min_makespan(seqs, groups, tasks, RelationIndex(rels), grid, team)
+            tt = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
         except InfeasibleSchedule:
             return None
         return {t: iv.start for t, iv in tt.intervals.items()}
 
     for seed in range(200):
-        grid, team, tasks, seqs, groups, rels, rng = _mutex_instance(seed)
+        grid, team, tasks, seqs, rels, rng = _mutex_instance(seed)
         want = starts(rels)
         for _ in range(6):
             rng.shuffle(rels)

@@ -8,9 +8,13 @@ zero-travel relaxation that dominates every descendant's achievable rate.
 The search is anytime: the incumbent is always a feasible full plan.
 
 Every node, the root included, goes through one step that bounds it, keeps
-a better incumbent and pushes the node while it can still win. Bounds compare
-rates only: each distinct candidate is scored once per cycle, and the
-incumbent's full plan is built once, when the search returns.
+a better incumbent and pushes the node while it can still win. Each distinct
+node's sequences are bounded once per search, and the lower bound is skipped
+when the upper bound shows the node cannot beat the incumbent. Bounds compare
+rates only: each distinct candidate is scored once per cycle, a candidate
+that appends one task to a scored one extends that timetable when
+`append_to_timetable` allows, and the incumbent's full plan is built once,
+when the search returns.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .meeting import AgentFinish, CommEvent, LastTaskState, com_opt, com_opt_fast
 from .radio import CommParams, comm_graph, is_connected
-from .schedule import (AgentContext, InfeasibleSchedule, Timetable, eligible_groups, groups_of,
-                       schedule_min_makespan)
+from .schedule import (AgentContext, InfeasibleSchedule, Timetable, append_to_timetable,
+                       eligible_groups, groups_of, schedule_min_makespan)
 from .tasks import RelationIndex, Task, TemporalRelation
 from .workspace import GridMap, astar_travel_time
 
 IMPROVEMENT_EPS = 1e-9
+
+SequencesKey = tuple[tuple[int, ...], ...]  # per-agent sequences in team order
 
 
 @dataclass
@@ -75,12 +81,12 @@ class PlannerProblem:
     index: RelationIndex = field(init=False, repr=False)
     groups: dict[int, list[tuple[int, ...]]] = field(init=False, repr=False)  # eligible, per task
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
-    _rates: dict[tuple[tuple[int, ...], ...], Optional[float]] = field(default_factory=dict,
-                                                                      repr=False)
+    # Scored candidates: None when infeasible, else the rate and the starts of
+    # the timetable's tasks in task-id order.
+    _rates: dict[SequencesKey, Optional[tuple[float, tuple[float, ...]]]] = field(
+        default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.event_optimizer is None:
-            self.event_optimizer = self._default_event
         if not self.team:
             raise ValueError("team must be nonempty")
         self.tasks = {t: task for t, task in self.tasks.items() if t not in self.completed}
@@ -105,17 +111,39 @@ class PlannerProblem:
                 return CommEvent(self.now, positions)
         return com_opt_fast(last, self.grid, self.params)
 
+    def key(self, sequences: Mapping[int, Sequence[int]]) -> SequencesKey:
+        return tuple(tuple(sequences.get(a, ())) for a in self.team)
+
+    def remember(self, key: SequencesKey, plan: Optional[CollectivePlan]) -> None:
+        self._rates[key] = None if plan is None else (
+            plan.rate, tuple(iv.start for iv in plan.timetable.intervals.values()))
+
     def rate_for(self, sequences: Mapping[int, Sequence[int]]) -> Optional[float]:
         """Rate of `build_plan(sequences, self)`, None when that is None.
 
-        Each candidate is built once per cycle, keyed by the per-agent
-        sequences in team order.
+        Each candidate is built once per cycle, keyed by `key(sequences)`.
         """
-        key = tuple(tuple(sequences.get(a, ())) for a in self.team)
+        key = self.key(sequences)
         if key not in self._rates:
-            plan = build_plan(sequences, self)
-            self._rates[key] = None if plan is None else plan.rate
-        return self._rates[key]
+            self.remember(key, build_plan(sequences, self))
+        entry = self._rates[key]
+        return None if entry is None else entry[0]
+
+    def timetable_for(self, sequences: Mapping[int, Sequence[int]]) -> Timetable:
+        """`schedule_min_makespan(sequences, ...)`, extended instead from a
+        scored base (the same sequences less one tail task) when exact."""
+        key = self.key(sequences)
+        for tid in sorted({seq[-1] for seq in key if seq}):
+            base = tuple(seq[:-1] if seq and seq[-1] == tid else seq for seq in key)
+            entry = self._rates.get(base)
+            if entry is None:
+                continue
+            base_starts = dict(zip(sorted(set().union(*base)), entry[1]))
+            timetable = append_to_timetable(sequences, tid, base_starts, self.tasks, self.index,
+                                            self.grid, self.team)
+            if timetable is not None:
+                return timetable
+        return schedule_min_makespan(sequences, self.tasks, self.index, self.grid, self.team)
 
 
 def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> list[int]:
@@ -215,11 +243,13 @@ def build_plan(sequences: Mapping[int, Sequence[int]],
                problem: PlannerProblem) -> Optional[CollectivePlan]:
     """Schedule + event-optimize a candidate assignment; None when infeasible."""
     try:
-        timetable = schedule_min_makespan(sequences, problem.tasks, problem.index,
-                                          problem.grid, problem.team)
+        timetable = problem.timetable_for(sequences)
     except InfeasibleSchedule:
         return None
-    event = problem.event_optimizer(last_state(sequences, timetable, problem.team, problem.tasks))
+    # Not stored on the problem: a bound method there would make it a reference
+    # cycle, and its memo would outlive the cycle until the collector runs.
+    optimizer = problem.event_optimizer or problem._default_event
+    event = optimizer(last_state(sequences, timetable, problem.team, problem.tasks))
     if event is None:
         return None
     count = len(timetable.intervals)
@@ -355,7 +385,7 @@ def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
     empty_seqs = {a: () for a in problem.team}
     plan = build_plan(empty_seqs, problem)
     if plan is not None:
-        problem._rates[tuple(empty_seqs.values())] = plan.rate  # the root's first candidate
+        problem.remember(problem.key(empty_seqs), plan)  # the root's first candidate
         return plan
     # Custom event optimizers may refuse even the empty plan; gather instead.
     last = LastTaskState({a: AgentFinish(a, ctx.ready_time, ctx.position, ctx.v_max)
@@ -396,18 +426,29 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
     best: Optional[Bound] = None  # the incumbent, once a bound beats the fallback
     # node_id is unique, so heap entries never compare their nodes.
     heap: list[tuple[float, int, int, PlanNode]] = []
+    bounded: dict[SequencesKey, tuple[float, float]] = {}  # (lb, ub) of every node seen
 
     def evaluate(node: PlanNode) -> bool:
         """Bound the node, keep a better incumbent; True if the node is pushed."""
         nonlocal best, lb_star
-        bound = low_bound(node, problem)
-        node.lb = -math.inf if bound is None else bound.rate
-        node.ub = up_bound(node, problem)
+        key = problem.key(node.sequences)
+        if key in bounded:
+            # lb_star never falls, so a repeat can neither set the incumbent
+            # nor reach a low_bound its first visit skipped.
+            node.lb, node.ub = bounded[key]
+        else:
+            node.ub = up_bound(node, problem)
+            # lb <= ub + 1e-9 (criterion 3), so below this lb cannot beat lb_star.
+            if node.ub + IMPROVEMENT_EPS > lb_star:
+                bound = low_bound(node, problem)
+                if bound is not None:
+                    node.lb = bound.rate
+                    if node.lb > lb_star:
+                        best, lb_star = bound, node.lb
+            bounded[key] = (node.lb, node.ub)
         stats.nodes_generated += 1
         if stats.keep_nodes:
             stats.nodes.append(node)
-        if node.lb > lb_star:
-            best, lb_star = bound, node.lb
         if node.ub > lb_star:
             heapq.heappush(heap, (-node.ub, -node.depth, node.node_id, node))
             return True

@@ -47,9 +47,6 @@ class Timetable:
     intervals: dict[int, ExecutionInterval]
     makespan: float
 
-    def interval_list(self) -> list[ExecutionInterval]:
-        return [self.intervals[t] for t in sorted(self.intervals)]
-
 
 def group_covers(task: Task, agent_ids: Sequence[int], team: Mapping[int, AgentContext]) -> bool:
     """True if the agents can be partitioned onto the task's requirement slots."""
@@ -235,3 +232,54 @@ def schedule_min_makespan(sequences: Mapping[int, Sequence[int]], tasks: Mapping
 
     intervals = {t: ExecutionInterval(t, best[t], best[t] + tasks[t].duration) for t in task_ids}
     return Timetable(intervals, best_mk)
+
+
+def append_to_timetable(sequences: Mapping[int, Sequence[int]], tid: int,
+                        base_starts: Mapping[int, float], tasks: Mapping[int, Task],
+                        index: RelationIndex, grid: GridMap,
+                        team: Mapping[int, AgentContext]) -> Optional[Timetable]:
+    """`schedule_min_makespan(sequences, ...)`, extended from its base's starts.
+
+    The base is `sequences` with task `tid` removed from the tail of every
+    agent whose sequence ends in it; `base_starts` maps each base task to its
+    start in the base's timetable. The extension is exact when tid has no
+    mutex or concurrency partner in the base, no base task must follow tid,
+    and the base holds no mutex pair: tid then only adds edges into itself, so
+    every base start stays earliest, the one mutex orientation is still empty
+    and the base's concurrency checks still pass. Otherwise returns None and
+    the caller runs the full solve. Raises ValueError and CapabilityError as
+    the full solve does.
+    """
+    holders = tuple(a for a in sorted(sequences) if sequences[a] and sequences[a][-1] == tid)
+    for agent_id in holders:
+        if tid in sequences[agent_id][:-1]:
+            raise ValueError(f"agent {agent_id}: a task appears twice in its sequence")
+    if not holders or tid in base_starts:
+        return None
+    task = tasks[tid]
+    if not group_covers(task, holders, team):
+        raise CapabilityError(f"task {tid}: group {holders} cannot cover requirements")
+    if (any(o in base_starts for o in index.mutex.get(tid, ()) + index.conc.get(tid, ()))
+            or any(tid in index.preds.get(u, ()) for u in base_starts)
+            or any(m in base_starts for u in base_starts for m in index.mutex.get(u, ()))):
+        return None
+
+    # The same float expressions as the full solve's source bounds and edges.
+    start = 0.0
+    for agent_id in holders:
+        seq, ctx = sequences[agent_id], team[agent_id]
+        if len(seq) == 1:
+            travel = astar_travel_time(ctx.position, task.region_center, grid, ctx.v_max)
+            start = max(start, ctx.ready_time + travel)
+        else:
+            prev = tasks[seq[-2]]
+            travel = astar_travel_time(prev.region_center, task.region_center, grid, ctx.v_max)
+            start = max(start, base_starts[seq[-2]] + (prev.duration + travel))
+    for p in index.preds.get(tid, ()):
+        if p in base_starts:
+            start = max(start, base_starts[p] + tasks[p].duration)
+
+    starts = {**base_starts, tid: start}
+    intervals = {t: ExecutionInterval(t, starts[t], starts[t] + tasks[t].duration)
+                 for t in sorted(starts)}
+    return Timetable(intervals, max(iv.finish for iv in intervals.values()))

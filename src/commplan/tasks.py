@@ -125,11 +125,6 @@ def check_schedule(intervals: Iterable[ExecutionInterval],
     return (len(violated) == 0, violated)
 
 
-def relations_between(relations: Iterable[TemporalRelation], ids: set[int]) -> list[TemporalRelation]:
-    """Relations whose endpoints both lie in `ids`."""
-    return [r for r in relations if r.first in ids and r.second in ids]
-
-
 class RelationIndex:
     """Per-task views of the temporal relations, built once.
 

@@ -141,14 +141,6 @@ def load_grid(path) -> GridMap:
         return parse_grid(fh.read())
 
 
-def format_grid(grid: GridMap) -> str:
-    rows = ["".join("#" if grid.occupancy[r, c] else "." for c in range(grid.width_cells))
-            for r in range(grid.height_cells)]
-    res = grid.resolution
-    res_text = str(int(res)) if float(res).is_integer() else repr(res)
-    return "\n".join([f"{grid.width_cells} {grid.height_cells} {res_text}"] + rows) + "\n"
-
-
 def memoized(fn):
     """Memoize a pure query `fn(a, b, grid, *rest)` in `grid._memo`.
 

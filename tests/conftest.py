@@ -101,6 +101,11 @@ def random_planner_instance(rng: random.Random, max_agents=3, max_tasks=5):
     return grid, team, tasks, relations
 
 
+def relations_between(relations, ids) -> list[TemporalRelation]:
+    """Relations whose endpoints both lie in `ids`."""
+    return [r for r in relations if r.first in ids and r.second in ids]
+
+
 # -- independent oracles ------------------------------------------------------
 
 def los_oracle(a: Position, b: Position, grid: GridMap) -> float:

@@ -15,19 +15,18 @@ import pytest
 
 from commplan.experiment import metrics_row, run_experiment, run_trial
 from commplan.meeting import AgentFinish, LastTaskState, all_gather_event, com_opt
-from commplan.planner import PlannerProblem, SearchStats, cocoplan
+from commplan.planner import PlannerProblem, SearchStats, cocoplan, low_bound
 from commplan.radio import CommParams, comm_graph, is_connected, quality
 from commplan.scenario import load_scenario
 from commplan.schedule import groups_of
 from commplan.simulator import AgentState, Simulator
 from commplan.strategies import PlannerOptions, StrategyConfig, make_controller
-from commplan.tasks import (ExecutionInterval, RelationKind, Task, TemporalRelation,
-                            check_schedule, relations_between)
+from commplan.tasks import ExecutionInterval, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position, astar_travel_time, parse_grid
 
 from conftest import (criterion7_instance, empty_grid, enumerate_candidate_plans,
                       exhaustive_best_rate, grid_from_rows, random_connected_grid,
-                      random_planner_instance)
+                      random_planner_instance, relations_between)
 
 DATA = Path(__file__).parent / "data"
 DESK = DATA / "desk_scenario.json"
@@ -56,7 +55,8 @@ def search_transcripts():
         stats = SearchStats(keep_nodes=True)
         plan = cocoplan(team, tasks, rels, grid, CommParams(), stats=stats)
         records.append({"oracle": oracle, "plan": plan, "stats": stats,
-                        "candidates": candidates, "n_tasks": len(tasks)})
+                        "candidates": candidates, "n_tasks": len(tasks),
+                        "instance": (grid, team, tasks, rels)})
     elapsed = time.monotonic() - t0
     return records, elapsed
 
@@ -104,6 +104,27 @@ def test_criterion_3_bound_soundness(search_transcripts):
     # Criterion 1 equality already implies pruning never lost the optimum.
     _passline(3, f"UB>=LB on {nodes_checked} nodes; UB dominates the subtree optimum "
                  f"on {subtree_checked} nodes of the <=4-task instances")
+
+
+def test_criterion_3_low_bound_on_every_kept_node(search_transcripts):
+    """The search skips low_bound on a node whose ub cannot beat the incumbent,
+    so criterion 3 sees fewer finite lbs; bound every kept node here instead."""
+    records, _ = search_transcripts
+    nodes_checked = with_lb = 0
+    for rec in records:
+        grid, team, tasks, rels = rec["instance"]
+        problem = PlannerProblem(team=team, tasks=tasks, relations=rels,
+                                 grid=grid, params=CommParams(), now=0.0)
+        for node in rec["stats"].nodes:
+            bound = low_bound(node, problem)
+            if bound is not None:
+                assert bound.rate <= node.ub + 1e-9, (node.sequences, bound.rate, node.ub)
+                with_lb += 1
+            nodes_checked += 1
+    assert nodes_checked == sum(len(rec["stats"].nodes) for rec in records)
+    # Every node that had a finite lb when the search bounded each node itself.
+    assert with_lb == 114_864
+    _passline(3, f"LB<=UB+1e-9 on all {with_lb} of {nodes_checked} kept nodes that have an LB")
 
 
 def test_criterion_2_lemma1_suite():

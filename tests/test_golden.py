@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from commplan.experiment import run_trial
-from commplan.planner import cocoplan
+from commplan.planner import SearchStats, cocoplan
 from commplan.radio import CommParams
 from commplan.scenario import load_scenario
 from commplan.strategies import StrategyConfig
@@ -44,6 +44,7 @@ SUBT10_GREEDY_TRIAL0_SHA256 = "5e82bed4d463f74b901e2d486d2725d60122dee422aa53780
 # Criterion 7's 10-agent instance searched until 300 nodes are generated.
 CRITERION7_RATE = 0.1452596131931247
 CRITERION7_GROUPS = {3: (5,), 4: (0, 4), 5: (0,), 7: (1,), 9: (4,), 15: (7,)}
+CRITERION7_EXPANDED_PRUNED = (1, 0)
 
 
 def _trial0_digest(cfg, strategy=None) -> str:
@@ -72,6 +73,9 @@ def test_subt10_greedy_trial0_log_hash():
 
 def test_criterion7_plan_at_300_generated_nodes():
     grid, team, tasks, rels = criterion7_instance()
-    plan = cocoplan(team, tasks, rels, grid, CommParams(), generated_limit=300)
+    stats = SearchStats()
+    plan = cocoplan(team, tasks, rels, grid, CommParams(), generated_limit=300, stats=stats)
     assert plan.rate == CRITERION7_RATE
     assert plan.groups == CRITERION7_GROUPS
+    assert stats.nodes_generated == 300
+    assert (stats.nodes_expanded, stats.nodes_pruned) == CRITERION7_EXPANDED_PRUNED

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -11,11 +13,11 @@ from commplan.planner import (PlanNode, PlannerProblem, SearchStats, build_plan,
                               up_bound)
 from commplan.radio import CommParams, comm_graph, is_connected
 from commplan.schedule import AgentContext, eligible_groups, groups_of
-from commplan.tasks import (RelationIndex, RelationKind, Task, TemporalRelation,
-                            check_schedule, relations_between)
+from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position, astar_travel_time
 
-from conftest import empty_grid, exhaustive_best_rate, random_planner_instance
+from conftest import (empty_grid, exhaustive_best_rate, random_planner_instance,
+                      relations_between)
 
 
 def ctx(aid, x, y, caps=("work",), v=2.0):
@@ -212,7 +214,7 @@ def test_returned_plan_is_feasible():
         if plan.task_count() == 0:
             continue
         scoped = relations_between(rels, set(plan.groups))
-        ok, bad = check_schedule(plan.timetable.interval_list(), scoped)
+        ok, bad = check_schedule(plan.timetable.intervals.values(), scoped)
         assert ok, bad
         for t, group in plan.groups.items():
             assert group in eligible_groups(tasks[t], team)
@@ -328,8 +330,8 @@ def test_cocoplan_returns_a_fresh_build_of_its_plan():
 
 def test_cocoplan_schedules_each_candidate_once(monkeypatch):
     """Only the returned plan's sequences may be scheduled twice: once when
-    scored and once when built on return."""
-    schedule = planner.schedule_min_makespan
+    scored and once when built on return. A tail append counts as a schedule."""
+    schedule, append = planner.schedule_min_makespan, planner.append_to_timetable
     scheduled: list[tuple] = []
 
     def key_of(sequences, team):
@@ -340,7 +342,14 @@ def test_cocoplan_schedules_each_candidate_once(monkeypatch):
             scheduled.append(key_of(sequences, team))
         return schedule(sequences, tasks, relations, grid, team, **kwargs)
 
+    def counting_append(sequences, tid, base_starts, tasks, relations, grid, team):
+        timetable = append(sequences, tid, base_starts, tasks, relations, grid, team)
+        if timetable is not None:
+            scheduled.append(key_of(sequences, team))
+        return timetable
+
     monkeypatch.setattr(planner, "schedule_min_makespan", counting_schedule)
+    monkeypatch.setattr(planner, "append_to_timetable", counting_append)
     rng = random.Random(24)
     total = twice = 0
     for _ in range(10):
@@ -368,3 +377,51 @@ def test_related_to_assigned_matches_relation_scan():
         want = any((r.first in cluster and r.second in assigned)
                    or (r.second in cluster and r.first in assigned) for r in rels)
         assert planner._related_to_assigned(cluster, assigned, RelationIndex(rels)) == want
+
+
+def test_duplicate_nodes_are_bounded_once(monkeypatch):
+    """A node whose sequences repeat an earlier node's is generated, counted
+    and pushed as before, but neither bound runs on its sequences again."""
+    seen: dict[str, list[tuple]] = {"low_bound": [], "up_bound": []}
+
+    def recording(name):
+        inner = getattr(planner, name)
+
+        def bound(node, problem):
+            seen[name].append(tuple(node.sequences.get(a, ()) for a in problem.team))
+            return inner(node, problem)
+        return bound
+
+    for name in seen:
+        monkeypatch.setattr(planner, name, recording(name))
+    rng = random.Random(25)
+    duplicates = 0
+    for _ in range(10):
+        grid, team, tasks, rels = random_planner_instance(rng)
+        for calls in seen.values():
+            calls.clear()
+        stats = SearchStats(keep_nodes=True)
+        cocoplan(team, tasks, rels, grid, CommParams(), stats=stats)
+        for name, calls in seen.items():
+            assert len(calls) == len(set(calls)), name
+        keys = [tuple(n.sequences[a] for a in team) for n in stats.nodes]
+        assert set(seen["up_bound"]) == set(keys)
+        duplicates += len(keys) - len(set(keys))
+    assert duplicates >= 20
+
+
+def test_a_problem_is_freed_without_the_cycle_collector():
+    """Each cycle's candidate memo goes with its problem, not at the next
+    collection."""
+    rng = random.Random(26)
+    grid, team, tasks, rels = random_planner_instance(rng)
+    problem = make_problem(team, tasks, rels, grid=grid)
+    low_bound(empty_node(problem), problem)
+    assert problem._rates
+    ref = weakref.ref(problem)
+    gc.disable()
+    try:
+        del problem
+        assert ref() is None
+    finally:
+        gc.enable()

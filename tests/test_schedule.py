@@ -1,12 +1,14 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from commplan.schedule import (AgentContext, CapabilityError, InfeasibleSchedule,
-                               eligible_groups, group_covers, groups_of, schedule_min_makespan)
+                               append_to_timetable, eligible_groups, group_covers, groups_of,
+                               schedule_min_makespan)
 from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
-from commplan.workspace import Position, astar_travel_time
+from commplan.workspace import Position, astar_travel_time, load_grid
 
 from conftest import empty_grid, random_connected_grid
 
@@ -218,7 +220,7 @@ def test_schedule_passes_check_schedule():
             tt = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
         except InfeasibleSchedule:
             continue
-        ok, bad = check_schedule(tt.interval_list(), rels)
+        ok, bad = check_schedule(tt.intervals.values(), rels)
         assert ok, bad
 
 
@@ -278,3 +280,80 @@ def test_starts_do_not_depend_on_relation_order():
         for _ in range(6):
             rng.shuffle(rels)
             assert starts(rels) == want, seed
+
+
+def _desk_append_instance(seed):
+    """desk.map, 3 agents, 7 tasks (every third needs 2 agents), 3 precedence pairs."""
+    rng = random.Random(seed)
+    grid = load_grid(Path(__file__).parent / "data" / "desk.map")
+    free = grid.free_cells()
+    team = {i: AgentContext(i, grid.center(c), rng.uniform(0.0, 5.0), rng.uniform(1.0, 2.0),
+                            frozenset({"work"}))
+            for i, c in enumerate(rng.sample(free, 3))}
+    tasks = {}
+    for t in range(7):
+        c = grid.center(rng.choice(free))
+        tasks[t] = task(t, c.x, c.y, rng.uniform(1.0, 8.0), reqs=((1 + (t % 3 == 0), "work"),))
+    pairs = rng.sample(list(itertools.combinations(range(7), 2)), 3)
+    rels = [TemporalRelation(*((p, q) if rng.random() < 0.5 else (q, p)),
+                             RelationKind.PRECEDENCE) for p, q in pairs]
+    return grid, team, tasks, RelationIndex(rels), rng
+
+
+def test_append_equals_full_solve_bit_for_bit():
+    appended = refused = 0
+    for seed in range(40):
+        grid, team, tasks, index, rng = _desk_append_instance(seed)
+        seqs = {a: () for a in team}
+        base = schedule_min_makespan(seqs, tasks, index, grid, team)
+        for t in rng.sample(sorted(tasks), len(tasks)):
+            group = rng.choice(eligible_groups(tasks[t], team))
+            seqs = {a: s + (t,) if a in group else s for a, s in seqs.items()}
+            try:
+                full = schedule_min_makespan(seqs, tasks, index, grid, team)
+            except InfeasibleSchedule:  # t must precede a task its own agent ran earlier
+                full = None
+            base_starts = {u: iv.start for u, iv in base.intervals.items()}
+            got = append_to_timetable(seqs, t, base_starts, tasks, index, grid, team)
+            if got is None:  # t must precede a base task
+                assert any(t in index.preds.get(u, ()) for u in base_starts), (seed, t)
+                refused += 1
+            else:
+                assert repr(got) == repr(full), (seed, seqs)
+                assert list(got.intervals) == list(full.intervals) == sorted(full.intervals)
+                appended += 1
+            if full is None:
+                break
+            base = full
+    assert appended >= 150 and refused >= 10
+
+
+def test_append_leaves_relations_it_cannot_extend_to_the_full_solve():
+    grid = empty_grid(20, 4)
+    team = {0: ctx(0, 0.5, 0.5), 1: ctx(1, 0.5, 2.5)}
+    tasks = {t: task(t, 2.5 + 3 * t, 0.5, 4.0) for t in range(1, 5)}
+    seqs = {0: (1, 2), 1: (3, 4)}
+    base_seqs = {0: (1, 2), 1: (3,)}
+
+    def append(*rels):
+        index = RelationIndex(rels)
+        base = schedule_min_makespan(base_seqs, tasks, index, grid, team)
+        base_starts = {u: iv.start for u, iv in base.intervals.items()}
+        return append_to_timetable(seqs, 4, base_starts, tasks, index, grid, team)
+
+    assert repr(append()) == repr(schedule_min_makespan(seqs, tasks, NO_RELATIONS, grid, team))
+    for kind in (RelationKind.MUTEX, RelationKind.CONCURRENCY):
+        assert append(TemporalRelation(4, 1, kind)) is None  # 4 has a partner in the base
+    assert append(TemporalRelation(4, 2, RelationKind.PRECEDENCE)) is None  # 2 must follow 4
+    assert append(TemporalRelation(1, 3, RelationKind.MUTEX)) is None  # the base holds a pair
+    # A mutex partner outside the base, and a base predecessor, still extend.
+    rels = (TemporalRelation(4, 9, RelationKind.MUTEX),
+            TemporalRelation(2, 4, RelationKind.PRECEDENCE))
+    want = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
+    assert repr(append(*rels)) == repr(want)
+    with pytest.raises(ValueError, match="twice"):
+        append_to_timetable({0: (1, 2), 1: (4, 3, 4)}, 4, {1: 0.0, 2: 0.0, 3: 0.0}, tasks,
+                            NO_RELATIONS, grid, team)
+    two = {**tasks, 4: task(4, 14.5, 0.5, 4.0, reqs=((2, "work"),))}
+    with pytest.raises(CapabilityError):
+        append_to_timetable(seqs, 4, {1: 0.0, 2: 0.0, 3: 0.0}, two, NO_RELATIONS, grid, team)

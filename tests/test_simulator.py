@@ -3,11 +3,10 @@ import pytest
 from commplan.radio import CommParams
 from commplan.simulator import AgentState, Simulator
 from commplan.strategies import PlannerOptions, StrategyConfig, make_controller
-from commplan.tasks import (ExecutionInterval, RelationKind, Task, TemporalRelation,
-                            check_schedule, relations_between)
+from commplan.tasks import ExecutionInterval, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position
 
-from conftest import empty_grid, grid_from_rows
+from conftest import empty_grid, grid_from_rows, relations_between
 
 
 def agent(aid, x, y, v=2.0, sensor=8.0, caps=("work",)):

@@ -5,10 +5,18 @@ import pytest
 
 from commplan import workspace
 from commplan.workspace import (GridMap, MapError, Position, Unreachable, astar_length,
-                                astar_path, astar_travel_time, format_grid,
-                                los_obstacle_length, parse_grid)
+                                astar_path, astar_travel_time, los_obstacle_length, parse_grid)
 
 from conftest import dijkstra_oracle, empty_grid, grid_from_rows, los_oracle, random_connected_grid
+
+
+def format_grid(grid: GridMap) -> str:
+    """The map file text that `parse_grid` reads back as `grid`."""
+    rows = ["".join("#" if grid.occupancy[r, c] else "." for c in range(grid.width_cells))
+            for r in range(grid.height_cells)]
+    res = grid.resolution
+    res_text = str(int(res)) if float(res).is_integer() else repr(res)
+    return "\n".join([f"{grid.width_cells} {grid.height_cells} {res_text}"] + rows) + "\n"
 
 
 def test_parse_rejects_bad_headers():

@@ -1,8 +1,9 @@
 """Scenario configuration: loading, validation, serialization, task generation.
 
-Configs are JSON files. Agent starts and task centers are snapped to free
-cell centers at load time so planned travel matches simulated motion
-exactly. Validation collects every problem and reports the offending field.
+Configs are JSON files, parsed and serialized through one table of field rows
+per section (`SCENARIO` and the sections it nests). Agent starts and task
+centers snap to free cell centers at load time so planned travel matches
+simulated motion exactly. Validation names every offending field by its path.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .radio import CommParams
 from .simulator import AgentState, Simulator
-from .strategies import PlannerOptions, StrategyConfig, make_controller
+from .strategies import STRATEGY_KINDS, PlannerOptions, StrategyConfig, make_controller
 from .tasks import RelationKind, Task, TemporalRelation
 from .workspace import GridMap, Position, load_grid
 
@@ -66,26 +67,16 @@ class GeneratorSpec:
     def __post_init__(self):
         prev_end = -math.inf
         for i, ph in enumerate(self.phases):
-            if ph.spatial not in SPATIAL_PATTERNS:
-                raise ScenarioError(f"generator.phases[{i}].spatial: unknown pattern {ph.spatial!r}")
-            if ph.temporal not in TEMPORAL_PATTERNS:
-                raise ScenarioError(f"generator.phases[{i}].temporal: unknown pattern {ph.temporal!r}")
+            for key, kind in (("spatial", _SPATIAL), ("temporal", _TEMPORAL)):
+                problem = kind.problem(getattr(ph, key))
+                if problem:
+                    raise ScenarioError(f"generator.phases[{i}].{key}: {problem}")
             if ph.start < prev_end:
                 raise ScenarioError(f"generator.phases[{i}]: phases overlap or are unordered")
             prev_end = ph.end
-        for name in ("rate", "low_frequency_factor", "burst_rate", "burst_size", "burst_window",
-                     "cluster_std", "sparse_min_dist", "radius"):
-            if not (_is_finite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ScenarioError(f"generator.{name}: must be a finite number >= 0")
-        if not (_is_int(self.cluster_count) and self.cluster_count >= 1):
-            raise ScenarioError("generator.cluster_count: must be an integer >= 1")
-        lo_hi = self.duration_range
-        if not (len(lo_hi) == 2 and all(_is_finite(v) for v in lo_hi) and 0 < lo_hi[0] <= lo_hi[1]):
+        lo, hi = self.duration_range
+        if not 0 < lo <= hi:
             raise ScenarioError("generator.duration_range: must be [lo, hi] with 0 < lo <= hi")
-        if not (self.requirement_options and all(option and min(n for n, _ in option) >= 1
-                                                 for option in self.requirement_options)):
-            raise ScenarioError("generator.requirement_options: must list at least one option, "
-                                "each a nonempty list of [count >= 1, action]")
         # Sampling time grows with the Poisson rates, so bound the expected arrivals.
         per_second = {"uniform": self.rate, "low_frequency": self.rate * self.low_frequency_factor,
                       "spiky": self.burst_rate * max(self.burst_size, 1.0)}
@@ -105,13 +96,13 @@ class ScenarioConfig:
     relations: list[TemporalRelation]
     strategy: StrategyConfig
     horizon: float
-    seed: int = 0
-    dt: float = 0.1
-    planner_budget: Optional[float] = None
-    node_limit: Optional[int] = 200
-    gap: float = 0.5
-    recheck_interval: float = 5.0
-    generator: Optional[GeneratorSpec] = None
+    seed: int
+    dt: float
+    planner_budget: Optional[float]
+    node_limit: Optional[int]
+    gap: float
+    recheck_interval: float
+    generator: Optional[GeneratorSpec]
 
     @property
     def env(self) -> str:
@@ -213,31 +204,9 @@ def generate_tasks(spec: GeneratorSpec, seed: int, grid: GridMap, start_id: int 
     return tasks
 
 
-# -- config parsing ---------------------------------------------------------
+# -- the field table: one Section of Field rows per JSON object ---------------
 
-def _parse_generator(raw: dict, errors: list[str]) -> Optional[GeneratorSpec]:
-    try:
-        n_errors = len(errors)
-        phases = [Phase(_number(p["start"], f"generator.phases[{i}].start", errors),
-                        _number(p["end"], f"generator.phases[{i}].end", errors),
-                        p["spatial"], p["temporal"])
-                  for i, p in enumerate(raw.get("phases", []))]
-        opts = {k: v for k, v in raw.items() if k != "phases"}
-        if "duration_range" in opts:
-            opts["duration_range"] = tuple(opts["duration_range"])
-        if "requirement_options" in opts:
-            opts["requirement_options"] = tuple(
-                _requirements(option, "generator.requirement_options", errors)
-                for option in opts["requirement_options"])
-        if len(errors) > n_errors:
-            return None
-        return GeneratorSpec(phases=phases, **opts)
-    except ScenarioError as exc:  # names its field already
-        errors.append(str(exc))
-        return None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: not a dict
-        errors.append(f"generator: {exc}")
-        return None
+REQUIRED = object()  # the default of a key a scenario must give
 
 
 def _is_int(value) -> bool:
@@ -252,233 +221,312 @@ def _is_finite(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _number(value, fieldname: str, errors: list[str], *, above: Optional[float] = None,
-            at_least: Optional[float] = None) -> float:
-    """`value` as a float if it is a finite JSON number, greater than `above`
-    and at least `at_least` where given; otherwise NaN, with the field named
-    in `errors`."""
-    if _is_finite(value) and (above is None or value > above) \
-            and (at_least is None or value >= at_least):
-        return float(value)
-    need = "".join(f" {op} {bound:g}" for op, bound in ((">", above), (">=", at_least))
-                   if bound is not None)
-    errors.append(f"{fieldname}: must be a finite number{need}")
-    return math.nan
+# The table types are plain classes, not dataclasses or NamedTuples, whose
+# generated methods made each fresh import of this module much larger (the
+# benchmark re-imports the package for every set-up, and counts peak memory).
+class Kind:
+    """A value rule: `problem` says what is wrong with a JSON value (None if
+    nothing), `load` converts a good one, `dump` converts it back. A nullable
+    kind loads null as None and writes None back as null."""
+    __slots__ = ("problem", "load", "dump", "nullable")
+
+    def __init__(self, problem: Callable[[object], Optional[str]],
+                 load: Callable = lambda v: v, dump: Callable = lambda v: v, nullable=False):
+        self.problem, self.load, self.dump, self.nullable = problem, load, dump, nullable
+
+    def parse(self, value, where: str, errors: list[str]):
+        problem = self.problem(value)
+        if problem is None:
+            return self.load(value)
+        errors.append(f"{where}: {problem}")
+        return None
 
 
-def _position(value, fieldname: str, errors: list[str]) -> Optional[Position]:
-    """An [x, y] pair of finite JSON numbers; None, with the field named in `errors`."""
-    if isinstance(value, list) and len(value) == 2 and all(_is_finite(v) for v in value):
-        return Position(float(value[0]), float(value[1]))
-    errors.append(f"{fieldname}: must be [x, y] with finite numbers")
+class Field(tuple):
+    """A row: (JSON key, Kind, Section or Many, the JSON value a missing key
+    reads as, the attribute it loads into)."""
+    def __new__(cls, key: str, kind, default=REQUIRED, attr: Optional[str] = None):
+        return super().__new__(cls, (key, kind, default, attr or key))
+
+
+class Section:
+    """A JSON object: its rows in file order, and what the loaded attributes
+    build (their dict by default)."""
+    __slots__ = ("rows", "build")
+
+    def __init__(self, rows: tuple[Field, ...], build: Callable = dict):
+        self.rows, self.build = rows, build
+
+    def walk(self, raw, where: str, errors: list[str]) -> dict:
+        """Each row's value in the JSON object `raw` loaded into its attribute,
+        None where refused or missing (and named in `errors`). A missing key
+        reads as its default, and null as None where the default is None."""
+        if not isinstance(raw, dict):
+            errors.append(f"{where}: must be an object")
+            return {}
+        prefix = f"{where}." if where else ""
+        keys = {key for key, *_ in self.rows}
+        errors.extend(f"{prefix}{key}: unknown field" for key in raw if key not in keys)
+        attrs = {}
+        for key, kind, default, attr in self.rows:
+            value = raw.get(key, default)
+            if value is REQUIRED:
+                errors.append(f"{prefix}{key}: required")
+                value = None
+            elif value is not None or default is not None:
+                value = kind.parse(value, prefix + key, errors)
+            attrs[attr] = value
+        return attrs
+
+    def parse(self, raw, where: str, errors: list[str]):
+        n_errors = len(errors)
+        attrs = self.walk(raw, where, errors)
+        if len(errors) > n_errors:
+            return None
+        try:
+            return self.build(**attrs)
+        except ScenarioError as exc:  # names its field already
+            errors.append(str(exc))
+        except ValueError as exc:
+            errors.append(f"{where}: {exc}")
+        return None
+
+    def dump(self, obj) -> dict:
+        """`obj` as a scenario file lists it; None is left out unless the
+        row's kind is nullable."""
+        values = ((key, kind, getattr(obj, attr)) for key, kind, _, attr in self.rows)
+        return {key: None if value is None else kind.dump(value) for key, kind, value in values
+                if value is not None or isinstance(kind, Kind) and kind.nullable}
+
+
+class Many:
+    """A JSON list of `item`s; a refused item parses to None."""
+    __slots__ = ("item",)
+
+    def __init__(self, item):
+        self.item = item
+
+    def parse(self, value, where: str, errors: list[str]) -> list:
+        if not isinstance(value, list):
+            errors.append(f"{where}: must be a list")
+            return []
+        return [self.item.parse(v, f"{where}[{i}]", errors) for i, v in enumerate(value)]
+
+    def dump(self, items) -> list:
+        return [self.item.dump(item) for item in items]
+
+
+def _number(*, above: Optional[float] = None, at_least: Optional[float] = None,
+            integer: bool = False, nullable: bool = False) -> Kind:
+    """An integer, or a finite number loaded as a float, bounded where given;
+    or null, where `nullable`."""
+    need = "null or " * nullable + ("an integer" if integer else "a finite number") + "".join(
+        f" {op} {bound:g}" for op, bound in ((">", above), (">=", at_least)) if bound is not None)
+
+    def ok(v) -> bool:
+        if v is None:
+            return nullable
+        return ((_is_int(v) if integer else _is_finite(v))
+                and (above is None or v > above) and (at_least is None or v >= at_least))
+    return Kind(lambda v: None if ok(v) else f"must be {need}",
+                lambda v: v if integer or v is None else float(v), nullable=nullable)
+
+
+def _pair(need: str, load: Callable, dump: Callable) -> Kind:
+    """Two finite JSON numbers."""
+    return Kind(lambda v: None if isinstance(v, list) and len(v) == 2
+                and all(map(_is_finite, v)) else f"must be {need}",
+                lambda v: load(float(v[0]), float(v[1])), dump)
+
+
+def _list_of(test: Callable, need: str, load: Callable) -> Kind:
+    return Kind(lambda v: None if isinstance(v, list) and all(map(test, v))
+                else f"must be a list of {need}", load, list)
+
+
+def _name(names: tuple[str, ...]) -> Kind:
+    return Kind(lambda v: None if v in names else f"must be one of {', '.join(names)}")
+
+
+def _requirements_problem(value) -> Optional[str]:
+    if not (isinstance(value, list) and value
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in value)):
+        return "must be a nonempty list of [count, action] pairs"
+    for n, action in value:
+        if not (_is_int(n) and n >= 1):
+            return f"count {n!r} must be an integer >= 1"
+        if not isinstance(action, str):
+            return f"action {action!r} must be a string"
     return None
 
 
-def _requirements(value, fieldname: str, errors: list[str]) -> tuple[tuple[int, str], ...]:
-    """[[count, action], ...] with integer counts >= 1 and string actions; a bad
-    count or action is named in `errors`."""
-    reqs = []
-    for n, action in value:
-        if not (_is_int(n) and n >= 1):
-            errors.append(f"{fieldname}: count {n!r} must be an integer >= 1")
-        if not isinstance(action, str):
-            errors.append(f"{fieldname}: action {action!r} must be a string")
-        reqs.append((n, action))
-    return tuple(reqs)
+def _relation_problem(value) -> Optional[str]:
+    if not (isinstance(value, list) and len(value) == 3):
+        return "must be [first, second, kind]"
+    if not (_is_int(value[0]) and _is_int(value[1])):
+        return "task ids must be integers"
+    if value[0] == value[1]:
+        return "task ids must differ"
+    if value[2] not in RELATION_KINDS:
+        return f"kind must be one of {', '.join(RELATION_KINDS)}"
+    return None
 
 
-def _list(raw: dict, key: str, errors: list[str]) -> list:
-    """The top-level section `key`, [] when absent; [] with the field named in
-    `errors` when it is not a JSON list."""
-    value = raw.get(key, [])
-    if isinstance(value, list):
-        return value
-    errors.append(f"{key}: must be a list")
-    return []
+RELATION_KINDS = tuple(k.value for k in RelationKind)
+_FINITE = _number()
+_POSITIVE = _number(above=0.0)
+_NONNEGATIVE = _number(at_least=0.0)
+_INT = _number(integer=True)
+_POSITION = _pair("[x, y] with finite numbers", Position, lambda p: [p.x, p.y])
+_SPATIAL = _name(SPATIAL_PATTERNS)
+_TEMPORAL = _name(TEMPORAL_PATTERNS)
+_REQUIREMENTS = Kind(_requirements_problem, lambda v: tuple((n, a) for n, a in v),
+                     lambda v: [[n, a] for n, a in v])
+_REQUIREMENT_OPTIONS = Kind(
+    lambda v: next(filter(None, map(_requirements_problem, v)), None)
+    if isinstance(v, list) and v else "must be a nonempty list of requirement lists",
+    lambda v: tuple(map(_REQUIREMENTS.load, v)), lambda v: list(map(_REQUIREMENTS.dump, v)))
+_RELATION = Kind(_relation_problem, lambda r: TemporalRelation(r[0], r[1], RelationKind(r[2])),
+                 lambda r: [r.first, r.second, r.kind.value])
+
+AGENT = Section((
+    Field("id", _INT),
+    Field("start", _POSITION),
+    Field("v_max", _POSITIVE),
+    Field("sensor_range", _NONNEGATIVE),
+    Field("capabilities", _list_of(lambda c: isinstance(c, str), "strings",
+                                   lambda v: tuple(sorted(set(v))))),
+))
+TASK = Section((
+    Field("id", _INT),
+    Field("center", _POSITION, attr="region_center"),
+    Field("radius", _NONNEGATIVE, 1.0, "region_radius"),
+    Field("duration", _POSITIVE),
+    Field("requirements", _REQUIREMENTS),
+    Field("release_time", _FINITE, 0.0),
+))
+COMM = Section(tuple(Field(f.name, _FINITE, f.default) for f in fields(CommParams)), CommParams)
+STRATEGY = Section((
+    Field("kind", _name(STRATEGY_KINDS)),
+    Field("threshold_n", _number(at_least=1, integer=True), None),
+    Field("interval", _POSITIVE, None),
+    Field("fixed_point", _POSITION, None),
+    Field("leader", _INT, None),
+    Field("ring_order", _list_of(_is_int, "integer ids", tuple), None),
+), StrategyConfig)
+PHASE = Section((Field("start", _FINITE), Field("end", _FINITE),
+                 Field("spatial", _SPATIAL), Field("temporal", _TEMPORAL)), Phase)
+GENERATOR = Section((
+    Field("phases", Many(PHASE), []),
+    Field("rate", _NONNEGATIVE, 0.05),
+    Field("low_frequency_factor", _NONNEGATIVE, 0.3),
+    Field("burst_rate", _NONNEGATIVE, 0.01),
+    Field("burst_size", _NONNEGATIVE, 4.0),
+    Field("burst_window", _NONNEGATIVE, 5.0),
+    Field("cluster_count", _number(at_least=1, integer=True), 3),
+    Field("cluster_std", _NONNEGATIVE, 2.0),
+    Field("sparse_min_dist", _NONNEGATIVE, 5.0),
+    Field("duration_range", _pair("[lo, hi] with 0 < lo <= hi", lambda lo, hi: (lo, hi), list),
+          [5.0, 15.0]),
+    Field("radius", _NONNEGATIVE, 1.0),
+    Field("requirement_options", _REQUIREMENT_OPTIONS, [[[1, "work"]]]),
+), GeneratorSpec)
+SCENARIO = Section((
+    Field("map", Kind(lambda v: None if isinstance(v, str) else "must be a string path"),
+          attr="map_path"),
+    Field("agents", Many(AGENT), []),
+    Field("comm", COMM, {}, "params"),
+    Field("tasks", Many(TASK), []),
+    Field("relations", Many(_RELATION), []),
+    Field("strategy", STRATEGY),
+    Field("horizon", _POSITIVE),
+    Field("seed", _INT, 0),
+    Field("dt", _POSITIVE, 0.1),
+    Field("planner_budget", _number(at_least=0.0, nullable=True), None),
+    Field("node_limit", _number(at_least=0, integer=True, nullable=True), 200),
+    Field("gap", _NONNEGATIVE, 0.5),
+    Field("recheck_interval", _POSITIVE, 5.0),
+    Field("generator", GENERATOR, None),
+))
+
+
+# -- cross-field rules -------------------------------------------------------
+
+def _placed(items: list, section: str, key: str, attr: str, build: Callable, grid: GridMap,
+            errors: list[str]) -> tuple[list, set[int]]:
+    """The walked `items` (None where refused) with unique ids and a free position
+    `attr` (JSON `key`), built with it snapped, in id order; and all their ids."""
+    built, ids = [], set()
+    noun = section[:-1]
+    for i, item in enumerate(items):
+        if item is None:
+            continue
+        if item["id"] in ids:
+            errors.append(f"{section}[{i}].id: duplicate {noun} id {item['id']}")
+        ids.add(item["id"])
+        pos, where = item[attr], f"{section}[{i}].{key}"
+        if not grid.contains(pos):
+            errors.append(f"{where}: outside the map")
+        elif not grid.is_free(pos):
+            errors.append(f"{where}: {noun} {item['id']} lies on an obstacle")
+        else:
+            built.append(build(**{**item, attr: grid.snap(pos)}))
+    return sorted(built, key=lambda x: x.id), ids
 
 
 def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
+    """The scenario `raw` describes: each field checked by its row, then the
+    rules that relate fields to each other and to the map."""
     errors: list[str] = []
-
-    map_path = raw.get("map")
+    top = SCENARIO.walk(raw, "", errors)
     grid = None
-    if not isinstance(map_path, str):
-        errors.append("map: required string path")
-    else:
+    if top["map_path"] is not None:
         try:
-            grid = load_grid(base_dir / map_path)
+            grid = load_grid(base_dir / top["map_path"])
         except (OSError, ValueError) as exc:  # MapError, a NUL byte, or text that is not UTF-8
             errors.append(f"map: {exc}")
-    if errors:
+    if grid is None:
         raise ScenarioError("; ".join(errors))
 
-    agents: list[AgentSpec] = []
-    seen_ids = set()
-    for i, a in enumerate(_list(raw, "agents", errors)):
-        fieldname = f"agents[{i}]"
-        try:
-            aid = a["id"]
-            if not _is_int(aid):
-                errors.append(f"{fieldname}.id: must be an integer")
-                continue
-            start = _position(a["start"], f"{fieldname}.start", errors)
-            if aid in seen_ids:
-                errors.append(f"{fieldname}.id: duplicate agent id {aid}")
-            seen_ids.add(aid)
-            if start is None:
-                pass  # named by _position
-            elif not grid.contains(start):
-                errors.append(f"{fieldname}.start: outside the map")
-            elif not grid.is_free(start):
-                errors.append(f"{fieldname}.start: agent {aid} starts on an obstacle")
-            else:
-                v_max = _number(a["v_max"], f"{fieldname}.v_max", errors, above=0.0)
-                sensor_range = _number(a["sensor_range"], f"{fieldname}.sensor_range", errors,
-                                       at_least=0.0)
-                caps = a["capabilities"]
-                if not (isinstance(caps, list) and all(isinstance(c, str) for c in caps)):
-                    errors.append(f"{fieldname}.capabilities: must be a list of strings")
-                agents.append(AgentSpec(aid, grid.snap(start), v_max, sensor_range,
-                                        tuple(sorted(set(caps)))))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            errors.append(f"{fieldname}: {exc}")
-    if not agents:
+    agents, agent_ids = _placed(top["agents"], "agents", "start", "start", AgentSpec, grid,
+                                errors)
+    if not top["agents"]:
         errors.append("agents: at least one agent required")
+    tasks, task_ids = _placed(top["tasks"], "tasks", "center", "region_center", Task, grid,
+                              errors)
 
-    comm = raw.get("comm", {})
-    try:
-        errors.extend(f"comm.{k}: must be a finite number" for k, v in comm.items()
-                      if not _is_finite(v))
-        params = CommParams(**comm)
-    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: not a dict
-        errors.append(f"comm: {exc}")
-        params = CommParams()
+    pairs = set()
+    for i, rel in enumerate(top["relations"]):
+        if rel is None:
+            continue
+        pair = (min(rel.first, rel.second), max(rel.first, rel.second))
+        if pair in pairs:
+            errors.append(f"relations[{i}]: duplicate relation for pair {pair}")
+        pairs.add(pair)
+        if top["generator"] is None:  # otherwise a generated task may be the one named
+            errors.extend(f"relations[{i}]: dangling task id {tid}"
+                          for tid in (rel.first, rel.second) if tid not in task_ids)
 
-    tasks: list[Task] = []
-    task_ids = set()
-    for i, t in enumerate(_list(raw, "tasks", errors)):
-        fieldname = f"tasks[{i}]"
-        try:
-            tid = t["id"]
-            if not _is_int(tid):
-                errors.append(f"{fieldname}.id: must be an integer")
-                continue
-            center = _position(t["center"], f"{fieldname}.center", errors)
-            if tid in task_ids:
-                errors.append(f"{fieldname}.id: duplicate task id {tid}")
-            task_ids.add(tid)
-            if center is None:
-                pass  # named by _position
-            elif not grid.contains(center):
-                errors.append(f"{fieldname}.center: outside the map")
-            elif not grid.is_free(center):
-                errors.append(f"{fieldname}.center: task {tid} lies on an obstacle")
-            else:
-                n_errors = len(errors)
-                radius = _number(t.get("radius", 1.0), f"{fieldname}.radius", errors,
-                                 at_least=0.0)
-                duration = _number(t["duration"], f"{fieldname}.duration", errors, above=0.0)
-                reqs = _requirements(t["requirements"], f"{fieldname}.requirements", errors)
-                release = _number(t.get("release_time", 0.0), f"{fieldname}.release_time",
-                                  errors)
-                if len(errors) == n_errors:
-                    tasks.append(Task(tid, grid.snap(center), radius, duration, reqs,
-                                      release_time=release))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            errors.append(f"{fieldname}: {exc}")
-
-    generator = None
-    if "generator" in raw:
-        generator = _parse_generator(raw["generator"], errors)
-
-    relations: list[TemporalRelation] = []
-    pair_seen = set()
-    for i, r in enumerate(_list(raw, "relations", errors)):
-        fieldname = f"relations[{i}]"
-        try:
-            if not (_is_int(r[0]) and _is_int(r[1])):
-                errors.append(f"{fieldname}: task ids must be integers")
-                continue
-            rel = TemporalRelation(r[0], r[1], RelationKind(r[2]))
-            key = (min(rel.first, rel.second), max(rel.first, rel.second))
-            if key in pair_seen:
-                errors.append(f"{fieldname}: duplicate relation for pair {key}")
-            pair_seen.add(key)
-            if generator is None:
-                if rel.first not in task_ids:
-                    errors.append(f"{fieldname}: dangling task id {rel.first}")
-                if rel.second not in task_ids:
-                    errors.append(f"{fieldname}: dangling task id {rel.second}")
-            relations.append(rel)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:  # KeyError: an object
-            errors.append(f"{fieldname}: {exc}")
-
-    strategy = None
-    try:
-        s = dict(raw.get("strategy", {}))
-        if "fixed_point" in s and s["fixed_point"] is not None:
-            fp = _position(s["fixed_point"], "strategy.fixed_point", errors)
-            if fp is not None and (not grid.contains(fp) or not grid.is_free(fp)):
-                errors.append("strategy.fixed_point: not a free position")
-            s["fixed_point"] = None if fp is None else grid.snap(fp)
-        if s.get("ring_order") is not None:
-            order = s["ring_order"]
-            ids_ok = isinstance(order, list) and all(_is_int(x) for x in order)
-            if not (ids_ok and sorted(order) == sorted(a.id for a in agents)):
-                errors.append("strategy.ring_order: must list each agent id once, as integers")
-            s["ring_order"] = tuple(order) if ids_ok else None
-        if s.get("interval") is not None:
-            _number(s["interval"], "strategy.interval", errors, above=0.0)
-        threshold_n = s.get("threshold_n")
-        if threshold_n is not None and not (_is_int(threshold_n) and threshold_n >= 1):
-            errors.append("strategy.threshold_n: must be an integer >= 1")
-        leader = s.get("leader")
-        if leader is not None and not _is_int(leader):
-            errors.append("strategy.leader: must be an integer agent id")
-        strategy = StrategyConfig(**s)
-        if strategy.kind == "frdt" and _is_int(leader) and leader not in {a.id for a in agents}:
+    strategy = top["strategy"]
+    if strategy is not None:
+        point = strategy.fixed_point
+        if point is not None and not (grid.contains(point) and grid.is_free(point)):
+            errors.append("strategy.fixed_point: not a free position")
+        elif point is not None:
+            strategy.fixed_point = grid.snap(point)
+        if strategy.ring_order is not None and sorted(strategy.ring_order) != sorted(agent_ids):
+            errors.append("strategy.ring_order: must list each agent id once")
+        if strategy.kind == "frdt" and strategy.leader not in agent_ids:
             errors.append("strategy.leader: unknown agent id")
-    except (TypeError, ValueError) as exc:
-        errors.append(f"strategy: {exc}")
 
-    horizon = raw.get("horizon")
-    horizon_ok = _is_finite(horizon) and horizon > 0
-    if not horizon_ok:
-        errors.append("horizon: required finite number > 0")
-
-    dt = raw.get("dt", 0.1)
-    if not (_is_finite(dt) and dt > 0):
-        errors.append("dt: must be a finite number > 0")
-    elif horizon_ok and horizon / dt > MAX_TICKS:
+    horizon, dt = top["horizon"], top["dt"]  # None where refused
+    if horizon and dt and horizon / dt > MAX_TICKS:
         errors.append(f"horizon: {horizon} s at dt {dt} s is {horizon / dt:.3g} ticks, "
                       f"more than the {MAX_TICKS} one trial may simulate")
 
-    seed = raw.get("seed", 0)
-    if not _is_int(seed):
-        errors.append("seed: must be an integer")
-    gap = raw.get("gap", 0.5)
-    if not (_is_finite(gap) and gap >= 0):
-        errors.append("gap: must be a finite number >= 0")
-    recheck_interval = raw.get("recheck_interval", 5.0)
-    if not (_is_finite(recheck_interval) and recheck_interval > 0):
-        errors.append("recheck_interval: must be a finite number > 0")
-    node_limit = raw.get("node_limit", 200)
-    if not (node_limit is None or _is_int(node_limit) and node_limit >= 0):
-        errors.append("node_limit: must be null or an integer >= 0")
-    planner_budget = raw.get("planner_budget")
-    if not (planner_budget is None or _is_finite(planner_budget) and planner_budget >= 0):
-        errors.append("planner_budget: must be null or a finite number >= 0")
-
     if errors:
         raise ScenarioError("; ".join(errors))
-
-    return ScenarioConfig(
-        map_path=map_path, grid=grid, agents=sorted(agents, key=lambda a: a.id),
-        params=params, tasks=sorted(tasks, key=lambda t: t.id), relations=relations,
-        strategy=strategy, horizon=float(horizon),
-        seed=seed, dt=float(dt), planner_budget=planner_budget, node_limit=node_limit,
-        gap=float(gap), recheck_interval=float(recheck_interval),
-        generator=generator)
+    return ScenarioConfig(**{**top, "grid": grid, "agents": agents, "tasks": tasks})
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -494,58 +542,8 @@ def load_scenario(path) -> ScenarioConfig:
     return scenario_from_dict(raw, path.parent)
 
 
-def task_to_dict(t: Task) -> dict:
-    """A task as a scenario file lists it."""
-    return {"id": t.id, "center": [t.region_center.x, t.region_center.y],
-            "radius": t.region_radius, "duration": t.duration,
-            "requirements": [[n, a] for n, a in t.requirements],
-            "release_time": t.release_time}
-
-
-def serialize_scenario(cfg: ScenarioConfig) -> dict:
-    out = {
-        "map": cfg.map_path,
-        "agents": [{"id": a.id, "start": [a.start.x, a.start.y], "v_max": a.v_max,
-                    "sensor_range": a.sensor_range, "capabilities": list(a.capabilities)}
-                   for a in cfg.agents],
-        "comm": {"tx_power": cfg.params.tx_power, "pl_ref": cfg.params.pl_ref,
-                 "ref_dist": cfg.params.ref_dist, "path_exponent": cfg.params.path_exponent,
-                 "attenuation": cfg.params.attenuation, "threshold": cfg.params.threshold},
-        "tasks": [task_to_dict(t) for t in cfg.tasks],
-        "relations": [[r.first, r.second, r.kind.value] for r in cfg.relations],
-        "strategy": {"kind": cfg.strategy.kind},
-        "horizon": cfg.horizon,
-        "seed": cfg.seed,
-        "dt": cfg.dt,
-        "planner_budget": cfg.planner_budget,
-        "node_limit": cfg.node_limit,
-        "gap": cfg.gap,
-        "recheck_interval": cfg.recheck_interval,
-    }
-    s = cfg.strategy
-    if s.threshold_n is not None:
-        out["strategy"]["threshold_n"] = s.threshold_n
-    if s.interval is not None:
-        out["strategy"]["interval"] = s.interval
-    if s.fixed_point is not None:
-        out["strategy"]["fixed_point"] = [s.fixed_point.x, s.fixed_point.y]
-    if s.leader is not None:
-        out["strategy"]["leader"] = s.leader
-    if s.ring_order is not None:
-        out["strategy"]["ring_order"] = list(s.ring_order)
-    if cfg.generator is not None:
-        g = cfg.generator
-        out["generator"] = {
-            "phases": [{"start": p.start, "end": p.end, "spatial": p.spatial,
-                        "temporal": p.temporal} for p in g.phases],
-            "rate": g.rate, "low_frequency_factor": g.low_frequency_factor,
-            "burst_rate": g.burst_rate, "burst_size": g.burst_size,
-            "burst_window": g.burst_window, "cluster_count": g.cluster_count,
-            "cluster_std": g.cluster_std, "sparse_min_dist": g.sparse_min_dist,
-            "duration_range": list(g.duration_range), "radius": g.radius,
-            "requirement_options": [[[n, a] for n, a in opt] for opt in g.requirement_options],
-        }
-    return out
+task_to_dict = TASK.dump  # a task as a scenario file lists it
+serialize_scenario = SCENARIO.dump  # a config as a scenario file lists it
 
 
 def build_simulator(cfg: ScenarioConfig, seed: Optional[int] = None,

@@ -70,8 +70,9 @@ def test_criterion_1_exact_optimality(search_transcripts):
     _passline(1, f"200/200 instances match the exhaustive optimum (1e-9); {elapsed:.0f}s total")
 
 
-def _extends(node, cand_seqs, cand_groups):
-    for tid, grp in groups_of(node.sequences).items():
+def _extends(node, node_groups, cand_seqs, cand_groups):
+    """Whether the candidate plan completes `node`, whose groups_of is `node_groups`."""
+    for tid, grp in node_groups.items():
         if cand_groups.get(tid) != grp:
             return False
     for aid, seq in node.sequences.items():
@@ -93,11 +94,12 @@ def test_criterion_3_bound_soundness(search_transcripts):
             nodes_checked += 1
         if rec["candidates"] is None:
             continue
+        # The first extension in descending rate is the best one.
+        ranked = sorted(rec["candidates"], key=lambda cand: cand[0], reverse=True)
         for node in rec["stats"].nodes:
-            best_ext = None
-            for rate, seqs, groups in rec["candidates"]:
-                if (best_ext is None or rate > best_ext) and _extends(node, seqs, groups):
-                    best_ext = rate
+            node_groups = groups_of(node.sequences)
+            best_ext = next((rate for rate, seqs, groups in ranked
+                             if _extends(node, node_groups, seqs, groups)), None)
             if best_ext is not None:  # nodes with no feasible descendant are dead
                 assert node.ub >= best_ext - 1e-9, (node.sequences, node.ub, best_ext)
             subtree_checked += 1

@@ -128,7 +128,8 @@ def test_cli_run_strategy_override_missing_field(small_scenario, capsys, kind, f
     ("tasks[0].requirements", [[1, None]]),
     ("strategy.fixed_point", ["10", 3.0]), ("strategy.fixed_point", [10 ** 400, 3.0]),
     ("agents[0].id", 1.5), ("agents[1].id", "1"), ("tasks[0].id", 2.7),
-    ("tasks[1].id", True), ("strategy.ring_order", [0, 1.0])])
+    ("tasks[1].id", True), ("strategy.ring_order", [0, 1.0]), ("node_limt", 5),
+    ("agents[0].vmax", 2.0), ("tasks[0].duraton", 5.0), ("comm.thresh", -40.0)])
 def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
     raw = small_raw()
@@ -152,6 +153,7 @@ def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value
     ("relations", [[1, "2", "precedence"]], "relations[0]: task ids must be integers"),
     ("relations", [[1, 2, "mutex"], [True, 2, "concurrency"]], "relations[1]: task ids"),
     ("relations", [{"first": 1, "second": 2, "kind": "mutex"}], "relations[0]:"),
+    ("relations", [[2, 2, "precedence"]], "relations[0]:"),
     ("strategy", {"kind": "ring", "ring_order": [0, 1, 7]}, "strategy.ring_order:"),
     ("strategy", {"kind": "ring", "ring_order": [1]}, "strategy.ring_order:"),
     ("strategy", {"kind": "ring", "ring_order": [0, 0, 1]}, "strategy.ring_order:"),
@@ -167,7 +169,9 @@ def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value
     ("agents", 5, "agents: must be a list"), ("agents", None, "agents: must be a list"),
     ("agents", {"0": {}}, "agents: must be a list"), ("tasks", 5, "tasks: must be a list"),
     ("tasks", "tasks", "tasks: must be a list"), ("relations", 5, "relations: must be a list"),
-    ("relations", None, "relations: must be a list")])
+    ("relations", None, "relations: must be a list"),
+    ("agents", [{"id": 0, "start": [2.0, 2.0], "sensor_range": 20.0, "capabilities": ["work"]}],
+     "agents[0].v_max: required")])
 def test_cli_bad_relation_or_ring_order_exit_code(tmp_path, capsys, command, section, value,
                                                   message):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
@@ -216,7 +220,11 @@ def test_cli_bad_sensor_range_exit_code(tmp_path, capsys, command, value):
     ("phases", [{"start": False, "end": 50.0, "spatial": "uniform", "temporal": "uniform"}],
      "generator.phases[0].start:"),
     ("phases", [{"start": 0.0, "end": True, "spatial": "uniform", "temporal": "uniform"}],
-     "generator.phases[0].end:")])
+     "generator.phases[0].end:"),
+    ("phases", [{"start": 0.0, "end": 50.0, "spatial": "uniform", "temporal": "uniform",
+                 "strat": "uniform"}], "generator.phases[0].strat: unknown field"),
+    ("phases", [{"start": 0.0, "end": 50.0, "spatial": "uniform"}],
+     "generator.phases[0].temporal: required")])
 def test_cli_bad_generator_field_exit_code(tmp_path, capsys, command, field, value, message):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
     raw = small_raw()

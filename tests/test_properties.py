@@ -1,8 +1,12 @@
 """Property tests: the link carry-over equals the all-pairs link rule, and a
-malformed scenario is refused with exit 2, never a traceback."""
+malformed scenario is refused with exit 2, never a traceback; one that
+validates runs without raising."""
 
+import copy
+import functools
 import itertools
 import json
+import operator
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -44,7 +48,8 @@ def test_update_links_equals_all_pairs_links(case, threshold):
                          if linked(pos[a], pos[b], grid, params)}
 
 
-DESK = json.loads((DATA / "desk_scenario.json").read_text())
+DESK = {**json.loads((DATA / "desk_scenario.json").read_text()),
+        "map": str(DATA / "desk.map"), "horizon": 20.0}
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(10 ** 300, 10 ** 400)
     | st.floats() | st.text(max_size=8),
@@ -53,10 +58,48 @@ JSON_VALUES = st.recursive(
     max_leaves=12)
 
 
+def _paths(value, path=()):
+    """(leaves, objects): the paths to every non-container value and to every
+    object in a JSON document."""
+    if not isinstance(value, (dict, list)):
+        return [path], []
+    leaves, objects = [], [path] if isinstance(value, dict) else []
+    for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+        child_leaves, child_objects = _paths(child, path + (key,))
+        leaves += child_leaves
+        objects += child_objects
+    return leaves, objects
+
+
+DESK_LEAVES, DESK_OBJECTS = _paths(DESK)
+
+
+@st.composite
+def corrupted_desk(draw):
+    """The desk document with one leaf, at any depth, replaced by any JSON
+    value, or with one unknown key added to one of its objects; and whether
+    the key was added."""
+    doc = copy.deepcopy(DESK)
+    unknown = draw(st.integers(0, 3)) == 0
+    if unknown:
+        target = functools.reduce(operator.getitem, draw(st.sampled_from(DESK_OBJECTS)), doc)
+        key = draw(st.text(max_size=8).filter(lambda k: k not in target))
+    else:
+        *outer, key = draw(st.sampled_from(DESK_LEAVES))
+        target = functools.reduce(operator.getitem, outer, doc)
+    # Plausible numbers as well, so that some corrupted documents validate and run.
+    target[key] = draw(JSON_VALUES | st.floats(-5.0, 100.0) | st.integers(-2, 100))
+    return doc, unknown
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(DESK)), JSON_VALUES)
-def test_malformed_top_level_field_is_refused_not_raised(tmp_path_factory, field, value):
-    raw = {**DESK, "map": str(DATA / "desk.map"), field: value}
+@given(corrupted_desk())
+def test_malformed_field_is_refused_not_raised(tmp_path_factory, case):
+    doc, unknown = case
     path = tmp_path_factory.mktemp("malformed") / "scenario.json"
-    path.write_text(json.dumps(raw))
-    assert main(["validate", str(path)]) in (0, 2)
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path)])
+    assert code == 2 if unknown else code in (0, 2)
+    if code == 0:  # it runs without raising, on 20 s even if the horizon was the leaf
+        path.write_text(json.dumps({**doc, "horizon": 20.0}))
+        assert main(["run", str(path)]) in (0, 3)

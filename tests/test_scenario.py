@@ -1,16 +1,20 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from commplan.scenario import (GeneratorSpec, Phase, ScenarioError, build_simulator,
                                generate_tasks, load_scenario, scenario_from_dict,
                                serialize_scenario)
+from commplan.radio import CommParams
+from commplan.strategies import StrategyConfig
 from commplan.workspace import Position
 
 from conftest import empty_grid
 
 
+DATA = Path(__file__).parent / "data"
 MAP_TEXT = "12 10 1\n" + "\n".join(["." * 12] * 10) + "\n"
 
 
@@ -113,21 +117,40 @@ def test_subt_scale_config_loads(tmp_path):
     assert cfg.grid.width_m == 40 and cfg.grid.height_m == 60
 
 
-def test_round_trip_identity(tmp_path):
-    raw = minimal_raw()
-    raw["tasks"] = [{"id": 1, "center": [5.0, 5.0], "radius": 1.0, "duration": 5.0,
-                     "requirements": [[1, "work"]], "release_time": 3.0}]
-    raw["relations"] = []
-    raw["strategy"] = {"kind": "fimr", "interval": 35.0}
-    raw["generator"] = {
-        "phases": [{"start": 0.0, "end": 100.0, "spatial": "uniform", "temporal": "uniform"}],
-        "rate": 0.05,
-    }
-    cfg = load_scenario(write_scenario(tmp_path, raw))
+@pytest.mark.parametrize("shipped", [None] + sorted(p.name for p in DATA.glob("*.json")))
+def test_round_trip_identity(tmp_path, shipped):
+    if shipped is None:
+        raw = minimal_raw()
+        raw["tasks"] = [{"id": 1, "center": [5.0, 5.0], "radius": 1.0, "duration": 5.0,
+                         "requirements": [[1, "work"]], "release_time": 3.0}]
+        raw["relations"] = []
+        raw["strategy"] = {"kind": "fimr", "interval": 35.0}
+        raw["generator"] = {
+            "phases": [{"start": 0.0, "end": 100.0, "spatial": "uniform", "temporal": "uniform"}],
+            "rate": 0.05,
+        }
+        path = write_scenario(tmp_path, raw)
+    else:
+        path = DATA / shipped
+    cfg = load_scenario(path)
     dumped = serialize_scenario(cfg)
-    cfg2 = scenario_from_dict(dumped, tmp_path)
+    cfg2 = scenario_from_dict(dumped, path.parent)
     assert cfg == cfg2
     assert serialize_scenario(cfg2) == dumped
+    assert {k: v for k, v in vars(cfg2).items() if k != "grid"} == \
+           {k: v for k, v in vars(cfg).items() if k != "grid"}
+
+
+def test_omitted_and_null_fields_load_the_defaults(tmp_path):
+    raw = minimal_raw()
+    raw["generator"] = {}
+    raw["planner_budget"] = None  # null reads as the default where that is None
+    raw["strategy"] = {"kind": "cocoplan", "leader": None, "ring_order": None}
+    cfg = load_scenario(write_scenario(tmp_path, raw))
+    assert cfg.params == CommParams()
+    assert cfg.generator == GeneratorSpec(phases=[])
+    assert cfg.strategy == StrategyConfig("cocoplan")
+    assert cfg.planner_budget is None and cfg.node_limit == 200
 
 
 def test_fpmr_fixed_point_on_obstacle_rejected(tmp_path):

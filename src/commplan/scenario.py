@@ -12,12 +12,12 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
 from .radio import CommParams
-from .simulator import AgentState, Simulator
+from .simulator import DEFAULT_DT, AgentState, Simulator
 from .strategies import STRATEGY_KINDS, PlannerOptions, StrategyConfig, make_controller
 from .tasks import RelationKind, Task, TemporalRelation
 from .workspace import GridMap, Position, load_grid
@@ -51,7 +51,7 @@ class Phase:
 
 @dataclass
 class GeneratorSpec:
-    phases: list[Phase]
+    phases: list[Phase] = field(default_factory=list)
     rate: float = 0.05
     low_frequency_factor: float = 0.3
     burst_rate: float = 0.01
@@ -86,23 +86,24 @@ class GeneratorSpec:
                                 f"{MAX_ARRIVALS} in one trial and finite phase bounds allowed")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioConfig:
+    """A loaded scenario; a field a scenario file may omit has its default."""
     map_path: str
     grid: GridMap
-    agents: list[AgentSpec]
-    params: CommParams
-    tasks: list[Task]
-    relations: list[TemporalRelation]
+    agents: list[AgentSpec] = field(default_factory=list)
+    params: CommParams = field(default_factory=CommParams)
+    tasks: list[Task] = field(default_factory=list)
+    relations: list[TemporalRelation] = field(default_factory=list)
     strategy: StrategyConfig
     horizon: float
-    seed: int
-    dt: float
-    planner_budget: Optional[float]
-    node_limit: Optional[int]
-    gap: float
-    recheck_interval: float
-    generator: Optional[GeneratorSpec]
+    seed: int = 0
+    dt: float = DEFAULT_DT
+    planner_budget: Optional[float] = PlannerOptions.budget
+    node_limit: Optional[int] = PlannerOptions.node_limit
+    gap: float = PlannerOptions.gap
+    recheck_interval: float = 5.0
+    generator: Optional[GeneratorSpec] = None
 
     @property
     def env(self) -> str:
@@ -204,7 +205,7 @@ def generate_tasks(spec: GeneratorSpec, seed: int, grid: GridMap, start_id: int 
     return tasks
 
 
-# -- the field table: one Section of Field rows per JSON object ---------------
+# -- the field table: one Section of rows per JSON object --------------------
 
 REQUIRED = object()  # the default of a key a scenario must give
 
@@ -242,19 +243,13 @@ class Kind:
         return None
 
 
-class Field(tuple):
-    """A row: (JSON key, Kind, Section or Many, the JSON value a missing key
-    reads as, the attribute it loads into)."""
-    def __new__(cls, key: str, kind, default=REQUIRED, attr: Optional[str] = None):
-        return super().__new__(cls, (key, kind, default, attr or key))
-
-
 class Section:
     """A JSON object: its rows in file order, and what the loaded attributes
-    build (their dict by default)."""
+    build (their dict by default). A row is (JSON key, its Kind, Section or
+    Many, the JSON value a missing key reads as, the attribute it loads into)."""
     __slots__ = ("rows", "build")
 
-    def __init__(self, rows: tuple[Field, ...], build: Callable = dict):
+    def __init__(self, rows: tuple[tuple, ...], build: Callable = dict):
         self.rows, self.build = rows, build
 
     def walk(self, raw, where: str, errors: list[str]) -> dict:
@@ -389,65 +384,57 @@ _REQUIREMENT_OPTIONS = Kind(
 _RELATION = Kind(_relation_problem, lambda r: TemporalRelation(r[0], r[1], RelationKind(r[2])),
                  lambda r: [r.first, r.second, r.kind.value])
 
-AGENT = Section((
-    Field("id", _INT),
-    Field("start", _POSITION),
-    Field("v_max", _POSITIVE),
-    Field("sensor_range", _NONNEGATIVE),
-    Field("capabilities", _list_of(lambda c: isinstance(c, str), "strings",
-                                   lambda v: tuple(sorted(set(v))))),
-))
-TASK = Section((
-    Field("id", _INT),
-    Field("center", _POSITION, attr="region_center"),
-    Field("radius", _NONNEGATIVE, 1.0, "region_radius"),
-    Field("duration", _POSITIVE),
-    Field("requirements", _REQUIREMENTS),
-    Field("release_time", _FINITE, 0.0),
-))
-COMM = Section(tuple(Field(f.name, _FINITE, f.default) for f in fields(CommParams)), CommParams)
-STRATEGY = Section((
-    Field("kind", _name(STRATEGY_KINDS)),
-    Field("threshold_n", _number(at_least=1, integer=True), None),
-    Field("interval", _POSITIVE, None),
-    Field("fixed_point", _POSITION, None),
-    Field("leader", _INT, None),
-    Field("ring_order", _list_of(_is_int, "integer ids", tuple), None),
-), StrategyConfig)
-PHASE = Section((Field("start", _FINITE), Field("end", _FINITE),
-                 Field("spatial", _SPATIAL), Field("temporal", _TEMPORAL)), Phase)
-GENERATOR = Section((
-    Field("phases", Many(PHASE), []),
-    Field("rate", _NONNEGATIVE, 0.05),
-    Field("low_frequency_factor", _NONNEGATIVE, 0.3),
-    Field("burst_rate", _NONNEGATIVE, 0.01),
-    Field("burst_size", _NONNEGATIVE, 4.0),
-    Field("burst_window", _NONNEGATIVE, 5.0),
-    Field("cluster_count", _number(at_least=1, integer=True), 3),
-    Field("cluster_std", _NONNEGATIVE, 2.0),
-    Field("sparse_min_dist", _NONNEGATIVE, 5.0),
-    Field("duration_range", _pair("[lo, hi] with 0 < lo <= hi", lambda lo, hi: (lo, hi), list),
-          [5.0, 15.0]),
-    Field("radius", _NONNEGATIVE, 1.0),
-    Field("requirement_options", _REQUIREMENT_OPTIONS, [[[1, "work"]]]),
-), GeneratorSpec)
-SCENARIO = Section((
-    Field("map", Kind(lambda v: None if isinstance(v, str) else "must be a string path"),
-          attr="map_path"),
-    Field("agents", Many(AGENT), []),
-    Field("comm", COMM, {}, "params"),
-    Field("tasks", Many(TASK), []),
-    Field("relations", Many(_RELATION), []),
-    Field("strategy", STRATEGY),
-    Field("horizon", _POSITIVE),
-    Field("seed", _INT, 0),
-    Field("dt", _POSITIVE, 0.1),
-    Field("planner_budget", _number(at_least=0.0, nullable=True), None),
-    Field("node_limit", _number(at_least=0, integer=True, nullable=True), 200),
-    Field("gap", _NONNEGATIVE, 0.5),
-    Field("recheck_interval", _POSITIVE, 5.0),
-    Field("generator", GENERATOR, None),
-))
+
+def _rows(cls, kinds: dict, keys: dict = {}, defaults: dict = {}) -> tuple[tuple, ...]:
+    """A row for each field of dataclass `cls` that `kinds` gives a kind, in
+    declaration order: its JSON key from `keys` (its name otherwise), and its
+    default from `defaults` or else the dataclass, written as JSON."""
+    rows = []
+    for f in fields(cls):
+        if f.name not in kinds:
+            continue
+        kind = kinds[f.name]
+        default = defaults.get(f.name, f.default if f.default_factory is MISSING
+                               else f.default_factory())
+        if default is MISSING:
+            default = REQUIRED
+        elif default is not None:
+            default = kind.dump(default)
+        rows.append((keys.get(f.name, f.name), kind, default, f.name))
+    return tuple(rows)
+
+
+AGENT = Section(_rows(AgentSpec, {
+    "id": _INT, "start": _POSITION, "v_max": _POSITIVE, "sensor_range": _NONNEGATIVE,
+    "capabilities": _list_of(lambda c: isinstance(c, str), "strings",
+                             lambda v: tuple(sorted(set(v))))}))
+TASK = Section(_rows(Task, {
+    "id": _INT, "region_center": _POSITION, "region_radius": _NONNEGATIVE,
+    "duration": _POSITIVE, "requirements": _REQUIREMENTS, "release_time": _FINITE},
+    keys={"region_center": "center", "region_radius": "radius"},
+    defaults={"region_radius": 1.0}))
+COMM = Section(_rows(CommParams, {f.name: _FINITE for f in fields(CommParams)}), CommParams)
+STRATEGY = Section(_rows(StrategyConfig, {
+    "kind": _name(STRATEGY_KINDS), "threshold_n": _number(at_least=1, integer=True),
+    "interval": _POSITIVE, "fixed_point": _POSITION, "leader": _INT,
+    "ring_order": _list_of(_is_int, "integer ids", tuple)}), StrategyConfig)
+PHASE = Section(_rows(Phase, {"start": _FINITE, "end": _FINITE, "spatial": _SPATIAL,
+                              "temporal": _TEMPORAL}), Phase)
+GENERATOR = Section(_rows(GeneratorSpec, {
+    "phases": Many(PHASE), "rate": _NONNEGATIVE, "low_frequency_factor": _NONNEGATIVE,
+    "burst_rate": _NONNEGATIVE, "burst_size": _NONNEGATIVE, "burst_window": _NONNEGATIVE,
+    "cluster_count": _number(at_least=1, integer=True), "cluster_std": _NONNEGATIVE,
+    "sparse_min_dist": _NONNEGATIVE,
+    "duration_range": _pair("[lo, hi] with 0 < lo <= hi", lambda lo, hi: (lo, hi), list),
+    "radius": _NONNEGATIVE, "requirement_options": _REQUIREMENT_OPTIONS}), GeneratorSpec)
+SCENARIO = Section(_rows(ScenarioConfig, {
+    "map_path": Kind(lambda v: None if isinstance(v, str) else "must be a string path"),
+    "agents": Many(AGENT), "params": COMM, "tasks": Many(TASK), "relations": Many(_RELATION),
+    "strategy": STRATEGY, "horizon": _POSITIVE, "seed": _INT, "dt": _POSITIVE,
+    "planner_budget": _number(at_least=0.0, nullable=True),
+    "node_limit": _number(at_least=0, integer=True, nullable=True), "gap": _NONNEGATIVE,
+    "recheck_interval": _POSITIVE, "generator": GENERATOR},
+    keys={"map_path": "map", "params": "comm"}))
 
 
 # -- cross-field rules -------------------------------------------------------

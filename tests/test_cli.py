@@ -171,7 +171,13 @@ def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value
     ("tasks", "tasks", "tasks: must be a list"), ("relations", 5, "relations: must be a list"),
     ("relations", None, "relations: must be a list"),
     ("agents", [{"id": 0, "start": [2.0, 2.0], "sensor_range": 20.0, "capabilities": ["work"]}],
-     "agents[0].v_max: required")])
+     "agents[0].v_max: required"),
+    ("agents", [5], "agents[0]: must be an object"), ("tasks", [None], "tasks[0]: must be an object"),
+    ("comm", [], "comm: must be an object"), ("comm", None, "comm: must be an object"),
+    ("strategy", 5, "strategy: must be an object"),
+    ("strategy", None, "strategy: must be an object"),
+    ("generator", "x", "generator: must be an object"),
+    ("generator", {"phases": [3]}, "generator.phases[0]: must be an object")])
 def test_cli_bad_relation_or_ring_order_exit_code(tmp_path, capsys, command, section, value,
                                                   message):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")

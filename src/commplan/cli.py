@@ -1,6 +1,7 @@
 """Command-line harness: run experiments, generate task streams, lint configs.
 
-Exit codes: 0 success, 2 validation error, 3 infeasible simulation.
+Exit codes: 0 success, 2 validation error (scenario, option or output path),
+3 infeasible simulation.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .experiment import run_experiment
 from .meeting import MeetingInfeasible
@@ -23,9 +25,20 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
 
+def _unwritable(args) -> Optional[str]:
+    """Why `run` could not write an output path, checked before any trial runs."""
+    for flag, path in (("--out", args.out), ("--series", args.series)):
+        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            return f"{flag}: {path} is a directory or lies in a missing one"
+    if args.log_dir is not None and Path(args.log_dir).exists() and not Path(args.log_dir).is_dir():
+        return f"--log-dir: {args.log_dir} is not a directory"
+    return None
+
+
 def _cmd_run(args) -> int:
-    if args.trials < 1:
-        print("validation error: --trials must be >= 1", file=sys.stderr)
+    problem = "--trials must be >= 1" if args.trials < 1 else _unwritable(args)
+    if problem is not None:
+        print(f"validation error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
     strategy = None
     try:
@@ -44,6 +57,9 @@ def _cmd_run(args) -> int:
     except (MeetingInfeasible, Unreachable, SimulationError) as exc:
         print(f"infeasible simulation: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except OSError as exc:  # an output path that the checks above could not foresee
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     summary = rows[-2]
     print(f"strategy={summary['strategy']} env={summary['env']} trials={args.trials} "
           f"finished_mean={summary['finished']:.2f}")
@@ -61,12 +77,13 @@ def _cmd_generate(args) -> int:
         seed = cfg.seed if args.seed is None else args.seed
         start_id = max((t.id for t in cfg.tasks), default=-1) + 1
         tasks = generate_tasks(cfg.generator, seed, cfg.grid, start_id=start_id)
-    except ScenarioError as exc:
+        text = json.dumps([task_to_dict(t) for t in tasks], indent=2)
+        if args.out:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+    except (ScenarioError, OSError) as exc:  # OSError: --out cannot be written
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    text = json.dumps([task_to_dict(t) for t in tasks], indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"{len(tasks)} tasks written to {args.out}")
     else:
         print(text)

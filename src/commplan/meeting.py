@@ -1,7 +1,9 @@
 """Rendezvous optimization: when and where the team re-establishes connectivity.
 
 The optimizer minimizes the worst-case wait between each agent's last task
-and the synchronized meeting. Candidate events are built by chaining: agents
+and the synchronized meeting. Every optimizer takes the team as a mapping of
+`AgentContext`s, each saying where (`position`) and from when (`ready_time`)
+that agent is free. Candidate events are built by chaining: agents
 are placed one at a time, each stopping at the earliest point on its path
 that holds a link to an already-placed agent, so the meeting graph is
 connected by construction. The anchor of the chain starts at the latest
@@ -13,9 +15,10 @@ gathering everyone at the latest finisher.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from .radio import CommParams, comm_graph, is_connected, linked
+from .schedule import AgentContext
 from .workspace import GridMap, Position, Unreachable, astar_length, astar_path, memoized
 
 DEFAULT_GAP = 0.5       # s, convergence tolerance on successive event times
@@ -24,29 +27,6 @@ MAX_ANCHOR_CANDIDATES = 24
 
 class MeetingInfeasible(RuntimeError):
     """Agents cannot reach a common connected configuration."""
-
-
-@dataclass(frozen=True)
-class AgentFinish:
-    agent_id: int
-    time: float
-    position: Position
-    v_max: float
-
-
-@dataclass
-class LastTaskState:
-    finishes: dict[int, AgentFinish]
-
-    def __post_init__(self):
-        if not self.finishes:
-            raise ValueError("at least one agent required")
-
-    def ids(self) -> list[int]:
-        return sorted(self.finishes)
-
-    def latest(self) -> AgentFinish:
-        return max(self.finishes.values(), key=lambda f: (f.time, -f.agent_id))
 
 
 @dataclass(frozen=True)
@@ -72,12 +52,18 @@ def sel_com(p_from: Position, p_to: Position, grid: GridMap, params: CommParams)
     return p_to
 
 
-def _arrival(fin: AgentFinish, target: Position, grid: GridMap) -> float:
-    return fin.time + astar_length(fin.position, target, grid) / fin.v_max
+def latest(last: Mapping[int, AgentContext]) -> AgentContext:
+    """The agent that becomes free last; the lowest id among ties."""
+    return max(last.values(), key=lambda c: (c.ready_time, -c.id))
 
 
-def chain_event(last: LastTaskState, anchor: Position, grid: GridMap, params: CommParams,
-                 resident: Optional[int] = None, deadline: Optional[float] = None) -> Optional[CommEvent]:
+def _arrival(ctx: AgentContext, target: Position, grid: GridMap) -> float:
+    return ctx.ready_time + astar_length(ctx.position, target, grid) / ctx.v_max
+
+
+def chain_event(last: Mapping[int, AgentContext], anchor: Position, grid: GridMap,
+                params: CommParams, resident: Optional[int] = None,
+                deadline: Optional[float] = None) -> Optional[CommEvent]:
     """Build a connected meeting by placing agents in earliest-arrival order.
 
     The first placed agent (or the forced resident) sits exactly on the
@@ -86,56 +72,53 @@ def chain_event(last: LastTaskState, anchor: Position, grid: GridMap, params: Co
     With a deadline, candidates arriving late fall back to the anchor and the
     event fails (None) if even that is unreachable in time.
     """
-    fins = last.finishes
-
     def order_key(agent_id: int):
         root_rank = 0 if agent_id == resident else 1
-        return (root_rank, _arrival(fins[agent_id], anchor, grid), agent_id)
+        return (root_rank, _arrival(last[agent_id], anchor, grid), agent_id)
 
-    order = sorted(fins, key=order_key)
+    order = sorted(last, key=order_key)
     placed: list[tuple[int, Position]] = []
     positions: dict[int, Position] = {}
     for agent_id in order:
-        fin = fins[agent_id]
+        ctx = last[agent_id]
         if not placed:
             cand = anchor
         else:
-            target = min(placed, key=lambda it: (astar_length(fin.position, it[1], grid), it[0]))[1]
-            cand = sel_com(fin.position, target, grid, params)
-        if deadline is not None and _arrival(fin, cand, grid) > deadline:
+            target = min(placed, key=lambda it: (astar_length(ctx.position, it[1], grid), it[0]))[1]
+            cand = sel_com(ctx.position, target, grid, params)
+        if deadline is not None and _arrival(ctx, cand, grid) > deadline:
             cand = anchor
-            if _arrival(fin, cand, grid) > deadline:
+            if _arrival(ctx, cand, grid) > deadline:
                 return None
         positions[agent_id] = cand
         placed.append((agent_id, cand))
-    event_time = max(_arrival(fins[a], positions[a], grid) for a in positions)
+    event_time = max(_arrival(last[a], positions[a], grid) for a in positions)
     if deadline is not None:
         event_time = deadline
     return CommEvent(event_time, positions)
 
 
-def all_gather_event(last: LastTaskState, grid: GridMap) -> CommEvent:
-    """Everyone travels to the latest finisher's position."""
-    anchor_fin = last.latest()
-    positions = {a: anchor_fin.position for a in last.finishes}
-    t = max(_arrival(f, anchor_fin.position, grid) for f in last.finishes.values())
-    return CommEvent(t, positions)
+def all_gather_event(last: Mapping[int, AgentContext], grid: GridMap,
+                     at: Optional[Position] = None) -> CommEvent:
+    """Everyone travels to `at`, by default the latest finisher's position."""
+    if at is None:
+        at = latest(last).position
+    t = max(_arrival(ctx, at, grid) for ctx in last.values())
+    return CommEvent(t, dict.fromkeys(last, at))
 
 
-def com_opt_fast(last: LastTaskState, grid: GridMap, params: CommParams) -> CommEvent:
+def com_opt_fast(last: Mapping[int, AgentContext], grid: GridMap,
+                 params: CommParams) -> CommEvent:
     """Single-pass event refinement: the better of the all-gather event and
     one chain anchored at the latest finisher. Used inside bound evaluation
     where the optimizer runs thousands of times per planning call."""
-    fins = last.finishes
-    ids = last.ids()
-    if len(ids) == 1:
-        only = fins[ids[0]]
-        return CommEvent(only.time, {only.agent_id: only.position})
-    anchor_fin = last.latest()
+    if len(last) == 1:
+        (only,) = last.values()
+        return CommEvent(only.ready_time, {only.id: only.position})
+    anchor = latest(last)
     try:
         best = all_gather_event(last, grid)
-        stage1 = chain_event(last, anchor_fin.position, grid, params,
-                             resident=anchor_fin.agent_id)
+        stage1 = chain_event(last, anchor.position, grid, params, resident=anchor.id)
     except Unreachable as exc:
         raise MeetingInfeasible(f"workspace disconnected across agents: {exc}") from exc
     if stage1 is not None and stage1.time < best.time:
@@ -143,7 +126,7 @@ def com_opt_fast(last: LastTaskState, grid: GridMap, params: CommParams) -> Comm
     return best
 
 
-def com_opt(last: LastTaskState, grid: GridMap, params: CommParams,
+def com_opt(last: Mapping[int, AgentContext], grid: GridMap, params: CommParams,
             gap: float = DEFAULT_GAP) -> CommEvent:
     """Optimize the next communication event for the whole team.
 
@@ -154,21 +137,15 @@ def com_opt(last: LastTaskState, grid: GridMap, params: CommParams,
     the arrival bottleneck; the scan stops when an accepted improvement
     falls below `gap`.
     """
-    fins = last.finishes
-    ids = last.ids()
-    if len(ids) == 1:
-        only = fins[ids[0]]
-        return CommEvent(only.time, {only.agent_id: only.position})
-
-    anchor_fin = last.latest()
-    p0 = anchor_fin.position
+    best = com_opt_fast(last, grid, params)
+    if len(last) == 1:
+        return best
+    p0 = latest(last).position
     try:
-        best = com_opt_fast(last, grid, params)
-
         # Scan virtual anchors along the path from the arrival bottleneck
         # toward the latest finisher; each candidate yields a full chain event.
-        bottleneck = max(ids, key=lambda a: (_arrival(fins[a], p0, grid), -a))
-        path = astar_path(fins[bottleneck].position, p0, grid)
+        bottleneck = max(last.values(), key=lambda c: (_arrival(c, p0, grid), -c.id))
+        path = astar_path(bottleneck.position, p0, grid)
         stride = max(1, len(path) // MAX_ANCHOR_CANDIDATES)
         for idx in range(0, len(path), stride):
             cand = chain_event(last, path[idx], grid, params)

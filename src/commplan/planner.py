@@ -26,7 +26,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .meeting import AgentFinish, CommEvent, LastTaskState, com_opt, com_opt_fast
+from .meeting import CommEvent, com_opt, com_opt_fast
 from .radio import CommParams, comm_graph, is_connected
 from .schedule import (AgentContext, InfeasibleSchedule, Timetable, append_to_timetable,
                        eligible_groups, groups_of, schedule_min_makespan)
@@ -76,7 +76,7 @@ class PlannerProblem:
     params: CommParams
     now: float
     completed: frozenset[int] = frozenset()
-    event_optimizer: Optional[Callable[[LastTaskState], Optional[CommEvent]]] = None
+    event_optimizer: Optional[Callable[[Mapping[int, AgentContext]], Optional[CommEvent]]] = None
     gap: float = 0.5
     index: RelationIndex = field(init=False, repr=False)
     groups: dict[int, list[tuple[int, ...]]] = field(init=False, repr=False)  # eligible, per task
@@ -102,11 +102,9 @@ class PlannerProblem:
                     merged = tuple(sorted(self.clusters[t] + self.clusters[p]))
                     self.clusters.update(dict.fromkeys(merged, merged))
 
-    def _default_event(self, last: LastTaskState) -> CommEvent:
-        at_start = all(fin.time == self.team[a].ready_time and fin.position == self.team[a].position
-                       for a, fin in last.finishes.items())
-        if at_start:
-            positions = {a: fin.position for a, fin in last.finishes.items()}
+    def _default_event(self, last: Mapping[int, AgentContext]) -> CommEvent:
+        if last == self.team:  # no agent holds a task: meet now where the team stands, if linked
+            positions = {a: ctx.position for a, ctx in last.items()}
             if is_connected(comm_graph(positions, self.grid, self.params)):
                 return CommEvent(self.now, positions)
         return com_opt_fast(last, self.grid, self.params)
@@ -225,18 +223,17 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
 
 
 def last_state(sequences: Mapping[int, Sequence[int]], timetable: Timetable,
-               team: Mapping[int, AgentContext], tasks: Mapping[int, Task]) -> LastTaskState:
-    """Per-agent finish time and position implied by scheduled task sequences."""
-    finishes = {}
+               team: Mapping[int, AgentContext],
+               tasks: Mapping[int, Task]) -> dict[int, AgentContext]:
+    """Each agent's context once its sequence is done: free at its last task's
+    center from that task's finish, or its own context when it holds no task."""
+    last = dict(team)
     for a, ctx in team.items():
-        seq = sequences.get(a, ())
+        seq = sequences.get(a)
         if seq:
-            last = seq[-1]
-            finishes[a] = AgentFinish(a, timetable.intervals[last].finish,
-                                      tasks[last].region_center, ctx.v_max)
-        else:
-            finishes[a] = AgentFinish(a, ctx.ready_time, ctx.position, ctx.v_max)
-    return LastTaskState(finishes)
+            last[a] = AgentContext(a, tasks[seq[-1]].region_center,
+                                   timetable.intervals[seq[-1]].finish, ctx.v_max, ctx.capabilities)
+    return last
 
 
 def build_plan(sequences: Mapping[int, Sequence[int]],
@@ -388,9 +385,7 @@ def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
         problem.remember(problem.key(empty_seqs), plan)  # the root's first candidate
         return plan
     # Custom event optimizers may refuse even the empty plan; gather instead.
-    last = LastTaskState({a: AgentFinish(a, ctx.ready_time, ctx.position, ctx.v_max)
-                          for a, ctx in problem.team.items()})
-    event = com_opt(last, problem.grid, problem.params, gap=problem.gap)
+    event = com_opt(problem.team, problem.grid, problem.params, gap=problem.gap)
     return CollectivePlan(empty_seqs, Timetable({}, 0.0), event, 0.0)
 
 
@@ -398,7 +393,8 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
              relations: Sequence[TemporalRelation], grid: GridMap, params: CommParams,
              budget: Optional[float] = None, *, now: float = 0.0,
              completed: frozenset[int] = frozenset(),
-             event_optimizer: Optional[Callable[[LastTaskState], Optional[CommEvent]]] = None,
+             event_optimizer: Optional[Callable[[Mapping[int, AgentContext]],
+                                              Optional[CommEvent]]] = None,
              gap: float = 0.5, node_limit: Optional[int] = None,
              generated_limit: Optional[int] = None,
              stats: Optional[SearchStats] = None) -> CollectivePlan:

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 from .radio import CommParams
 from .simulator import DEFAULT_DT, AgentState, Simulator
-from .strategies import STRATEGY_KINDS, PlannerOptions, StrategyConfig, make_controller
+from .strategies import (FIMR_MARGIN_TICKS, STRATEGY_KINDS, PlannerOptions, StrategyConfig,
+                         make_controller)
 from .tasks import RelationKind, Task, TemporalRelation
 from .workspace import GridMap, Position, load_grid
 
@@ -510,6 +511,10 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
     if horizon and dt and horizon / dt > MAX_TICKS:
         errors.append(f"horizon: {horizon} s at dt {dt} s is {horizon / dt:.3g} ticks, "
                       f"more than the {MAX_TICKS} one trial may simulate")
+    interval = strategy and strategy.interval  # fimr's deadline is at most this far ahead
+    if interval and dt and interval <= FIMR_MARGIN_TICKS * dt:
+        errors.append(f"strategy.interval: {interval} s is within fimr's {FIMR_MARGIN_TICKS}-tick "
+                      f"margin ({FIMR_MARGIN_TICKS * dt:.3g} s at dt {dt} s): no task can fit")
 
     if errors:
         raise ScenarioError("; ".join(errors))

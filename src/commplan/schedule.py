@@ -91,25 +91,26 @@ def eligible_groups(task: Task, team: Mapping[int, AgentContext]) -> list[tuple[
 
 def _longest_path(task_ids: list[int], source_bound: dict[int, float],
                   edges: list[tuple[int, int, float]]) -> Optional[dict[int, float]]:
-    """Earliest start times via Kahn propagation; None when the graph cycles."""
+    """Earliest start times via Kahn propagation; None when the graph cycles.
+
+    A start is final once its last predecessor pops, so ready tasks pop in any order."""
     succ: dict[int, list[tuple[int, float]]] = {t: [] for t in task_ids}
     indeg: dict[int, int] = {t: 0 for t in task_ids}
     for u, v, w in edges:
         succ[u].append((v, w))
         indeg[v] += 1
     start = {t: source_bound.get(t, 0.0) for t in task_ids}
-    queue = sorted(t for t in task_ids if indeg[t] == 0)
+    ready = [t for t in task_ids if indeg[t] == 0]
     done = 0
-    while queue:
-        u = queue.pop(0)
+    while ready:
+        u = ready.pop()
         done += 1
         for v, w in succ[u]:
             if start[u] + w > start[v]:
                 start[v] = start[u] + w
             indeg[v] -= 1
             if indeg[v] == 0:
-                queue.append(v)
-        queue.sort()
+                ready.append(v)
     if done != len(task_ids):
         return None
     return start

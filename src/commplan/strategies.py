@@ -10,16 +10,19 @@ whenever two agents come into range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .meeting import AgentFinish, CommEvent, LastTaskState, chain_event, com_opt
+from .meeting import CommEvent, all_gather_event, chain_event, com_opt, latest
 from .planner import cocoplan, last_state
 from .radio import update_links
-from .schedule import group_covers
+from .schedule import AgentContext, group_covers
 from .simulator import CycleRecord, Simulator
 from .workspace import Position, astar_travel_time
 
 STRATEGY_KINDS = ("cocoplan", "fix", "fpmr", "frdt", "fimr", "ring", "greedy")
+# fimr plans each event this many ticks before its deadline, so tick-quantized
+# execution still has agents in place when the fixed-interval event fires.
+FIMR_MARGIN_TICKS = 30
 
 
 @dataclass
@@ -103,29 +106,17 @@ class TeamCycleController:
     def _event_optimizer(self, sim: Simulator):
         cfg, grid, params = self.cfg, sim.grid, sim.params
         if cfg.kind == "fpmr":
-            point = cfg.fixed_point
-
-            def fpmr_event(last: LastTaskState) -> CommEvent:
-                positions = {a: point for a in last.finishes}
-                t_c = max(f.time + astar_travel_time(f.position, point, grid, f.v_max)
-                          for f in last.finishes.values())
-                return CommEvent(t_c, positions)
-            return fpmr_event
+            return lambda last: all_gather_event(last, grid, cfg.fixed_point)
         if cfg.kind == "frdt":
             leader = cfg.leader
-
-            def frdt_event(last: LastTaskState) -> Optional[CommEvent]:
-                anchor = last.finishes[leader].position
-                return chain_event(last, anchor, grid, params, resident=leader)
-            return frdt_event
+            return lambda last: chain_event(last, last[leader].position, grid, params,
+                                            resident=leader)
         if cfg.kind == "fimr":
             deadline = (self.cycle + 1) * cfg.interval
-            # Reserve slack for tick-quantized execution so agents are in
-            # place when the fixed-interval event fires.
-            margin = 30.0 * sim.dt
+            margin = FIMR_MARGIN_TICKS * sim.dt
 
-            def fimr_event(last: LastTaskState) -> Optional[CommEvent]:
-                anchor = last.latest().position
+            def fimr_event(last: Mapping[int, AgentContext]) -> Optional[CommEvent]:
+                anchor = latest(last).position
                 ev = chain_event(last, anchor, grid, params, deadline=deadline - margin)
                 if ev is None:
                     return None
@@ -220,9 +211,8 @@ class RingController:
             pair = self.edges[self.edge_idx % len(self.edges)]
             if not all(self._free(sim, a) for a in pair):
                 return
-            last = LastTaskState({a: AgentFinish(a, t, sim.agents[a].position,
-                                                 sim.agents[a].v_max) for a in pair})
-            event = com_opt(last, sim.grid, sim.params, gap=self.options.gap)
+            event = com_opt({a: sim.agents[a].context(t) for a in pair}, sim.grid, sim.params,
+                            gap=self.options.gap)
             planned = max(event.time, t + sim.dt)
             # Both agents are free, so an empty plan sets only the meeting.
             sim.apply_team_plan(pair, {}, {}, planned, event.positions)

@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 from commplan.experiment import metrics_row, run_experiment, run_trial
-from commplan.meeting import AgentFinish, LastTaskState, all_gather_event, com_opt
+from commplan.meeting import all_gather_event, com_opt
 from commplan.planner import PlannerProblem, SearchStats, cocoplan, low_bound
 from commplan.radio import CommParams, comm_graph, is_connected, quality
 from commplan.scenario import load_scenario
-from commplan.schedule import groups_of
+from commplan.schedule import AgentContext, groups_of
 from commplan.simulator import AgentState, Simulator
 from commplan.strategies import PlannerOptions, StrategyConfig, make_controller
 from commplan.tasks import ExecutionInterval, RelationKind, Task, TemporalRelation, check_schedule
@@ -137,14 +137,14 @@ def test_criterion_2_lemma1_suite():
         free = grid.free_cells()
         n = rng.randint(2, 10)
         cells = rng.sample(free, min(n, len(free)))
-        last = LastTaskState({i: AgentFinish(i, rng.uniform(0.0, 40.0), grid.center(c),
-                                             rng.uniform(1.0, 2.0))
-                              for i, c in enumerate(cells)})
+        last = {i: AgentContext(i, grid.center(c), rng.uniform(0.0, 40.0), rng.uniform(1.0, 2.0),
+                                frozenset())
+                for i, c in enumerate(cells)}
         ev = com_opt(last, grid, params)
         assert is_connected(comm_graph(ev.positions, grid, params)), f"instance {k}"
         gather = all_gather_event(last, grid)
-        delay_ev = max(ev.time - f.time for f in last.finishes.values())
-        delay_gather = max(gather.time - f.time for f in last.finishes.values())
+        delay_ev = max(ev.time - f.ready_time for f in last.values())
+        delay_gather = max(gather.time - f.ready_time for f in last.values())
         assert delay_ev <= delay_gather + 1e-9, f"instance {k}"
     _passline(2, "1000/1000 meeting events connected and never worse than the gather baseline")
 

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import commplan
+from commplan import cli
 from commplan.cli import main
 from commplan.experiment import CSV_COLUMNS, run_experiment, run_trial, write_event_log
 from commplan.scenario import MAX_TICKS, load_scenario
@@ -161,6 +166,8 @@ def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value
     ("strategy", {"kind": "fimr", "interval": "x"}, "strategy.interval:"),
     ("strategy", {"kind": "fimr", "interval": -5}, "strategy.interval:"),
     ("strategy", {"kind": "fimr", "interval": math.nan}, "strategy.interval:"),
+    ("strategy", {"kind": "fimr", "interval": 3.0}, "strategy.interval: 3.0 s is within"),
+    ("strategy", {"kind": "fimr", "interval": 1.0}, "strategy.interval: 1.0 s is within"),
     ("strategy", {"kind": "fix", "threshold_n": "x"}, "strategy.threshold_n:"),
     ("strategy", {"kind": "fix", "threshold_n": 1.5}, "strategy.threshold_n:"),
     ("strategy", {"kind": "fix", "threshold_n": 0}, "strategy.threshold_n:"),
@@ -321,6 +328,94 @@ def test_cli_generate(tmp_path, capsys):
 
 def test_cli_generate_without_generator_fails(small_scenario, capsys):
     assert main(["generate", str(small_scenario)]) == 2
+
+
+def test_fimr_interval_margin_scales_with_dt(tmp_path, capsys):
+    """An interval must exceed fimr's 30-tick margin, whatever the strategy
+    kind, so `run --strategy fimr` is refused before it simulates too."""
+    (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
+    raw = small_raw()
+    raw["strategy"] = {"kind": "cocoplan", "interval": 2.0}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--strategy", "fimr"]) == 2
+    assert "strategy.interval: 2.0 s is within fimr's 30-tick margin (3 s at dt 0.1 s)" in (
+        capsys.readouterr().err)
+    raw["dt"] = 0.05  # a 1.5 s margin
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 0
+    raw["strategy"]["interval"] = 1.5
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+
+
+def _never_simulates(*args, **kwargs):
+    raise AssertionError("run_experiment called")
+
+
+@pytest.mark.parametrize("flag, target", [
+    ("--out", "missing/x.csv"), ("--series", "missing/s.csv"), ("--out", "."),
+    ("--series", "."), ("--log-dir", "scenario.json")])
+def test_cli_run_unwritable_output_exit_code(small_scenario, monkeypatch, capsys, flag, target):
+    monkeypatch.setattr(cli, "run_experiment", _never_simulates)
+    path = small_scenario.parent / target
+    assert main(["run", str(small_scenario), flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: {flag}:" in err and "Traceback" not in err
+
+
+def test_cli_run_write_failure_exit_code(small_scenario, monkeypatch, capsys):
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", "m.csv")
+
+    monkeypatch.setattr(cli, "run_experiment", denied)
+    assert main(["run", str(small_scenario), "--out", "m.csv"]) == 2
+    assert "validation error: [Errno 13] Permission denied: 'm.csv'" in capsys.readouterr().err
+
+
+def test_cli_generate_unwritable_out_exit_code(tmp_path, capsys):
+    (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
+    raw = small_raw()
+    raw["generator"] = {
+        "phases": [{"start": 0.0, "end": 50.0, "spatial": "uniform", "temporal": "uniform"}],
+        "rate": 0.05,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["generate", str(path), "--out", str(tmp_path / "missing" / "t.json")]) == 2
+    assert "validation error:" in capsys.readouterr().err
+
+
+# Drops every commplan module, imports them again and counts the classes of the
+# first import that a full collection leaves alive. Benchmark set-ups re-import
+# the package many times, so a class that survives keeps a whole module copy.
+REIMPORT_PROBE = """
+import gc, json, sys, weakref
+import commplan.cli
+
+def commplan_modules():
+    return [n for n in sys.modules if n == "commplan" or n.startswith("commplan.")]
+
+def class_refs():
+    return [weakref.ref(v) for n in commplan_modules() for v in vars(sys.modules[n]).values()
+            if isinstance(v, type) and v.__module__ == n]
+
+refs = class_refs()
+for name in commplan_modules():
+    del sys.modules[name]
+import commplan.cli
+gc.collect()
+print(json.dumps([len(refs), sorted(ref().__qualname__ for ref in refs if ref() is not None)]))
+"""
+
+
+def test_reimport_frees_every_class():
+    env = {**os.environ, "PYTHONPATH": str(Path(commplan.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", REIMPORT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    found, alive = json.loads(out)
+    assert found > 20
+    assert alive == []
 
 
 def test_run_experiment_summary_cross_check(small_scenario, tmp_path):

@@ -2,20 +2,21 @@ import random
 
 import pytest
 
-from commplan.meeting import (AgentFinish, LastTaskState, MeetingInfeasible,
-                              all_gather_event, com_opt, com_opt_fast, sel_com)
+from commplan.meeting import MeetingInfeasible, all_gather_event, com_opt, com_opt_fast, sel_com
 from commplan.radio import CommParams, comm_graph, is_connected, quality
+from commplan.schedule import AgentContext
 from commplan.workspace import Position
 
 from conftest import empty_grid, grid_from_rows, random_connected_grid
 
 
 def fin(aid, t, x, y, v=2.0):
-    return AgentFinish(aid, t, Position(x, y), v)
+    """Agent `aid`, free from time t at (x, y)."""
+    return AgentContext(aid, Position(x, y), t, v, frozenset())
 
 
 def state(*finishes):
-    return LastTaskState({f.agent_id: f for f in finishes})
+    return {f.id: f for f in finishes}
 
 
 def test_single_agent_event_is_its_own_state(comm_params):
@@ -37,7 +38,7 @@ def test_two_agents_thirty_meters_apart(comm_params):
     grid = empty_grid(40, 12)
     s = state(fin(0, 0.0, 3.5, 5.5), fin(1, 0.0, 33.5, 5.5))
     ev = com_opt(s, grid, comm_params)
-    delay = max(ev.time - f.time for f in s.finishes.values())
+    delay = max(ev.time - f.ready_time for f in s.values())
     assert delay <= 7.5
     # Dense grid search over meeting points on the connecting segment.
     best = float("inf")
@@ -77,8 +78,8 @@ def test_event_satisfies_travel_constraints(comm_params):
         s = state(*[fin(i, rng.uniform(0, 10), grid.center(c).x, grid.center(c).y)
                     for i, c in enumerate(rng.sample(free, n))])
         ev = com_opt(s, grid, comm_params)
-        for aid, f in s.finishes.items():
-            arrival = f.time + astar_length(f.position, ev.positions[aid], grid) / f.v_max
+        for aid, f in s.items():
+            arrival = f.ready_time + astar_length(f.position, ev.positions[aid], grid) / f.v_max
             assert arrival <= ev.time + 1e-9
 
 

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from commplan import radio
-from commplan.meeting import AgentFinish, LastTaskState, all_gather_event, com_opt, sel_com
+from commplan.meeting import all_gather_event, com_opt, latest, sel_com
 from commplan.radio import CommParams, comm_graph, is_connected, linked
 from commplan.scenario import build_simulator, load_scenario
+from commplan.schedule import AgentContext
 from commplan.simulator import AgentState, Simulator
 from commplan.strategies import (GreedyController, PlannerOptions, StrategyConfig,
                                  TeamCycleController, make_controller)
@@ -25,6 +26,11 @@ def agent(aid, x, y, v=2.0, sensor=50.0, caps=("work",)):
 
 def task(tid, x, y, duration=4.0, reqs=((1, "work"),), release=0.0):
     return Task(tid, Position(x, y), 1.0, duration, reqs, release_time=release)
+
+
+def ready(aid, t, position, v=2.0):
+    """Agent `aid`'s state once its last task is done: free from t at position."""
+    return AgentContext(aid, position, t, v, frozenset())
 
 
 def run_sim(grid, agents, tasks, kind, horizon=120.0, rels=(), **kw):
@@ -87,8 +93,7 @@ def test_fpmr_event_is_full_gather_at_fixed_point(comm_params):
     ctrl = TeamCycleController(cfg, PlannerOptions())
     sim = Simulator(grid, [agent(0, 2.5, 2.5), agent(1, 27.5, 2.5)], comm_params, {}, [], 10.0)
     opt = ctrl._event_optimizer(sim)
-    last = LastTaskState({0: AgentFinish(0, 4.0, Position(2.5, 2.5), 2.0),
-                          1: AgentFinish(1, 9.0, Position(27.5, 2.5), 2.0)})
+    last = {0: ready(0, 4.0, Position(2.5, 2.5)), 1: ready(1, 9.0, Position(27.5, 2.5))}
     ev = opt(last)
     assert all(p == fixed for p in ev.positions.values())
     want = max(4.0 + astar_travel_time(Position(2.5, 2.5), fixed, grid, 2.0),
@@ -98,10 +103,9 @@ def test_fpmr_event_is_full_gather_at_fixed_point(comm_params):
 
 def test_fpmr_at_latest_finisher_equals_all_gather(comm_params):
     grid = empty_grid(30, 6)
-    last = LastTaskState({0: AgentFinish(0, 4.0, Position(2.5, 2.5), 2.0),
-                          1: AgentFinish(1, 9.0, Position(27.5, 2.5), 2.0)})
+    last = {0: ready(0, 4.0, Position(2.5, 2.5)), 1: ready(1, 9.0, Position(27.5, 2.5))}
     gather = all_gather_event(last, grid)
-    cfg = StrategyConfig("fpmr", fixed_point=last.latest().position)
+    cfg = StrategyConfig("fpmr", fixed_point=latest(last).position)
     ctrl = TeamCycleController(cfg, PlannerOptions())
     sim = Simulator(grid, [agent(0, 2.5, 2.5), agent(1, 27.5, 2.5)], comm_params, {}, [], 10.0)
     ev = ctrl._event_optimizer(sim)(last)
@@ -114,11 +118,10 @@ def test_fpmr_delay_never_beats_com_opt(comm_params):
         grid = random_connected_grid(rng, width=14, height=14)
         free = grid.free_cells()
         cells = rng.sample(free, 3)
-        last = LastTaskState({i: AgentFinish(i, rng.uniform(0, 10), grid.center(c), 2.0)
-                              for i, c in enumerate(cells)})
+        last = {i: ready(i, rng.uniform(0, 10), grid.center(c)) for i, c in enumerate(cells)}
         fixed = grid.center(rng.choice(free))
-        t_fpmr = max(f.time + astar_travel_time(f.position, fixed, grid, f.v_max)
-                     for f in last.finishes.values())
+        t_fpmr = max(f.ready_time + astar_travel_time(f.position, fixed, grid, f.v_max)
+                     for f in last.values())
         ev = com_opt(last, grid, comm_params)
         assert ev.time <= t_fpmr + 1e-9
 
@@ -130,9 +133,8 @@ def test_frdt_leader_stays_and_cluster_connects(comm_params):
     sim = Simulator(grid, [agent(0, 2.5, 2.5), agent(1, 8.5, 2.5), agent(2, 30.5, 2.5)],
                     comm_params, {}, [], 10.0)
     opt = ctrl._event_optimizer(sim)
-    last = LastTaskState({0: AgentFinish(0, 5.0, Position(2.5, 2.5), 2.0),
-                          1: AgentFinish(1, 1.0, Position(8.5, 2.5), 2.0),
-                          2: AgentFinish(2, 2.0, Position(30.5, 2.5), 2.0)})
+    last = {0: ready(0, 5.0, Position(2.5, 2.5)), 1: ready(1, 1.0, Position(8.5, 2.5)),
+            2: ready(2, 2.0, Position(30.5, 2.5))}
     ev = opt(last)
     assert ev.positions[0] == Position(2.5, 2.5)       # leader anchored
     assert ev.positions[1] == Position(8.5, 2.5)       # already in range: no movement
@@ -147,8 +149,7 @@ def test_frdt_single_follower_uses_sel_com(comm_params):
     leader_pos = Position(2.5, 2.5)
     follower = Position(30.5, 2.5)
     ev = ctrl._event_optimizer(sim)(
-        LastTaskState({0: AgentFinish(0, 0.0, leader_pos, 2.0),
-                       1: AgentFinish(1, 0.0, follower, 2.0)}))
+        {0: ready(0, 0.0, leader_pos), 1: ready(1, 0.0, follower)})
     assert ev.positions[1] == sel_com(follower, leader_pos, grid, comm_params)
 
 
@@ -159,8 +160,7 @@ def test_frdt_cluster_connectivity_randomized(comm_params):
         free = grid.free_cells()
         n = rng.randint(2, 5)
         cells = rng.sample(free, n)
-        last = LastTaskState({i: AgentFinish(i, rng.uniform(0, 10), grid.center(c), 2.0)
-                              for i, c in enumerate(cells)})
+        last = {i: ready(i, rng.uniform(0, 10), grid.center(c)) for i, c in enumerate(cells)}
         cfg = StrategyConfig("frdt", leader=0)
         ctrl = TeamCycleController(cfg, PlannerOptions())
         sim = Simulator(grid, [AgentState(i, grid.center(c), 2.0, 8.0, frozenset({"work"}))

@@ -127,6 +127,8 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
+    if getattr(args, "seed", None) is not None and args.seed < 0:  # random.Random uses abs()
+        sub.choices[args.command].error(f"argument --seed: must be >= 0, not {args.seed}")
     return args.func(args)
 
 

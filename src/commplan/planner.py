@@ -11,10 +11,10 @@ Every node, the root included, goes through one step that bounds it, keeps
 a better incumbent and pushes the node while it can still win. Each distinct
 node's sequences are bounded once per search, and the lower bound is skipped
 when the upper bound shows the node cannot beat the incumbent. Bounds compare
-rates only: each distinct candidate is scored once per cycle, a candidate
-that appends one task to a scored one extends that timetable when
-`append_to_timetable` allows, and the incumbent's full plan is built once,
-when the search returns.
+rates only, from one memo per cycle of each candidate's timetable, zero-travel
+timetable and rate; a child's timetables append to its parent's when exact, the
+greedy completion stops at a candidate that is free too late to win without
+optimizing its event, and full plans are built for the fallback and incumbent.
 """
 
 from __future__ import annotations
@@ -28,14 +28,15 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .meeting import CommEvent, com_opt, com_opt_fast
 from .radio import CommParams, comm_graph, is_connected
-from .schedule import (AgentContext, InfeasibleSchedule, Timetable, append_to_timetable,
-                       eligible_groups, groups_of, schedule_min_makespan)
+from .schedule import (AgentContext, InfeasibleSchedule, Timetable, TimetableRecord,
+                       append_to_timetable, eligible_groups, groups_of, schedule_min_makespan)
 from .tasks import RelationIndex, Task, TemporalRelation
 from .workspace import GridMap, astar_travel_time
 
 IMPROVEMENT_EPS = 1e-9
 
 SequencesKey = tuple[tuple[int, ...], ...]  # per-agent sequences in team order
+_UNSET = object()  # a memo slot not computed yet; None means infeasible
 
 
 @dataclass
@@ -54,7 +55,7 @@ class CollectivePlan:
         return len(self.timetable.intervals)
 
 
-@dataclass
+@dataclass(slots=True)
 class PlanNode:
     node_id: int
     depth: int
@@ -81,10 +82,8 @@ class PlannerProblem:
     index: RelationIndex = field(init=False, repr=False)
     groups: dict[int, list[tuple[int, ...]]] = field(init=False, repr=False)  # eligible, per task
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
-    # Scored candidates: None when infeasible, else the rate and the starts of
-    # the timetable's tasks in task-id order.
-    _rates: dict[SequencesKey, Optional[tuple[float, tuple[float, ...]]]] = field(
-        default_factory=dict, repr=False)
+    # Per candidate key: [timetable record, zero-travel record, rate].
+    _memo: dict[SequencesKey, list] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.team:
@@ -110,38 +109,54 @@ class PlannerProblem:
         return com_opt_fast(last, self.grid, self.params)
 
     def key(self, sequences: Mapping[int, Sequence[int]]) -> SequencesKey:
-        return tuple(tuple(sequences.get(a, ())) for a in self.team)
+        return tuple([tuple(sequences.get(a, ())) for a in self.team])
 
-    def remember(self, key: SequencesKey, plan: Optional[CollectivePlan]) -> None:
-        self._rates[key] = None if plan is None else (
-            plan.rate, tuple(iv.start for iv in plan.timetable.intervals.values()))
+    def record(self, key: SequencesKey, relaxed: bool = False) -> Optional[TimetableRecord]:
+        """`schedule_min_makespan(key's sequences, ..., relaxed=relaxed)` as a record,
+        None when infeasible; appended to a recorded base (less one tail task) if exact."""
+        entry = self._memo.setdefault(key, [_UNSET] * 3)
+        if entry[relaxed] is _UNSET:
+            entry[relaxed] = self._schedule(key, relaxed)
+        return entry[relaxed]
 
-    def rate_for(self, sequences: Mapping[int, Sequence[int]]) -> Optional[float]:
-        """Rate of `build_plan(sequences, self)`, None when that is None.
-
-        Each candidate is built once per cycle, keyed by `key(sequences)`.
-        """
-        key = self.key(sequences)
-        if key not in self._rates:
-            self.remember(key, build_plan(sequences, self))
-        entry = self._rates[key]
-        return None if entry is None else entry[0]
-
-    def timetable_for(self, sequences: Mapping[int, Sequence[int]]) -> Timetable:
-        """`schedule_min_makespan(sequences, ...)`, extended instead from a
-        scored base (the same sequences less one tail task) when exact."""
-        key = self.key(sequences)
+    def _schedule(self, key: SequencesKey, relaxed: bool) -> Optional[TimetableRecord]:
+        sequences = dict(zip(self.team, key))
         for tid in sorted({seq[-1] for seq in key if seq}):
-            base = tuple(seq[:-1] if seq and seq[-1] == tid else seq for seq in key)
-            entry = self._rates.get(base)
-            if entry is None:
-                continue
-            base_starts = dict(zip(sorted(set().union(*base)), entry[1]))
-            timetable = append_to_timetable(sequences, tid, base_starts, self.tasks, self.index,
-                                            self.grid, self.team)
-            if timetable is not None:
-                return timetable
-        return schedule_min_makespan(sequences, self.tasks, self.index, self.grid, self.team)
+            base = self._memo.get(tuple([seq[:-1] if seq and seq[-1] == tid else seq
+                                         for seq in key]))
+            if base is not None and isinstance(base[relaxed], TimetableRecord):
+                record = append_to_timetable(sequences, tid, base[relaxed], self.tasks,
+                                             self.index, self.grid, self.team, relaxed=relaxed)
+                if record is not None:
+                    return record
+        try:
+            return TimetableRecord.solved(schedule_min_makespan(
+                sequences, self.tasks, self.index, self.grid, self.team, relaxed=relaxed),
+                self.index)
+        except InfeasibleSchedule:
+            return None
+
+    def event(self, key: SequencesKey, record: Optional[TimetableRecord]) -> Optional[CommEvent]:
+        """The candidate's event, None when it has none; memoizes its rate."""
+        event = None
+        if record is not None:
+            # Not stored on the problem: a bound method there would make it a reference
+            # cycle, and its memo would outlive the cycle until the collector runs.
+            optimizer = self.event_optimizer or self._default_event
+            finish = {s[-1]: record.start_of(s[-1]) + self.tasks[s[-1]].duration for s in key if s}
+            event = optimizer(last_state(dict(zip(self.team, key)), finish, self.team, self.tasks))
+        count = len(set().union(*key))
+        self._memo.setdefault(key, [_UNSET] * 3)[2] = None if event is None else (
+            count / (event.time - self.now) if count and event.time > self.now else 0.0)
+        return event
+
+    def rate(self, key: SequencesKey) -> Optional[float]:
+        """Rate of `build_plan(key's sequences, self)`, None when that is None;
+        each candidate's event is optimized once per cycle."""
+        entry = self._memo.setdefault(key, [_UNSET] * 3)
+        if entry[2] is _UNSET:
+            self.event(key, self.record(key))
+        return entry[2]
 
 
 def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> list[int]:
@@ -184,9 +199,8 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
 def _related_to_assigned(cluster: Sequence[int], assigned: frozenset[int],
                          index: RelationIndex) -> bool:
     """True if a relation of any kind joins a cluster member to an assigned task."""
-    views = (index.preds, index.mutex, index.conc)
-    return (any(o in assigned for t in cluster for view in views for o in view.get(t, ()))
-            or any(t in index.preds.get(a, ()) for a in assigned for t in cluster))
+    views = (index.preds, index.succs, index.mutex, index.conc)
+    return any(o in assigned for t in cluster for view in views for o in view.get(t, ()))
 
 
 def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
@@ -204,55 +218,47 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
     interior = len(cluster) > 1 or _related_to_assigned(cluster, assigned, problem.index)
     children: list[PlanNode] = []
 
-    def place(idx: int, seqs: dict[int, list[int]]):
+    def place(idx: int, seqs: dict[int, tuple[int, ...]]):
         if idx == len(cluster):
-            children.append(PlanNode(node_id=next_id(), depth=node.depth + 1,
-                                     sequences={a: tuple(s) for a, s in seqs.items()}))
+            children.append(PlanNode(node_id=next_id(), depth=node.depth + 1, sequences=seqs))
             return
         t = cluster[idx]
         for group in problem.groups[t]:
             slots = [range(len(seqs[a]) + 1) if interior else (len(seqs[a]),) for a in group]
             for combo in itertools.product(*slots):
-                new_seqs = {a: list(s) for a, s in seqs.items()}
+                new_seqs = dict(seqs)  # agents outside the group share their tuples
                 for a, pos in zip(group, combo):
-                    new_seqs[a].insert(pos, t)
+                    new_seqs[a] = seqs[a][:pos] + (t,) + seqs[a][pos:]
                 place(idx + 1, new_seqs)
 
-    place(0, {a: list(s) for a, s in node.sequences.items()})
+    place(0, dict(node.sequences))
     return children
 
 
-def last_state(sequences: Mapping[int, Sequence[int]], timetable: Timetable,
+def last_state(sequences: Mapping[int, Sequence[int]], finish: Mapping[int, float],
                team: Mapping[int, AgentContext],
                tasks: Mapping[int, Task]) -> dict[int, AgentContext]:
     """Each agent's context once its sequence is done: free at its last task's
-    center from that task's finish, or its own context when it holds no task."""
+    center from that task's `finish`, or its own context when it holds no task."""
     last = dict(team)
     for a, ctx in team.items():
         seq = sequences.get(a)
         if seq:
-            last[a] = AgentContext(a, tasks[seq[-1]].region_center,
-                                   timetable.intervals[seq[-1]].finish, ctx.v_max, ctx.capabilities)
+            last[a] = AgentContext(a, tasks[seq[-1]].region_center, finish[seq[-1]],
+                                   ctx.v_max, ctx.capabilities)
     return last
 
 
 def build_plan(sequences: Mapping[int, Sequence[int]],
                problem: PlannerProblem) -> Optional[CollectivePlan]:
     """Schedule + event-optimize a candidate assignment; None when infeasible."""
-    try:
-        timetable = problem.timetable_for(sequences)
-    except InfeasibleSchedule:
-        return None
-    # Not stored on the problem: a bound method there would make it a reference
-    # cycle, and its memo would outlive the cycle until the collector runs.
-    optimizer = problem.event_optimizer or problem._default_event
-    event = optimizer(last_state(sequences, timetable, problem.team, problem.tasks))
+    key = problem.key(sequences)
+    record = problem.record(key)
+    event = problem.event(key, record)
     if event is None:
         return None
-    count = len(timetable.intervals)
-    rate = count / (event.time - problem.now) if count and event.time > problem.now else 0.0
-    return CollectivePlan({a: tuple(sequences.get(a, ())) for a in problem.team},
-                          timetable, event, rate)
+    return CollectivePlan(dict(zip(problem.team, key)), record.timetable(problem.tasks), event,
+                          problem.rate(key))
 
 
 class Bound(NamedTuple):
@@ -273,62 +279,52 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
     """
     seqs = {a: tuple(node.sequences.get(a, ())) for a in problem.team}
     assigned = node.assigned()
-    best = problem.rate_for(seqs)
-    end_pos = {}
-    for a, ctx in problem.team.items():
-        seq = seqs[a]
-        end_pos[a] = problem.tasks[seq[-1]].region_center if seq else ctx.position
+    best = problem.rate(problem.key(seqs))
 
     skipped: set[int] = set()
     while True:
-        feas = [t for t in get_feasible_tasks(assigned, problem) if t not in skipped]
-        if not feas:
-            break
+        ends = {a: problem.tasks[s[-1]].region_center if s else problem.team[a].position
+                for a, s in seqs.items()}
         scored = []
-        for rep in feas:
+        for rep in get_feasible_tasks(assigned, problem):
+            if rep in skipped:
+                continue
             cluster = sorted(m for m in problem.clusters[rep] if m not in assigned)
             chosen: dict[int, tuple[int, ...]] = {}
             cost = 0.0
             for t in cluster:
                 target = problem.tasks[t].region_center
-                best_group, best_cost = None, math.inf
-                travel: dict[int, float] = {}  # one lookup per agent, shared by its groups
-                for group in problem.groups[t]:
-                    for a in group:
-                        if a not in travel:
-                            travel[a] = astar_travel_time(end_pos[a], target, problem.grid,
-                                                          problem.team[a].v_max)
-                    c = max(travel[a] for a in group)
-                    if c < best_cost:
-                        best_group, best_cost = group, c
-                chosen[t] = best_group
-                cost = max(cost, best_cost)
+                travel = {a: astar_travel_time(ends[a], target, problem.grid, problem.team[a].v_max)
+                          for a in set().union(*problem.groups[t])}  # shared by a's groups
+                chosen[t] = min(problem.groups[t], key=lambda g: max(map(travel.__getitem__, g)))
+                cost = max(cost, *map(travel.__getitem__, chosen[t]))
             scored.append((cost, rep, cluster, chosen))
-        scored.sort(key=lambda s: (s[0], s[1]))
 
-        progressed = False
-        for cost, rep, cluster, chosen in scored:
+        for cost, rep, cluster, chosen in sorted(scored, key=lambda s: s[:2]):
             new_seqs = dict(seqs)
             for t in cluster:
                 for a in chosen[t]:
                     new_seqs[a] += (t,)
-            rate = problem.rate_for(new_seqs)
+            key = problem.key(new_seqs)
+            record = problem.record(key)
+            if best is not None and record is not None and problem.event_optimizer is None:
+                # com_opt_fast never meets before its last agent is free, so the
+                # rate is at most count / (top - now); at or below best, stop here.
+                top = max(record.start_of(s[-1]) + problem.tasks[s[-1]].duration if s
+                          else ctx.ready_time for s, ctx in zip(key, problem.team.values()))
+                count = len(assigned) + len(cluster)
+                if top > problem.now and count / (top - problem.now) <= best + IMPROVEMENT_EPS:
+                    return Bound(best, seqs)
+            rate = problem.rate(key)
             if rate is None:
                 skipped.add(rep)
                 continue
-            if best is None or rate > best + IMPROVEMENT_EPS:
-                seqs = new_seqs
-                assigned = assigned.union(cluster)
-                for t in cluster:
-                    for a in chosen[t]:
-                        end_pos[a] = problem.tasks[t].region_center
-                best = rate
-                progressed = True
+            if best is not None and not rate > best + IMPROVEMENT_EPS:
+                return Bound(best, seqs)
+            seqs, assigned, best = new_seqs, assigned.union(cluster), rate
             break
-        if not progressed:
-            break
-    # Every accepted candidate replaces seqs, so it holds the best one.
-    return None if best is None else Bound(best, seqs)
+        else:  # no candidate left that schedules
+            return None if best is None else Bound(best, seqs)
 
 
 def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
@@ -340,14 +336,12 @@ def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
     of capacity. The best count/time quotient over j dominates every
     descendant's achievable rate.
     """
-    try:
-        tt0 = schedule_min_makespan(node.sequences, problem.tasks, problem.index,
-                                    problem.grid, problem.team, relaxed=True)
-    except InfeasibleSchedule:
+    record = problem.record(problem.key(node.sequences), relaxed=True)
+    if record is None:
         return -math.inf  # constraint cycle: no descendant can schedule either
-    assigned = tt0.intervals
+    assigned = node.assigned()
     count0 = len(assigned)
-    floor0 = max(tt0.makespan - problem.now, 0.0)
+    floor0 = max(record.makespan - problem.now, 0.0)
     rates = [count0 / floor0 if count0 and floor0 > 0 else 0.0]
 
     addable = [problem.tasks[t] for t in sorted(problem.tasks)
@@ -355,7 +349,7 @@ def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
     durs = sorted(t.duration for t in addable)
     works = sorted(t.duration * t.agents_required for t in addable)
     w_assigned = sum(problem.tasks[t].duration * problem.tasks[t].agents_required
-                     for t in assigned)
+                     for t in sorted(assigned))
     n_team = len(problem.team)
     w_prefix = 0.0
     for j in range(1, len(addable) + 1):
@@ -380,9 +374,8 @@ def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
     """Fallback plan assigning nothing; rendezvous at the current positions
     when they are already connected, otherwise a gathered event."""
     empty_seqs = {a: () for a in problem.team}
-    plan = build_plan(empty_seqs, problem)
+    plan = build_plan(empty_seqs, problem)  # memoizes the root's first candidate
     if plan is not None:
-        problem.remember(problem.key(empty_seqs), plan)  # the root's first candidate
         return plan
     # Custom event optimizers may refuse even the empty plan; gather instead.
     event = com_opt(problem.team, problem.grid, problem.params, gap=problem.gap)

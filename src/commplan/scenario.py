@@ -431,7 +431,8 @@ GENERATOR = Section(_rows(GeneratorSpec, {
 SCENARIO = Section(_rows(ScenarioConfig, {
     "map_path": Kind(lambda v: None if isinstance(v, str) else "must be a string path"),
     "agents": Many(AGENT), "params": COMM, "tasks": Many(TASK), "relations": Many(_RELATION),
-    "strategy": STRATEGY, "horizon": _POSITIVE, "seed": _INT, "dt": _POSITIVE,
+    "strategy": STRATEGY, "horizon": _POSITIVE, "dt": _POSITIVE,
+    "seed": _number(at_least=0, integer=True),  # random.Random would seed -n as n
     "planner_budget": _number(at_least=0.0, nullable=True),
     "node_limit": _number(at_least=0, integer=True, nullable=True), "gap": _NONNEGATIVE,
     "recheck_interval": _POSITIVE, "generator": GENERATOR},

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from .tasks import ExecutionInterval, RelationIndex, Task
 from .workspace import GridMap, Position, astar_travel_time
@@ -235,52 +235,77 @@ def schedule_min_makespan(sequences: Mapping[int, Sequence[int]], tasks: Mapping
     return Timetable(intervals, best_mk)
 
 
-def append_to_timetable(sequences: Mapping[int, Sequence[int]], tid: int,
-                        base_starts: Mapping[int, float], tasks: Mapping[int, Task],
-                        index: RelationIndex, grid: GridMap,
-                        team: Mapping[int, AgentContext]) -> Optional[Timetable]:
-    """`schedule_min_makespan(sequences, ...)`, extended from its base's starts.
+@dataclass(slots=True, eq=False)
+class TimetableRecord:
+    """A timetable kept compactly: a full solve's starts, or one task appended
+    to a base record. `mutex_free` says that no two of its tasks are mutex partners."""
+    base: Optional[TimetableRecord]       # None for a full solve
+    tid: int                              # the appended task; -1 for a full solve
+    start: Any                            # the appended task's start, or a full solve's starts
+    makespan: float
+    mutex_free: bool
 
-    The base is `sequences` with task `tid` removed from the tail of every
-    agent whose sequence ends in it; `base_starts` maps each base task to its
-    start in the base's timetable. The extension is exact when tid has no
-    mutex or concurrency partner in the base, no base task must follow tid,
-    and the base holds no mutex pair: tid then only adds edges into itself, so
-    every base start stays earliest, the one mutex orientation is still empty
-    and the base's concurrency checks still pass. Otherwise returns None and
-    the caller runs the full solve. Raises ValueError and CapabilityError as
-    the full solve does.
+    @classmethod
+    def solved(cls, timetable: Timetable, index: RelationIndex) -> TimetableRecord:
+        starts = {t: iv.start for t, iv in timetable.intervals.items()}
+        return cls(None, -1, starts, timetable.makespan,
+                   not any(m in starts for t in starts for m in index.mutex.get(t, ())))
+
+    def start_of(self, tid: int) -> Optional[float]:
+        """tid's start, or None when the timetable does not hold tid."""
+        rec = self
+        while rec.base is not None and rec.tid != tid:
+            rec = rec.base
+        return rec.start if rec.base is not None else rec.start.get(tid)
+
+    def timetable(self, tasks: Mapping[int, Task]) -> Timetable:
+        rec, starts = self, {}
+        while rec.base is not None:
+            starts[rec.tid] = rec.start
+            rec = rec.base
+        starts.update(rec.start)
+        return Timetable({t: ExecutionInterval(t, starts[t], starts[t] + tasks[t].duration)
+                          for t in sorted(starts)}, self.makespan)
+
+
+def append_to_timetable(sequences: Mapping[int, Sequence[int]], tid: int, base: TimetableRecord,
+                        tasks: Mapping[int, Task], index: RelationIndex, grid: GridMap,
+                        team: Mapping[int, AgentContext], *,
+                        relaxed: bool = False) -> Optional[TimetableRecord]:
+    """The record of `schedule_min_makespan(sequences, ..., relaxed=relaxed)`,
+    from the record of its base (`sequences` less task `tid` at the tails that
+    end in it) and the start of tid alone.
+
+    Exact when tid has no mutex or concurrency partner and no successor in the
+    base, and the base holds no mutex pair: tid then only adds edges into
+    itself, so every base start, the empty mutex orientation and the base's
+    concurrency checks stand. Otherwise returns None for the full solve.
+    Raises ValueError and CapabilityError as the full solve does.
     """
-    holders = tuple(a for a in sorted(sequences) if sequences[a] and sequences[a][-1] == tid)
+    holders = tuple([a for a in sorted(sequences) if sequences[a] and sequences[a][-1] == tid])
     for agent_id in holders:
-        if tid in sequences[agent_id][:-1]:
+        if sequences[agent_id].count(tid) > 1:
             raise ValueError(f"agent {agent_id}: a task appears twice in its sequence")
-    if not holders or tid in base_starts:
+    if not holders or any(tid in seq for a, seq in sequences.items() if a not in holders):
         return None
     task = tasks[tid]
     if not group_covers(task, holders, team):
         raise CapabilityError(f"task {tid}: group {holders} cannot cover requirements")
-    if (any(o in base_starts for o in index.mutex.get(tid, ()) + index.conc.get(tid, ()))
-            or any(tid in index.preds.get(u, ()) for u in base_starts)
-            or any(m in base_starts for u in base_starts for m in index.mutex.get(u, ()))):
+    if (not base.mutex_free
+            or any(base.start_of(o) is not None
+                   for view in (index.mutex, index.conc, index.succs) for o in view.get(tid, ()))):
         return None
 
     # The same float expressions as the full solve's source bounds and edges.
     start = 0.0
     for agent_id in holders:
         seq, ctx = sequences[agent_id], team[agent_id]
-        if len(seq) == 1:
-            travel = astar_travel_time(ctx.position, task.region_center, grid, ctx.v_max)
-            start = max(start, ctx.ready_time + travel)
-        else:
-            prev = tasks[seq[-2]]
-            travel = astar_travel_time(prev.region_center, task.region_center, grid, ctx.v_max)
-            start = max(start, base_starts[seq[-2]] + (prev.duration + travel))
+        prev = tasks[seq[-2]] if len(seq) > 1 else None
+        pos = ctx.position if prev is None else prev.region_center
+        travel = 0.0 if relaxed else astar_travel_time(pos, task.region_center, grid, ctx.v_max)
+        start = max(start, ctx.ready_time + travel if prev is None
+                    else base.start_of(seq[-2]) + (prev.duration + travel))
     for p in index.preds.get(tid, ()):
-        if p in base_starts:
-            start = max(start, base_starts[p] + tasks[p].duration)
-
-    starts = {**base_starts, tid: start}
-    intervals = {t: ExecutionInterval(t, starts[t], starts[t] + tasks[t].duration)
-                 for t in sorted(starts)}
-    return Timetable(intervals, max(iv.finish for iv in intervals.values()))
+        if (p_start := base.start_of(p)) is not None:
+            start = max(start, p_start + tasks[p].duration)
+    return TimetableRecord(base, tid, start, max(base.makespan, start + task.duration), True)

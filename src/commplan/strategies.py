@@ -150,7 +150,8 @@ class TeamCycleController:
         if event_optimizer is None and plan.task_count() > 0:
             # Bound evaluation uses the fast single-pass optimizer; polish the
             # executed event with the thorough one.
-            refined = com_opt(last_state(plan.sequences, plan.timetable, team, sim.tasks),
+            finish = {t: iv.finish for t, iv in plan.timetable.intervals.items()}
+            refined = com_opt(last_state(plan.sequences, finish, team, sim.tasks),
                               sim.grid, sim.params, gap=self.options.gap)
             if refined.time < event.time:
                 event = refined

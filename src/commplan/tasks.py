@@ -128,19 +128,21 @@ def check_schedule(intervals: Iterable[ExecutionInterval],
 class RelationIndex:
     """Per-task views of the temporal relations, built once.
 
-    `preds[t]` holds the tasks that must finish before t starts, `mutex[t]`
-    the tasks whose intervals must be disjoint from t's, and `conc[t]` the
-    tasks whose intervals must intersect t's. Each value is a sorted tuple;
-    a task with no relation of a kind has no entry in that view.
+    `preds[t]` holds the tasks that must finish before t starts (`succs` is its
+    inverse), `mutex[t]` the tasks whose intervals must be disjoint from t's,
+    and `conc[t]` the tasks whose intervals must intersect t's. Each value is a
+    sorted tuple; a task with no relation of a kind has no entry in that view.
     """
 
     def __init__(self, relations: Iterable[TemporalRelation]):
         views: dict[RelationKind, dict[int, set[int]]] = {kind: {} for kind in RelationKind}
+        succs: dict[int, set[int]] = {}
         for rel in relations:
             view = views[rel.kind]
             view.setdefault(rel.second, set()).add(rel.first)
-            if rel.kind is not RelationKind.PRECEDENCE:
-                view.setdefault(rel.first, set()).add(rel.second)
-        self.preds, self.mutex, self.conc = (
-            {t: tuple(sorted(others)) for t, others in views[kind].items()}
-            for kind in (RelationKind.PRECEDENCE, RelationKind.MUTEX, RelationKind.CONCURRENCY))
+            (succs if rel.kind is RelationKind.PRECEDENCE else view).setdefault(
+                rel.first, set()).add(rel.second)
+        self.preds, self.succs, self.mutex, self.conc = (
+            {t: tuple(sorted(others)) for t, others in view.items()}
+            for view in (views[RelationKind.PRECEDENCE], succs, views[RelationKind.MUTEX],
+                         views[RelationKind.CONCURRENCY]))

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from commplan.planner import PlannerProblem, build_plan
+from commplan.planner import (IMPROVEMENT_EPS, Bound, PlannerProblem, build_plan,
+                              get_feasible_tasks)
 from commplan.radio import CommParams
 from commplan.schedule import AgentContext, eligible_groups
 from commplan.tasks import RelationKind, Task, TemporalRelation
-from commplan.workspace import GridMap, Position, parse_grid
+from commplan.workspace import GridMap, Position, astar_travel_time, parse_grid
 
 
 def empty_grid(width=12, height=12, resolution=1.0) -> GridMap:
@@ -234,6 +235,51 @@ def exhaustive_best_rate(problem: PlannerProblem) -> float:
         if rate > best_rate:
             best_rate = rate
     return best_rate
+
+
+def reference_low_bound(node, problem: PlannerProblem, scored: list):
+    """`planner.low_bound` as a plain greedy that builds the full plan of every
+    candidate it scores, appending (plan, the best rate before it) to `scored`."""
+    seqs = {a: tuple(node.sequences.get(a, ())) for a in problem.team}
+    assigned = node.assigned()
+    own = build_plan(seqs, problem)
+    best = None if own is None else own.rate
+    skipped: set[int] = set()
+
+    def travel(a, t):
+        end = problem.tasks[seqs[a][-1]].region_center if seqs[a] else problem.team[a].position
+        return astar_travel_time(end, problem.tasks[t].region_center, problem.grid,
+                                 problem.team[a].v_max)
+
+    while True:
+        options = []
+        for rep in get_feasible_tasks(assigned, problem):
+            if rep in skipped:
+                continue
+            cluster = sorted(m for m in problem.clusters[rep] if m not in assigned)
+            chosen, cost = {}, 0.0
+            for t in cluster:
+                costs = {g: max(travel(a, t) for a in g) for g in problem.groups[t]}
+                chosen[t] = min(problem.groups[t], key=costs.__getitem__)
+                cost = max(cost, costs[chosen[t]])
+            options.append((cost, rep, cluster, chosen))
+        progressed = False
+        for cost, rep, cluster, chosen in sorted(options, key=lambda o: o[:2]):
+            new_seqs = dict(seqs)
+            for t in cluster:
+                for a in chosen[t]:
+                    new_seqs[a] += (t,)
+            plan = build_plan(new_seqs, problem)
+            if plan is None:
+                skipped.add(rep)
+                continue
+            scored.append((plan, best))
+            if best is None or plan.rate > best + IMPROVEMENT_EPS:
+                seqs, assigned, best = new_seqs, assigned.union(cluster), plan.rate
+                progressed = True
+            break
+        if not progressed:
+            return None if best is None else Bound(best, seqs)
 
 
 @pytest.fixture

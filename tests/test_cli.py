@@ -133,7 +133,7 @@ def test_cli_run_strategy_override_missing_field(small_scenario, capsys, kind, f
     ("tasks[0].requirements", [[1, None]]),
     ("strategy.fixed_point", ["10", 3.0]), ("strategy.fixed_point", [10 ** 400, 3.0]),
     ("agents[0].id", 1.5), ("agents[1].id", "1"), ("tasks[0].id", 2.7),
-    ("tasks[1].id", True), ("strategy.ring_order", [0, 1.0]), ("node_limt", 5),
+    ("tasks[1].id", True), ("seed", -1), ("strategy.ring_order", [0, 1.0]), ("node_limt", 5),
     ("agents[0].vmax", 2.0), ("tasks[0].duraton", 5.0), ("comm.thresh", -40.0)])
 def test_cli_bad_numeric_field_exit_code(tmp_path, capsys, command, field, value):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
@@ -324,6 +324,16 @@ def test_cli_generate(tmp_path, capsys):
     assert stream and all("center" in t and "release_time" in t for t in stream)
     # ids continue after the explicit task list
     assert min(t["id"] for t in stream) == 3
+
+
+@pytest.mark.parametrize("command", ["run", "generate"])
+@pytest.mark.parametrize("seed", ["-1", "-2", "x"])
+def test_cli_negative_seed_exit_code(small_scenario, capsys, command, seed):
+    """--seed -n would replay seed n, since random.Random seeds with abs()."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(small_scenario), "--seed", seed])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
 
 
 def test_cli_generate_without_generator_fails(small_scenario, capsys):

@@ -6,12 +6,14 @@ a pinned value is a change in what the system computes and must be explained
 when it is updated.
 """
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
 import pytest
 
 from commplan.experiment import run_trial
+from commplan import strategies
 from commplan.planner import SearchStats, cocoplan
 from commplan.radio import CommParams
 from commplan.scenario import load_scenario
@@ -45,6 +47,9 @@ SUBT10_GREEDY_TRIAL0_SHA256 = "5e82bed4d463f74b901e2d486d2725d60122dee422aa53780
 CRITERION7_RATE = 0.1452596131931247
 CRITERION7_GROUPS = {3: (5,), 4: (0, 4), 5: (0,), 7: (1,), 9: (4,), 15: (7,)}
 CRITERION7_EXPANDED_PRUNED = (1, 0)
+# Summed over the 72 cocoplan calls of the desk cocoplan trial at seed 42 (perfbench's
+# first desk op): generated, expanded, pruned.
+DESK_SEED42_SEARCH = (3724, 359, 578)
 
 
 def _trial0_digest(cfg, strategy=None) -> str:
@@ -63,6 +68,20 @@ def test_desk_trial0_log_hash_per_strategy(kind):
     cfg = load_scenario(DESK)
     make_strategy, want = DESK_TRIAL0_SHA256[kind]
     assert _trial0_digest(cfg, make_strategy(cfg)) == want
+
+
+def test_desk_cocoplan_seed42_search_counts(monkeypatch):
+    calls: list[SearchStats] = []
+
+    def counting(*args, **kwargs):
+        calls.append(SearchStats())
+        return cocoplan(*args, **kwargs, stats=calls[-1])
+
+    monkeypatch.setattr(strategies, "cocoplan", counting)
+    run_trial(dataclasses.replace(load_scenario(DESK), seed=42), 0)
+    assert len(calls) == 72
+    assert tuple(sum(getattr(stats, f"nodes_{kind}") for stats in calls)
+                 for kind in ("generated", "expanded", "pruned")) == DESK_SEED42_SEARCH
 
 
 def test_subt10_greedy_trial0_log_hash():

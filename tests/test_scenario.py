@@ -164,6 +164,18 @@ def test_fpmr_fixed_point_on_obstacle_rejected(tmp_path):
     assert "fixed_point" in str(err.value)
 
 
+@pytest.mark.parametrize("seed, ok", [(-1, False), (-2, False), (1.0, False), (0, True), (1, True)])
+def test_seed_must_be_a_nonnegative_integer(tmp_path, seed, ok):
+    """random.Random seeds with abs(), so a negative seed would replay its
+    positive twin."""
+    raw = {**minimal_raw(), "seed": seed}
+    if ok:
+        assert load_scenario(write_scenario(tmp_path, raw)).seed == seed
+        return
+    with pytest.raises(ScenarioError, match="seed: must be an integer >= 0"):
+        load_scenario(write_scenario(tmp_path, raw))
+
+
 def test_generator_zero_rate_empty_stream():
     grid = empty_grid()
     spec = GeneratorSpec(phases=[Phase(0, 100, "uniform", "uniform")], rate=0.0)

@@ -1,12 +1,13 @@
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from commplan.schedule import (AgentContext, CapabilityError, InfeasibleSchedule,
-                               append_to_timetable, eligible_groups, group_covers, groups_of,
-                               schedule_min_makespan)
+                               TimetableRecord, append_to_timetable, eligible_groups,
+                               group_covers, groups_of, schedule_min_makespan)
 from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position, astar_travel_time, load_grid
 
@@ -283,7 +284,7 @@ def test_starts_do_not_depend_on_relation_order():
 
 
 def _desk_append_instance(seed):
-    """desk.map, 3 agents, 7 tasks (every third needs 2 agents), 3 precedence pairs."""
+    """desk.map, 3 agents, 7 tasks (every third needs 2 agents), 3 relations of random kinds."""
     rng = random.Random(seed)
     grid = load_grid(Path(__file__).parent / "data" / "desk.map")
     free = grid.free_cells()
@@ -296,36 +297,81 @@ def _desk_append_instance(seed):
         tasks[t] = task(t, c.x, c.y, rng.uniform(1.0, 8.0), reqs=((1 + (t % 3 == 0), "work"),))
     pairs = rng.sample(list(itertools.combinations(range(7), 2)), 3)
     rels = [TemporalRelation(*((p, q) if rng.random() < 0.5 else (q, p)),
-                             RelationKind.PRECEDENCE) for p, q in pairs]
-    return grid, team, tasks, RelationIndex(rels), rng
+                             rng.choice(list(RelationKind))) for p, q in pairs]
+    return grid, team, tasks, rels, rng
 
 
-def test_append_equals_full_solve_bit_for_bit():
-    appended = refused = 0
+def _falls_back(t, base, rels):
+    """Why appending t to a base holding the tasks `base` is not exact, or None."""
+    for r in rels:
+        if r.kind is RelationKind.MUTEX and r.first in base and r.second in base:
+            return "base mutex pair"
+        if r.kind is not RelationKind.PRECEDENCE and t in (r.first, r.second) and (
+                r.second if r.first == t else r.first) in base:
+            return "partner in base"
+        if r.kind is RelationKind.PRECEDENCE and r.first == t and r.second in base:
+            return "base successor"
+    return None
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_append_chains_equal_the_full_solve_bit_for_bit(relaxed):
+    """Records appended one tail task at a time, on top of earlier appends,
+    hold the full solve's starts and makespan; every case the append cannot
+    extend exactly returns None."""
+    longest = appended = 0
+    reasons: Counter = Counter()
     for seed in range(40):
-        grid, team, tasks, index, rng = _desk_append_instance(seed)
+        grid, team, tasks, rels, rng = _desk_append_instance(seed)
+        index = RelationIndex(rels)
         seqs = {a: () for a in team}
-        base = schedule_min_makespan(seqs, tasks, index, grid, team)
+        record = TimetableRecord.solved(
+            schedule_min_makespan(seqs, tasks, index, grid, team, relaxed=relaxed), index)
+        run = 0
         for t in rng.sample(sorted(tasks), len(tasks)):
+            base = set().union(*seqs.values())
             group = rng.choice(eligible_groups(tasks[t], team))
             seqs = {a: s + (t,) if a in group else s for a, s in seqs.items()}
             try:
-                full = schedule_min_makespan(seqs, tasks, index, grid, team)
-            except InfeasibleSchedule:  # t must precede a task its own agent ran earlier
+                full = schedule_min_makespan(seqs, tasks, index, grid, team, relaxed=relaxed)
+            except InfeasibleSchedule:
                 full = None
-            base_starts = {u: iv.start for u, iv in base.intervals.items()}
-            got = append_to_timetable(seqs, t, base_starts, tasks, index, grid, team)
-            if got is None:  # t must precede a base task
-                assert any(t in index.preds.get(u, ()) for u in base_starts), (seed, t)
-                refused += 1
-            else:
-                assert repr(got) == repr(full), (seed, seqs)
-                assert list(got.intervals) == list(full.intervals) == sorted(full.intervals)
-                appended += 1
-            if full is None:
-                break
-            base = full
-    assert appended >= 150 and refused >= 10
+            got = append_to_timetable(seqs, t, record, tasks, index, grid, team, relaxed=relaxed)
+            reason = _falls_back(t, base, rels)
+            if reason is not None:
+                assert got is None, (seed, seqs, reason)
+                reasons[reason] += 1
+                if full is None:
+                    break
+                record, run = TimetableRecord.solved(full, index), 0
+                assert record.mutex_free == (_falls_back(-1, set(full.intervals), rels) is None)
+                continue
+            assert got is not None and full is not None, (seed, seqs)
+            assert repr(got.timetable(tasks)) == repr(full), (seed, seqs)
+            assert got.makespan == full.makespan
+            assert all(got.start_of(u) == iv.start for u, iv in full.intervals.items())
+            assert got.start_of(-1) is None and got.mutex_free
+            record, run = got, run + 1
+            appended += 1
+            longest = max(longest, run)
+    assert appended >= 100 and longest >= 5
+    assert set(reasons) == {"base mutex pair", "partner in base", "base successor"}
+
+
+def test_succs_invert_preds():
+    rng = random.Random(32)
+    for _ in range(200):
+        pairs = rng.sample(list(itertools.combinations(range(8), 2)), rng.randint(0, 12))
+        rels = [TemporalRelation(*((p, q) if rng.random() < 0.5 else (q, p)),
+                                 rng.choice(list(RelationKind))) for p, q in pairs]
+        index = RelationIndex(rels)
+        want: dict[int, set[int]] = {}
+        for r in rels:
+            if r.kind is RelationKind.PRECEDENCE:
+                want.setdefault(r.first, set()).add(r.second)
+        assert index.succs == {p: tuple(sorted(ts)) for p, ts in want.items()}
+        assert ({(p, t) for t, ps in index.preds.items() for p in ps}
+                == {(p, t) for p, ts in index.succs.items() for t in ts})
 
 
 def test_append_leaves_relations_it_cannot_extend_to_the_full_solve():
@@ -335,13 +381,16 @@ def test_append_leaves_relations_it_cannot_extend_to_the_full_solve():
     seqs = {0: (1, 2), 1: (3, 4)}
     base_seqs = {0: (1, 2), 1: (3,)}
 
+    def base_record(index):
+        return TimetableRecord.solved(schedule_min_makespan(base_seqs, tasks, index, grid, team),
+                                      index)
+
     def append(*rels):
         index = RelationIndex(rels)
-        base = schedule_min_makespan(base_seqs, tasks, index, grid, team)
-        base_starts = {u: iv.start for u, iv in base.intervals.items()}
-        return append_to_timetable(seqs, 4, base_starts, tasks, index, grid, team)
+        return append_to_timetable(seqs, 4, base_record(index), tasks, index, grid, team)
 
-    assert repr(append()) == repr(schedule_min_makespan(seqs, tasks, NO_RELATIONS, grid, team))
+    want = schedule_min_makespan(seqs, tasks, NO_RELATIONS, grid, team)
+    assert repr(append().timetable(tasks)) == repr(want)
     for kind in (RelationKind.MUTEX, RelationKind.CONCURRENCY):
         assert append(TemporalRelation(4, 1, kind)) is None  # 4 has a partner in the base
     assert append(TemporalRelation(4, 2, RelationKind.PRECEDENCE)) is None  # 2 must follow 4
@@ -350,10 +399,13 @@ def test_append_leaves_relations_it_cannot_extend_to_the_full_solve():
     rels = (TemporalRelation(4, 9, RelationKind.MUTEX),
             TemporalRelation(2, 4, RelationKind.PRECEDENCE))
     want = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
-    assert repr(append(*rels)) == repr(want)
+    assert repr(append(*rels).timetable(tasks)) == repr(want)
+    # Task 4 already held by a non-tail agent is in the base: not an append.
+    assert append_to_timetable({0: (4, 1, 2), 1: (3, 4)}, 4, base_record(NO_RELATIONS), tasks,
+                               NO_RELATIONS, grid, team) is None
     with pytest.raises(ValueError, match="twice"):
-        append_to_timetable({0: (1, 2), 1: (4, 3, 4)}, 4, {1: 0.0, 2: 0.0, 3: 0.0}, tasks,
+        append_to_timetable({0: (1, 2), 1: (4, 3, 4)}, 4, base_record(NO_RELATIONS), tasks,
                             NO_RELATIONS, grid, team)
     two = {**tasks, 4: task(4, 14.5, 0.5, 4.0, reqs=((2, "work"),))}
     with pytest.raises(CapabilityError):
-        append_to_timetable(seqs, 4, {1: 0.0, 2: 0.0, 3: 0.0}, two, NO_RELATIONS, grid, team)
+        append_to_timetable(seqs, 4, base_record(NO_RELATIONS), two, NO_RELATIONS, grid, team)

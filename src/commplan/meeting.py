@@ -57,26 +57,30 @@ def latest(last: Mapping[int, AgentContext]) -> AgentContext:
     return max(last.values(), key=lambda c: (c.ready_time, -c.id))
 
 
-def _arrival(ctx: AgentContext, target: Position, grid: GridMap) -> float:
-    return ctx.ready_time + astar_length(ctx.position, target, grid) / ctx.v_max
+def _arrival(ctx: AgentContext, length: float) -> float:
+    return ctx.ready_time + length / ctx.v_max
 
 
 def chain_event(last: Mapping[int, AgentContext], anchor: Position, grid: GridMap,
                 params: CommParams, resident: Optional[int] = None,
-                deadline: Optional[float] = None) -> Optional[CommEvent]:
+                deadline: Optional[float] = None,
+                to_anchor: Optional[Mapping[int, float]] = None) -> Optional[CommEvent]:
     """Build a connected meeting by placing agents in earliest-arrival order.
 
     The first placed agent (or the forced resident) sits exactly on the
     anchor; every later agent stops at the earliest point on its path toward
     the nearest already-placed position that still carries a link to it.
     With a deadline, candidates arriving late fall back to the anchor and the
-    event fails (None) if even that is unreachable in time.
+    event fails (None) if even that is unreachable in time. `to_anchor` holds
+    each agent's path length to the anchor when the caller has it.
     """
-    def order_key(agent_id: int):
-        root_rank = 0 if agent_id == resident else 1
-        return (root_rank, _arrival(last[agent_id], anchor, grid), agent_id)
+    if to_anchor is None:
+        to_anchor = {a: astar_length(ctx.position, anchor, grid) for a, ctx in last.items()}
 
-    order = sorted(last, key=order_key)
+    def length(a: int, p: Position) -> float:
+        return to_anchor[a] if p == anchor else astar_length(last[a].position, p, grid)
+
+    order = sorted(last, key=lambda a: (a != resident, _arrival(last[a], to_anchor[a]), a))
     placed: list[tuple[int, Position]] = []
     positions: dict[int, Position] = {}
     for agent_id in order:
@@ -84,18 +88,17 @@ def chain_event(last: Mapping[int, AgentContext], anchor: Position, grid: GridMa
         if not placed:
             cand = anchor
         else:
-            target = min(placed, key=lambda it: (astar_length(ctx.position, it[1], grid), it[0]))[1]
+            target = min(placed, key=lambda it: (length(agent_id, it[1]), it[0]))[1]
             cand = sel_com(ctx.position, target, grid, params)
-        if deadline is not None and _arrival(ctx, cand, grid) > deadline:
+        if deadline is not None and _arrival(ctx, length(agent_id, cand)) > deadline:
             cand = anchor
-            if _arrival(ctx, cand, grid) > deadline:
+            if _arrival(ctx, to_anchor[agent_id]) > deadline:
                 return None
         positions[agent_id] = cand
         placed.append((agent_id, cand))
-    event_time = max(_arrival(last[a], positions[a], grid) for a in positions)
     if deadline is not None:
-        event_time = deadline
-    return CommEvent(event_time, positions)
+        return CommEvent(deadline, positions)
+    return CommEvent(max(_arrival(last[a], length(a, p)) for a, p in positions.items()), positions)
 
 
 def all_gather_event(last: Mapping[int, AgentContext], grid: GridMap,
@@ -103,27 +106,29 @@ def all_gather_event(last: Mapping[int, AgentContext], grid: GridMap,
     """Everyone travels to `at`, by default the latest finisher's position."""
     if at is None:
         at = latest(last).position
-    t = max(_arrival(ctx, at, grid) for ctx in last.values())
+    t = max(_arrival(ctx, astar_length(ctx.position, at, grid)) for ctx in last.values())
     return CommEvent(t, dict.fromkeys(last, at))
 
 
 def com_opt_fast(last: Mapping[int, AgentContext], grid: GridMap,
                  params: CommParams) -> CommEvent:
     """Single-pass event refinement: the better of the all-gather event and
-    one chain anchored at the latest finisher. Used inside bound evaluation
-    where the optimizer runs thousands of times per planning call."""
+    one chain anchored at the latest finisher, both from one pass of path
+    lengths to that anchor. Used inside bound evaluation where the optimizer
+    runs thousands of times per planning call."""
     if len(last) == 1:
         (only,) = last.values()
         return CommEvent(only.ready_time, {only.id: only.position})
     anchor = latest(last)
     try:
-        best = all_gather_event(last, grid)
-        stage1 = chain_event(last, anchor.position, grid, params, resident=anchor.id)
+        to_anchor = {a: astar_length(c.position, anchor.position, grid) for a, c in last.items()}
+        chain = chain_event(last, anchor.position, grid, params, resident=anchor.id,
+                            to_anchor=to_anchor)
     except Unreachable as exc:
         raise MeetingInfeasible(f"workspace disconnected across agents: {exc}") from exc
-    if stage1 is not None and stage1.time < best.time:
-        best = stage1
-    return best
+    gather = CommEvent(max(_arrival(last[a], length) for a, length in to_anchor.items()),
+                       dict.fromkeys(last, anchor.position))
+    return chain if chain is not None and chain.time < gather.time else gather
 
 
 def com_opt(last: Mapping[int, AgentContext], grid: GridMap, params: CommParams,
@@ -144,7 +149,8 @@ def com_opt(last: Mapping[int, AgentContext], grid: GridMap, params: CommParams,
     try:
         # Scan virtual anchors along the path from the arrival bottleneck
         # toward the latest finisher; each candidate yields a full chain event.
-        bottleneck = max(last.values(), key=lambda c: (_arrival(c, p0, grid), -c.id))
+        bottleneck = max(last.values(),
+                         key=lambda c: (_arrival(c, astar_length(c.position, p0, grid)), -c.id))
         path = astar_path(bottleneck.position, p0, grid)
         stride = max(1, len(path) // MAX_ANCHOR_CANDIDATES)
         for idx in range(0, len(path), stride):

@@ -14,7 +14,9 @@ when the upper bound shows the node cannot beat the incumbent. Bounds compare
 rates only, from one memo per cycle of each candidate's timetable, zero-travel
 timetable and rate; a child's timetables append to its parent's when exact, the
 greedy completion stops at a candidate that is free too late to win without
-optimizing its event, and full plans are built for the fallback and incumbent.
+optimizing its event and reads the node's own rate only when its cap cannot
+tell, full plans are built for the fallback and incumbent, and feasible tasks
+are worked out once per assigned set and cycle.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class PlannerProblem:
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     # Per candidate key: [timetable record, zero-travel record, rate].
     _memo: dict[SequencesKey, list] = field(default_factory=dict, repr=False)
+    _feasible: dict[frozenset[int], list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.team:
@@ -150,6 +153,13 @@ class PlannerProblem:
             count / (event.time - self.now) if count and event.time > self.now else 0.0)
         return event
 
+    def rate_cap(self, key: SequencesKey, record: TimetableRecord) -> float:
+        """At least `rate(key)` with the default optimizer: it never meets before `top`,
+        when the last agent is free."""
+        top = max(record.start_of(s[-1]) + self.tasks[s[-1]].duration if s else ctx.ready_time
+                  for s, ctx in zip(key, self.team.values()))
+        return len(set().union(*key)) / (top - self.now) if top > self.now else math.inf
+
     def rate(self, key: SequencesKey) -> Optional[float]:
         """Rate of `build_plan(key's sequences, self)`, None when that is None;
         each candidate's event is optimized once per cycle."""
@@ -167,6 +177,8 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
     already assigned or completed. Only the lowest member id is returned for
     each cluster; expansion inserts the whole cluster jointly.
     """
+    if assigned in problem._feasible:
+        return list(problem._feasible[assigned])
     preds = problem.index.preds
     done = assigned | problem.completed
 
@@ -193,7 +205,8 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
         cset = set(cluster)
         if all(member_ok(m, cset) for m in cluster):
             out.append(min(cluster))
-    return out
+    problem._feasible[assigned] = out
+    return list(out)
 
 
 def _related_to_assigned(cluster: Sequence[int], assigned: frozenset[int],
@@ -272,14 +285,26 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
     """Best rate from greedy completion of the node's partial plan.
 
     Iteratively appends the feasible cluster whose cheapest eligible group
-    minimizes the worst member travel time, re-schedules, re-optimizes the
-    event, and keeps going while the completion rate strictly improves.
-    Returns the best candidate seen (the node's own plan counts), or None
-    when no candidate schedules.
+    minimizes the worst member travel time, schedules it, and keeps going
+    while the completion rate strictly improves. Returns the best candidate
+    seen (the node's own plan counts), or None when no candidate schedules.
+    With the default optimizer, an event is optimized only when a comparison
+    needs more than the candidate's (or the node's own) rate cap.
     """
     seqs = {a: tuple(node.sequences.get(a, ())) for a in problem.team}
     assigned = node.assigned()
-    best = problem.rate(problem.key(seqs))
+    key = problem.key(seqs)
+    record = problem.record(key)
+    default = problem.event_optimizer is None
+    # While `pending` holds the node's key, `best` is only its rate cap.
+    pending = key if default and record is not None and problem._memo[key][2] is _UNSET else None
+    best = problem.rate(key) if pending is None else problem.rate_cap(key, record)
+
+    def no_better(rate: float) -> bool:  # a rate above the node's cap beats its rate
+        nonlocal best, pending
+        if pending is not None and not rate > best + IMPROVEMENT_EPS:
+            best, pending = problem.rate(pending), None
+        return not rate > best + IMPROVEMENT_EPS
 
     skipped: set[int] = set()
     while True:
@@ -307,24 +332,21 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
                     new_seqs[a] += (t,)
             key = problem.key(new_seqs)
             record = problem.record(key)
-            if best is not None and record is not None and problem.event_optimizer is None:
-                # com_opt_fast never meets before its last agent is free, so the
-                # rate is at most count / (top - now); at or below best, stop here.
-                top = max(record.start_of(s[-1]) + problem.tasks[s[-1]].duration if s
-                          else ctx.ready_time for s, ctx in zip(key, problem.team.values()))
-                count = len(assigned) + len(cluster)
-                if top > problem.now and count / (top - problem.now) <= best + IMPROVEMENT_EPS:
-                    return Bound(best, seqs)
+            # A cap at or below the best rate ends the greedy without optimizing the event.
+            if (best is not None and record is not None and default
+                    and no_better(problem.rate_cap(key, record))):
+                return Bound(best, seqs)
             rate = problem.rate(key)
             if rate is None:
                 skipped.add(rep)
                 continue
-            if best is not None and not rate > best + IMPROVEMENT_EPS:
+            if best is not None and no_better(rate):
                 return Bound(best, seqs)
-            seqs, assigned, best = new_seqs, assigned.union(cluster), rate
+            seqs, assigned, best, pending = new_seqs, assigned.union(cluster), rate, None
             break
         else:  # no candidate left that schedules
-            return None if best is None else Bound(best, seqs)
+            return None if best is None else Bound(
+                best if pending is None else problem.rate(pending), seqs)
 
 
 def up_bound(node: PlanNode, problem: PlannerProblem) -> float:

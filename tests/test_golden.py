@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from commplan.experiment import run_trial
-from commplan import strategies
+from commplan import meeting, planner, strategies
+from commplan.meeting import com_opt_fast
 from commplan.planner import SearchStats, cocoplan
 from commplan.radio import CommParams
 from commplan.scenario import load_scenario
@@ -50,6 +51,9 @@ CRITERION7_EXPANDED_PRUNED = (1, 0)
 # Summed over the 72 cocoplan calls of the desk cocoplan trial at seed 42 (perfbench's
 # first desk op): generated, expanded, pruned.
 DESK_SEED42_SEARCH = (3724, 359, 578)
+# The same trial's com_opt_fast calls (perfbench's meeting.com_opt_fast.calls): a change
+# that optimizes more events must say why.
+DESK_SEED42_COM_OPT_FAST_CALLS = 2588
 
 
 def _trial0_digest(cfg, strategy=None) -> str:
@@ -72,16 +76,24 @@ def test_desk_trial0_log_hash_per_strategy(kind):
 
 def test_desk_cocoplan_seed42_search_counts(monkeypatch):
     calls: list[SearchStats] = []
+    events = [0]
 
     def counting(*args, **kwargs):
         calls.append(SearchStats())
         return cocoplan(*args, **kwargs, stats=calls[-1])
 
+    def counting_event(*args, **kwargs):
+        events[0] += 1
+        return com_opt_fast(*args, **kwargs)
+
     monkeypatch.setattr(strategies, "cocoplan", counting)
+    for module in (meeting, planner):
+        monkeypatch.setattr(module, "com_opt_fast", counting_event)
     run_trial(dataclasses.replace(load_scenario(DESK), seed=42), 0)
     assert len(calls) == 72
     assert tuple(sum(getattr(stats, f"nodes_{kind}") for stats in calls)
                  for kind in ("generated", "expanded", "pruned")) == DESK_SEED42_SEARCH
+    assert events[0] == DESK_SEED42_COM_OPT_FAST_CALLS
 
 
 def test_subt10_greedy_trial0_log_hash():

@@ -1,13 +1,17 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from commplan.meeting import MeetingInfeasible, all_gather_event, com_opt, com_opt_fast, sel_com
+from commplan.meeting import (CommEvent, MeetingInfeasible, all_gather_event, chain_event, com_opt,
+                              com_opt_fast, latest, sel_com)
 from commplan.radio import CommParams, comm_graph, is_connected, quality
 from commplan.schedule import AgentContext
-from commplan.workspace import Position
+from commplan.workspace import Position, Unreachable, astar_length, load_grid
 
 from conftest import empty_grid, grid_from_rows, random_connected_grid
+
+DATA = Path(__file__).parent / "data"
 
 
 def fin(aid, t, x, y, v=2.0):
@@ -158,3 +162,96 @@ def test_budget_zero_still_returns_valid_event(comm_params):
     assert is_connected(comm_graph(ev.positions, grid, comm_params))
     gather = all_gather_event(s, grid)
     assert ev.time <= gather.time + 1e-9
+
+
+def plain_chain(last, anchor, grid, params, resident=None, deadline=None):
+    """`chain_event` with every path length looked up where it is read."""
+    def arrival(ctx, p):
+        return ctx.ready_time + astar_length(ctx.position, p, grid) / ctx.v_max
+
+    order = sorted(last, key=lambda a: (0 if a == resident else 1, arrival(last[a], anchor), a))
+    positions = {}  # in placing order
+    for a in order:
+        ctx = last[a]
+        cand = anchor
+        if positions:
+            target = min(positions.items(),
+                         key=lambda it: (astar_length(ctx.position, it[1], grid), it[0]))[1]
+            cand = sel_com(ctx.position, target, grid, params)
+        if deadline is not None and arrival(ctx, cand) > deadline:
+            cand = anchor
+            if arrival(ctx, cand) > deadline:
+                return None
+        positions[a] = cand
+    if deadline is not None:
+        return CommEvent(deadline, positions)
+    return CommEvent(max(arrival(last[a], p) for a, p in positions.items()), positions)
+
+
+def random_team(rng, grid):
+    """1-5 agents on free cells, some on one spot, some free at the same time."""
+    free = grid.free_cells()
+    team = {}
+    for a in rng.sample(range(10), rng.randint(1, 5)):
+        if team and rng.random() < 0.3:  # coincident with an earlier agent
+            pos = rng.choice(list(team.values())).position
+        else:
+            c = grid.center(rng.choice(free))
+            pos = Position(c.x + rng.uniform(-0.4, 0.4) * grid.resolution,
+                           c.y + rng.uniform(-0.4, 0.4) * grid.resolution)
+        ready = (rng.choice(list(team.values())).ready_time if team and rng.random() < 0.2
+                 else rng.uniform(0.0, 30.0))
+        team[a] = fin(a, ready, pos.x, pos.y, v=rng.uniform(1.0, 2.0))
+    return team
+
+
+@pytest.mark.parametrize("map_name", ["desk.map", "subt.map"])
+def test_fast_event_equals_the_better_of_gather_and_resident_chain(map_name, comm_params):
+    """com_opt_fast shares one pass of path lengths to its anchor between the
+    gather event and the chain; both events stay bit for bit what separate
+    calls, and a chain that looks every length up, give."""
+    grid = load_grid(DATA / map_name)
+    rng = random.Random(41)
+    sizes = set()
+    for _ in range(150):
+        last = random_team(rng, grid)
+        anchor = latest(last)
+        try:
+            gather = all_gather_event(last, grid)
+            chain = chain_event(last, anchor.position, grid, comm_params, resident=anchor.id)
+        except Unreachable:
+            with pytest.raises(MeetingInfeasible):
+                com_opt_fast(last, grid, comm_params)
+            continue
+        plain = plain_chain(last, anchor.position, grid, comm_params, resident=anchor.id)
+        assert (chain.time, chain.positions) == (plain.time, plain.positions)
+        want = chain if chain.time < gather.time else gather
+        ev = com_opt_fast(last, grid, comm_params)
+        assert ev.time == want.time and ev.positions == want.positions
+        sizes.add(len(last))
+    assert sizes == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("map_name", ["desk.map", "subt.map"])
+def test_chain_with_a_deadline_equals_the_plain_chain(map_name, comm_params):
+    """frdt's and fimr's chains (a deadline, no resident) and com_opt's
+    anchor scan (neither) are unchanged by the shared anchor lengths."""
+    grid = load_grid(DATA / map_name)
+    rng = random.Random(42)
+    outcomes = set()
+    for _ in range(150):
+        last = random_team(rng, grid)
+        anchor = grid.center(rng.choice(grid.free_cells()))
+        deadline = rng.choice([None, rng.uniform(10.0, 60.0)])
+        try:
+            want = plain_chain(last, anchor, grid, comm_params, deadline=deadline)
+        except Unreachable:
+            with pytest.raises(Unreachable):
+                chain_event(last, anchor, grid, comm_params, deadline=deadline)
+            continue
+        got = chain_event(last, anchor, grid, comm_params, deadline=deadline)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.time == want.time and got.positions == want.positions
+        outcomes.add((deadline is None, want is None))
+    assert outcomes == {(True, False), (False, False), (False, True)}

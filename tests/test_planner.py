@@ -318,13 +318,22 @@ def test_low_bound_rate_equals_a_fresh_build_of_its_plan():
     assert checked >= 40
 
 
-def test_low_bound_rate_cap_keeps_the_full_greedy():
+def test_low_bound_rate_cap_keeps_the_full_greedy(monkeypatch):
     """A scored candidate's rate is at most count / (top - now), where top is
     when its last agent is free; so low_bound, which stops at a candidate
-    whose cap cannot beat the best rate without optimizing its event, returns
-    what a greedy that scores every candidate in full returns."""
+    whose cap cannot beat the best rate and reads the node's own rate only
+    when its cap cannot tell, returns what a greedy that scores every
+    candidate in full returns, with at most as many optimized events."""
+    default_event = PlannerProblem._default_event
+    optimized = [0]
+
+    def counting_event(self, last):
+        optimized[0] += 1
+        return default_event(self, last)
+
+    monkeypatch.setattr(PlannerProblem, "_default_event", counting_event)
     rng = random.Random(33)
-    checked = capped = 0
+    checked = capped = fewer = 0
     for _ in range(12):
         grid, team, tasks, rels = random_planner_instance(rng)
         stats = SearchStats(keep_nodes=True)
@@ -333,7 +342,13 @@ def test_low_bound_rate_cap_keeps_the_full_greedy():
         nodes = {tuple(n.sequences[a] for a in team): n for n in stats.nodes}
         for node in list(nodes.values())[:30]:
             scored: list = []
+            start = optimized[0]
             want = reference_low_bound(node, make_problem(team, tasks, rels, grid=grid), scored)
+            reference_calls, start = optimized[0] - start, optimized[0]
+            assert low_bound(node, make_problem(team, tasks, rels, grid=grid)) == want
+            calls = optimized[0] - start
+            assert calls <= reference_calls
+            fewer += calls < reference_calls
             assert low_bound(node, problem) == want
             for plan, best in scored:
                 finish = {t: iv.finish for t, iv in plan.timetable.intervals.items()}
@@ -343,7 +358,27 @@ def test_low_bound_rate_cap_keeps_the_full_greedy():
                 assert plan.rate <= cap
                 capped += best is not None and cap <= best + IMPROVEMENT_EPS
             checked += 1
-    assert checked >= 150 and capped >= 50
+    assert checked >= 150 and capped >= 50 and fewer >= 100
+
+
+def test_low_bound_defers_the_nodes_own_event():
+    """The first candidate's rate is above the node's cap count / (top - now),
+    so it beats the node's rate whatever that is: the node's event is never
+    optimized, and the bound is the full greedy's."""
+    grid = empty_grid(20, 6)
+    team = {0: ctx(0, 0.5, 0.5, v=1.0), 1: ctx(1, 2.5, 2.5, v=1.0)}
+    tasks = {1: task(1, 12.5, 0.5, 8.0), 2: task(2, 3.5, 2.5, 1.0)}
+    problem = make_problem(team, tasks, grid=grid)
+    node = PlanNode(0, 1, {0: (1,), 1: ()})
+    key = problem.key(node.sequences)
+    cap = problem.rate_cap(key, problem.record(key))
+    bound = low_bound(node, problem)
+    assert problem._memo[key][2] is planner._UNSET
+    scored: list = []
+    fresh = make_problem(team, tasks, grid=grid)
+    assert bound == reference_low_bound(node, fresh, scored)
+    assert scored[0][0].rate > cap + IMPROVEMENT_EPS >= fresh.rate(key) + IMPROVEMENT_EPS
+    assert bound.sequences == {0: (1,), 1: (2,)}
 
 
 def test_cocoplan_returns_a_fresh_build_of_its_plan():

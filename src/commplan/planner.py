@@ -32,7 +32,7 @@ from .meeting import CommEvent, com_opt, com_opt_fast
 from .radio import CommParams, comm_graph, is_connected
 from .schedule import (AgentContext, InfeasibleSchedule, Timetable, TimetableRecord,
                        append_to_timetable, eligible_groups, groups_of, schedule_min_makespan)
-from .tasks import RelationIndex, Task, TemporalRelation
+from .tasks import RelationIndex, Task
 from .workspace import GridMap, astar_travel_time
 
 IMPROVEMENT_EPS = 1e-9
@@ -59,7 +59,6 @@ class CollectivePlan:
 
 @dataclass(slots=True)
 class PlanNode:
-    node_id: int
     depth: int
     sequences: dict[int, tuple[int, ...]]
     lb: float = -math.inf
@@ -74,14 +73,13 @@ class PlannerProblem:
     """Inputs shared by every bound evaluation of one planning cycle."""
     team: dict[int, AgentContext]
     tasks: dict[int, Task]                  # detected; those in `completed` are dropped
-    relations: Sequence[TemporalRelation]
+    index: RelationIndex                    # the caller's; the simulator holds one per run
     grid: GridMap
     params: CommParams
     now: float
     completed: frozenset[int] = frozenset()
     event_optimizer: Optional[Callable[[Mapping[int, AgentContext]], Optional[CommEvent]]] = None
     gap: float = 0.5
-    index: RelationIndex = field(init=False, repr=False)
     groups: dict[int, list[tuple[int, ...]]] = field(init=False, repr=False)  # eligible, per task
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     # Per candidate key: [timetable record, zero-travel record, rate].
@@ -92,7 +90,6 @@ class PlannerProblem:
         if not self.team:
             raise ValueError("team must be nonempty")
         self.tasks = {t: task for t, task in self.tasks.items() if t not in self.completed}
-        self.index = RelationIndex(self.relations)
         self.groups = {t: eligible_groups(task, self.team) for t, task in self.tasks.items()}
         # Concurrency-linked tasks must execute with overlapping intervals, so
         # plans admit them only jointly: each task's concurrency component over
@@ -216,8 +213,7 @@ def _related_to_assigned(cluster: Sequence[int], assigned: frozenset[int],
     return any(o in assigned for t in cluster for view in views for o in view.get(t, ()))
 
 
-def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
-                next_id: Callable[[], int]) -> list[PlanNode]:
+def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem) -> list[PlanNode]:
     """Children assigning the task's cluster to every eligible group choice.
 
     Tasks unrelated to the already-assigned set are appended at sequence
@@ -233,7 +229,7 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem,
 
     def place(idx: int, seqs: dict[int, tuple[int, ...]]):
         if idx == len(cluster):
-            children.append(PlanNode(node_id=next_id(), depth=node.depth + 1, sequences=seqs))
+            children.append(PlanNode(depth=node.depth + 1, sequences=seqs))
             return
         t = cluster[idx]
         for group in problem.groups[t]:
@@ -386,10 +382,6 @@ class SearchStats:
     nodes_generated: int = 0
     nodes_expanded: int = 0
     nodes_pruned: int = 0
-    extraction_trace: list[tuple[float, Optional[float]]] = field(default_factory=list)
-    incumbent_trace: list[float] = field(default_factory=list)
-    keep_nodes: bool = False  # record nodes and both traces; off, they stay empty
-    nodes: list[PlanNode] = field(default_factory=list)
 
 
 def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
@@ -405,7 +397,7 @@ def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
 
 
 def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
-             relations: Sequence[TemporalRelation], grid: GridMap, params: CommParams,
+             index: RelationIndex, grid: GridMap, params: CommParams,
              budget: Optional[float] = None, *, now: float = 0.0,
              completed: frozenset[int] = frozenset(),
              event_optimizer: Optional[Callable[[Mapping[int, AgentContext]],
@@ -420,8 +412,8 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
     returned plan always has a connected communication event and a timetable
     satisfying every temporal relation among its tasks.
     """
-    problem = PlannerProblem(team=dict(team), tasks=dict(tasks), relations=list(relations),
-                             grid=grid, params=params, now=now, completed=completed,
+    problem = PlannerProblem(team=dict(team), tasks=dict(tasks), index=index, grid=grid,
+                             params=params, now=now, completed=completed,
                              event_optimizer=event_optimizer, gap=gap)
     if stats is None:
         stats = SearchStats()
@@ -435,8 +427,9 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
     fallback = zero_task_plan(problem)
     lb_star = fallback.rate
     best: Optional[Bound] = None  # the incumbent, once a bound beats the fallback
-    # node_id is unique, so heap entries never compare their nodes.
+    # Ties break by push order, so heap entries never compare their nodes.
     heap: list[tuple[float, int, int, PlanNode]] = []
+    pushes = itertools.count()
     bounded: dict[SequencesKey, tuple[float, float]] = {}  # (lb, ub) of every node seen
 
     def evaluate(node: PlanNode) -> bool:
@@ -458,24 +451,17 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
                         best, lb_star = bound, node.lb
             bounded[key] = (node.lb, node.ub)
         stats.nodes_generated += 1
-        if stats.keep_nodes:
-            stats.nodes.append(node)
         if node.ub > lb_star:
-            heapq.heappush(heap, (-node.ub, -node.depth, node.node_id, node))
+            heapq.heappush(heap, (-node.ub, -node.depth, next(pushes), node))
             return True
         return False
 
-    next_node_id = itertools.count()
     # Only children count in nodes_pruned; a root that is not pushed does not.
-    evaluate(PlanNode(node_id=next(next_node_id), depth=0,
-                      sequences={a: () for a in problem.team}))
+    evaluate(PlanNode(depth=0, sequences={a: () for a in problem.team}))
     while heap and time_left():
         if node_limit is not None and stats.nodes_expanded >= node_limit:
             break
         node = heapq.heappop(heap)[3]
-        if stats.keep_nodes:
-            stats.extraction_trace.append((node.ub, -heap[0][0] if heap else None))
-            stats.incumbent_trace.append(lb_star)
         if not node.ub > lb_star:
             stats.nodes_pruned += 1
             continue
@@ -483,7 +469,7 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
         for rep in get_feasible_tasks(node.assigned(), problem):
             if not time_left():
                 break
-            for child in expand_node(node, rep, problem, lambda: next(next_node_id)):
+            for child in expand_node(node, rep, problem):
                 if not time_left():
                     break
                 if not evaluate(child):

@@ -26,6 +26,7 @@ from .workspace import GridMap, Position, load_grid
 SPATIAL_PATTERNS = ("clustered", "uniform", "sparse")
 TEMPORAL_PATTERNS = ("spiky", "uniform", "low_frequency")
 MAX_TICKS = 1_000_000  # most ticks (horizon / dt) one trial may simulate
+MAX_HORIZON = 1e6  # seconds; float spacing there (1.2e-10 s) stays below the 1e-9 s tolerances
 MAX_ARRIVALS = 100_000  # most tasks a generator may expect to release in one trial
 
 
@@ -505,10 +506,12 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
             strategy.fixed_point = grid.snap(point)
         if strategy.ring_order is not None and sorted(strategy.ring_order) != sorted(agent_ids):
             errors.append("strategy.ring_order: must list each agent id once")
-        if strategy.kind == "frdt" and strategy.leader not in agent_ids:
+        if strategy.leader is not None and strategy.leader not in agent_ids:
             errors.append("strategy.leader: unknown agent id")
 
     horizon, dt = top["horizon"], top["dt"]  # None where refused
+    if horizon and horizon > MAX_HORIZON:
+        errors.append(f"horizon: {horizon} s is more than the {MAX_HORIZON:,.0f} s allowed")
     if horizon and dt and horizon / dt > MAX_TICKS:
         errors.append(f"horizon: {horizon} s at dt {dt} s is {horizon / dt:.3g} ticks, "
                       f"more than the {MAX_TICKS} one trial may simulate")

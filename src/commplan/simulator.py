@@ -136,7 +136,6 @@ class Simulator:
         self.agents = {a.id: a for a in agents}
         self.params = params
         self.tasks = tasks
-        self.relations = list(relations)
         self.horizon = horizon
         self.dt = dt
         self.recheck_interval = recheck_interval
@@ -149,7 +148,7 @@ class Simulator:
         self.task_finish: dict[int, float] = {}
         self.planned_start: dict[int, float] = {}
         self.cycle_records: list[CycleRecord] = []
-        self.index = RelationIndex(self.relations)
+        self.index = RelationIndex(relations)
 
     # -- logging helpers -------------------------------------------------
 

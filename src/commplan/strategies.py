@@ -61,7 +61,7 @@ def _plan(sim: Simulator, agent_ids: Sequence[int], now: float, options: Planner
     tasks = {tid: task for tid, task in known.items() if sim.task_state[tid] == "pending"}
     if len(tasks) < min_tasks:
         tasks = {}
-    plan = cocoplan(team, tasks, sim.relations, sim.grid, sim.params, options.budget,
+    plan = cocoplan(team, tasks, sim.index, sim.grid, sim.params, options.budget,
                     now=now, completed=sim.done_ids(), event_optimizer=event_optimizer,
                     gap=options.gap, node_limit=options.node_limit,
                     generated_limit=options.generated_limit)

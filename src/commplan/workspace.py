@@ -124,16 +124,13 @@ def parse_grid(text: str) -> GridMap:
     rows = [line.rstrip() for line in lines[1:] if line.rstrip() != ""]
     if len(rows) != height:
         raise MapError(f"expected {height} map rows, found {len(rows)}")
-    occ = np.zeros((height, width), dtype=bool)
-    for r, row in enumerate(rows):
+    for r, row in enumerate(rows):  # before allocating: the header may claim any size
         if len(row) != width:
             raise MapError(f"line {r + 2}: expected {width} cells, got {len(row)}")
-        for c, ch in enumerate(row):
-            if ch == "#":
-                occ[r, c] = True
-            elif ch != ".":
-                raise MapError(f"line {r + 2}: invalid cell character {ch!r}")
-    return GridMap(occ, resolution)
+        bad = next((ch for ch in row if ch not in ".#"), None)
+        if bad is not None:
+            raise MapError(f"line {r + 2}: invalid cell character {bad!r}")
+    return GridMap(np.array([[ch == "#" for ch in row] for row in rows], dtype=bool), resolution)
 
 
 def load_grid(path) -> GridMap:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from commplan import planner
 from commplan.planner import (IMPROVEMENT_EPS, Bound, PlannerProblem, build_plan,
                               get_feasible_tasks)
 from commplan.radio import CommParams
@@ -190,15 +192,16 @@ class UnionFind:
         return len(roots) == 1
 
 
-def enumerate_candidate_plans(problem: PlannerProblem):
+def enumerate_candidate_plans(problem: PlannerProblem, relations):
     """Every admissible (subset, order, group assignment) candidate, evaluated
     with the same scheduling and event optimization as any plan. Yields
-    (rate, sequences, groups) for the feasible ones."""
+    (rate, sequences, groups) for the feasible ones. Gating reads `relations`,
+    the list the problem's index was built from, not the index."""
     tasks = problem.tasks
     ids = sorted(tasks)
-    preds = {t: [r.first for r in problem.relations
+    preds = {t: [r.first for r in relations
                  if r.kind is RelationKind.PRECEDENCE and r.second == t] for t in ids}
-    conc = {t: {r.second if r.first == t else r.first for r in problem.relations
+    conc = {t: {r.second if r.first == t else r.first for r in relations
                 if r.kind is RelationKind.CONCURRENCY and t in (r.first, r.second)} & set(ids)
             for t in ids}
     for r in range(0, len(ids) + 1):
@@ -228,13 +231,29 @@ def enumerate_candidate_plans(problem: PlannerProblem):
                         yield plan.rate, {a: tuple(s) for a, s in seqs.items()}, dict(groups)
 
 
-def exhaustive_best_rate(problem: PlannerProblem) -> float:
+def exhaustive_best_rate(problem: PlannerProblem, relations) -> float:
     """Brute-force optimum over (subset, order, group assignment)."""
     best_rate = 0.0
-    for rate, _, _ in enumerate_candidate_plans(problem):
+    for rate, _, _ in enumerate_candidate_plans(problem, relations):
         if rate > best_rate:
             best_rate = rate
     return best_rate
+
+
+@contextlib.contextmanager
+def recorded_nodes():
+    """Every `PlanNode` the planner builds inside the block, in build order;
+    the search sets each one's bounds as it evaluates it."""
+    nodes = []
+    build = planner.PlanNode
+
+    def record(*args, **kwargs):
+        nodes.append(build(*args, **kwargs))
+        return nodes[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner, "PlanNode", record)
+        yield nodes
 
 
 def reference_low_bound(node, problem: PlannerProblem, scored: list):

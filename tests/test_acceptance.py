@@ -21,12 +21,13 @@ from commplan.scenario import load_scenario
 from commplan.schedule import AgentContext, groups_of
 from commplan.simulator import AgentState, Simulator
 from commplan.strategies import PlannerOptions, StrategyConfig, make_controller
-from commplan.tasks import ExecutionInterval, RelationKind, Task, TemporalRelation, check_schedule
+from commplan.tasks import (ExecutionInterval, RelationIndex, RelationKind, Task, TemporalRelation,
+                            check_schedule)
 from commplan.workspace import Position, astar_travel_time, parse_grid
 
 from conftest import (criterion7_instance, empty_grid, enumerate_candidate_plans,
                       exhaustive_best_rate, grid_from_rows, random_connected_grid,
-                      random_planner_instance, relations_between)
+                      random_planner_instance, recorded_nodes, relations_between)
 
 DATA = Path(__file__).parent / "data"
 DESK = DATA / "desk_scenario.json"
@@ -45,16 +46,16 @@ def search_transcripts():
     t0 = time.monotonic()
     for _ in range(200):
         grid, team, tasks, rels = random_planner_instance(rng)
-        problem = PlannerProblem(team=team, tasks=tasks, relations=rels,
+        problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                  grid=grid, params=CommParams(), now=0.0)
-        candidates = list(enumerate_candidate_plans(problem)) if len(tasks) <= 4 else None
+        candidates = list(enumerate_candidate_plans(problem, rels)) if len(tasks) <= 4 else None
         if candidates is not None:
             oracle = max((r for r, _, _ in candidates), default=0.0)
         else:
-            oracle = exhaustive_best_rate(problem)
-        stats = SearchStats(keep_nodes=True)
-        plan = cocoplan(team, tasks, rels, grid, CommParams(), stats=stats)
-        records.append({"oracle": oracle, "plan": plan, "stats": stats,
+            oracle = exhaustive_best_rate(problem, rels)
+        with recorded_nodes() as nodes:
+            plan = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
+        records.append({"oracle": oracle, "plan": plan, "nodes": nodes,
                         "candidates": candidates, "n_tasks": len(tasks),
                         "instance": (grid, team, tasks, rels)})
     elapsed = time.monotonic() - t0
@@ -88,7 +89,7 @@ def test_criterion_3_bound_soundness(search_transcripts):
     nodes_checked = 0
     subtree_checked = 0
     for rec in records:
-        for node in rec["stats"].nodes:
+        for node in rec["nodes"]:
             if node.lb > -math.inf:
                 assert node.ub >= node.lb - 1e-9
             nodes_checked += 1
@@ -96,7 +97,7 @@ def test_criterion_3_bound_soundness(search_transcripts):
             continue
         # The first extension in descending rate is the best one.
         ranked = sorted(rec["candidates"], key=lambda cand: cand[0], reverse=True)
-        for node in rec["stats"].nodes:
+        for node in rec["nodes"]:
             node_groups = groups_of(node.sequences)
             best_ext = next((rate for rate, seqs, groups in ranked
                              if _extends(node, node_groups, seqs, groups)), None)
@@ -115,15 +116,15 @@ def test_criterion_3_low_bound_on_every_kept_node(search_transcripts):
     nodes_checked = with_lb = 0
     for rec in records:
         grid, team, tasks, rels = rec["instance"]
-        problem = PlannerProblem(team=team, tasks=tasks, relations=rels,
+        problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                  grid=grid, params=CommParams(), now=0.0)
-        for node in rec["stats"].nodes:
+        for node in rec["nodes"]:
             bound = low_bound(node, problem)
             if bound is not None:
                 assert bound.rate <= node.ub + 1e-9, (node.sequences, bound.rate, node.ub)
                 with_lb += 1
             nodes_checked += 1
-    assert nodes_checked == sum(len(rec["stats"].nodes) for rec in records)
+    assert nodes_checked == sum(len(rec["nodes"]) for rec in records)
     # Every node that had a finite lb when the search bounded each node itself.
     assert with_lb == 114_864
     _passline(3, f"LB<=UB+1e-9 on all {with_lb} of {nodes_checked} kept nodes that have an LB")
@@ -281,7 +282,8 @@ def test_criterion_7_runtime_envelope():
     grid, team, tasks, rels = criterion7_instance()
     stats = SearchStats()
     t0 = time.monotonic()
-    plan = cocoplan(team, tasks, rels, grid, CommParams(), budget=15.0, stats=stats)
+    plan = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams(), budget=15.0,
+                    stats=stats)
     elapsed = time.monotonic() - t0
     assert elapsed < 16.0, f"planning took {elapsed:.1f}s"
     assert plan.task_count() >= 1

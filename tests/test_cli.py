@@ -12,7 +12,7 @@ import commplan
 from commplan import cli
 from commplan.cli import main
 from commplan.experiment import CSV_COLUMNS, run_experiment, run_trial, write_event_log
-from commplan.scenario import MAX_TICKS, load_scenario
+from commplan.scenario import MAX_HORIZON, MAX_TICKS, load_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -266,13 +266,16 @@ def test_cli_capabilities_must_be_list_of_strings(tmp_path, capsys, command, val
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("map_name", ["small\x00.map", "binary.map"])
+@pytest.mark.parametrize("map_name", ["small\x00.map", "binary.map", "wide.map"])
 def test_cli_unreadable_map_exit_code(tmp_path, capsys, command, map_name):
     (tmp_path / "binary.map").write_bytes(b"12 10 1\n\xff\xfe\n")
+    # 10^12 columns over one short row: refused before numpy is asked for 931 GiB.
+    (tmp_path / "wide.map").write_text("1000000000000 1 1.0\n.\n")
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(small_raw(map_name)))
     assert main([command, str(path)]) == 2
-    assert "map:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "map:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])
@@ -292,6 +295,38 @@ def test_horizon_tick_bound_message(tmp_path, capsys):
     raw["horizon"] = MAX_TICKS * 0.1
     path.write_text(json.dumps(raw))
     assert main(["validate", str(path)]) == 0
+
+
+def test_horizon_bound_message(tmp_path, capsys):
+    """2e6 s at dt 10 s is 2e5 ticks, within the tick bound: only the horizon
+    bound refuses it."""
+    (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
+    raw = small_raw()
+    raw["horizon"], raw["dt"] = 2e6, 10.0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "horizon: 2000000.0 s is more than the 1,000,000 s allowed" in err
+        assert "ticks" not in err and "Traceback" not in err
+    raw["horizon"] = MAX_HORIZON
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 0
+
+
+def test_cli_unknown_leader_is_refused_for_every_kind(tmp_path, capsys):
+    """A `leader` is checked whenever it is given, so `run --strategy frdt`
+    never reaches the planner with a leader that is not an agent."""
+    (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
+    raw = small_raw()
+    raw["strategy"] = {"kind": "cocoplan", "leader": 99}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["validate", str(path)], ["run", str(path), "--strategy", "frdt"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "strategy.leader: unknown agent id" in err and "Traceback" not in err
 
 
 def test_cli_run_infeasible_exit_code(tmp_path, capsys):

@@ -19,6 +19,7 @@ from commplan.planner import SearchStats, cocoplan
 from commplan.radio import CommParams
 from commplan.scenario import load_scenario
 from commplan.strategies import StrategyConfig
+from commplan.tasks import RelationIndex
 from commplan.workspace import Position
 
 from conftest import criterion7_instance
@@ -105,7 +106,8 @@ def test_subt10_greedy_trial0_log_hash():
 def test_criterion7_plan_at_300_generated_nodes():
     grid, team, tasks, rels = criterion7_instance()
     stats = SearchStats()
-    plan = cocoplan(team, tasks, rels, grid, CommParams(), generated_limit=300, stats=stats)
+    plan = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams(), generated_limit=300,
+                    stats=stats)
     assert plan.rate == CRITERION7_RATE
     assert plan.groups == CRITERION7_GROUPS
     assert stats.nodes_generated == 300

@@ -1,9 +1,11 @@
 import gc
+import heapq
 import itertools
 import math
 import random
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +19,7 @@ from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, 
 from commplan.workspace import Position, astar_travel_time
 
 from conftest import (empty_grid, exhaustive_best_rate, random_planner_instance,
-                      reference_low_bound, relations_between)
+                      recorded_nodes, reference_low_bound, relations_between)
 
 
 def ctx(aid, x, y, caps=("work",), v=2.0):
@@ -29,18 +31,18 @@ def task(tid, x, y, duration, reqs=((1, "work"),)):
 
 
 def make_problem(team, tasks, relations=(), grid=None, now=0.0):
-    return PlannerProblem(team=team, tasks=tasks, relations=list(relations),
+    return PlannerProblem(team=team, tasks=tasks, index=RelationIndex(relations),
                           grid=grid or empty_grid(20, 20), params=CommParams(), now=now)
 
 
 def empty_node(problem):
-    return PlanNode(0, 0, {a: () for a in problem.team})
+    return PlanNode(0, {a: () for a in problem.team})
 
 
 def test_no_tasks_returns_zero_task_plan_at_current_positions():
     grid = empty_grid()
     team = {0: ctx(0, 2.5, 2.5), 1: ctx(1, 5.5, 2.5)}
-    plan = cocoplan(team, {}, [], grid, CommParams())
+    plan = cocoplan(team, {}, RelationIndex([]), grid, CommParams())
     assert plan.task_count() == 0
     assert plan.rate == 0.0
     assert plan.event.time == 0.0
@@ -52,8 +54,8 @@ def test_two_agents_two_tasks_matches_exhaustive():
     team = {0: ctx(0, 0.5, 0.5), 1: ctx(1, 10.5, 0.5)}
     tasks = {1: task(1, 3.5, 0.5, 5.0), 2: task(2, 13.5, 0.5, 4.0)}
     problem = make_problem(team, tasks, grid=grid)
-    want = exhaustive_best_rate(problem)
-    plan = cocoplan(team, tasks, [], grid, CommParams())
+    want = exhaustive_best_rate(problem, [])
+    plan = cocoplan(team, tasks, RelationIndex([]), grid, CommParams())
     assert plan.rate == pytest.approx(want, abs=1e-9)
 
 
@@ -111,11 +113,11 @@ def test_completed_tasks_are_never_planned():
     rels = [TemporalRelation(2, 3, RelationKind.CONCURRENCY),
             TemporalRelation(2, 4, RelationKind.PRECEDENCE)]
     done = frozenset({2})
-    problem = PlannerProblem(team=team, tasks=tasks, relations=rels, grid=grid,
+    problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels), grid=grid,
                              params=CommParams(), now=0.0, completed=done)
     assert sorted(problem.tasks) == [1, 3, 4]
     assert get_feasible_tasks(frozenset(), problem) == [1, 4]
-    plan = cocoplan(team, tasks, rels, grid, CommParams(), completed=done)
+    plan = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams(), completed=done)
     assert plan.task_count() > 0 and not {2, 3} & set(plan.groups)
 
 
@@ -125,8 +127,7 @@ def test_expand_node_group_enumeration():
     tasks = {1: task(1, 6.5, 0.5, 3.0, reqs=((2, "work"),))}
     problem = make_problem(team, tasks, grid=grid)
     node = empty_node(problem)
-    counter = iter(range(1, 100))
-    children = expand_node(node, 1, problem, lambda: next(counter))
+    children = expand_node(node, 1, problem)
     assert len(children) == 3  # C(3,2) groups, tails only
     assert sorted(groups_of(c.sequences)[1] for c in children) == [(0, 1), (0, 2), (1, 2)]
 
@@ -136,7 +137,7 @@ def test_expand_node_single_child_for_singleton():
     team = {0: ctx(0, 0.5, 0.5)}
     tasks = {1: task(1, 6.5, 0.5, 3.0)}
     problem = make_problem(team, tasks, grid=grid)
-    children = expand_node(empty_node(problem), 1, problem, iter(range(1, 10)).__next__)
+    children = expand_node(empty_node(problem), 1, problem)
     assert len(children) == 1
     assert children[0].sequences[0] == (1,)
 
@@ -151,7 +152,7 @@ def test_expand_child_count_within_factorial_bound():
     m = len(tasks)
     n = len(team)
     for rep in get_feasible_tasks(frozenset(), problem):
-        kids = expand_node(node, rep, problem, iter(range(1, 10000)).__next__)
+        kids = expand_node(node, rep, problem)
         assert len(kids) <= m * math.factorial(n)
 
 
@@ -170,11 +171,11 @@ def test_low_bound_le_exhaustive_optimum():
     rng = random.Random(15)
     for _ in range(15):
         grid, team, tasks, rels = random_planner_instance(rng, max_tasks=4)
-        problem = PlannerProblem(team=team, tasks=tasks, relations=rels,
+        problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                  grid=grid, params=CommParams(), now=0.0)
         plan = low_bound(empty_node(problem), problem)
         lb = plan.rate if plan is not None else 0.0
-        assert lb <= exhaustive_best_rate(problem) + 1e-9
+        assert lb <= exhaustive_best_rate(problem, rels) + 1e-9
 
 
 def test_up_bound_dominates_low_bound_on_random_nodes():
@@ -182,7 +183,7 @@ def test_up_bound_dominates_low_bound_on_random_nodes():
     checked = 0
     for _ in range(60):
         grid, team, tasks, rels = random_planner_instance(rng, max_tasks=4)
-        problem = PlannerProblem(team=team, tasks=tasks, relations=rels,
+        problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                  grid=grid, params=CommParams(), now=0.0)
         node = empty_node(problem)
         plan = low_bound(node, problem)
@@ -198,10 +199,10 @@ def test_cocoplan_exact_on_small_instances():
     rng = random.Random(17)
     for _ in range(20):
         grid, team, tasks, rels = random_planner_instance(rng)
-        problem = PlannerProblem(team=team, tasks=tasks, relations=rels,
+        problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                  grid=grid, params=CommParams(), now=0.0)
-        want = exhaustive_best_rate(problem)
-        plan = cocoplan(team, tasks, rels, grid, CommParams())
+        want = exhaustive_best_rate(problem, rels)
+        plan = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
         assert plan.rate == pytest.approx(want, abs=1e-9)
 
 
@@ -210,7 +211,7 @@ def test_returned_plan_is_feasible():
     for _ in range(15):
         grid, team, tasks, rels = random_planner_instance(rng)
         params = CommParams()
-        plan = cocoplan(team, tasks, rels, grid, params)
+        plan = cocoplan(team, tasks, RelationIndex(rels), grid, params)
         if plan.task_count() == 0:
             continue
         scoped = relations_between(rels, set(plan.groups))
@@ -231,25 +232,51 @@ def test_returned_plan_is_feasible():
             assert arr <= plan.event.time + 1e-9
 
 
-def test_anytime_incumbent_monotone_and_heap_discipline():
+def test_heap_pops_nodes_in_upper_bound_order(monkeypatch):
+    """No node left in the heap has a higher ub than the node just popped."""
+    pops: list[tuple[float, float]] = []
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        if heap:
+            pops.append((entry[3].ub, -heap[0][0]))
+        return entry
+
+    monkeypatch.setattr(planner, "heapq",
+                        SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
     rng = random.Random(19)
     for _ in range(8):
         grid, team, tasks, rels = random_planner_instance(rng)
-        stats = SearchStats(keep_nodes=True)
-        cocoplan(team, tasks, rels, grid, CommParams(), stats=stats)
-        trace = stats.incumbent_trace
-        assert trace and stats.extraction_trace
-        assert all(a <= b + 1e-12 for a, b in zip(trace, trace[1:]))
-        for extracted_ub, next_ub in stats.extraction_trace:
-            if next_ub is not None:
-                assert extracted_ub >= next_ub - 1e-12
+        pops.clear()
+        cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
+        assert pops
+        for popped_ub, next_ub in pops:
+            assert popped_ub >= next_ub - 1e-12
+
+
+def test_a_larger_generated_limit_never_lowers_the_rate():
+    """Anytime from outside the search: allowing more generated nodes never
+    returns a lower rate, and the exhaustive node count returns the optimum."""
+    rng = random.Random(19)
+    improved = 0
+    for _ in range(20):
+        grid, team, tasks, rels = random_planner_instance(rng)
+        index, stats = RelationIndex(rels), SearchStats()
+        optimum = cocoplan(team, tasks, index, grid, CommParams(), stats=stats).rate
+        total = stats.nodes_generated
+        rates = [cocoplan(team, tasks, index, grid, CommParams(), generated_limit=limit).rate
+                 for limit in [2 ** k for k in range(8) if 2 ** k < total] + [total]]
+        assert rates == sorted(rates), rates
+        assert rates[-1] == optimum
+        improved += rates[0] < optimum
+    assert improved >= 5
 
 
 def test_determinism_same_inputs_same_plan():
     rng = random.Random(20)
     grid, team, tasks, rels = random_planner_instance(rng)
-    p1 = cocoplan(team, tasks, rels, grid, CommParams())
-    p2 = cocoplan(team, tasks, rels, grid, CommParams())
+    p1 = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
+    p2 = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
     assert p1.sequences == p2.sequences
     assert p1.groups == p2.groups
     assert p1.event.time == p2.event.time
@@ -259,7 +286,7 @@ def test_determinism_same_inputs_same_plan():
 def test_node_limit_is_anytime():
     rng = random.Random(21)
     grid, team, tasks, rels = random_planner_instance(rng, max_tasks=5)
-    plan = cocoplan(team, tasks, rels, grid, CommParams(), node_limit=1)
+    plan = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams(), node_limit=1)
     assert plan is not None  # root bound alone already yields a feasible plan
 
 
@@ -267,7 +294,7 @@ def test_zero_task_fallback_gathers_disconnected_team():
     grid = empty_grid(40, 4)
     params = CommParams()
     team = {0: ctx(0, 0.5, 0.5), 1: ctx(1, 35.5, 0.5)}  # far beyond comm range
-    plan = cocoplan(team, {}, [], grid, params)
+    plan = cocoplan(team, {}, RelationIndex([]), grid, params)
     assert plan.task_count() == 0
     assert is_connected(comm_graph(plan.event.positions, grid, params))
 
@@ -277,20 +304,11 @@ def test_low_bound_on_fully_assigned_node_returns_own_rate():
     team = {0: ctx(0, 0.5, 0.5, v=1.0)}
     tasks = {1: task(1, 4.5, 0.5, 6.0)}
     problem = make_problem(team, tasks, grid=grid)
-    node = PlanNode(0, 1, {0: (1,)})
+    node = PlanNode(1, {0: (1,)})
     plan = low_bound(node, problem)
     own = build_plan({0: (1,)}, problem)
     assert plan.rate == pytest.approx(own.rate)
     assert plan.sequences == own.sequences
-
-
-def test_traces_are_recorded_only_with_keep_nodes():
-    rng = random.Random(19)
-    grid, team, tasks, rels = random_planner_instance(rng)
-    stats = SearchStats()
-    cocoplan(team, tasks, rels, grid, CommParams(), stats=stats)
-    assert stats.nodes_expanded > 0
-    assert stats.extraction_trace == [] and stats.incumbent_trace == [] and stats.nodes == []
 
 
 def test_low_bound_rate_equals_a_fresh_build_of_its_plan():
@@ -298,16 +316,16 @@ def test_low_bound_rate_equals_a_fresh_build_of_its_plan():
     checked = 0
     for _ in range(15):
         grid, team, tasks, rels = random_planner_instance(rng, max_tasks=4)
-        problem = PlannerProblem(team=team, tasks=tasks, relations=rels,
+        problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                  grid=grid, params=CommParams(), now=0.0)
         root = empty_node(problem)
         nodes = [root] + [child for rep in get_feasible_tasks(frozenset(), problem)
-                          for child in expand_node(root, rep, problem, iter(range(1, 1000)).__next__)]
+                          for child in expand_node(root, rep, problem)]
         for node in nodes:
             bound = low_bound(node, problem)
             if bound is None:
                 continue
-            fresh = PlannerProblem(team=team, tasks=tasks, relations=rels,
+            fresh = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                    grid=grid, params=CommParams(), now=0.0)
             plan = build_plan(bound.sequences, fresh)
             assert plan is not None
@@ -336,10 +354,10 @@ def test_low_bound_rate_cap_keeps_the_full_greedy(monkeypatch):
     checked = capped = fewer = 0
     for _ in range(12):
         grid, team, tasks, rels = random_planner_instance(rng)
-        stats = SearchStats(keep_nodes=True)
-        cocoplan(team, tasks, rels, grid, CommParams(), stats=stats)
+        with recorded_nodes() as built:
+            cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
         problem = make_problem(team, tasks, rels, grid=grid)
-        nodes = {tuple(n.sequences[a] for a in team): n for n in stats.nodes}
+        nodes = {tuple(n.sequences[a] for a in team): n for n in built}
         for node in list(nodes.values())[:30]:
             scored: list = []
             start = optimized[0]
@@ -369,7 +387,7 @@ def test_low_bound_defers_the_nodes_own_event():
     team = {0: ctx(0, 0.5, 0.5, v=1.0), 1: ctx(1, 2.5, 2.5, v=1.0)}
     tasks = {1: task(1, 12.5, 0.5, 8.0), 2: task(2, 3.5, 2.5, 1.0)}
     problem = make_problem(team, tasks, grid=grid)
-    node = PlanNode(0, 1, {0: (1,), 1: ()})
+    node = PlanNode(1, {0: (1,), 1: ()})
     key = problem.key(node.sequences)
     cap = problem.rate_cap(key, problem.record(key))
     bound = low_bound(node, problem)
@@ -385,8 +403,8 @@ def test_cocoplan_returns_a_fresh_build_of_its_plan():
     rng = random.Random(23)
     for _ in range(10):
         grid, team, tasks, rels = random_planner_instance(rng)
-        plan = cocoplan(team, tasks, rels, grid, CommParams())
-        problem = PlannerProblem(team=team, tasks=tasks, relations=rels,
+        plan = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
+        problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                  grid=grid, params=CommParams(), now=0.0)
         assert build_plan(plan.sequences, problem) == plan
 
@@ -419,7 +437,7 @@ def test_cocoplan_schedules_each_candidate_once(monkeypatch):
     for _ in range(10):
         grid, team, tasks, rels = random_planner_instance(rng)
         scheduled.clear()
-        cocoplan(team, tasks, rels, grid, CommParams())
+        cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
         assert [k for k, n in Counter(scheduled).items() if n > 1] == []
         total += len(scheduled)
     assert total >= 100
@@ -461,11 +479,11 @@ def test_duplicate_nodes_are_bounded_once(monkeypatch):
         grid, team, tasks, rels = random_planner_instance(rng)
         for calls in seen.values():
             calls.clear()
-        stats = SearchStats(keep_nodes=True)
-        cocoplan(team, tasks, rels, grid, CommParams(), stats=stats)
+        with recorded_nodes() as nodes:
+            cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
         for name, calls in seen.items():
             assert len(calls) == len(set(calls)), name
-        keys = [tuple(n.sequences[a] for a in team) for n in stats.nodes]
+        keys = [tuple(n.sequences[a] for a in team) for n in nodes]
         assert set(seen["up_bound"]) == set(keys)
         duplicates += len(keys) - len(set(keys))
     assert duplicates >= 20

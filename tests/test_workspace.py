@@ -30,6 +30,9 @@ def test_parse_rejects_bad_headers():
         parse_grid("3 2 1\n...\n..x")
     with pytest.raises(MapError):
         parse_grid("3 2 1\n...\n....")
+    # 10^12 cells would be 931 GiB: the short row is refused before any allocation.
+    with pytest.raises(MapError, match="line 2: expected 1000000000000 cells, got 1"):
+        parse_grid("1000000000000 1 1.0\n.")
 
 
 def test_parse_trailing_whitespace_and_roundtrip():

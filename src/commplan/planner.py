@@ -10,7 +10,16 @@ The search is anytime: the incumbent is always a feasible full plan.
 Every node, the root included, goes through one step that bounds it, keeps
 a better incumbent and pushes the node while it can still win. Each distinct
 node's sequences are bounded once per search, and the lower bound is skipped
-when the upper bound shows the node cannot beat the incumbent. Bounds compare
+when the upper bound, or the same bound floored at the time the node's own
+timetable frees its last agent (`greedy_cap`), shows that it cannot beat the
+incumbent. The lower bound is read only to raise the incumbent, so the skip
+moves no push, prune or incumbent. The cap holds because every greedy
+candidate extends the node at its tails: that only adds timetable edges, so
+no node task starts earlier, no agent is free earlier, and the default event
+optimizer never meets before the last one is. Where an extension may reorient
+a mutex pair the node could not (more than EXHAUSTIVE_MUTEX_LIMIT pairs, or
+mutex and concurrency pairs in one cycle) or an event optimizer is custom,
+there is no cap. Bounds compare
 rates only, from one memo per cycle of each candidate's timetable, zero-travel
 timetable and rate; a child's timetables append to its parent's when exact, the
 greedy completion stops at a candidate that is free too late to win without
@@ -30,8 +39,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .meeting import CommEvent, com_opt, com_opt_fast
 from .radio import CommParams, comm_graph, is_connected
-from .schedule import (AgentContext, InfeasibleSchedule, Timetable, TimetableRecord,
-                       append_to_timetable, eligible_groups, groups_of, schedule_min_makespan)
+from .schedule import (EXHAUSTIVE_MUTEX_LIMIT, AgentContext, InfeasibleSchedule, Timetable,
+                       TimetableRecord, append_to_timetable, eligible_groups, groups_of,
+                       schedule_min_makespan)
 from .tasks import RelationIndex, Task
 from .workspace import GridMap, astar_travel_time
 
@@ -82,6 +92,8 @@ class PlannerProblem:
     gap: float = 0.5
     groups: dict[int, list[tuple[int, ...]]] = field(init=False, repr=False)  # eligible, per task
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
+    # Whether a tail extension never starts a task of its base earlier (see greedy_cap).
+    extensions_monotone: bool = field(init=False, repr=False)
     # Per candidate key: [timetable record, zero-travel record, rate].
     _memo: dict[SequencesKey, list] = field(default_factory=dict, repr=False)
     _feasible: dict[frozenset[int], list[int]] = field(default_factory=dict, repr=False)
@@ -100,6 +112,9 @@ class PlannerProblem:
                 if p in self.tasks and p not in self.clusters[t]:
                     merged = tuple(sorted(self.clusters[t] + self.clusters[p]))
                     self.clusters.update(dict.fromkeys(merged, merged))
+        mutex = sum(m > t and m in self.tasks for t in self.tasks for m in self.index.mutex.get(t, ()))
+        conc = any(c in self.tasks for t in self.tasks for c in self.index.conc.get(t, ()))
+        self.extensions_monotone = mutex <= EXHAUSTIVE_MUTEX_LIMIT and not (mutex and conc)
 
     def _default_event(self, last: Mapping[int, AgentContext]) -> CommEvent:
         if last == self.team:  # no agent holds a task: meet now where the team stands, if linked
@@ -150,11 +165,14 @@ class PlannerProblem:
             count / (event.time - self.now) if count and event.time > self.now else 0.0)
         return event
 
+    def top(self, key: SequencesKey, record: TimetableRecord) -> float:
+        """When the last agent is free: its last task ends, or it is ready holding none."""
+        return max(record.start_of(s[-1]) + self.tasks[s[-1]].duration if s else ctx.ready_time
+                   for s, ctx in zip(key, self.team.values()))
+
     def rate_cap(self, key: SequencesKey, record: TimetableRecord) -> float:
-        """At least `rate(key)` with the default optimizer: it never meets before `top`,
-        when the last agent is free."""
-        top = max(record.start_of(s[-1]) + self.tasks[s[-1]].duration if s else ctx.ready_time
-                  for s, ctx in zip(key, self.team.values()))
+        """At least `rate(key)` with the default optimizer: it never meets before `top`."""
+        top = self.top(key, record)
         return len(set().union(*key)) / (top - self.now) if top > self.now else math.inf
 
     def rate(self, key: SequencesKey) -> Optional[float]:
@@ -345,23 +363,15 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
                 best if pending is None else problem.rate(pending), seqs)
 
 
-def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
-    """Rate bound under instantaneous travel, sound for the whole subtree.
+def _rate_bound(assigned: frozenset[int], problem: PlannerProblem, floor0: float) -> float:
+    """Best count/time quotient over adding j of the addable tasks, for a plan of
+    the `assigned` tasks whose every completion meets at least `floor0` after now.
 
-    Descendants only insert tasks, so their event can never precede the
-    zero-travel makespan of this node's plan; adding j tasks also costs at
-    least the j-th smallest remaining duration and the matching agent-seconds
-    of capacity. The best count/time quotient over j dominates every
-    descendant's achievable rate.
+    Adding j tasks also costs at least the j-th smallest remaining duration and
+    the matching agent-seconds of capacity.
     """
-    record = problem.record(problem.key(node.sequences), relaxed=True)
-    if record is None:
-        return -math.inf  # constraint cycle: no descendant can schedule either
-    assigned = node.assigned()
     count0 = len(assigned)
-    floor0 = max(record.makespan - problem.now, 0.0)
     rates = [count0 / floor0 if count0 and floor0 > 0 else 0.0]
-
     addable = [problem.tasks[t] for t in sorted(problem.tasks)
                if t not in assigned and problem.groups[t]]
     durs = sorted(t.duration for t in addable)
@@ -375,6 +385,45 @@ def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
         t_floor = max(floor0, durs[j - 1], (w_assigned + w_prefix) / n_team)
         rates.append((count0 + j) / t_floor)
     return max(rates)
+
+
+def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
+    """Rate bound under instantaneous travel, sound for the whole subtree.
+
+    Descendants only insert tasks, so their event can never precede the
+    zero-travel makespan of this node's plan; with `_rate_bound`'s duration
+    and capacity floors, the best count/time quotient over j dominates every
+    descendant's achievable rate.
+    """
+    record = problem.record(problem.key(node.sequences), relaxed=True)
+    if record is None:
+        return -math.inf  # constraint cycle: no descendant can schedule either
+    return _rate_bound(node.assigned(), problem, max(record.makespan - problem.now, 0.0))
+
+
+def greedy_cap(node: PlanNode, problem: PlannerProblem) -> float:
+    """At least the rate of `low_bound(node, problem)`; math.inf when that cannot be told.
+
+    `up_bound`'s formula with the node's own `top` (travel included) as the
+    floor. Every candidate low_bound scores is the node or a tail extension of
+    it. An extension only adds edges, so no node task starts earlier under the
+    same mutex orientation, and its best orientation restricted to the node's
+    tasks is one the node's solve also tried: its `top` is at least the node's,
+    and the default optimizer never meets before `top` (`rate_cap`). That takes
+    an exhaustive orientation search (at most EXHAUSTIVE_MUTEX_LIMIT mutex pairs
+    among the cycle's tasks) and no concurrency check that refused the node an
+    orientation an extension keeps (no cycle with both a mutex and a
+    concurrency pair); a custom event optimizer or a node that does not
+    schedule gets math.inf.
+    """
+    if problem.event_optimizer is not None or not problem.extensions_monotone:
+        return math.inf
+    key = problem.key(node.sequences)
+    record = problem.record(key)
+    if record is None:
+        return math.inf
+    top = problem.top(key, record)
+    return _rate_bound(node.assigned(), problem, top - problem.now) if top > problem.now else math.inf
 
 
 @dataclass
@@ -442,8 +491,10 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
             node.lb, node.ub = bounded[key]
         else:
             node.ub = up_bound(node, problem)
-            # lb <= ub + 1e-9 (criterion 3), so below this lb cannot beat lb_star.
-            if node.ub + IMPROVEMENT_EPS > lb_star:
+            # lb <= ub + 1e-9 (criterion 3) and lb <= greedy_cap, so below either
+            # cap lb cannot beat lb_star; the cap only skips low_bound.
+            if (node.ub + IMPROVEMENT_EPS > lb_star
+                    and greedy_cap(node, problem) + IMPROVEMENT_EPS > lb_star):
                 bound = low_bound(node, problem)
                 if bound is not None:
                     node.lb = bound.rate

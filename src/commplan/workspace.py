@@ -12,6 +12,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +39,9 @@ class Position:
 
 class GridMap:
     """Immutable occupancy grid. `_memo` holds the results of the pure
-    geometry queries decorated with `memoized`; it only changes by adding
-    entries or by being cleared whole, so no read sees a stale value."""
+    geometry queries decorated with `memoized` and the searches of
+    `astar_cells`; it only changes by adding entries or by being cleared
+    whole, so no read sees a stale value."""
 
     def __init__(self, occupancy: np.ndarray, resolution: float):
         occ = np.asarray(occupancy, dtype=bool)
@@ -230,6 +232,7 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
 
 
 _NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+_STEP = {offset: k for k, offset in enumerate(_NEIGHBORS)}
 
 
 def _octile(a: tuple[int, int], b: tuple[int, int], res: float) -> float:
@@ -243,15 +246,42 @@ def astar_cells(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) ->
     """Shortest 8-connected path between cell centers; (length_m, cells).
 
     Diagonal moves are blocked when either adjacent orthogonal cell is
-    occupied (no corner cutting). The search always runs from the smaller
-    cell to the larger one, so lengths are exactly symmetric; the path is
-    reversed when start is the larger cell.
+    occupied (no corner cutting). One search per unordered cell pair: it runs
+    from the smaller cell to the larger one and is kept in `grid._memo` as its
+    length and one byte per step, so lengths are exactly symmetric; the path
+    is reversed when start is the larger cell.
     """
     if start == goal:
         return 0.0, (start,)
-    if not grid.is_free_cell(start) or not grid.is_free_cell(goal):
-        raise MapError(f"cell {start if not grid.is_free_cell(start) else goal} is occupied or out of bounds")
     s, g = (start, goal) if start <= goal else (goal, start)
+    memo = grid._memo
+    key = (astar_cells, s, g)
+    result = memo.get(key)
+    if result is None:
+        if not grid.is_free_cell(start) or not grid.is_free_cell(goal):
+            raise MapError(f"cell {start if not grid.is_free_cell(start) else goal} is occupied or out of bounds")
+        result = _astar_search(grid, s, g)
+        if result is None:
+            raise Unreachable(f"no path between cells {start} and {goal}")
+        if len(memo) >= MEMO_LIMIT:
+            memo.clear()
+        memo[key] = result
+    length, steps = result
+    x, y = s
+    cells = [s]
+    for step in steps:
+        ox, oy = _NEIGHBORS[step]
+        x, y = x + ox, y + oy
+        cells.append((x, y))
+    if s != start:
+        cells.reverse()
+    return length, tuple(cells)
+
+
+def _astar_search(grid: GridMap, s: tuple[int, int],
+                  g: tuple[int, int]) -> Optional[tuple[float, bytes]]:
+    """A* between free cells; (length_m, the path from s to g as `_NEIGHBORS`
+    indices), None when g is unreachable."""
     res = grid.resolution
     occ = grid.occupancy
     w, h = grid.width_cells, grid.height_cells
@@ -264,13 +294,13 @@ def astar_cells(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) ->
         if cur in closed:
             continue
         if cur == g:
-            cells = [cur]
+            steps = bytearray()
             while cur in parent:
-                cur = parent[cur]
-                cells.append(cur)
-            if s == start:
-                cells.reverse()
-            return g_score[g], tuple(cells)
+                prev = parent[cur]
+                steps.append(_STEP[cur[0] - prev[0], cur[1] - prev[1]])
+                cur = prev
+            steps.reverse()
+            return g_score[g], bytes(steps)
         closed.add(cur)
         cx, cy = cur
         base = g_score[cur]
@@ -286,7 +316,7 @@ def astar_cells(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) ->
                 g_score[nxt] = cost
                 parent[nxt] = cur
                 heapq.heappush(open_heap, (cost + _octile(nxt, g, res), nxt))
-    raise Unreachable(f"no path between cells {start} and {goal}")
+    return None
 
 
 @memoized

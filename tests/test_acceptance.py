@@ -15,7 +15,7 @@ import pytest
 
 from commplan.experiment import metrics_row, run_experiment, run_trial
 from commplan.meeting import all_gather_event, com_opt
-from commplan.planner import PlannerProblem, SearchStats, cocoplan, low_bound
+from commplan.planner import PlannerProblem, SearchStats, cocoplan, greedy_cap, low_bound
 from commplan.radio import CommParams, comm_graph, is_connected, quality
 from commplan.scenario import load_scenario
 from commplan.schedule import AgentContext, groups_of
@@ -110,10 +110,11 @@ def test_criterion_3_bound_soundness(search_transcripts):
 
 
 def test_criterion_3_low_bound_on_every_kept_node(search_transcripts):
-    """The search skips low_bound on a node whose ub cannot beat the incumbent,
-    so criterion 3 sees fewer finite lbs; bound every kept node here instead."""
+    """The search skips low_bound on a node whose ub or greedy_cap cannot beat
+    the incumbent, so criterion 3 sees fewer finite lbs; bound every kept node
+    here instead, and check that the cap is at least the lb wherever it applies."""
     records, _ = search_transcripts
-    nodes_checked = with_lb = 0
+    nodes_checked = with_lb = capped = 0
     for rec in records:
         grid, team, tasks, rels = rec["instance"]
         problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
@@ -123,11 +124,17 @@ def test_criterion_3_low_bound_on_every_kept_node(search_transcripts):
             if bound is not None:
                 assert bound.rate <= node.ub + 1e-9, (node.sequences, bound.rate, node.ub)
                 with_lb += 1
+                cap = greedy_cap(node, problem)
+                if cap < math.inf:
+                    assert cap >= bound.rate - 1e-9, (node.sequences, bound.rate, cap)
+                    capped += 1
             nodes_checked += 1
     assert nodes_checked == sum(len(rec["nodes"]) for rec in records)
     # Every node that had a finite lb when the search bounded each node itself.
     assert with_lb == 114_864
-    _passline(3, f"LB<=UB+1e-9 on all {with_lb} of {nodes_checked} kept nodes that have an LB")
+    assert capped > with_lb // 2
+    _passline(3, f"LB<=UB+1e-9 on all {with_lb} of {nodes_checked} kept nodes that have an LB, "
+                 f"LB<=greedy_cap+1e-9 on the {capped} of them the cap applies to")
 
 
 def test_criterion_2_lemma1_suite():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from commplan.experiment import run_trial
-from commplan import meeting, planner, strategies
+from commplan import meeting, planner, strategies, workspace
 from commplan.meeting import com_opt_fast
 from commplan.planner import SearchStats, cocoplan
 from commplan.radio import CommParams
@@ -53,8 +53,13 @@ CRITERION7_EXPANDED_PRUNED = (1, 0)
 # first desk op): generated, expanded, pruned.
 DESK_SEED42_SEARCH = (3724, 359, 578)
 # The same trial's com_opt_fast calls (perfbench's meeting.com_opt_fast.calls): a change
-# that optimizes more events must say why.
-DESK_SEED42_COM_OPT_FAST_CALLS = 2588
+# that optimizes more events must say why. low_bound runs only on nodes whose greedy_cap
+# can beat the incumbent, and fewer low_bound calls optimize fewer events (2,588 before).
+DESK_SEED42_COM_OPT_FAST_CALLS = 1142
+# The same trial's low_bound calls (perfbench's planner.low_bound.calls; 2,492 before
+# greedy_cap) and A* searches, one per unordered cell pair (433 astar_cells lookups).
+DESK_SEED42_LOW_BOUND_CALLS = 1131
+DESK_SEED42_ASTAR_SEARCHES = 229
 
 
 def _trial0_digest(cfg, strategy=None) -> str:
@@ -77,24 +82,31 @@ def test_desk_trial0_log_hash_per_strategy(kind):
 
 def test_desk_cocoplan_seed42_search_counts(monkeypatch):
     calls: list[SearchStats] = []
-    events = [0]
+    counts = dict.fromkeys(("com_opt_fast", "low_bound", "astar_search"), 0)
 
     def counting(*args, **kwargs):
         calls.append(SearchStats())
         return cocoplan(*args, **kwargs, stats=calls[-1])
 
-    def counting_event(*args, **kwargs):
-        events[0] += 1
-        return com_opt_fast(*args, **kwargs)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
 
     monkeypatch.setattr(strategies, "cocoplan", counting)
     for module in (meeting, planner):
-        monkeypatch.setattr(module, "com_opt_fast", counting_event)
+        monkeypatch.setattr(module, "com_opt_fast", counted("com_opt_fast", com_opt_fast))
+    monkeypatch.setattr(planner, "low_bound", counted("low_bound", planner.low_bound))
+    monkeypatch.setattr(workspace, "_astar_search",
+                        counted("astar_search", workspace._astar_search))
     run_trial(dataclasses.replace(load_scenario(DESK), seed=42), 0)
     assert len(calls) == 72
     assert tuple(sum(getattr(stats, f"nodes_{kind}") for stats in calls)
                  for kind in ("generated", "expanded", "pruned")) == DESK_SEED42_SEARCH
-    assert events[0] == DESK_SEED42_COM_OPT_FAST_CALLS
+    assert counts == {"com_opt_fast": DESK_SEED42_COM_OPT_FAST_CALLS,
+                      "low_bound": DESK_SEED42_LOW_BOUND_CALLS,
+                      "astar_search": DESK_SEED42_ASTAR_SEARCHES}
 
 
 def test_subt10_greedy_trial0_log_hash():

@@ -12,7 +12,7 @@ import pytest
 from commplan import planner
 from commplan.planner import (IMPROVEMENT_EPS, PlanNode, PlannerProblem, SearchStats,
                               build_plan, cocoplan, expand_node, get_feasible_tasks,
-                              last_state, low_bound, up_bound)
+                              greedy_cap, last_state, low_bound, up_bound)
 from commplan.radio import CommParams, comm_graph, is_connected
 from commplan.schedule import AgentContext, eligible_groups, groups_of
 from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
@@ -397,6 +397,67 @@ def test_low_bound_defers_the_nodes_own_event():
     assert bound == reference_low_bound(node, fresh, scored)
     assert scored[0][0].rate > cap + IMPROVEMENT_EPS >= fresh.rate(key) + IMPROVEMENT_EPS
     assert bound.sequences == {0: (1,), 1: (2,)}
+
+
+def test_greedy_cap_is_inf_where_an_extension_may_start_a_node_task_earlier():
+    """The cap holds only when no tail extension starts a node task earlier:
+    an exhaustive mutex orientation search, and no cycle whose tasks hold both
+    a mutex pair and a concurrency pair (the node's concurrency check may have
+    refused the orientation an extension keeps). A custom event optimizer and
+    a node that does not schedule get no cap either."""
+    grid = empty_grid(20, 20)
+    team = {0: ctx(0, 0.5, 0.5), 1: ctx(1, 10.5, 0.5)}
+    tasks = {t: task(t, 1.5 + 2 * t, 3.5, 2.0 + t) for t in range(1, 7)}
+    node = PlanNode(1, {0: (1,), 1: ()})
+
+    def cap(*relations, at=node, event_optimizer=None):
+        rels = [TemporalRelation(p, q, RelationKind(kind)) for p, q, kind in relations]
+        problem = make_problem(team, tasks, rels, grid=grid)
+        problem.event_optimizer = event_optimizer
+        return greedy_cap(at, problem)
+
+    finite = cap()
+    assert finite < math.inf
+    assert cap((2, 3, "mutex")) == cap((3, 4, "concurrency")) == finite
+    assert cap((2, 3, "mutex"), (4, 5, "concurrency")) == math.inf
+    pairs = list(itertools.combinations(range(1, 7), 2))  # 15 pairs among six tasks
+    assert cap(*[(p, q, "mutex") for p, q in pairs[:12]]) == finite
+    assert cap(*[(p, q, "mutex") for p, q in pairs[:13]]) == math.inf
+    assert cap(event_optimizer=lambda last: None) == math.inf
+    looped = PlanNode(2, {0: (2, 1), 1: ()})  # 1 must precede 2, but agent 0 runs 2 first
+    assert cap((1, 2, "precedence"), at=looped) == math.inf
+
+
+def test_greedy_cap_changes_no_search_result(monkeypatch):
+    """With the cap read only to skip low_bound, the search returns the same
+    plan with the same node counts as a search that bounds every node, at
+    every node budget, and calls low_bound less."""
+    lb_calls = [0]
+    inner = planner.low_bound
+
+    def counting(node, problem):
+        lb_calls[0] += 1
+        return inner(node, problem)
+
+    monkeypatch.setattr(planner, "low_bound", counting)
+    rng = random.Random(34)
+    calls = {"capped": 0, "uncapped": 0}
+    for _ in range(30):
+        grid, team, tasks, rels = random_planner_instance(rng)
+        for limit in (None, 8, 40):
+            runs = {}
+            for mode in calls:
+                with monkeypatch.context() as patch:
+                    if mode == "uncapped":
+                        patch.setattr(planner, "greedy_cap", lambda node, problem: math.inf)
+                    stats = SearchStats()
+                    start = lb_calls[0]
+                    plan = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams(),
+                                    generated_limit=limit, stats=stats)
+                    calls[mode] += lb_calls[0] - start
+                runs[mode] = (plan.sequences, plan.rate, plan.event, stats)
+            assert runs["capped"] == runs["uncapped"]
+    assert calls["capped"] < calls["uncapped"]
 
 
 def test_cocoplan_returns_a_fresh_build_of_its_plan():

@@ -199,6 +199,37 @@ def test_memoized_queries_match_the_plain_functions():
                 assert fn(p, q, grid) == fn.__wrapped__(p, q, grid)
 
 
+def test_astar_cells_searches_each_unordered_cell_pair_once(monkeypatch):
+    """Both orders of a cell pair read one search, run from the smaller cell:
+    the same length and the reversed cells, and a repeat in either order
+    searches no more."""
+    search = workspace._astar_search
+    searched = []
+
+    def counting(grid, s, g):
+        searched.append((s, g))
+        return search(grid, s, g)
+
+    monkeypatch.setattr(workspace, "_astar_search", counting)
+    rng = random.Random(8)
+    grid = random_connected_grid(rng, density=0.2)
+    free = grid.free_cells()
+    pairs = set()
+    for _ in range(40):
+        a, b = rng.sample(free, 2)  # either cell may be the smaller
+        first = workspace.astar_cells(grid, a, b)
+        assert first[1][0] == a and first[1][-1] == b
+        assert all(max(abs(p[0] - q[0]), abs(p[1] - q[1])) == 1
+                   for p, q in zip(first[1], first[1][1:]))
+        assert first[0] == pytest.approx(dijkstra_oracle(grid, a, b), abs=1e-9)
+        for start, goal in ((b, a), (a, b)):
+            length, cells = workspace.astar_cells(grid, start, goal)
+            assert length == first[0]
+            assert cells == (first[1] if start == a else first[1][::-1])
+        pairs.add((min(a, b), max(a, b)))
+    assert sorted(searched) == sorted(pairs)
+
+
 def test_memo_serves_a_zero_result():
     grid = grid_from_rows(["..#........."] + ["." * 12] * 11)
     a, b = Position(0.5, 0.5), Position(5.5, 0.5)

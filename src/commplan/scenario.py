@@ -546,10 +546,7 @@ def build_simulator(cfg: ScenarioConfig, seed: Optional[int] = None,
                     strategy: Optional[StrategyConfig] = None) -> tuple[Simulator, object]:
     """Fresh simulator plus controller for one trial."""
     seed = cfg.seed if seed is None else seed
-    tasks: dict[int, Task] = {}
-    for t in cfg.tasks:
-        tasks[t.id] = Task(t.id, t.region_center, t.region_radius, t.duration,
-                           t.requirements, t.release_time)
+    tasks = {t.id: t for t in cfg.tasks}
     if cfg.generator is not None:
         next_id = max(tasks, default=-1) + 1
         for t in generate_tasks(cfg.generator, seed, cfg.grid, start_id=next_id):

@@ -136,6 +136,7 @@ class Simulator:
         self.agents = {a.id: a for a in agents}
         self.params = params
         self.tasks = tasks
+        self.undetected = [tasks[t] for t in sorted(tasks)]
         self.horizon = horizon
         self.dt = dt
         self.recheck_interval = recheck_interval
@@ -304,14 +305,17 @@ class Simulator:
                 ag.leg = None
 
     def _detect(self, t: float) -> None:
-        # detect_tasks skips a task detected by an earlier agent this tick.
-        undetected = [task for _, task in sorted(self.tasks.items())
-                      if task.detected_at is None and task.release_time <= t]
+        # Each task is detected once, by the lowest agent id that sees it.
+        released = [task for task in self.undetected if task.release_time <= t]
         for aid in sorted(self.agents):
             ag = self.agents[aid]
-            for tid in detect_tasks(ag.position, ag.sensor_range, undetected, t, self.grid):
+            found = detect_tasks(ag.position, ag.sensor_range, released, t, self.grid)
+            for tid in found:
                 ag.known.add(tid)
                 self.log(t, "detection", aid, tid)
+            if found:
+                released = [task for task in released if task.id not in found]
+                self.undetected = [task for task in self.undetected if task.id not in found]
 
     def _gates_pass(self, tid: int, t: float) -> bool:
         for p in self.index.preds.get(tid, ()):

@@ -15,7 +15,7 @@ class RelationKind(str, Enum):
     CONCURRENCY = "concurrency"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Task:
     id: int
     region_center: Position
@@ -23,14 +23,13 @@ class Task:
     duration: float
     requirements: tuple[tuple[int, str], ...]  # (agent count, action id)
     release_time: float = 0.0
-    detected_at: Optional[float] = None
 
     def __post_init__(self):
         if not self.duration > 0:
             raise ValueError(f"task {self.id}: duration must be > 0")
         if self.region_radius < 0:
             raise ValueError(f"task {self.id}: region_radius must be >= 0")
-        self.requirements = tuple((int(n), str(a)) for n, a in self.requirements)
+        object.__setattr__(self, "requirements", tuple((int(n), str(a)) for n, a in self.requirements))
         if not self.requirements:
             raise ValueError(f"task {self.id}: at least one requirement needed")
         for n, a in self.requirements:
@@ -67,25 +66,21 @@ class ExecutionInterval:
 
 def detect_tasks(agent_pos: Position, sensor_range: float, undetected: Iterable[Task],
                  now: float, grid: GridMap) -> list[int]:
-    """Mark and return tasks the agent can currently see.
+    """Ids of the tasks in `undetected` that the agent can currently see.
 
-    A task is detected when it has been released, its region center is within
+    A task is seen when it has been released, its region center is within
     sensor range, and the line of sight to the center crosses no obstacle.
-    Detection is permanent: detected_at is stamped with `now`.
     """
     if now < 0:
         raise ValueError("now must be >= 0")
     found = []
     for task in undetected:
-        if task.detected_at is not None:
-            continue
         if task.release_time > now:
             continue
         if agent_pos.dist(task.region_center) > sensor_range:
             continue
         if los_obstacle_length(agent_pos, task.region_center, grid) > 0.0:
             continue
-        task.detected_at = now
         found.append(task.id)
     return found
 

@@ -326,6 +326,7 @@ def astar_path(a: Position, b: Position, grid: GridMap) -> tuple[Position, ...]:
     return tuple(grid.center(c) for c in cells)
 
 
+# A position-keyed entry beside astar_cells' cell-pair one: a hit skips the two cell_at calls.
 @memoized
 def astar_length(a: Position, b: Position, grid: GridMap) -> float:
     """Metric length of the shortest grid path between the cells of a and b,

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from commplan.scenario import (GeneratorSpec, Phase, ScenarioError, build_simulator,
-                               generate_tasks, load_scenario, scenario_from_dict,
-                               serialize_scenario)
+from commplan.experiment import run_trial
+from commplan.scenario import (GeneratorSpec, Phase, ScenarioError, generate_tasks,
+                               load_scenario, scenario_from_dict, serialize_scenario)
 from commplan.radio import CommParams
 from commplan.strategies import StrategyConfig
 from commplan.workspace import Position
@@ -234,12 +234,15 @@ def test_generator_uniform_chi_squared():
     assert chi2 < crit
 
 
-def test_build_simulator_fresh_tasks(tmp_path):
+def test_trials_share_scenario_tasks(tmp_path):
     raw = minimal_raw()
     raw["tasks"] = [{"id": 1, "center": [5.0, 5.0], "duration": 5.0,
                      "requirements": [[1, "work"]]}]
     cfg = load_scenario(write_scenario(tmp_path, raw))
-    sim1, _ = build_simulator(cfg)
-    sim1.tasks[1].detected_at = 3.0
-    sim2, _ = build_simulator(cfg)
-    assert sim2.tasks[1].detected_at is None
+    logs = []
+    for _ in range(2):
+        sim, events, metrics = run_trial(cfg, 0)
+        assert sim.tasks[1] is cfg.tasks[0]
+        assert metrics.finished_tasks == 1
+        logs.append("\n".join(e.line() for e in events))
+    assert "detection" in logs[0] and logs[1] == logs[0]

@@ -71,20 +71,30 @@ def test_identical_timestamp_events_ordered_by_agent_id():
 
 
 def test_replay_determinism_byte_identical():
-    grid = grid_from_rows(["." * 16] * 12)
-    agents_a = [agent(0, 1.5, 1.5), agent(1, 6.5, 1.5), agent(2, 11.5, 1.5)]
-    tasks_a = [task(1, 13.5, 9.5), task(2, 2.5, 9.5, release=12.0),
-               task(3, 8.5, 5.5, duration=3.0, release=25.0)]
+    # Both runs share the same Task objects: a run keeps its detections to itself.
+    tasks = [task(1, 13.5, 9.5), task(2, 2.5, 9.5, release=12.0),
+             task(3, 8.5, 5.5, duration=3.0, release=25.0)]
 
     def run_once():
         sim, events, metrics = run_sim(grid_from_rows(["." * 16] * 12),
                                        [agent(0, 1.5, 1.5), agent(1, 6.5, 1.5), agent(2, 11.5, 1.5)],
-                                       [task(1, 13.5, 9.5), task(2, 2.5, 9.5, release=12.0),
-                                        task(3, 8.5, 5.5, duration=3.0, release=25.0)],
-                                       horizon=80.0)
+                                       tasks, horizon=80.0)
+        assert metrics.finished_tasks == 3
         return "\n".join(e.line() for e in events)
 
-    assert run_once() == run_once()
+    first = run_once()
+    assert "detection" in first
+    assert run_once() == first
+
+
+def test_task_seen_by_two_agents_is_detected_once_by_lower_id():
+    grid = empty_grid()
+    # Both agents see task 1 from its release at t = 5 until the horizon.
+    sim, events, _ = run_sim(grid, [agent(1, 3.5, 2.5), agent(0, 1.5, 2.5)],
+                             [task(1, 2.5, 2.5, release=5.0)], horizon=30.0)
+    detections = [e for e in events if e.kind == "detection"]
+    assert [(e.timestamp, e.payload) for e in detections] == [(5.0, (0, 1))]
+    assert sim.undetected == []
 
 
 class PositionRecorder:

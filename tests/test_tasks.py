@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -29,9 +30,9 @@ def test_detection_respects_sensor_range():
     task = make_task(9, x=10.5, y=1.5)
     # 9 m away with an 8 m sensor: not detected.
     found = detect_tasks(Position(1.5, 1.5), 8.0, [task], 0.0, grid)
-    assert found == [] and task.detected_at is None
+    assert found == []
     found = detect_tasks(Position(3.5, 1.5), 8.0, [task], 2.0, grid)
-    assert found == [9] and task.detected_at == 2.0
+    assert found == [9]
 
 
 def test_detection_at_agent_position_and_release_gate():
@@ -56,13 +57,20 @@ def test_detection_blocked_by_wall():
     assert found == [3]
 
 
-def test_detection_is_permanent():
+def test_detection_mutates_nothing():
     grid = empty_grid()
-    task = make_task(1, x=2.5, y=2.5)
-    detect_tasks(Position(2.5, 2.5), 8.0, [task], 1.0, grid)
-    assert task.detected_at == 1.0
-    detect_tasks(Position(2.5, 2.5), 8.0, [task], 9.0, grid)
-    assert task.detected_at == 1.0
+    tasks = [make_task(1, x=2.5, y=2.5), make_task(2, x=9.5, y=9.5), make_task(3, x=3.5, y=2.5)]
+    before = list(tasks)
+    first = detect_tasks(Position(2.5, 2.5), 8.0, tasks, 1.0, grid)
+    assert first == [1, 3]
+    assert detect_tasks(Position(2.5, 2.5), 8.0, tasks, 1.0, grid) == first
+    assert tasks == before
+
+
+def test_task_is_frozen():
+    task = make_task(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.release_time = 3.0
 
 
 def iv(tid, s, f):

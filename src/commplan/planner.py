@@ -5,7 +5,10 @@ set of assigned tasks with per-agent orders; its lower bound is the rate of
 the best full plan reachable by greedily appending tasks (scheduling each
 candidate and optimizing its communication event), and its upper bound is a
 zero-travel relaxation that dominates every descendant's achievable rate.
-The search is anytime: the incumbent is always a feasible full plan.
+The search is anytime: the incumbent is always a feasible full plan. One
+`Search` holds a cycle's heap, incumbent and counts, and `stopped()` is its one
+test of the generated limit and the budget; nothing in it refers back to itself,
+so the cycle's problem and memo are freed as soon as `cocoplan` returns.
 
 Every node, the root included, goes through one step that bounds it, keeps
 a better incumbent and pushes the node while it can still win. Each distinct
@@ -243,23 +246,19 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem) -> list[P
     assigned = node.assigned()
     cluster = sorted(m for m in problem.clusters[task_id] if m not in assigned)
     interior = len(cluster) > 1 or _related_to_assigned(cluster, assigned, problem.index)
-    children: list[PlanNode] = []
-
-    def place(idx: int, seqs: dict[int, tuple[int, ...]]):
-        if idx == len(cluster):
-            children.append(PlanNode(depth=node.depth + 1, sequences=seqs))
-            return
-        t = cluster[idx]
-        for group in problem.groups[t]:
-            slots = [range(len(seqs[a]) + 1) if interior else (len(seqs[a]),) for a in group]
-            for combo in itertools.product(*slots):
-                new_seqs = dict(seqs)  # agents outside the group share their tuples
-                for a, pos in zip(group, combo):
-                    new_seqs[a] = seqs[a][:pos] + (t,) + seqs[a][pos:]
-                place(idx + 1, new_seqs)
-
-    place(0, dict(node.sequences))
-    return children
+    placements = [dict(node.sequences)]
+    for t in cluster:  # extend each placement so far by each of t's, in depth-first order
+        extended = []
+        for seqs in placements:
+            for group in problem.groups[t]:
+                slots = [range(len(seqs[a]) + 1) if interior else (len(seqs[a]),) for a in group]
+                for combo in itertools.product(*slots):
+                    new_seqs = dict(seqs)  # agents outside the group share their tuples
+                    for a, pos in zip(group, combo):
+                        new_seqs[a] = seqs[a][:pos] + (t,) + seqs[a][pos:]
+                    extended.append(new_seqs)
+        placements = extended
+    return [PlanNode(depth=node.depth + 1, sequences=seqs) for seqs in placements]
 
 
 def last_state(sequences: Mapping[int, Sequence[int]], finish: Mapping[int, float],
@@ -311,7 +310,7 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
     record = problem.record(key)
     default = problem.event_optimizer is None
     # While `pending` holds the node's key, `best` is only its rate cap.
-    pending = key if default and record is not None and problem._memo[key][2] is _UNSET else None
+    pending = key if default and record is not None else None
     best = problem.rate(key) if pending is None else problem.rate_cap(key, record)
 
     def no_better(rate: float) -> bool:  # a rate above the node's cap beats its rate
@@ -445,6 +444,75 @@ def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
     return CollectivePlan(empty_seqs, Timetable({}, 0.0), event, 0.0)
 
 
+class Search:
+    """One cycle's branch and bound; a plain class, as dataclass methods enlarge each import."""
+
+    def __init__(self, problem: PlannerProblem, budget: Optional[float],
+                 node_limit: Optional[int], generated_limit: Optional[int], stats: SearchStats):
+        self.problem = problem
+        self.stats = stats
+        self.deadline = math.inf if budget is None else _time.monotonic() + budget
+        self.node_limit = math.inf if node_limit is None else node_limit
+        self.generated_limit = math.inf if generated_limit is None else generated_limit
+        self.fallback = zero_task_plan(problem)
+        self.lb_star = self.fallback.rate
+        self.best: Optional[Bound] = None  # the incumbent, once a bound beats the fallback
+        # Ties break by push order, so heap entries never compare their nodes.
+        self.heap: list[tuple[float, int, int, PlanNode]] = []
+        self.pushes = itertools.count()
+        self.bounded: dict[SequencesKey, tuple[float, float]] = {}  # (lb, ub) of every node seen
+
+    def stopped(self) -> bool:
+        """True once the generated limit is reached or the budget is spent."""
+        return (self.stats.nodes_generated >= self.generated_limit
+                or _time.monotonic() >= self.deadline)
+
+    def evaluate(self, node: PlanNode) -> bool:
+        """Bound the node, keep a better incumbent; True if the node is pushed."""
+        key = self.problem.key(node.sequences)
+        if key in self.bounded:
+            # lb_star never falls, so a repeat can neither set the incumbent
+            # nor reach a low_bound its first visit skipped.
+            node.lb, node.ub = self.bounded[key]
+        else:
+            node.ub = up_bound(node, self.problem)
+            # lb <= ub + 1e-9 (criterion 3) and lb <= greedy_cap, so below either
+            # cap lb cannot beat lb_star; the cap only skips low_bound.
+            if (node.ub + IMPROVEMENT_EPS > self.lb_star
+                    and greedy_cap(node, self.problem) + IMPROVEMENT_EPS > self.lb_star):
+                bound = low_bound(node, self.problem)
+                if bound is not None:
+                    node.lb = bound.rate
+                    if node.lb > self.lb_star:
+                        self.best, self.lb_star = bound, node.lb
+            self.bounded[key] = (node.lb, node.ub)
+        self.stats.nodes_generated += 1
+        if node.ub > self.lb_star:
+            heapq.heappush(self.heap, (-node.ub, -node.depth, next(self.pushes), node))
+            return True
+        return False
+
+    def run(self) -> CollectivePlan:
+        """Expand the best node until none is left, node_limit nodes are expanded
+        or the search is stopped; the incumbent's plan, else the fallback."""
+        problem, stats = self.problem, self.stats
+        # Only children count in nodes_pruned; a root that is not pushed does not.
+        self.evaluate(PlanNode(depth=0, sequences={a: () for a in problem.team}))
+        while self.heap and stats.nodes_expanded < self.node_limit and not self.stopped():
+            node = heapq.heappop(self.heap)[3]
+            if not node.ub > self.lb_star:
+                stats.nodes_pruned += 1
+                continue
+            stats.nodes_expanded += 1
+            for child in (child for rep in get_feasible_tasks(node.assigned(), problem)
+                          for child in expand_node(node, rep, problem)):
+                if self.stopped():
+                    break  # and expand no further rep
+                if not self.evaluate(child):
+                    stats.nodes_pruned += 1
+        return self.fallback if self.best is None else build_plan(self.best.sequences, problem)
+
+
 def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
              index: RelationIndex, grid: GridMap, params: CommParams,
              budget: Optional[float] = None, *, now: float = 0.0,
@@ -464,65 +532,5 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
     problem = PlannerProblem(team=dict(team), tasks=dict(tasks), index=index, grid=grid,
                              params=params, now=now, completed=completed,
                              event_optimizer=event_optimizer, gap=gap)
-    if stats is None:
-        stats = SearchStats()
-    t_start = _time.monotonic()
-
-    def time_left() -> bool:
-        if generated_limit is not None and stats.nodes_generated >= generated_limit:
-            return False
-        return budget is None or (_time.monotonic() - t_start) < budget
-
-    fallback = zero_task_plan(problem)
-    lb_star = fallback.rate
-    best: Optional[Bound] = None  # the incumbent, once a bound beats the fallback
-    # Ties break by push order, so heap entries never compare their nodes.
-    heap: list[tuple[float, int, int, PlanNode]] = []
-    pushes = itertools.count()
-    bounded: dict[SequencesKey, tuple[float, float]] = {}  # (lb, ub) of every node seen
-
-    def evaluate(node: PlanNode) -> bool:
-        """Bound the node, keep a better incumbent; True if the node is pushed."""
-        nonlocal best, lb_star
-        key = problem.key(node.sequences)
-        if key in bounded:
-            # lb_star never falls, so a repeat can neither set the incumbent
-            # nor reach a low_bound its first visit skipped.
-            node.lb, node.ub = bounded[key]
-        else:
-            node.ub = up_bound(node, problem)
-            # lb <= ub + 1e-9 (criterion 3) and lb <= greedy_cap, so below either
-            # cap lb cannot beat lb_star; the cap only skips low_bound.
-            if (node.ub + IMPROVEMENT_EPS > lb_star
-                    and greedy_cap(node, problem) + IMPROVEMENT_EPS > lb_star):
-                bound = low_bound(node, problem)
-                if bound is not None:
-                    node.lb = bound.rate
-                    if node.lb > lb_star:
-                        best, lb_star = bound, node.lb
-            bounded[key] = (node.lb, node.ub)
-        stats.nodes_generated += 1
-        if node.ub > lb_star:
-            heapq.heappush(heap, (-node.ub, -node.depth, next(pushes), node))
-            return True
-        return False
-
-    # Only children count in nodes_pruned; a root that is not pushed does not.
-    evaluate(PlanNode(depth=0, sequences={a: () for a in problem.team}))
-    while heap and time_left():
-        if node_limit is not None and stats.nodes_expanded >= node_limit:
-            break
-        node = heapq.heappop(heap)[3]
-        if not node.ub > lb_star:
-            stats.nodes_pruned += 1
-            continue
-        stats.nodes_expanded += 1
-        for rep in get_feasible_tasks(node.assigned(), problem):
-            if not time_left():
-                break
-            for child in expand_node(node, rep, problem):
-                if not time_left():
-                    break
-                if not evaluate(child):
-                    stats.nodes_pruned += 1
-    return fallback if best is None else build_plan(best.sequences, problem)
+    return Search(problem, budget, node_limit, generated_limit,
+                  SearchStats() if stats is None else stats).run()

@@ -116,25 +116,16 @@ class ScenarioConfig:
 
 
 def _poisson(lam: float, rng: random.Random) -> int:
-    if lam <= 0:
-        return 0
-    # Knuth's method underflows for large rates; split into chunks and sum
-    # (a sum of independent Poisson draws is Poisson in the summed rate).
+    # Knuth's method underflows for large rates; draw chunks of at most 30 and sum
+    # them (a sum of independent Poisson draws is Poisson in the summed rate).
     total = 0
-    while lam > 30.0:
-        total += _poisson_small(30.0, rng)
+    while lam > 0:
+        limit, p = math.exp(-min(lam, 30.0)), rng.random()
+        while p > limit:
+            total += 1
+            p *= rng.random()
         lam -= 30.0
-    return total + _poisson_small(lam, rng)
-
-
-def _poisson_small(lam: float, rng: random.Random) -> int:
-    limit = math.exp(-lam)
-    k, p = 0, 1.0
-    while True:
-        p *= rng.random()
-        if p <= limit:
-            return k
-        k += 1
+    return total
 
 
 def generate_tasks(spec: GeneratorSpec, seed: int, grid: GridMap, start_id: int = 0) -> list[Task]:

@@ -60,6 +60,10 @@ DESK_SEED42_COM_OPT_FAST_CALLS = 1142
 # greedy_cap) and A* searches, one per unordered cell pair (433 astar_cells lookups).
 DESK_SEED42_LOW_BOUND_CALLS = 1131
 DESK_SEED42_ASTAR_SEARCHES = 229
+# The same trial's full solves and appends, relaxed ones included: a search that
+# bounded its candidates in another order would schedule others.
+DESK_SEED42_FULL_SOLVES = 505
+DESK_SEED42_APPENDS = 6042
 
 
 def _trial0_digest(cfg, strategy=None) -> str:
@@ -82,7 +86,8 @@ def test_desk_trial0_log_hash_per_strategy(kind):
 
 def test_desk_cocoplan_seed42_search_counts(monkeypatch):
     calls: list[SearchStats] = []
-    counts = dict.fromkeys(("com_opt_fast", "low_bound", "astar_search"), 0)
+    counts = dict.fromkeys(("com_opt_fast", "low_bound", "astar_search",
+                            "schedule_min_makespan", "append_to_timetable"), 0)
 
     def counting(*args, **kwargs):
         calls.append(SearchStats())
@@ -100,13 +105,17 @@ def test_desk_cocoplan_seed42_search_counts(monkeypatch):
     monkeypatch.setattr(planner, "low_bound", counted("low_bound", planner.low_bound))
     monkeypatch.setattr(workspace, "_astar_search",
                         counted("astar_search", workspace._astar_search))
+    for name in ("schedule_min_makespan", "append_to_timetable"):
+        monkeypatch.setattr(planner, name, counted(name, getattr(planner, name)))
     run_trial(dataclasses.replace(load_scenario(DESK), seed=42), 0)
     assert len(calls) == 72
     assert tuple(sum(getattr(stats, f"nodes_{kind}") for stats in calls)
                  for kind in ("generated", "expanded", "pruned")) == DESK_SEED42_SEARCH
     assert counts == {"com_opt_fast": DESK_SEED42_COM_OPT_FAST_CALLS,
                       "low_bound": DESK_SEED42_LOW_BOUND_CALLS,
-                      "astar_search": DESK_SEED42_ASTAR_SEARCHES}
+                      "astar_search": DESK_SEED42_ASTAR_SEARCHES,
+                      "schedule_min_makespan": DESK_SEED42_FULL_SOLVES,
+                      "append_to_timetable": DESK_SEED42_APPENDS}
 
 
 def test_subt10_greedy_trial0_log_hash():

@@ -272,6 +272,46 @@ def test_a_larger_generated_limit_never_lowers_the_rate():
     assert improved >= 5
 
 
+def test_a_zero_limit_evaluates_only_the_root():
+    """A spent budget, no expansions allowed, or a generated limit the root
+    already meets: the root is bounded and nothing else, and each returns the
+    root's plan."""
+    rng = random.Random(27)
+    limits = ({"budget": 0.0}, {"node_limit": 0}, {"generated_limit": 0}, {"generated_limit": 1})
+    for _ in range(5):
+        grid, team, tasks, rels = random_planner_instance(rng)
+        index = RelationIndex(rels)
+        plans = []
+        for limit in limits:
+            stats = SearchStats()
+            plans.append(cocoplan(team, tasks, index, grid, CommParams(), **limit, stats=stats))
+            assert stats == SearchStats(1, 0, 0), limit
+        assert plans == [plans[0]] * len(limits)
+
+
+def test_node_and_generated_limits_are_exact():
+    """Below the exhaustive counts, node_limit=k expands exactly k nodes and
+    generated_limit=k generates exactly k."""
+    rng = random.Random(28)
+    checked = 0
+    for _ in range(10):
+        grid, team, tasks, rels = random_planner_instance(rng)
+        index, full = RelationIndex(rels), SearchStats()
+        cocoplan(team, tasks, index, grid, CommParams(), stats=full)
+        for k in (1, 2, 3, 5, 8):
+            if full.nodes_expanded > k:
+                stats = SearchStats()
+                cocoplan(team, tasks, index, grid, CommParams(), node_limit=k, stats=stats)
+                assert stats.nodes_expanded == k
+                checked += 1
+            if full.nodes_generated > k:
+                stats = SearchStats()
+                cocoplan(team, tasks, index, grid, CommParams(), generated_limit=k, stats=stats)
+                assert stats.nodes_generated == k
+                checked += 1
+    assert checked >= 40
+
+
 def test_determinism_same_inputs_same_plan():
     rng = random.Random(20)
     grid, team, tasks, rels = random_planner_instance(rng)
@@ -550,9 +590,19 @@ def test_duplicate_nodes_are_bounded_once(monkeypatch):
     assert duplicates >= 20
 
 
-def test_a_problem_is_freed_without_the_cycle_collector():
+def test_a_problem_is_freed_without_the_cycle_collector(monkeypatch):
     """Each cycle's candidate memo goes with its problem, not at the next
-    collection."""
+    collection: after a bound, and as soon as a search that expands nodes
+    returns."""
+    refs: list[weakref.ref] = []
+    build = planner.PlannerProblem
+
+    def recording(*args, **kwargs):
+        problem = build(*args, **kwargs)
+        refs.append(weakref.ref(problem))
+        return problem
+
+    monkeypatch.setattr(planner, "PlannerProblem", recording)
     rng = random.Random(26)
     grid, team, tasks, rels = random_planner_instance(rng)
     problem = make_problem(team, tasks, rels, grid=grid)
@@ -563,5 +613,12 @@ def test_a_problem_is_freed_without_the_cycle_collector():
     try:
         del problem
         assert ref() is None
+        for _ in range(5):
+            grid, team, tasks, rels = random_planner_instance(rng)
+            stats = SearchStats()
+            plan = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams(),
+                            node_limit=3, stats=stats)
+            assert stats.nodes_expanded > 0 and plan is not None
+            assert refs[-1]() is None
     finally:
         gc.enable()

@@ -81,11 +81,9 @@ def run_experiment(cfg: ScenarioConfig, trials: int, out_path=None,
         rows.append(metrics_row(cfg, strategy_kind, trial, metrics))
         completion_series.append(metrics.completion_times)
 
-    numeric = ("finished", "comm_num", "comm_int_mean", "comm_int_std",
-               "idle_gap_mean", "idle_gap_std")
     for agg_name, agg in (("mean", _mean), ("std", _std)):
         row = {"strategy": strategy_kind, "env": cfg.env, "trial": agg_name}
-        for col in numeric:
+        for col in CSV_COLUMNS[3:]:  # the numeric columns
             vals = [r[col] for r in rows[:trials] if not (isinstance(r[col], float) and math.isnan(r[col]))]
             row[col] = agg(vals) if vals else float("nan")
         rows.append(row)

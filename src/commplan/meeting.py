@@ -63,19 +63,16 @@ def _arrival(ctx: AgentContext, length: float) -> float:
 
 def chain_event(last: Mapping[int, AgentContext], anchor: Position, grid: GridMap,
                 params: CommParams, resident: Optional[int] = None,
-                deadline: Optional[float] = None,
-                to_anchor: Optional[Mapping[int, float]] = None) -> Optional[CommEvent]:
+                deadline: Optional[float] = None) -> Optional[CommEvent]:
     """Build a connected meeting by placing agents in earliest-arrival order.
 
     The first placed agent (or the forced resident) sits exactly on the
     anchor; every later agent stops at the earliest point on its path toward
     the nearest already-placed position that still carries a link to it.
     With a deadline, candidates arriving late fall back to the anchor and the
-    event fails (None) if even that is unreachable in time. `to_anchor` holds
-    each agent's path length to the anchor when the caller has it.
+    event fails (None) if even that is unreachable in time.
     """
-    if to_anchor is None:
-        to_anchor = {a: astar_length(ctx.position, anchor, grid) for a, ctx in last.items()}
+    to_anchor = {a: astar_length(ctx.position, anchor, grid) for a, ctx in last.items()}
 
     def length(a: int, p: Position) -> float:
         return to_anchor[a] if p == anchor else astar_length(last[a].position, p, grid)
@@ -113,21 +110,17 @@ def all_gather_event(last: Mapping[int, AgentContext], grid: GridMap,
 def com_opt_fast(last: Mapping[int, AgentContext], grid: GridMap,
                  params: CommParams) -> CommEvent:
     """Single-pass event refinement: the better of the all-gather event and
-    one chain anchored at the latest finisher, both from one pass of path
-    lengths to that anchor. Used inside bound evaluation where the optimizer
-    runs thousands of times per planning call."""
+    one chain, both at the latest finisher. Used inside bound evaluation where
+    the optimizer runs thousands of times per planning call."""
     if len(last) == 1:
         (only,) = last.values()
         return CommEvent(only.ready_time, {only.id: only.position})
     anchor = latest(last)
     try:
-        to_anchor = {a: astar_length(c.position, anchor.position, grid) for a, c in last.items()}
-        chain = chain_event(last, anchor.position, grid, params, resident=anchor.id,
-                            to_anchor=to_anchor)
+        chain = chain_event(last, anchor.position, grid, params, resident=anchor.id)
+        gather = all_gather_event(last, grid, anchor.position)
     except Unreachable as exc:
         raise MeetingInfeasible(f"workspace disconnected across agents: {exc}") from exc
-    gather = CommEvent(max(_arrival(last[a], length) for a, length in to_anchor.items()),
-                       dict.fromkeys(last, anchor.position))
     return chain if chain is not None and chain.time < gather.time else gather
 
 

@@ -186,6 +186,32 @@ class PlannerProblem:
             self.event(key, self.record(key))
         return entry[2]
 
+    def _known_or_cap(self, key: SequencesKey) -> Optional[float]:
+        """The memo's rate of `key`, else its rate cap (default optimizer with a
+        schedule), else its rate, optimizing its event."""
+        if self.event_optimizer is None and self._memo.get(key, (_UNSET,) * 3)[2] is _UNSET:
+            record = self.record(key)
+            if record is not None:
+                return self.rate_cap(key, record)
+        return self.rate(key)
+
+    def beats(self, key: SequencesKey, best: SequencesKey) -> Optional[bool]:
+        """Whether `key`'s rate exceeds `best`'s by more than IMPROVEMENT_EPS, None
+        when `key` has no plan; a `best` without one loses to every key with one.
+
+        A rate never exceeds its cap, so a side's event is optimized only when the
+        other side's cap or rate cannot decide without it."""
+        best_hi = self._known_or_cap(best)
+        hi = self._known_or_cap(key)
+        if hi is None:
+            return None
+        if (best_hi is not None and hi <= best_hi + IMPROVEMENT_EPS
+                and hi <= self.rate(best) + IMPROVEMENT_EPS):
+            return False
+        rate = self.rate(key)
+        return (best_hi is None or rate > best_hi + IMPROVEMENT_EPS
+                or rate > self.rate(best) + IMPROVEMENT_EPS)
+
 
 def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> list[int]:
     """Representative tasks whose concurrency cluster can be added next.
@@ -301,26 +327,16 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
     minimizes the worst member travel time, schedules it, and keeps going
     while the completion rate strictly improves. Returns the best candidate
     seen (the node's own plan counts), or None when no candidate schedules.
-    With the default optimizer, an event is optimized only when a comparison
-    needs more than the candidate's (or the node's own) rate cap.
+    Candidates are compared by `PlannerProblem.beats`, which optimizes an event
+    only when the rate caps cannot decide.
     """
     seqs = {a: tuple(node.sequences.get(a, ())) for a in problem.team}
     assigned = node.assigned()
-    key = problem.key(seqs)
-    record = problem.record(key)
-    default = problem.event_optimizer is None
-    # While `pending` holds the node's key, `best` is only its rate cap.
-    pending = key if default and record is not None else None
-    best = problem.rate(key) if pending is None else problem.rate_cap(key, record)
-
-    def no_better(rate: float) -> bool:  # a rate above the node's cap beats its rate
-        nonlocal best, pending
-        if pending is not None and not rate > best + IMPROVEMENT_EPS:
-            best, pending = problem.rate(pending), None
-        return not rate > best + IMPROVEMENT_EPS
-
+    best = problem.key(seqs)
     skipped: set[int] = set()
-    while True:
+    improved = True
+    while improved:
+        improved = False
         ends = {a: problem.tasks[s[-1]].region_center if s else problem.team[a].position
                 for a, s in seqs.items()}
         scored = []
@@ -334,32 +350,26 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
                 target = problem.tasks[t].region_center
                 travel = {a: astar_travel_time(ends[a], target, problem.grid, problem.team[a].v_max)
                           for a in set().union(*problem.groups[t])}  # shared by a's groups
-                chosen[t] = min(problem.groups[t], key=lambda g: max(map(travel.__getitem__, g)))
-                cost = max(cost, *map(travel.__getitem__, chosen[t]))
+                worst, chosen[t] = min((max(map(travel.__getitem__, g)), g)
+                                       for g in problem.groups[t])
+                cost = max(cost, worst)
             scored.append((cost, rep, cluster, chosen))
 
-        for cost, rep, cluster, chosen in sorted(scored, key=lambda s: s[:2]):
+        for cost, rep, cluster, chosen in sorted(scored):  # (cost, rep) never ties
             new_seqs = dict(seqs)
             for t in cluster:
                 for a in chosen[t]:
                     new_seqs[a] += (t,)
             key = problem.key(new_seqs)
-            record = problem.record(key)
-            # A cap at or below the best rate ends the greedy without optimizing the event.
-            if (best is not None and record is not None and default
-                    and no_better(problem.rate_cap(key, record))):
-                return Bound(best, seqs)
-            rate = problem.rate(key)
-            if rate is None:
+            better = problem.beats(key, best)
+            if better is None:
                 skipped.add(rep)
                 continue
-            if best is not None and no_better(rate):
-                return Bound(best, seqs)
-            seqs, assigned, best, pending = new_seqs, assigned.union(cluster), rate, None
+            if better:
+                seqs, assigned, best, improved = new_seqs, assigned.union(cluster), key, True
             break
-        else:  # no candidate left that schedules
-            return None if best is None else Bound(
-                best if pending is None else problem.rate(pending), seqs)
+    rate = problem.rate(best)
+    return None if rate is None else Bound(rate, seqs)
 
 
 def _rate_bound(assigned: frozenset[int], problem: PlannerProblem, floor0: float) -> float:

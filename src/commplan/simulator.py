@@ -30,11 +30,10 @@ class SimulationError(RuntimeError):
 @dataclass
 class Leg:
     waypoints: list[Position]
-    target_kind: str            # "task" or "comm"
-    target_task: Optional[int]
-    progress: float = 0.0
-    lengths: list[float] = field(default_factory=list)
-    total: float = 0.0
+    target_task: Optional[int]  # None: the leg ends at the agent's rendezvous
+    progress: float = field(default=0.0, init=False)
+    lengths: list[float] = field(init=False)
+    total: float = field(init=False)
 
     def __post_init__(self):
         self.lengths = []
@@ -271,7 +270,7 @@ class Simulator:
                 continue
             if ag.queue:
                 target = self.tasks[ag.queue[0]].region_center
-                ag.leg = Leg(self._waypoints(ag.position, target), "task", ag.queue[0])
+                ag.leg = Leg(self._waypoints(ag.position, target), ag.queue[0])
                 ag.status = "traveling"
             elif ag.comm_target is not None:
                 if ag.depart_time is None:
@@ -279,7 +278,7 @@ class Simulator:
                     margin = DEPART_MARGIN_TICKS * self.dt
                     ag.depart_time = max(t, (ag.comm_time or t) - travel - margin)
                 if t >= ag.depart_time - 1e-9:
-                    ag.leg = Leg(self._waypoints(ag.position, ag.comm_target), "comm", None)
+                    ag.leg = Leg(self._waypoints(ag.position, ag.comm_target), None)
                     ag.status = "traveling"
 
     def _waypoints(self, start: Position, goal: Position) -> list[Position]:
@@ -294,10 +293,9 @@ class Simulator:
             ag.position = ag.leg.advance(ag.v_max * self.dt)
             if ag.leg.done:
                 ag.position = ag.leg.waypoints[-1]
-                if ag.leg.target_kind == "task":
-                    tid = ag.leg.target_task
+                if ag.leg.target_task is not None:
                     ag.status = "waiting_at_task"
-                    self.log(t, "arrival", aid, "task", tid)
+                    self.log(t, "arrival", aid, "task", ag.leg.target_task)
                 else:
                     ag.status = "waiting_at_comm"
                     ag.arrived_comm_at = t
@@ -369,7 +367,7 @@ class Simulator:
 
         order = sorted(ready, key=lambda m: (self.planned_start.get(m, 0.0), m))
         for tid in order:
-            if tid in started or tid not in ready:
+            if tid in started:
                 continue
             tie_group = {tid}
             stack = [tid]
@@ -390,12 +388,8 @@ class Simulator:
                         stack.append(p)
             if not feasible:
                 continue
-            mutex_conflict = False
-            for m in tie_group:
-                for other in self.index.mutex.get(m, ()):
-                    if other in started or self.task_state.get(other) == "executing":
-                        mutex_conflict = True
-            if mutex_conflict:
+            # Every member passed _gates_pass, so only a task started this tick conflicts.
+            if any(other in started for m in tie_group for other in self.index.mutex.get(m, ())):
                 continue
             for m in sorted(tie_group):
                 self.task_state[m] = "executing"

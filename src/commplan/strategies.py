@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 from .meeting import CommEvent, all_gather_event, chain_event, com_opt, latest
 from .planner import cocoplan, last_state
 from .radio import update_links
-from .schedule import AgentContext, group_covers
+from .schedule import AgentContext, eligible_groups
 from .simulator import CycleRecord, Simulator
 from .workspace import Position, astar_travel_time
 
@@ -184,13 +184,9 @@ class RingController:
         order = list(self.cfg.ring_order or sorted(sim.agents))
         if sorted(order) != sorted(sim.agents):
             raise ValueError("ring_order must be a permutation of the agent ids")
-        n = len(order)
-        edges = []
-        for k in range(n):
-            a, b = order[k], order[(k + 1) % n]
-            if a != b and (min(a, b), max(a, b)) not in [(min(x, y), max(x, y)) for x, y in edges]:
-                edges.append((a, b))
-        self.edges = edges
+        edges = list(zip(order, order[1:] + order[:1]))
+        # Two agents meet over one edge, and one agent over none.
+        self.edges = edges if len(order) > 2 else edges[:len(order) - 1]
 
     def on_tick(self, sim: Simulator, t: float) -> None:
         if not self.edges:
@@ -249,7 +245,7 @@ class GreedyController:
         pass
 
     def on_tick(self, sim: Simulator, t: float) -> None:
-        self._solo_claims(sim, t)
+        self._solo_claims(sim)
         done_count = sum(1 for s in sim.task_state.values() if s == "done")
         positions = {a: ag.position for a, ag in sim.agents.items()}
         now_in_range = update_links(self.in_range, self.in_range_pos, positions,
@@ -263,42 +259,30 @@ class GreedyController:
                     or self.last_sig.get(pair) != (len(known_a), done_count)):
                 sim.log(t, "comm_event", *pair)
                 sim.merge_knowledge(pair)
-                self._pair_claims(sim, pair, t)
+                self._pair_claims(sim, pair)
                 self.last_sig[pair] = (len(sim.agents[pair[0]].known), done_count)
         self.in_range = now_in_range
         self.in_range_pos = positions
 
     def _claimable(self, sim: Simulator, tid: int, agents: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        """Smallest group from `agents` able to run the task now; None if none."""
+        """The eligible group from `agents` whose farthest member is nearest the
+        task, lowest ids on ties, if it is pending with its predecessors done."""
         task = sim.tasks[tid]
         if sim.task_state[tid] != "pending":
             return None
         if any(sim.task_state.get(p) != "done" for p in sim.index.preds.get(tid, ())):
             return None
-        needed = task.agents_required
-        if needed > len(agents):
-            return None
-        candidates = []
-        if needed == 1:
-            action = task.requirements[0][1]
-            for a in agents:
-                if action in sim.agents[a].capabilities:
-                    travel = astar_travel_time(sim.agents[a].position, task.region_center,
-                                               sim.grid, sim.agents[a].v_max)
-                    candidates.append((travel, (a,)))
-            if candidates:
-                return min(candidates)[1]
-            return None
-        if needed == 2 and len(agents) == 2:
-            team = {a: sim.agents[a].context(0.0) for a in agents}
-            if group_covers(task, tuple(sorted(agents)), team):
-                return tuple(sorted(agents))
-        return None
+        groups = eligible_groups(task, {a: sim.agents[a].context(sim.now) for a in agents})
+        if len(groups) < 2:
+            return groups[0] if groups else None
+        travel = {a: astar_travel_time(sim.agents[a].position, task.region_center, sim.grid,
+                                       sim.agents[a].v_max) for a in set().union(*groups)}
+        return min((max(map(travel.__getitem__, g)), g) for g in groups)[1]
 
     def _cluster_ids(self, sim: Simulator, tid: int) -> list[int]:
         return sorted(set([tid] + [p for p in sim.index.conc.get(tid, ()) if p in sim.tasks]))
 
-    def _solo_claims(self, sim: Simulator, t: float) -> None:
+    def _solo_claims(self, sim: Simulator) -> None:
         for aid in sorted(sim.agents):
             ag = sim.agents[aid]
             for tid in sorted(ag.known):
@@ -308,7 +292,7 @@ class GreedyController:
                 if group is not None:
                     sim.assign(tid, group)
 
-    def _pair_claims(self, sim: Simulator, pair: tuple[int, int], t: float) -> None:
+    def _pair_claims(self, sim: Simulator, pair: tuple[int, int]) -> None:
         known = sorted(sim.agents[pair[0]].known | sim.agents[pair[1]].known)
         for tid in known:
             if sim.task_state[tid] != "pending":

@@ -207,9 +207,9 @@ def random_team(rng, grid):
 
 @pytest.mark.parametrize("map_name", ["desk.map", "subt.map"])
 def test_fast_event_equals_the_better_of_gather_and_resident_chain(map_name, comm_params):
-    """com_opt_fast shares one pass of path lengths to its anchor between the
-    gather event and the chain; both events stay bit for bit what separate
-    calls, and a chain that looks every length up, give."""
+    """com_opt_fast is the better of the all-gather event and the chain with the
+    latest finisher resident on its position, and that chain is bit for bit the
+    one a chain that looks every length up where it reads it gives."""
     grid = load_grid(DATA / map_name)
     rng = random.Random(41)
     sizes = set()

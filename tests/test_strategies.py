@@ -1,6 +1,7 @@
 import itertools
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,11 +9,11 @@ from commplan import radio
 from commplan.meeting import all_gather_event, com_opt, latest, sel_com
 from commplan.radio import CommParams, comm_graph, is_connected, linked
 from commplan.scenario import build_simulator, load_scenario
-from commplan.schedule import AgentContext
+from commplan.schedule import AgentContext, eligible_groups, group_covers
 from commplan.simulator import AgentState, Simulator
 from commplan.strategies import (GreedyController, PlannerOptions, StrategyConfig,
                                  TeamCycleController, make_controller)
-from commplan.tasks import Task
+from commplan.tasks import RelationKind, Task, TemporalRelation
 from commplan.workspace import Position, astar_travel_time
 
 from conftest import empty_grid, random_connected_grid
@@ -220,6 +221,94 @@ def test_ring_information_hops_take_n_minus_1_meetings():
                 known_at = meetings
     assert known_at is not None and known_at >= 3  # N-1 hops for N=4
     assert metrics.finished_tasks == 1  # only agent 3 can execute it
+
+
+@pytest.mark.parametrize("order, edges", [
+    ((0,), []),
+    ((1, 0), [(1, 0)]),
+    ((0, 1, 2), [(0, 1), (1, 2), (2, 0)]),
+    ((2, 0, 3, 1), [(2, 0), (0, 3), (3, 1), (1, 2)]),
+])
+def test_ring_edges_follow_the_order_once(order, edges):
+    """n agents meet over n edges; a pair over one edge, a lone agent over none."""
+    ctrl = make_controller(StrategyConfig("ring", ring_order=order))
+    ctrl.on_start(SimpleNamespace(agents=dict.fromkeys(order)))
+    assert ctrl.edges == edges
+
+
+def reference_claimable(sim, tid, agents):
+    """The greedy claim rule before it went through `eligible_groups`: the
+    nearest capable agent for a one-agent task, the pair itself if it covers a
+    two-agent task."""
+    task = sim.tasks[tid]
+    if sim.task_state[tid] != "pending":
+        return None
+    if any(sim.task_state.get(p) != "done" for p in sim.index.preds.get(tid, ())):
+        return None
+    needed = task.agents_required
+    if needed > len(agents):
+        return None
+    candidates = []
+    if needed == 1:
+        action = task.requirements[0][1]
+        for a in agents:
+            if action in sim.agents[a].capabilities:
+                travel = astar_travel_time(sim.agents[a].position, task.region_center,
+                                           sim.grid, sim.agents[a].v_max)
+                candidates.append((travel, (a,)))
+        if candidates:
+            return min(candidates)[1]
+        return None
+    if needed == 2 and len(agents) == 2:
+        team = {a: sim.agents[a].context(0.0) for a in agents}
+        if group_covers(task, tuple(sorted(agents)), team):
+            return tuple(sorted(agents))
+    return None
+
+
+def test_greedy_claim_rule_matches_the_reference(monkeypatch):
+    """Solo and pair claims pick the same group as the reference rule, and a
+    claim with a single eligible group looks up no travel."""
+    lookups = []  # travel times the rule looked up in one call
+
+    def counting_travel(*args):
+        lookups.append(astar_travel_time(*args))
+        return lookups[-1]
+
+    monkeypatch.setattr("commplan.strategies.astar_travel_time", counting_travel)
+    grid = empty_grid(16, 16)
+    ctrl = make_controller(StrategyConfig("greedy"))
+    reqs = [((1, "a"),), ((1, "b"),), ((2, "a"),), ((1, "a"), (1, "b")), ((3, "a"),)]
+    states = ("pending",) * 4 + ("claimed", "executing", "done")
+    outcomes = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        spots = [(rng.randrange(16) + 0.5, rng.randrange(16) + 0.5) for _ in range(3)]
+        agents = [agent(a, *rng.choice(spots), v=rng.choice((1.0, 2.0)),
+                        caps=rng.sample(("a", "b"), rng.randint(1, 2))) for a in range(4)]
+        tasks = [task(t, rng.randrange(16) + 0.5, rng.randrange(16) + 0.5, reqs=r)
+                 for t, r in enumerate(reqs + [rng.choice(reqs)])]
+        rels = [TemporalRelation(rng.randrange(t), t, RelationKind.PRECEDENCE)
+                for t in range(1, len(tasks)) if rng.random() < 0.3]
+        sim = Simulator(grid, agents, CommParams(), {t.id: t for t in tasks}, rels,
+                        horizon=10.0)
+        sim.task_state = {t.id: rng.choice(states) for t in tasks}
+        for tid in sim.tasks:
+            for group in itertools.chain(((a,) for a in sim.agents),
+                                         itertools.combinations(sorted(sim.agents), 2)):
+                lookups.clear()
+                got = ctrl._claimable(sim, tid, group)
+                assert got == reference_claimable(sim, tid, group), (seed, tid, group)
+                groups = eligible_groups(sim.tasks[tid], {a: sim.agents[a].context(0.0)
+                                                          for a in group})
+                if len(groups) < 2:
+                    assert lookups == []
+                elif len(set(lookups)) == 1:
+                    outcomes.add("tie")  # equal travel: the lowest id claims
+                outcomes.add((len(group), sim.tasks[tid].agents_required, got is not None))
+    # Solo and pair calls both claim and refuse one-agent tasks; pairs claim two-agent ones.
+    assert {(1, 1, True), (1, 1, False), (2, 1, True), (2, 1, False),
+            (2, 2, True), (2, 2, False), (2, 3, False), "tie"} <= outcomes
 
 
 def test_greedy_claims_at_encounter():

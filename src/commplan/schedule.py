@@ -155,14 +155,10 @@ def schedule_min_makespan(sequences: Mapping[int, Sequence[int]], tasks: Mapping
     source_bound: dict[int, float] = {}
     chain_edges: list[tuple[int, int, float]] = []
     for agent_id in sorted(sequences):
-        seq = sequences[agent_id]
-        if not seq:
-            continue
         ctx = team[agent_id]
         pos = ctx.position
         prev: Optional[int] = None
-        clock = ctx.ready_time
-        for tid in seq:
+        for tid in sequences[agent_id]:
             target = tasks[tid].region_center
             travel = 0.0 if relaxed else astar_travel_time(pos, target, grid, ctx.v_max)
             if prev is None:

@@ -82,6 +82,13 @@ class AgentState:
     def context(self, ready_time: float) -> AgentContext:
         return AgentContext(self.id, self.position, ready_time, self.v_max, self.capabilities)
 
+    def set_meeting(self, target: Optional[Position], time: Optional[float]) -> None:
+        """Idle, bound for rendezvous `target` at `time` (None: no meeting set)."""
+        self.status = "idle"
+        self.leg = None
+        self.comm_target, self.comm_time = target, time
+        self.depart_time = self.arrived_comm_at = None
+
 
 @dataclass(frozen=True)
 class SimEvent:
@@ -132,7 +139,8 @@ class Simulator:
                  horizon: float, dt: float = DEFAULT_DT,
                  recheck_interval: float = 5.0):
         self.grid = grid
-        self.agents = {a.id: a for a in agents}
+        # In id order: each tick moves and detects the agents in this order.
+        self.agents = {a.id: a for a in sorted(agents, key=lambda a: a.id)}
         self.params = params
         self.tasks = tasks
         self.undetected = [tasks[t] for t in sorted(tasks)]
@@ -175,11 +183,14 @@ class Simulator:
         for a in agent_ids:
             self.agents[a].known = set(union)
 
+    def _claim(self, tid: int, group: Sequence[int]) -> None:
+        if self.task_state[tid] != "pending":
+            raise SimulationError(f"task {tid} claimed while {self.task_state[tid]}")
+        self.groups[tid] = tuple(sorted(group))
+        self.task_state[tid] = "claimed"
+
     def assign(self, task_id: int, group: tuple[int, ...]) -> None:
-        if self.task_state[task_id] != "pending":
-            raise SimulationError(f"task {task_id} assigned twice")
-        self.groups[task_id] = tuple(sorted(group))
-        self.task_state[task_id] = "claimed"
+        self._claim(task_id, group)
         for a in group:
             self.agents[a].queue.append(task_id)
 
@@ -190,22 +201,13 @@ class Simulator:
                         event_positions: Optional[dict[int, Position]] = None) -> None:
         """Claim each plan task for the agents holding it and give each of
         `agent_ids`, and no other agent, its queue and its place at the next event."""
-        plan_groups = groups_of(plan_sequences)
-        for tid in sorted(plan_groups):
-            self.groups[tid] = plan_groups[tid]
-            if self.task_state[tid] != "pending":
-                raise SimulationError(f"task {tid} re-assigned while {self.task_state[tid]}")
-            self.task_state[tid] = "claimed"
+        for tid, group in sorted(groups_of(plan_sequences).items()):
+            self._claim(tid, group)
             self.planned_start[tid] = planned[tid].start
-        for aid in sorted(agent_ids):
+        for aid in agent_ids:
             ag = self.agents[aid]
             ag.queue = list(plan_sequences.get(aid, ()))
-            ag.leg = None
-            ag.status = "idle"
-            ag.comm_target = event_positions.get(aid) if event_positions else None
-            ag.comm_time = event_time
-            ag.depart_time = None
-            ag.arrived_comm_at = None
+            ag.set_meeting(event_positions.get(aid) if event_positions else None, event_time)
 
     def has_future_work(self) -> bool:
         return any(s != "done" for s in self.task_state.values())
@@ -217,7 +219,7 @@ class Simulator:
         worst = planned
         for a in agent_ids:
             ag = self.agents[a]
-            if ag.status != "waiting_at_comm" or ag.arrived_comm_at is None:
+            if ag.status != "waiting_at_comm":
                 return None
             worst = max(worst, ag.arrived_comm_at)
         return worst
@@ -227,13 +229,9 @@ class Simulator:
         if not is_connected(comm_graph(positions, self.grid, self.params)):
             raise SimulationError(f"communication event at {actual} is not connected")
         self.log(actual, "comm_event", *sorted(agent_ids))
-        self.merge_knowledge(list(agent_ids))
+        self.merge_knowledge(agent_ids)
         for a in agent_ids:
-            ag = self.agents[a]
-            ag.comm_target = None
-            ag.comm_time = None
-            ag.arrived_comm_at = None
-            ag.status = "idle"
+            self.agents[a].set_meeting(None, None)
 
     # -- engine ------------------------------------------------------------
 
@@ -264,8 +262,7 @@ class Simulator:
                 ag.status = "idle"
 
     def _plan_legs(self, t: float) -> None:
-        for aid in sorted(self.agents):
-            ag = self.agents[aid]
+        for ag in self.agents.values():
             if ag.status != "idle":
                 continue
             if ag.queue:
@@ -286,8 +283,7 @@ class Simulator:
         return [start, *path[1:]]
 
     def _move(self, t: float) -> None:
-        for aid in sorted(self.agents):
-            ag = self.agents[aid]
+        for aid, ag in self.agents.items():
             if ag.status != "traveling" or ag.leg is None:
                 continue
             ag.position = ag.leg.advance(ag.v_max * self.dt)
@@ -305,8 +301,7 @@ class Simulator:
     def _detect(self, t: float) -> None:
         # Each task is detected once, by the lowest agent id that sees it.
         released = [task for task in self.undetected if task.release_time <= t]
-        for aid in sorted(self.agents):
-            ag = self.agents[aid]
+        for aid, ag in self.agents.items():
             found = detect_tasks(ag.position, ag.sensor_range, released, t, self.grid)
             for tid in found:
                 ag.known.add(tid)
@@ -316,15 +311,12 @@ class Simulator:
                 self.undetected = [task for task in self.undetected if task.id not in found]
 
     def _gates_pass(self, tid: int, t: float) -> bool:
-        for p in self.index.preds.get(tid, ()):
-            if p in self.task_state and not (self.task_state[p] == "done" and self.task_finish[p] <= t):
-                return False
+        # A done task finished by t: _complete_executions marks no other.
+        if any(self.task_state.get(p, "done") != "done" for p in self.index.preds.get(tid, ())):
+            return False
         for m in self.index.mutex.get(tid, ()):
-            if m not in self.task_state:
-                continue
-            if self.task_state[m] == "executing":
-                return False
-            if self.task_state[m] == "done" and not self.task_finish[m] < t:
+            st = self.task_state.get(m)
+            if st == "executing" or (st == "done" and self.task_finish[m] >= t):
                 return False
         return True
 
@@ -341,30 +333,9 @@ class Simulator:
         equal or unknown planned order must start simultaneously, so their
         tie group is started as a unit once every member is ready.
         """
-        ready = set()
-        for tid in sorted(self.task_state):
-            if self.task_state[tid] != "claimed" or tid not in self.groups:
-                continue
-            if self._group_present(tid) and self._gates_pass(tid, t):
-                ready.add(tid)
-
+        ready = {tid for tid, s in self.task_state.items() if s == "claimed"
+                 and self._group_present(tid) and self._gates_pass(tid, t)}
         started: set[int] = set()
-
-        def partner_state(m: int, p: int) -> str:
-            st = self.task_state[p]
-            if st == "done":
-                if t > self.task_finish[p] + 1e-9:
-                    raise SimulationError(
-                        f"task {m}: concurrency window with {p} was missed at t={t}")
-                return "ok"
-            if st == "executing" or p in started:
-                return "ok"
-            mp = self.planned_start.get(m)
-            pp = self.planned_start.get(p)
-            if mp is not None and pp is not None and pp > mp + 1e-9:
-                return "ok"  # partner is planned later and will overlap us
-            return "tie"  # must start together
-
         order = sorted(ready, key=lambda m: (self.planned_start.get(m, 0.0), m))
         for tid in order:
             if tid in started:
@@ -375,10 +346,15 @@ class Simulator:
             while stack and feasible:
                 m = stack.pop()
                 for p in self.index.conc.get(m, ()):
-                    if p not in self.task_state:
-                        continue
-                    verdict = partner_state(m, p)
-                    if verdict == "ok":
+                    st = self.task_state.get(p)
+                    if st == "done" and t > self.task_finish[p] + 1e-9:
+                        raise SimulationError(
+                            f"task {m}: concurrency window with {p} was missed at t={t}")
+                    mp, pp = self.planned_start.get(m), self.planned_start.get(p)
+                    # A partner not yet started, and not planned strictly later
+                    # (when it would overlap us anyway), must start together.
+                    if st not in ("pending", "claimed") or (
+                            mp is not None and pp is not None and pp > mp + 1e-9):
                         continue
                     if p not in ready:
                         feasible = False
@@ -413,9 +389,6 @@ class Simulator:
             prev = 0.0
             for ct in comm_times:
                 rec.comm_intervals.append(ct - prev)
-                prev = ct
-            prev = 0.0
-            for ct in comm_times:
                 window = [ts for ts, _ in finishes if prev < ts <= ct]
                 if window:
                     rec.idle_gaps.append(ct - max(window))

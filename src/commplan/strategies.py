@@ -217,7 +217,7 @@ class RingController:
 
     def _free(self, sim: Simulator, aid: int) -> bool:
         ag = sim.agents[aid]
-        return ag.status in ("idle",) and not ag.queue and ag.comm_target is None
+        return ag.status == "idle" and not ag.queue and ag.comm_target is None
 
     def _plan_pair(self, sim: Simulator, pair, now: float) -> bool:
         _, plan = _plan(sim, pair, now, self.options)

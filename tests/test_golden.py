@@ -133,3 +133,14 @@ def test_criterion7_plan_at_300_generated_nodes():
     assert plan.groups == CRITERION7_GROUPS
     assert stats.nodes_generated == 300
     assert (stats.nodes_expanded, stats.nodes_pruned) == CRITERION7_EXPANDED_PRUNED
+
+
+@pytest.mark.parametrize("path, want", [(DESK, DESK_COCOPLAN_TRIAL0_SHA256),
+                                        (SUBT10_GREEDY, SUBT10_GREEDY_TRIAL0_SHA256)],
+                         ids=["desk-cocoplan", "subt10-greedy"])
+def test_trial0_log_hash_does_not_depend_on_agent_order(path, want):
+    # The simulator keeps its agents in id order, whatever order the scenario lists.
+    cfg = load_scenario(path)
+    reversed_cfg = dataclasses.replace(cfg, agents=cfg.agents[::-1])
+    assert [a.id for a in reversed_cfg.agents] != [a.id for a in cfg.agents]
+    assert _trial0_digest(reversed_cfg) == want

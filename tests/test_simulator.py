@@ -1,7 +1,7 @@
 import pytest
 
 from commplan.radio import CommParams
-from commplan.simulator import AgentState, Simulator
+from commplan.simulator import AgentState, SimulationError, Simulator
 from commplan.strategies import PlannerOptions, StrategyConfig, make_controller
 from commplan.tasks import ExecutionInterval, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position
@@ -291,3 +291,36 @@ def test_apply_team_plan_claims_each_task_for_the_agents_holding_it():
     assert sim.agents[0].queue == [1, 2] and sim.agents[1].queue == [1]
     assert sim.agents[2].queue == []
     assert all(sim.task_state[t] == "claimed" for t in (1, 2))
+
+
+@pytest.mark.parametrize("state", ["claimed", "executing", "done"])
+def test_only_a_pending_task_can_be_claimed(state):
+    grid = empty_grid(12, 4)
+    sim = Simulator(grid, [agent(0, 0.5, 0.5), agent(1, 2.5, 0.5)], CommParams(),
+                    {1: task(1, 6.5, 0.5)}, [], horizon=10.0)
+    sim.task_state[1] = state
+    with pytest.raises(SimulationError, match=f"task 1 claimed while {state}"):
+        sim.assign(1, (0,))
+    with pytest.raises(SimulationError, match=f"task 1 claimed while {state}"):
+        sim.apply_team_plan((0, 1), {1: (1,)}, {1: ExecutionInterval(1, 4.0, 9.0)})
+    assert sim.task_state[1] == state and sim.agents[0].queue == []
+
+
+def test_comm_event_clears_the_meeting_of_its_participants_only():
+    grid = empty_grid(12, 4)
+    sim = Simulator(grid, [agent(0, 2.5, 0.5), agent(1, 3.5, 0.5), agent(2, 9.5, 0.5)],
+                    CommParams(), {}, [], horizon=10.0)
+    meet = {a: sim.agents[a].position for a in (0, 1, 2)}
+    sim.apply_team_plan((0, 1, 2), {}, {}, 2.0, meet)
+    for ag in sim.agents.values():
+        ag.status, ag.depart_time, ag.arrived_comm_at = "waiting_at_comm", 1.5, 1.8
+    other = sim.agents[2]
+    snapshot = dict(vars(other))
+
+    sim.fire_comm_event((0, 1), 2.0)
+    assert [e.line() for e in sim.events] == ["2.000000 comm_event 0 1"]
+    for a in (0, 1):
+        ag = sim.agents[a]
+        assert ag.status == "idle" and ag.leg is None
+        assert (ag.comm_target, ag.comm_time, ag.depart_time, ag.arrived_comm_at) == (None,) * 4
+    assert vars(other) == snapshot

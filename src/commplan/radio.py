@@ -9,6 +9,7 @@ configured threshold.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -68,22 +69,33 @@ def linked(p_i: Position, p_j: Position, grid: GridMap, params: CommParams) -> b
 def update_links(prev_links: set[tuple[int, int]], prev_pos: Mapping[int, Position],
                  pos: Mapping[int, Position], grid: GridMap,
                  params: CommParams) -> set[tuple[int, int]]:
-    """Linked pairs (i, j), i < j, among the agents of `pos`.
+    """Linked pairs (i, j), i < j, among the agents of `pos`, as a new set.
 
     `prev_links` must be the result for `prev_pos`. A link depends only on
     its two positions, so a pair whose two ends sit where they sat in
-    `prev_pos` keeps its old result and only pairs with a moved end call
-    `linked`. With empty `prev_pos` every pair is checked. A position off
-    the map or not finite never passed `linked`, so it differs from every
-    stored one and `linked` still raises `MapError` for it.
+    `prev_pos` keeps its old result, and only pairs with a moved end call
+    `linked`, in ascending (i, j) order: a moved id against every higher
+    id, an unmoved id against the higher moved ids. With nobody moved and
+    the same ids, the result is a copy of `prev_links`. A pair with an end
+    absent from `pos` is dropped. With empty `prev_pos` every pair is
+    checked. A position off the map or not finite never passed `linked`,
+    so it differs from every stored one and `linked` still raises
+    `MapError` for it.
     """
-    still = {a for a, p in pos.items() if prev_pos.get(a) == p}
-    links = {pair for pair in prev_links if pair[0] in still and pair[1] in still}
     ids = sorted(pos)
+    moved = []
+    for a in ids:
+        p, q = pos[a], prev_pos.get(a)
+        if q is not p and q != p:
+            moved.append(a)
+    if not moved and len(pos) == len(prev_pos):
+        return set(prev_links)
+    still = set(ids).difference(moved)
+    links = {pair for pair in prev_links if pair[0] in still and pair[1] in still}
     for k, a in enumerate(ids):
-        a_still = a in still
-        for b in ids[k + 1:]:
-            if not (a_still and b in still) and linked(pos[a], pos[b], grid, params):
+        others = moved[bisect_right(moved, a):] if a in still else ids[k + 1:]
+        for b in others:
+            if linked(pos[a], pos[b], grid, params):
                 links.add((a, b))
     return links
 

@@ -240,27 +240,38 @@ class GreedyController:
         self.in_range: set[tuple[int, int]] = set()
         self.in_range_pos: dict[int, Position] = {}  # where in_range was computed
         self.last_sig: dict[tuple[int, int], tuple] = {}
+        self.news: Optional[tuple[int, int]] = None  # the last tick's news signature
 
     def on_start(self, sim: Simulator) -> None:
         pass
 
     def on_tick(self, sim: Simulator, t: float) -> None:
-        self._solo_claims(sim)
+        # Known sets only grow and a done task stays done, so an equal news
+        # signature means the same known sets and the same done tasks.
         done_count = sum(1 for s in sim.task_state.values() if s == "done")
+        news = (sum(len(ag.known) for ag in sim.agents.values()), done_count)
+        changed, self.news = news != self.news, news
+        if changed:
+            # A claim since the last pass only removed candidates.
+            self._solo_claims(sim)
         positions = {a: ag.position for a, ag in sim.agents.items()}
         now_in_range = update_links(self.in_range, self.in_range_pos, positions,
                                     sim.grid, sim.params)
-        for pair in sorted(now_in_range):
-            # One exchange per piece of news: a fresh encounter, a knowledge
-            # difference, or a completion since this pair last talked.
-            # Equal sets make the pair's union the size of either one.
-            known_a, known_b = sim.agents[pair[0]].known, sim.agents[pair[1]].known
-            if (pair not in self.in_range or known_a != known_b
-                    or self.last_sig.get(pair) != (len(known_a), done_count)):
-                sim.log(t, "comm_event", *pair)
-                sim.merge_knowledge(pair)
-                self._pair_claims(sim, pair)
-                self.last_sig[pair] = (len(sim.agents[pair[0]].known), done_count)
+        # Unchanged news means no known set grew since the last tick began, so
+        # its pairs in range all ended it with equal sets and a current
+        # signature; without a fresh encounter there is nothing new.
+        if changed or not now_in_range <= self.in_range:
+            for pair in sorted(now_in_range):
+                # One exchange per piece of news: a fresh encounter, a knowledge
+                # difference, or a completion since this pair last talked.
+                # Equal sets make the pair's union the size of either one.
+                known_a, known_b = sim.agents[pair[0]].known, sim.agents[pair[1]].known
+                if (pair not in self.in_range or known_a != known_b
+                        or self.last_sig.get(pair) != (len(known_a), done_count)):
+                    sim.log(t, "comm_event", *pair)
+                    sim.merge_knowledge(pair)
+                    self._pair_claims(sim, pair)
+                    self.last_sig[pair] = (len(sim.agents[pair[0]].known), done_count)
         self.in_range = now_in_range
         self.in_range_pos = positions
 

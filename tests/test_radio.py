@@ -219,3 +219,35 @@ def test_update_links_rechecks_a_position_off_the_map():
     for bad in (Position(math.nan, 1), Position(100, 100), Position(-0.5, 1)):
         with pytest.raises(MapError):
             update_links(links, prev, {**prev, 1: bad}, grid, p)
+
+
+def test_update_links_drops_the_pairs_of_an_agent_missing_from_pos(monkeypatch):
+    grid = empty_grid(30, 6)
+    p = CommParams()
+    prev = {0: Position(1, 1), 1: Position(5, 1), 2: Position(8, 1)}
+    links = update_links(set(), {}, prev, grid, p)
+    assert links == {(0, 1), (0, 2), (1, 2)}
+    checked = []
+
+    def recording_linked(*args):
+        checked.append(args)
+        return linked(*args)
+
+    monkeypatch.setattr(radio, "linked", recording_linked)
+    # Nobody in the smaller set moved, yet every pair with the missing end goes.
+    assert update_links(links, prev, {0: prev[0], 2: prev[2]}, grid, p) == {(0, 2)}
+    assert update_links(links, prev, {1: prev[1]}, grid, p) == set()
+    assert checked == []
+
+
+def test_update_links_with_nobody_moved_returns_a_new_set():
+    grid = empty_grid(30, 6)
+    p = CommParams()
+    pos = {0: Position(1, 1), 1: Position(5, 1), 2: Position(20, 1)}
+    links = update_links(set(), {}, pos, grid, p)
+    kept = set(links)
+    again = update_links(links, pos, dict(pos), grid, p)
+    assert again == links and again is not links
+    again.add((0, 2))
+    again.discard((0, 1))
+    assert links == kept

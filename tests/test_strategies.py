@@ -368,6 +368,43 @@ def test_greedy_links_equal_all_pairs_every_tick(monkeypatch, scenario, horizon)
     assert metrics.comm_count > 0
 
 
+class FullPathGreedy(GreedyController):
+    """Greedy that forgets its skip memory before every tick, so every tick
+    runs the solo claims and the pair loop in full."""
+
+    def on_tick(self, sim, t):
+        self.news = None
+        super().on_tick(sim, t)
+
+
+@pytest.mark.parametrize("scenario, horizon", [("desk_scenario.json", 150.0),
+                                               ("subt10_greedy.json", 200.0)])
+def test_greedy_skips_change_no_event(monkeypatch, scenario, horizon):
+    solo_passes = []
+    full_solo_claims = GreedyController._solo_claims
+
+    def counting_solo_claims(self, sim):
+        solo_passes.append(sim.now)
+        full_solo_claims(self, sim)
+
+    monkeypatch.setattr(GreedyController, "_solo_claims", counting_solo_claims)
+    cfg = load_scenario(DATA / scenario)
+    cfg.horizon = horizon  # shortened for test speed
+    ticks = round(horizon / cfg.dt) + 1
+    for seed in (cfg.seed, cfg.seed + 1, cfg.seed + 2):
+        sim, stock = build_simulator(cfg, seed=seed, strategy=StrategyConfig("greedy"))
+        solo_passes.clear()
+        stock_events, _ = sim.run(stock)
+        stock_passes = len(solo_passes)
+        sim, _ = build_simulator(cfg, seed=seed, strategy=StrategyConfig("greedy"))
+        solo_passes.clear()
+        full_events, _ = sim.run(FullPathGreedy(stock.cfg, stock.options))
+        assert len(solo_passes) == ticks
+        assert [e.line() for e in stock_events] == [e.line() for e in full_events], seed
+        assert any(e.kind == "comm_event" for e in stock_events)
+        assert stock_passes < ticks / 10, (seed, stock_passes)
+
+
 def test_greedy_out_of_range_only_solo_tasks():
     grid = empty_grid(60, 6)
     tasks = [task(1, 5.5, 2.5), task(2, 55.5, 2.5, reqs=((2, "work"),))]

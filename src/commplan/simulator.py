@@ -1,7 +1,8 @@
 """Deterministic fixed-timestep simulation of execute/communicate/replan cycles.
 
 Motion integrates along grid paths at v_max with a 0.1 s default timestep;
-detection runs every tick; execution starts are gated at runtime so that
+detection runs every tick, where an agent that has not moved looks only at
+newly released tasks; execution starts are gated at runtime so that
 completed intervals always satisfy the temporal relations (predecessors must
 have finished, mutex partners finished strictly earlier, concurrency
 clusters start together). Planning happens "at" communication events and
@@ -157,6 +158,11 @@ class Simulator:
         self.planned_start: dict[int, float] = {}
         self.cycle_records: list[CycleRecord] = []
         self.index = RelationIndex(relations)
+        # Running totals of the agents' known-set sizes and of the done tasks.
+        self.known_count = sum(len(a.known) for a in self.agents.values())
+        self.done_count = 0
+        self.looked_from: dict[int, Position] = {}  # positions at the last detection pass
+        self.looked_at = float("-inf")  # the time of that pass
 
     # -- logging helpers -------------------------------------------------
 
@@ -181,6 +187,7 @@ class Simulator:
         for a in agent_ids:
             union |= self.agents[a].known
         for a in agent_ids:
+            self.known_count += len(union) - len(self.agents[a].known)
             self.agents[a].known = set(union)
 
     def _claim(self, tid: int, group: Sequence[int]) -> None:
@@ -210,7 +217,7 @@ class Simulator:
             ag.set_meeting(event_positions.get(aid) if event_positions else None, event_time)
 
     def has_future_work(self) -> bool:
-        return any(s != "done" for s in self.task_state.values())
+        return self.done_count < len(self.tasks)
 
     def comm_ready(self, agent_ids: Sequence[int], planned: float, t: float) -> Optional[float]:
         """Actual event time if every participant is in place, else None."""
@@ -254,6 +261,7 @@ class Simulator:
                if s == "executing" and self.task_finish[tid] <= t]
         for finish, tid in sorted(due):
             self.task_state[tid] = "done"
+            self.done_count += 1
             self.log(finish, "execution_end", tid)
             for a in self.groups[tid]:
                 ag = self.agents[a]
@@ -299,16 +307,26 @@ class Simulator:
                 ag.leg = None
 
     def _detect(self, t: float) -> None:
-        # Each task is detected once, by the lowest agent id that sees it.
+        # Each task is detected once, by the lowest agent id that sees it. An
+        # agent still where it last looked saw every older task it can see, so
+        # it looks only at the tasks released since (map and range are fixed).
         released = [task for task in self.undetected if task.release_time <= t]
+        fresh = [task for task in released if task.release_time > self.looked_at]
         for aid, ag in self.agents.items():
-            found = detect_tasks(ag.position, ag.sensor_range, released, t, self.grid)
+            candidates = released if self.looked_from.get(aid) is not ag.position else fresh
+            self.looked_from[aid] = ag.position
+            if not candidates:
+                continue
+            found = detect_tasks(ag.position, ag.sensor_range, candidates, t, self.grid)
             for tid in found:
                 ag.known.add(tid)
+                self.known_count += 1  # a detected task was unknown to everyone
                 self.log(t, "detection", aid, tid)
             if found:
                 released = [task for task in released if task.id not in found]
+                fresh = [task for task in fresh if task.id not in found]
                 self.undetected = [task for task in self.undetected if task.id not in found]
+        self.looked_at = t
 
     def _gates_pass(self, tid: int, t: float) -> bool:
         # A done task finished by t: _complete_executions marks no other.

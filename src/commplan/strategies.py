@@ -248,8 +248,7 @@ class GreedyController:
     def on_tick(self, sim: Simulator, t: float) -> None:
         # Known sets only grow and a done task stays done, so an equal news
         # signature means the same known sets and the same done tasks.
-        done_count = sum(1 for s in sim.task_state.values() if s == "done")
-        news = (sum(len(ag.known) for ag in sim.agents.values()), done_count)
+        news = (sim.known_count, sim.done_count)
         changed, self.news = news != self.news, news
         if changed:
             # A claim since the last pass only removed candidates.
@@ -267,11 +266,11 @@ class GreedyController:
                 # Equal sets make the pair's union the size of either one.
                 known_a, known_b = sim.agents[pair[0]].known, sim.agents[pair[1]].known
                 if (pair not in self.in_range or known_a != known_b
-                        or self.last_sig.get(pair) != (len(known_a), done_count)):
+                        or self.last_sig.get(pair) != (len(known_a), sim.done_count)):
                     sim.log(t, "comm_event", *pair)
                     sim.merge_knowledge(pair)
                     self._pair_claims(sim, pair)
-                    self.last_sig[pair] = (len(sim.agents[pair[0]].known), done_count)
+                    self.last_sig[pair] = (len(sim.agents[pair[0]].known), sim.done_count)
         self.in_range = now_in_range
         self.in_range_pos = positions
 

@@ -1,12 +1,21 @@
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from commplan import scenario, simulator
 from commplan.radio import CommParams
+from commplan.scenario import build_simulator, load_scenario
 from commplan.simulator import AgentState, SimulationError, Simulator
 from commplan.strategies import PlannerOptions, StrategyConfig, make_controller
-from commplan.tasks import ExecutionInterval, RelationKind, Task, TemporalRelation, check_schedule
-from commplan.workspace import Position
+from commplan.tasks import (ExecutionInterval, RelationKind, Task, TemporalRelation,
+                            check_schedule, detect_tasks)
+from commplan.workspace import Position, los_obstacle_length
 
 from conftest import empty_grid, grid_from_rows, relations_between
+
+DATA = Path(__file__).parent / "data"
 
 
 def agent(aid, x, y, v=2.0, sensor=8.0, caps=("work",)):
@@ -324,3 +333,157 @@ def test_comm_event_clears_the_meeting_of_its_participants_only():
         assert ag.status == "idle" and ag.leg is None
         assert (ag.comm_target, ag.comm_time, ag.depart_time, ag.arrived_comm_at) == (None,) * 4
     assert vars(other) == snapshot
+
+
+def record_detect_calls(monkeypatch):
+    """Make the simulator's detect_tasks calls append (now, position, candidates)
+    to the returned list."""
+    calls = []
+
+    def recording_detect(pos, sensor_range, candidates, now, grid):
+        calls.append((now, pos, list(candidates)))
+        return detect_tasks(pos, sensor_range, candidates, now, grid)
+
+    monkeypatch.setattr(simulator, "detect_tasks", recording_detect)
+    return calls
+
+
+class Scripted:
+    """Controller that queues task `tid` for agent 0 at time `at`, and does nothing else."""
+
+    scheduled_events = False
+
+    def __init__(self, tid, at):
+        self.tid, self.at = tid, at
+
+    def on_start(self, sim):
+        pass
+
+    def on_tick(self, sim, t):
+        if abs(t - self.at) < 1e-9:
+            sim.assign(self.tid, (0,))
+
+
+def test_a_standing_agent_looks_only_at_new_tasks_and_a_moving_one_at_all(monkeypatch):
+    grid = grid_from_rows(["............",
+                           "......#.....",
+                           "......#.....",
+                           "......#.....",
+                           "............"])
+    calls = record_detect_calls(monkeypatch)
+    behind = task(1, 9.5, 2.5)  # in range of the start, but the wall is in the way
+    tasks = [behind, task(2, 1.5, 2.5, release=5.0), task(3, 6.5, 0.5)]
+    recorder = PositionRecorder(Scripted(3, at=10.0))
+    sim, events, _ = run_sim(grid, [agent(0, 3.5, 2.5)], tasks, horizon=30.0, ctrl=recorder)
+    start = recorder.trace[0][0]
+    assert start.dist(behind.region_center) < 8.0
+    assert los_obstacle_length(start, behind.region_center, grid) > 0.0
+    # The first tick looks at every released task; standing still, the agent
+    # looks again only when task 2 is released at t = 5, and then on the move.
+    times = [now for now, _, _ in calls]
+    assert times[:2] == [0.0, 5.0] and min(times[2:]) > 10.0
+    seen = [k for k, pos in enumerate(recorder.trace)
+            if los_obstacle_length(pos[0], behind.region_center, grid) == 0.0]
+    detections = [(e.timestamp, e.payload) for e in events if e.kind == "detection"]
+    assert detections == [(0.0, (0, 3)), (5.0, (0, 2)), (seen[0] * sim.dt, (0, 1))]
+    assert seen[0] * sim.dt > 10.0
+
+
+class FullLookSimulator(simulator.Simulator):
+    """Simulator that forgets where its agents last looked before every tick,
+    so every agent looks at every released, undetected task on every tick."""
+
+    def _detect(self, t):
+        self.looked_from.clear()
+        super()._detect(t)
+
+
+class WatchedSimulator(simulator.Simulator):
+    """Simulator that checks the detect_tasks calls of each tick, which the
+    test appends to `calls`: an agent at a spot that no agent moved to this
+    tick is offered only the tasks released since the last tick."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen, self.seen_at = {}, float("-inf")
+
+    def _detect(self, t):
+        moved_to = [ag.position for a, ag in self.agents.items()
+                    if self.seen.get(a) is not ag.position]
+        first = len(self.calls)
+        super()._detect(t)
+        for _, pos, offered in self.calls[first:]:
+            if not any(pos is p for p in moved_to):
+                assert all(task.release_time > self.seen_at for task in offered), t
+        self.seen = {a: ag.position for a, ag in self.agents.items()}
+        self.seen_at = t
+
+
+@pytest.mark.parametrize("on_ticks", [False, True])
+@pytest.mark.parametrize("kind", ["greedy", "cocoplan"])
+@pytest.mark.parametrize("name, horizon", [("desk_scenario.json", 150.0),
+                                           ("subt10_greedy.json", 200.0)])
+def test_detection_skip_changes_no_event(monkeypatch, name, horizon, kind, on_ticks):
+    calls = record_detect_calls(monkeypatch)
+    cfg = load_scenario(DATA / name)
+    cfg.horizon = horizon  # shortened for test speed
+    if on_ticks:
+        # A task released at exactly a tick's time is new at that tick only.
+        def on_tick(tasks):
+            return [replace(t, release_time=math.ceil(t.release_time / cfg.dt) * cfg.dt)
+                    for t in tasks]
+
+        generate = scenario.generate_tasks
+        monkeypatch.setattr(scenario, "generate_tasks",
+                            lambda *args, **kwargs: on_tick(generate(*args, **kwargs)))
+        cfg.tasks = on_tick(cfg.tasks)
+    seeds = (cfg.seed, cfg.seed + 1, cfg.seed + 2)
+    stock_calls = 0
+    for seed in seeds:
+        lines = []
+        for cls in (WatchedSimulator, FullLookSimulator):
+            monkeypatch.setattr(scenario, "Simulator", cls)
+            sim, ctrl = build_simulator(cfg, seed=seed, strategy=StrategyConfig(kind))
+            sim.calls = calls
+            calls.clear()
+            events, _ = sim.run(ctrl)
+            lines.append([e.line() for e in events])
+            if cls is WatchedSimulator:
+                stock_calls += len(calls)
+        assert lines[0] == lines[1], seed
+        assert any(line.split()[1] == "detection" for line in lines[0])
+    # Looking every tick would take one call per agent per tick.
+    ticks = round(horizon / cfg.dt) + 1
+    assert stock_calls < len(seeds) * ticks * len(cfg.agents) / 10, stock_calls
+
+
+class CounterCheck:
+    """Controller wrapper that checks the simulator's running totals after each tick."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.scheduled_events = inner.scheduled_events
+        self.merged = False
+
+    def on_start(self, sim):
+        self.inner.on_start(sim)
+
+    def on_tick(self, sim, t):
+        before = [len(ag.known) for ag in sim.agents.values()]
+        self.inner.on_tick(sim, t)
+        self.merged |= before != [len(ag.known) for ag in sim.agents.values()]
+        assert sim.known_count == sum(len(ag.known) for ag in sim.agents.values()), t
+        assert sim.done_count == sum(1 for s in sim.task_state.values() if s == "done"), t
+        assert sim.has_future_work() == any(s != "done" for s in sim.task_state.values())
+
+
+@pytest.mark.parametrize("name, kind, horizon", [("desk_scenario.json", "greedy", 150.0),
+                                                 ("desk_scenario.json", "cocoplan", 150.0),
+                                                 ("subt10_greedy.json", "greedy", 200.0)])
+def test_known_and_done_counts_stay_exact(name, kind, horizon):
+    cfg = load_scenario(DATA / name)
+    cfg.horizon = horizon  # shortened for test speed
+    sim, ctrl = build_simulator(cfg, strategy=StrategyConfig(kind))
+    check = CounterCheck(ctrl)
+    _, metrics = sim.run(check)
+    assert check.merged and metrics.finished_tasks > 0

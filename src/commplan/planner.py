@@ -27,8 +27,10 @@ rates only, from one memo per cycle of each candidate's timetable, zero-travel
 timetable and rate; a child's timetables append to its parent's when exact, the
 greedy completion stops at a candidate that is free too late to win without
 optimizing its event and reads the node's own rate only when its cap cannot
-tell, full plans are built for the fallback and incumbent, and feasible tasks
-are worked out once per assigned set and cycle.
+tell, and full plans are built for the fallback and incumbent. Each assigned
+set has one entry per cycle holding its feasible representatives and the
+duration and capacity floors of `_rate_bound`, and a node's key and assigned
+set are worked out once, when the node is built.
 """
 
 from __future__ import annotations
@@ -74,11 +76,10 @@ class CollectivePlan:
 class PlanNode:
     depth: int
     sequences: dict[int, tuple[int, ...]]
+    key: SequencesKey                       # problem.key(sequences), worked out once per node
+    assigned: frozenset[int]                # the tasks of `sequences`
     lb: float = -math.inf
     ub: float = math.inf
-
-    def assigned(self) -> frozenset[int]:
-        return frozenset().union(*self.sequences.values())
 
 
 @dataclass
@@ -99,7 +100,8 @@ class PlannerProblem:
     extensions_monotone: bool = field(init=False, repr=False)
     # Per candidate key: [timetable record, zero-travel record, rate].
     _memo: dict[SequencesKey, list] = field(default_factory=dict, repr=False)
-    _feasible: dict[frozenset[int], list[int]] = field(default_factory=dict, repr=False)
+    # Per assigned set: [feasible representatives, _rate_bound's floors].
+    _by_assigned: dict[frozenset[int], list] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.team:
@@ -128,6 +130,28 @@ class PlannerProblem:
 
     def key(self, sequences: Mapping[int, Sequence[int]]) -> SequencesKey:
         return tuple([tuple(sequences.get(a, ())) for a in self.team])
+
+    def floors(self, assigned: frozenset[int]) -> list[float]:
+        """For j = 1, 2, ... addable tasks, the least time after now that a plan of
+        `assigned` plus j of them takes: the larger of the j-th smallest addable
+        duration and the work of `assigned` plus the j smallest addable works spread
+        over the team. Worked out once per assigned set and cycle."""
+        entry = self._by_assigned.setdefault(assigned, [_UNSET, _UNSET])
+        if entry[1] is _UNSET:
+            addable = [self.tasks[t] for t in sorted(self.tasks)
+                       if t not in assigned and self.groups[t]]
+            durs = sorted(t.duration for t in addable)
+            works = sorted(t.duration * t.agents_required for t in addable)
+            w_assigned = sum(self.tasks[t].duration * self.tasks[t].agents_required
+                             for t in sorted(assigned))
+            n_team = len(self.team)
+            w_prefix = 0.0
+            floors = []
+            for dur, work in zip(durs, works):
+                w_prefix += work
+                floors.append(max(dur, (w_assigned + w_prefix) / n_team))
+            entry[1] = floors
+        return entry[1]
 
     def record(self, key: SequencesKey, relaxed: bool = False) -> Optional[TimetableRecord]:
         """`schedule_min_makespan(key's sequences, ..., relaxed=relaxed)` as a record,
@@ -221,8 +245,9 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
     already assigned or completed. Only the lowest member id is returned for
     each cluster; expansion inserts the whole cluster jointly.
     """
-    if assigned in problem._feasible:
-        return list(problem._feasible[assigned])
+    entry = problem._by_assigned.setdefault(assigned, [_UNSET, _UNSET])
+    if entry[0] is not _UNSET:
+        return list(entry[0])
     preds = problem.index.preds
     done = assigned | problem.completed
 
@@ -249,7 +274,7 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
         cset = set(cluster)
         if all(member_ok(m, cset) for m in cluster):
             out.append(min(cluster))
-    problem._feasible[assigned] = out
+    entry[0] = out
     return list(out)
 
 
@@ -269,9 +294,8 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem) -> list[P
     Multi-task clusters always use interior insertion so every relative
     placement of the jointly added members stays reachable.
     """
-    assigned = node.assigned()
-    cluster = sorted(m for m in problem.clusters[task_id] if m not in assigned)
-    interior = len(cluster) > 1 or _related_to_assigned(cluster, assigned, problem.index)
+    cluster = sorted(m for m in problem.clusters[task_id] if m not in node.assigned)
+    interior = len(cluster) > 1 or _related_to_assigned(cluster, node.assigned, problem.index)
     placements = [dict(node.sequences)]
     for t in cluster:  # extend each placement so far by each of t's, in depth-first order
         extended = []
@@ -284,7 +308,8 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem) -> list[P
                         new_seqs[a] = seqs[a][:pos] + (t,) + seqs[a][pos:]
                     extended.append(new_seqs)
         placements = extended
-    return [PlanNode(depth=node.depth + 1, sequences=seqs) for seqs in placements]
+    assigned = node.assigned.union(cluster)  # shared by the children
+    return [PlanNode(node.depth + 1, seqs, problem.key(seqs), assigned) for seqs in placements]
 
 
 def last_state(sequences: Mapping[int, Sequence[int]], finish: Mapping[int, float],
@@ -330,9 +355,9 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
     Candidates are compared by `PlannerProblem.beats`, which optimizes an event
     only when the rate caps cannot decide.
     """
-    seqs = {a: tuple(node.sequences.get(a, ())) for a in problem.team}
-    assigned = node.assigned()
-    best = problem.key(seqs)
+    seqs = dict(zip(problem.team, node.key))
+    assigned = node.assigned
+    best = node.key
     skipped: set[int] = set()
     improved = True
     while improved:
@@ -376,24 +401,12 @@ def _rate_bound(assigned: frozenset[int], problem: PlannerProblem, floor0: float
     """Best count/time quotient over adding j of the addable tasks, for a plan of
     the `assigned` tasks whose every completion meets at least `floor0` after now.
 
-    Adding j tasks also costs at least the j-th smallest remaining duration and
-    the matching agent-seconds of capacity.
+    Adding j tasks also costs at least the j-th of `problem.floors(assigned)`.
     """
     count0 = len(assigned)
-    rates = [count0 / floor0 if count0 and floor0 > 0 else 0.0]
-    addable = [problem.tasks[t] for t in sorted(problem.tasks)
-               if t not in assigned and problem.groups[t]]
-    durs = sorted(t.duration for t in addable)
-    works = sorted(t.duration * t.agents_required for t in addable)
-    w_assigned = sum(problem.tasks[t].duration * problem.tasks[t].agents_required
-                     for t in sorted(assigned))
-    n_team = len(problem.team)
-    w_prefix = 0.0
-    for j in range(1, len(addable) + 1):
-        w_prefix += works[j - 1]
-        t_floor = max(floor0, durs[j - 1], (w_assigned + w_prefix) / n_team)
-        rates.append((count0 + j) / t_floor)
-    return max(rates)
+    return max([count0 / floor0 if count0 and floor0 > 0 else 0.0]
+               + [(count0 + j) / max(floor0, floor)
+                  for j, floor in enumerate(problem.floors(assigned), 1)])
 
 
 def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
@@ -404,10 +417,10 @@ def up_bound(node: PlanNode, problem: PlannerProblem) -> float:
     and capacity floors, the best count/time quotient over j dominates every
     descendant's achievable rate.
     """
-    record = problem.record(problem.key(node.sequences), relaxed=True)
+    record = problem.record(node.key, relaxed=True)
     if record is None:
         return -math.inf  # constraint cycle: no descendant can schedule either
-    return _rate_bound(node.assigned(), problem, max(record.makespan - problem.now, 0.0))
+    return _rate_bound(node.assigned, problem, max(record.makespan - problem.now, 0.0))
 
 
 def greedy_cap(node: PlanNode, problem: PlannerProblem) -> float:
@@ -427,12 +440,11 @@ def greedy_cap(node: PlanNode, problem: PlannerProblem) -> float:
     """
     if problem.event_optimizer is not None or not problem.extensions_monotone:
         return math.inf
-    key = problem.key(node.sequences)
-    record = problem.record(key)
+    record = problem.record(node.key)
     if record is None:
         return math.inf
-    top = problem.top(key, record)
-    return _rate_bound(node.assigned(), problem, top - problem.now) if top > problem.now else math.inf
+    top = problem.top(node.key, record)
+    return _rate_bound(node.assigned, problem, top - problem.now) if top > problem.now else math.inf
 
 
 @dataclass
@@ -479,11 +491,10 @@ class Search:
 
     def evaluate(self, node: PlanNode) -> bool:
         """Bound the node, keep a better incumbent; True if the node is pushed."""
-        key = self.problem.key(node.sequences)
-        if key in self.bounded:
+        if node.key in self.bounded:
             # lb_star never falls, so a repeat can neither set the incumbent
             # nor reach a low_bound its first visit skipped.
-            node.lb, node.ub = self.bounded[key]
+            node.lb, node.ub = self.bounded[node.key]
         else:
             node.ub = up_bound(node, self.problem)
             # lb <= ub + 1e-9 (criterion 3) and lb <= greedy_cap, so below either
@@ -495,7 +506,7 @@ class Search:
                     node.lb = bound.rate
                     if node.lb > self.lb_star:
                         self.best, self.lb_star = bound, node.lb
-            self.bounded[key] = (node.lb, node.ub)
+            self.bounded[node.key] = (node.lb, node.ub)
         self.stats.nodes_generated += 1
         if node.ub > self.lb_star:
             heapq.heappush(self.heap, (-node.ub, -node.depth, next(self.pushes), node))
@@ -507,14 +518,15 @@ class Search:
         or the search is stopped; the incumbent's plan, else the fallback."""
         problem, stats = self.problem, self.stats
         # Only children count in nodes_pruned; a root that is not pushed does not.
-        self.evaluate(PlanNode(depth=0, sequences={a: () for a in problem.team}))
+        root = {a: () for a in problem.team}
+        self.evaluate(PlanNode(0, root, problem.key(root), frozenset()))
         while self.heap and stats.nodes_expanded < self.node_limit and not self.stopped():
             node = heapq.heappop(self.heap)[3]
             if not node.ub > self.lb_star:
                 stats.nodes_pruned += 1
                 continue
             stats.nodes_expanded += 1
-            for child in (child for rep in get_feasible_tasks(node.assigned(), problem)
+            for child in (child for rep in get_feasible_tasks(node.assigned, problem)
                           for child in expand_node(node, rep, problem)):
                 if self.stopped():
                     break  # and expand no further rep

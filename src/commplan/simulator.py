@@ -153,6 +153,9 @@ class Simulator:
         self.events: list[SimEvent] = []
         self.groups: dict[int, tuple[int, ...]] = {}
         self.task_state: dict[int, str] = {t: "pending" for t in tasks}
+        # The ids in task_state that are claimed and that are executing.
+        self.claimed: set[int] = set()
+        self.executing: set[int] = set()
         self.task_start: dict[int, float] = {}
         self.task_finish: dict[int, float] = {}
         self.planned_start: dict[int, float] = {}
@@ -195,6 +198,7 @@ class Simulator:
             raise SimulationError(f"task {tid} claimed while {self.task_state[tid]}")
         self.groups[tid] = tuple(sorted(group))
         self.task_state[tid] = "claimed"
+        self.claimed.add(tid)
 
     def assign(self, task_id: int, group: tuple[int, ...]) -> None:
         self._claim(task_id, group)
@@ -257,10 +261,10 @@ class Simulator:
         return self.events, self._metrics(controller)
 
     def _complete_executions(self, t: float) -> None:
-        due = [(self.task_finish[tid], tid) for tid, s in self.task_state.items()
-               if s == "executing" and self.task_finish[tid] <= t]
+        due = [(self.task_finish[tid], tid) for tid in self.executing if self.task_finish[tid] <= t]
         for finish, tid in sorted(due):
             self.task_state[tid] = "done"
+            self.executing.remove(tid)
             self.done_count += 1
             self.log(finish, "execution_end", tid)
             for a in self.groups[tid]:
@@ -351,8 +355,8 @@ class Simulator:
         equal or unknown planned order must start simultaneously, so their
         tie group is started as a unit once every member is ready.
         """
-        ready = {tid for tid, s in self.task_state.items() if s == "claimed"
-                 and self._group_present(tid) and self._gates_pass(tid, t)}
+        ready = {tid for tid in self.claimed
+                 if self._group_present(tid) and self._gates_pass(tid, t)}
         started: set[int] = set()
         order = sorted(ready, key=lambda m: (self.planned_start.get(m, 0.0), m))
         for tid in order:
@@ -387,6 +391,8 @@ class Simulator:
                 continue
             for m in sorted(tie_group):
                 self.task_state[m] = "executing"
+                self.claimed.remove(m)
+                self.executing.add(m)
                 self.task_start[m] = t
                 self.task_finish[m] = t + self.tasks[m].duration
                 self.log(t, "execution_start", m, *self.groups[m])

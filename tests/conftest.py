@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from commplan import planner
-from commplan.planner import (IMPROVEMENT_EPS, Bound, PlannerProblem, build_plan,
+from commplan.planner import (IMPROVEMENT_EPS, Bound, PlanNode, PlannerProblem, build_plan,
                               get_feasible_tasks)
 from commplan.radio import CommParams
 from commplan.schedule import AgentContext, eligible_groups
@@ -107,6 +107,13 @@ def random_planner_instance(rng: random.Random, max_agents=3, max_tasks=5):
 def relations_between(relations, ids) -> list[TemporalRelation]:
     """Relations whose endpoints both lie in `ids`."""
     return [r for r in relations if r.first in ids and r.second in ids]
+
+
+def plan_node(team, sequences, depth=0) -> PlanNode:
+    """A search node over `team` holding `sequences`, with the key and assigned
+    set the search gives a node, worked out here from the sequences alone."""
+    return PlanNode(depth, dict(sequences), tuple(tuple(sequences.get(a, ())) for a in team),
+                    frozenset().union(*sequences.values()))
 
 
 # -- independent oracles ------------------------------------------------------
@@ -260,7 +267,7 @@ def reference_low_bound(node, problem: PlannerProblem, scored: list):
     """`planner.low_bound` as a plain greedy that builds the full plan of every
     candidate it scores, appending (plan, the best rate before it) to `scored`."""
     seqs = {a: tuple(node.sequences.get(a, ())) for a in problem.team}
-    assigned = node.assigned()
+    assigned = frozenset().union(*seqs.values())
     own = build_plan(seqs, problem)
     best = None if own is None else own.rate
     skipped: set[int] = set()
@@ -299,6 +306,27 @@ def reference_low_bound(node, problem: PlannerProblem, scored: list):
             break
         if not progressed:
             return None if best is None else Bound(best, seqs)
+
+
+def reference_rate_bound(assigned: frozenset[int], problem: PlannerProblem,
+                         floor0: float) -> float:
+    """`planner._rate_bound` as it was before its floors were tabled per assigned
+    set: every call sorts the addable durations and works and sums the assigned work."""
+    count0 = len(assigned)
+    rates = [count0 / floor0 if count0 and floor0 > 0 else 0.0]
+    addable = [problem.tasks[t] for t in sorted(problem.tasks)
+               if t not in assigned and problem.groups[t]]
+    durs = sorted(t.duration for t in addable)
+    works = sorted(t.duration * t.agents_required for t in addable)
+    w_assigned = sum(problem.tasks[t].duration * problem.tasks[t].agents_required
+                     for t in sorted(assigned))
+    n_team = len(problem.team)
+    w_prefix = 0.0
+    for j in range(1, len(addable) + 1):
+        w_prefix += works[j - 1]
+        t_floor = max(floor0, durs[j - 1], (w_assigned + w_prefix) / n_team)
+        rates.append((count0 + j) / t_floor)
+    return max(rates)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from commplan import planner
-from commplan.planner import (IMPROVEMENT_EPS, PlanNode, PlannerProblem, SearchStats,
+from commplan.planner import (IMPROVEMENT_EPS, PlannerProblem, SearchStats,
                               build_plan, cocoplan, expand_node, get_feasible_tasks,
                               greedy_cap, last_state, low_bound, up_bound)
 from commplan.radio import CommParams, comm_graph, is_connected
@@ -18,8 +18,9 @@ from commplan.schedule import AgentContext, eligible_groups, groups_of
 from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position, astar_travel_time
 
-from conftest import (empty_grid, exhaustive_best_rate, random_planner_instance,
-                      recorded_nodes, reference_low_bound, relations_between)
+from conftest import (empty_grid, exhaustive_best_rate, plan_node, random_planner_instance,
+                      recorded_nodes, reference_low_bound, reference_rate_bound,
+                      relations_between)
 
 
 def ctx(aid, x, y, caps=("work",), v=2.0):
@@ -36,7 +37,7 @@ def make_problem(team, tasks, relations=(), grid=None, now=0.0):
 
 
 def empty_node(problem):
-    return PlanNode(0, {a: () for a in problem.team})
+    return plan_node(problem.team, {a: () for a in problem.team})
 
 
 def test_no_tasks_returns_zero_task_plan_at_current_positions():
@@ -344,7 +345,7 @@ def test_low_bound_on_fully_assigned_node_returns_own_rate():
     team = {0: ctx(0, 0.5, 0.5, v=1.0)}
     tasks = {1: task(1, 4.5, 0.5, 6.0)}
     problem = make_problem(team, tasks, grid=grid)
-    node = PlanNode(1, {0: (1,)})
+    node = plan_node(team, {0: (1,)}, depth=1)
     plan = low_bound(node, problem)
     own = build_plan({0: (1,)}, problem)
     assert plan.rate == pytest.approx(own.rate)
@@ -427,7 +428,7 @@ def test_low_bound_defers_the_nodes_own_event():
     team = {0: ctx(0, 0.5, 0.5, v=1.0), 1: ctx(1, 2.5, 2.5, v=1.0)}
     tasks = {1: task(1, 12.5, 0.5, 8.0), 2: task(2, 3.5, 2.5, 1.0)}
     problem = make_problem(team, tasks, grid=grid)
-    node = PlanNode(1, {0: (1,), 1: ()})
+    node = plan_node(team, {0: (1,), 1: ()}, depth=1)
     key = problem.key(node.sequences)
     cap = problem.rate_cap(key, problem.record(key))
     bound = low_bound(node, problem)
@@ -448,7 +449,7 @@ def test_greedy_cap_is_inf_where_an_extension_may_start_a_node_task_earlier():
     grid = empty_grid(20, 20)
     team = {0: ctx(0, 0.5, 0.5), 1: ctx(1, 10.5, 0.5)}
     tasks = {t: task(t, 1.5 + 2 * t, 3.5, 2.0 + t) for t in range(1, 7)}
-    node = PlanNode(1, {0: (1,), 1: ()})
+    node = plan_node(team, {0: (1,), 1: ()}, depth=1)
 
     def cap(*relations, at=node, event_optimizer=None):
         rels = [TemporalRelation(p, q, RelationKind(kind)) for p, q, kind in relations]
@@ -464,7 +465,8 @@ def test_greedy_cap_is_inf_where_an_extension_may_start_a_node_task_earlier():
     assert cap(*[(p, q, "mutex") for p, q in pairs[:12]]) == finite
     assert cap(*[(p, q, "mutex") for p, q in pairs[:13]]) == math.inf
     assert cap(event_optimizer=lambda last: None) == math.inf
-    looped = PlanNode(2, {0: (2, 1), 1: ()})  # 1 must precede 2, but agent 0 runs 2 first
+    # 1 must precede 2, but agent 0 runs 2 first
+    looped = plan_node(team, {0: (2, 1), 1: ()}, depth=2)
     assert cap((1, 2, "precedence"), at=looped) == math.inf
 
 
@@ -622,3 +624,95 @@ def test_a_problem_is_freed_without_the_cycle_collector(monkeypatch):
             assert refs[-1]() is None
     finally:
         gc.enable()
+
+
+def test_tabled_rate_bound_equals_the_reference():
+    """`_rate_bound` reads its floors from the problem's table for the assigned
+    set and returns exactly the per-call computation's value, for every assigned
+    subset and floor, with tied durations and tasks no group can take."""
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(25):
+        grid, team, tasks, rels = random_planner_instance(rng, max_tasks=5)
+        first = tasks[min(tasks)]
+        tasks[10] = task(10, 2.5, 2.5, first.duration, ((1, first.requirements[0][1]),))
+        tasks[11] = task(11, 3.5, 2.5, first.duration, ((2, "a"),))
+        tasks[12] = task(12, 4.5, 2.5, rng.uniform(1.0, 10.0), ((1, "none"),))
+        tasks[13] = task(13, 5.5, 2.5, rng.uniform(1.0, 10.0), ((len(team) + 1, "a"),))
+        problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
+                                 grid=grid, params=CommParams(), now=rng.uniform(0.0, 50.0))
+        assert not problem.groups[12] and not problem.groups[13]
+        ids = sorted(tasks)
+        for r in range(len(ids) + 1):
+            for subset in itertools.combinations(ids, r):
+                assigned = frozenset(subset)
+                for floor0 in (0.0, rng.uniform(1e-3, 1.0), rng.uniform(1.0, 30.0), 1e6,
+                               math.inf):
+                    got = planner._rate_bound(assigned, problem, floor0)
+                    assert got == reference_rate_bound(assigned, problem, floor0), (
+                        subset, floor0)
+                    checked += 1
+    assert checked > 10_000
+
+
+def test_up_bound_and_greedy_cap_equal_their_reference_forms():
+    """On every node of exhaustive searches, both bounds equal their forms
+    that compute the key, assigned set and floors from the node's sequences."""
+    def reference_up_bound(node, problem):
+        record = problem.record(problem.key(node.sequences), relaxed=True)
+        if record is None:
+            return -math.inf
+        return reference_rate_bound(frozenset().union(*node.sequences.values()), problem,
+                                    max(record.makespan - problem.now, 0.0))
+
+    def reference_greedy_cap(node, problem):
+        if problem.event_optimizer is not None or not problem.extensions_monotone:
+            return math.inf
+        key = problem.key(node.sequences)
+        record = problem.record(key)
+        if record is None:
+            return math.inf
+        top = problem.top(key, record)
+        return reference_rate_bound(frozenset().union(*node.sequences.values()), problem,
+                                    top - problem.now) if top > problem.now else math.inf
+
+    rng = random.Random(38)
+    checked = capped = 0
+    for _ in range(8):
+        grid, team, tasks, rels = random_planner_instance(rng)
+        with recorded_nodes() as nodes:
+            cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
+        problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
+                                 grid=grid, params=CommParams(), now=0.0)
+        for node in nodes:
+            assert up_bound(node, problem) == reference_up_bound(node, problem)
+            cap = greedy_cap(node, problem)
+            assert cap == reference_greedy_cap(node, problem)
+            capped += cap < math.inf
+            checked += 1
+    assert checked > 200 and capped > checked // 2
+
+
+def test_every_bounded_node_carries_its_key_and_assigned_set(monkeypatch):
+    """The search works out a node's key and assigned set once, the child's set
+    as its parent's plus the inserted cluster; each must match the sequences."""
+    evaluate = planner.Search.evaluate
+    checked = []
+
+    def checking(search, node):
+        assert node.key == search.problem.key(node.sequences)
+        assert node.assigned == frozenset().union(*node.sequences.values())
+        checked.append(len(node.assigned))
+        return evaluate(search, node)
+
+    monkeypatch.setattr(planner.Search, "evaluate", checking)
+    rng = random.Random(39)
+    clusters = 0
+    for _ in range(12):
+        grid, team, tasks, rels = random_planner_instance(rng)
+        if len(tasks) >= 2:
+            rels = rels + [TemporalRelation(*sorted(rng.sample(sorted(tasks), 2)),
+                                            RelationKind.CONCURRENCY)]
+        cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
+        clusters += any(len(c) > 1 for c in make_problem(team, tasks, rels, grid).clusters.values())
+    assert clusters >= 6 and len(checked) > 300 and max(checked) >= 3

@@ -12,7 +12,7 @@ so the cycle's problem and memo are freed as soon as `cocoplan` returns.
 
 Every node, the root included, goes through one step that bounds it, keeps
 a better incumbent and pushes the node while it can still win. Each distinct
-node's sequences are bounded once per search, and the lower bound is skipped
+node key is bounded once per search, and the lower bound is skipped
 when the upper bound, or the same bound floored at the time the node's own
 timetable frees its last agent (`greedy_cap`), shows that it cannot beat the
 incumbent. The lower bound is read only to raise the incumbent, so the skip
@@ -29,8 +29,10 @@ greedy completion stops at a candidate that is free too late to win without
 optimizing its event and reads the node's own rate only when its cap cannot
 tell, and full plans are built for the fallback and incumbent. Each assigned
 set has one entry per cycle holding its feasible representatives and the
-duration and capacity floors of `_rate_bound`, and a node's key and assigned
-set are worked out once, when the node is built.
+duration and capacity floors of `_rate_bound`. A candidate is held one way, as
+its key (per-agent sequences in team order); a node is its key and its assigned
+set, both worked out once, when the node is built, and a key becomes a dict only
+for the scheduler, the event optimizer and the returned plan.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import itertools
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .meeting import CommEvent, com_opt, com_opt_fast
 from .radio import CommParams, comm_graph, is_connected
@@ -75,10 +77,8 @@ class CollectivePlan:
 @dataclass(slots=True)
 class PlanNode:
     depth: int
-    sequences: dict[int, tuple[int, ...]]
-    key: SequencesKey                       # problem.key(sequences), worked out once per node
-    assigned: frozenset[int]                # the tasks of `sequences`
-    lb: float = -math.inf
+    key: SequencesKey
+    assigned: frozenset[int]                # the tasks of `key`
     ub: float = math.inf
 
 
@@ -96,6 +96,7 @@ class PlannerProblem:
     gap: float = 0.5
     groups: dict[int, list[tuple[int, ...]]] = field(init=False, repr=False)  # eligible, per task
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
+    slot: dict[int, int] = field(init=False, repr=False)  # agent -> its place in a key
     # Whether a tail extension never starts a task of its base earlier (see greedy_cap).
     extensions_monotone: bool = field(init=False, repr=False)
     # Per candidate key: [timetable record, zero-travel record, rate].
@@ -108,6 +109,7 @@ class PlannerProblem:
             raise ValueError("team must be nonempty")
         self.tasks = {t: task for t, task in self.tasks.items() if t not in self.completed}
         self.groups = {t: eligible_groups(task, self.team) for t, task in self.tasks.items()}
+        self.slot = {a: i for i, a in enumerate(self.team)}
         # Concurrency-linked tasks must execute with overlapping intervals, so
         # plans admit them only jointly: each task's concurrency component over
         # the known task set is the unit of insertion.
@@ -127,9 +129,6 @@ class PlannerProblem:
             if is_connected(comm_graph(positions, self.grid, self.params)):
                 return CommEvent(self.now, positions)
         return com_opt_fast(last, self.grid, self.params)
-
-    def key(self, sequences: Mapping[int, Sequence[int]]) -> SequencesKey:
-        return tuple([tuple(sequences.get(a, ())) for a in self.team])
 
     def floors(self, assigned: frozenset[int]) -> list[float]:
         """For j = 1, 2, ... addable tasks, the least time after now that a plan of
@@ -203,7 +202,7 @@ class PlannerProblem:
         return len(set().union(*key)) / (top - self.now) if top > self.now else math.inf
 
     def rate(self, key: SequencesKey) -> Optional[float]:
-        """Rate of `build_plan(key's sequences, self)`, None when that is None;
+        """Rate of `build_plan(key, self)`, None when that is None;
         each candidate's event is optimized once per cycle."""
         entry = self._memo.setdefault(key, [_UNSET] * 3)
         if entry[2] is _UNSET:
@@ -296,20 +295,21 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem) -> list[P
     """
     cluster = sorted(m for m in problem.clusters[task_id] if m not in node.assigned)
     interior = len(cluster) > 1 or _related_to_assigned(cluster, node.assigned, problem.index)
-    placements = [dict(node.sequences)]
+    placements = [node.key]
     for t in cluster:  # extend each placement so far by each of t's, in depth-first order
         extended = []
-        for seqs in placements:
+        for key in placements:
             for group in problem.groups[t]:
-                slots = [range(len(seqs[a]) + 1) if interior else (len(seqs[a]),) for a in group]
-                for combo in itertools.product(*slots):
-                    new_seqs = dict(seqs)  # agents outside the group share their tuples
-                    for a, pos in zip(group, combo):
-                        new_seqs[a] = seqs[a][:pos] + (t,) + seqs[a][pos:]
-                    extended.append(new_seqs)
+                slots = [problem.slot[a] for a in group]
+                spots = [range(len(key[s]) + 1) if interior else (len(key[s]),) for s in slots]
+                for combo in itertools.product(*spots):
+                    seqs = list(key)  # agents outside the group share their tuples
+                    for s, pos in zip(slots, combo):
+                        seqs[s] = key[s][:pos] + (t,) + key[s][pos:]
+                    extended.append(tuple(seqs))
         placements = extended
     assigned = node.assigned.union(cluster)  # shared by the children
-    return [PlanNode(node.depth + 1, seqs, problem.key(seqs), assigned) for seqs in placements]
+    return [PlanNode(node.depth + 1, key, assigned) for key in placements]
 
 
 def last_state(sequences: Mapping[int, Sequence[int]], finish: Mapping[int, float],
@@ -326,10 +326,8 @@ def last_state(sequences: Mapping[int, Sequence[int]], finish: Mapping[int, floa
     return last
 
 
-def build_plan(sequences: Mapping[int, Sequence[int]],
-               problem: PlannerProblem) -> Optional[CollectivePlan]:
+def build_plan(key: SequencesKey, problem: PlannerProblem) -> Optional[CollectivePlan]:
     """Schedule + event-optimize a candidate assignment; None when infeasible."""
-    key = problem.key(sequences)
     record = problem.record(key)
     event = problem.event(key, record)
     if event is None:
@@ -338,15 +336,9 @@ def build_plan(sequences: Mapping[int, Sequence[int]],
                           problem.rate(key))
 
 
-class Bound(NamedTuple):
-    """A node's lower bound: the rate of its best greedy completion, whose
-    full plan is `build_plan(sequences, problem)`."""
-    rate: float
-    sequences: dict[int, tuple[int, ...]]   # every team agent, in team order
-
-
-def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
-    """Best rate from greedy completion of the node's partial plan.
+def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[SequencesKey]:
+    """The key of the best greedy completion of the node's partial plan; its
+    rate, `problem.rate(key)`, is the node's lower bound.
 
     Iteratively appends the feasible cluster whose cheapest eligible group
     minimizes the worst member travel time, schedules it, and keeps going
@@ -355,7 +347,6 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
     Candidates are compared by `PlannerProblem.beats`, which optimizes an event
     only when the rate caps cannot decide.
     """
-    seqs = dict(zip(problem.team, node.key))
     assigned = node.assigned
     best = node.key
     skipped: set[int] = set()
@@ -363,7 +354,7 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
     while improved:
         improved = False
         ends = {a: problem.tasks[s[-1]].region_center if s else problem.team[a].position
-                for a, s in seqs.items()}
+                for a, s in zip(problem.team, best)}
         scored = []
         for rep in get_feasible_tasks(assigned, problem):
             if rep in skipped:
@@ -381,20 +372,19 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[Bound]:
             scored.append((cost, rep, cluster, chosen))
 
         for cost, rep, cluster, chosen in sorted(scored):  # (cost, rep) never ties
-            new_seqs = dict(seqs)
+            seqs = list(best)
             for t in cluster:
                 for a in chosen[t]:
-                    new_seqs[a] += (t,)
-            key = problem.key(new_seqs)
+                    seqs[problem.slot[a]] += (t,)
+            key = tuple(seqs)
             better = problem.beats(key, best)
             if better is None:
                 skipped.add(rep)
                 continue
             if better:
-                seqs, assigned, best, improved = new_seqs, assigned.union(cluster), key, True
+                assigned, best, improved = assigned.union(cluster), key, True
             break
-    rate = problem.rate(best)
-    return None if rate is None else Bound(rate, seqs)
+    return None if problem.rate(best) is None else best
 
 
 def _rate_bound(assigned: frozenset[int], problem: PlannerProblem, floor0: float) -> float:
@@ -457,13 +447,12 @@ class SearchStats:
 def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
     """Fallback plan assigning nothing; rendezvous at the current positions
     when they are already connected, otherwise a gathered event."""
-    empty_seqs = {a: () for a in problem.team}
-    plan = build_plan(empty_seqs, problem)  # memoizes the root's first candidate
+    plan = build_plan(((),) * len(problem.team), problem)  # memoizes the root's first candidate
     if plan is not None:
         return plan
     # Custom event optimizers may refuse even the empty plan; gather instead.
     event = com_opt(problem.team, problem.grid, problem.params, gap=problem.gap)
-    return CollectivePlan(empty_seqs, Timetable({}, 0.0), event, 0.0)
+    return CollectivePlan(dict.fromkeys(problem.team, ()), Timetable({}, 0.0), event, 0.0)
 
 
 class Search:
@@ -478,11 +467,11 @@ class Search:
         self.generated_limit = math.inf if generated_limit is None else generated_limit
         self.fallback = zero_task_plan(problem)
         self.lb_star = self.fallback.rate
-        self.best: Optional[Bound] = None  # the incumbent, once a bound beats the fallback
+        self.best: Optional[SequencesKey] = None  # the incumbent, once a bound beats the fallback
         # Ties break by push order, so heap entries never compare their nodes.
         self.heap: list[tuple[float, int, int, PlanNode]] = []
         self.pushes = itertools.count()
-        self.bounded: dict[SequencesKey, tuple[float, float]] = {}  # (lb, ub) of every node seen
+        self.bounded: dict[SequencesKey, float] = {}  # the ub of every node seen
 
     def stopped(self) -> bool:
         """True once the generated limit is reached or the budget is spent."""
@@ -494,19 +483,17 @@ class Search:
         if node.key in self.bounded:
             # lb_star never falls, so a repeat can neither set the incumbent
             # nor reach a low_bound its first visit skipped.
-            node.lb, node.ub = self.bounded[node.key]
+            node.ub = self.bounded[node.key]
         else:
             node.ub = up_bound(node, self.problem)
             # lb <= ub + 1e-9 (criterion 3) and lb <= greedy_cap, so below either
             # cap lb cannot beat lb_star; the cap only skips low_bound.
             if (node.ub + IMPROVEMENT_EPS > self.lb_star
                     and greedy_cap(node, self.problem) + IMPROVEMENT_EPS > self.lb_star):
-                bound = low_bound(node, self.problem)
-                if bound is not None:
-                    node.lb = bound.rate
-                    if node.lb > self.lb_star:
-                        self.best, self.lb_star = bound, node.lb
-            self.bounded[node.key] = (node.lb, node.ub)
+                best = low_bound(node, self.problem)
+                if best is not None and (rate := self.problem.rate(best)) > self.lb_star:
+                    self.best, self.lb_star = best, rate
+            self.bounded[node.key] = node.ub
         self.stats.nodes_generated += 1
         if node.ub > self.lb_star:
             heapq.heappush(self.heap, (-node.ub, -node.depth, next(self.pushes), node))
@@ -518,8 +505,7 @@ class Search:
         or the search is stopped; the incumbent's plan, else the fallback."""
         problem, stats = self.problem, self.stats
         # Only children count in nodes_pruned; a root that is not pushed does not.
-        root = {a: () for a in problem.team}
-        self.evaluate(PlanNode(0, root, problem.key(root), frozenset()))
+        self.evaluate(PlanNode(0, ((),) * len(problem.team), frozenset()))
         while self.heap and stats.nodes_expanded < self.node_limit and not self.stopped():
             node = heapq.heappop(self.heap)[3]
             if not node.ub > self.lb_star:
@@ -532,7 +518,7 @@ class Search:
                     break  # and expand no further rep
                 if not self.evaluate(child):
                     stats.nodes_pruned += 1
-        return self.fallback if self.best is None else build_plan(self.best.sequences, problem)
+        return self.fallback if self.best is None else build_plan(self.best, problem)
 
 
 def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],

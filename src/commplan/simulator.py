@@ -153,17 +153,17 @@ class Simulator:
         self.events: list[SimEvent] = []
         self.groups: dict[int, tuple[int, ...]] = {}
         self.task_state: dict[int, str] = {t: "pending" for t in tasks}
-        # The ids in task_state that are claimed and that are executing.
+        # The ids in task_state that are claimed, that are executing and that are done.
         self.claimed: set[int] = set()
         self.executing: set[int] = set()
+        self.done: set[int] = set()
         self.task_start: dict[int, float] = {}
         self.task_finish: dict[int, float] = {}
         self.planned_start: dict[int, float] = {}
         self.cycle_records: list[CycleRecord] = []
         self.index = RelationIndex(relations)
-        # Running totals of the agents' known-set sizes and of the done tasks.
+        # A running total of the agents' known-set sizes.
         self.known_count = sum(len(a.known) for a in self.agents.values())
-        self.done_count = 0
         self.looked_from: dict[int, Position] = {}  # positions at the last detection pass
         self.looked_at = float("-inf")  # the time of that pass
 
@@ -175,9 +175,6 @@ class Simulator:
         self.events.append(SimEvent(timestamp, kind, tuple(payload)))
 
     # -- controller-facing helpers ---------------------------------------
-
-    def done_ids(self) -> frozenset[int]:
-        return frozenset(t for t, s in self.task_state.items() if s == "done")
 
     def known_tasks(self, agent_ids: Sequence[int]) -> dict[int, Task]:
         known: set[int] = set()
@@ -221,7 +218,7 @@ class Simulator:
             ag.set_meeting(event_positions.get(aid) if event_positions else None, event_time)
 
     def has_future_work(self) -> bool:
-        return self.done_count < len(self.tasks)
+        return len(self.done) < len(self.tasks)
 
     def comm_ready(self, agent_ids: Sequence[int], planned: float, t: float) -> Optional[float]:
         """Actual event time if every participant is in place, else None."""
@@ -265,7 +262,7 @@ class Simulator:
         for finish, tid in sorted(due):
             self.task_state[tid] = "done"
             self.executing.remove(tid)
-            self.done_count += 1
+            self.done.add(tid)
             self.log(finish, "execution_end", tid)
             for a in self.groups[tid]:
                 ag = self.agents[a]

@@ -62,7 +62,7 @@ def _plan(sim: Simulator, agent_ids: Sequence[int], now: float, options: Planner
     if len(tasks) < min_tasks:
         tasks = {}
     plan = cocoplan(team, tasks, sim.index, sim.grid, sim.params, options.budget,
-                    now=now, completed=sim.done_ids(), event_optimizer=event_optimizer,
+                    now=now, completed=frozenset(sim.done), event_optimizer=event_optimizer,
                     gap=options.gap, node_limit=options.node_limit,
                     generated_limit=options.generated_limit)
     return team, plan
@@ -248,7 +248,7 @@ class GreedyController:
     def on_tick(self, sim: Simulator, t: float) -> None:
         # Known sets only grow and a done task stays done, so an equal news
         # signature means the same known sets and the same done tasks.
-        news = (sim.known_count, sim.done_count)
+        news = (sim.known_count, len(sim.done))
         changed, self.news = news != self.news, news
         if changed:
             # A claim since the last pass only removed candidates.
@@ -266,11 +266,11 @@ class GreedyController:
                 # Equal sets make the pair's union the size of either one.
                 known_a, known_b = sim.agents[pair[0]].known, sim.agents[pair[1]].known
                 if (pair not in self.in_range or known_a != known_b
-                        or self.last_sig.get(pair) != (len(known_a), sim.done_count)):
+                        or self.last_sig.get(pair) != (len(known_a), len(sim.done))):
                     sim.log(t, "comm_event", *pair)
                     sim.merge_knowledge(pair)
                     self._pair_claims(sim, pair)
-                    self.last_sig[pair] = (len(sim.agents[pair[0]].known), sim.done_count)
+                    self.last_sig[pair] = (len(sim.agents[pair[0]].known), len(sim.done))
         self.in_range = now_in_range
         self.in_range_pos = positions
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .workspace import GridMap, Position, los_obstacle_length
 
@@ -86,8 +86,7 @@ def detect_tasks(agent_pos: Position, sensor_range: float, undetected: Iterable[
 
 
 def check_schedule(intervals: Iterable[ExecutionInterval],
-                   relations: Iterable[TemporalRelation],
-                   known_tasks: Optional[set[int]] = None) -> tuple[bool, list[TemporalRelation]]:
+                   relations: Iterable[TemporalRelation]) -> tuple[bool, list[TemporalRelation]]:
     """Validate execution intervals against the temporal relations.
 
     Intervals are closed. Precedence holds iff first finishes no later than
@@ -98,8 +97,6 @@ def check_schedule(intervals: Iterable[ExecutionInterval],
     """
     by_id: dict[int, ExecutionInterval] = {}
     for iv in intervals:
-        if known_tasks is not None and iv.task_id not in known_tasks:
-            raise ValueError(f"interval references unknown task {iv.task_id}")
         if iv.task_id in by_id:
             raise ValueError(f"duplicate interval for task {iv.task_id}")
         by_id[iv.task_id] = iv

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from commplan import planner
-from commplan.planner import (IMPROVEMENT_EPS, Bound, PlanNode, PlannerProblem, build_plan,
-                              get_feasible_tasks)
+from commplan.planner import (IMPROVEMENT_EPS, PlanNode, PlannerProblem, _related_to_assigned,
+                              build_plan, get_feasible_tasks)
 from commplan.radio import CommParams
 from commplan.schedule import AgentContext, eligible_groups
 from commplan.tasks import RelationKind, Task, TemporalRelation
@@ -109,11 +109,15 @@ def relations_between(relations, ids) -> list[TemporalRelation]:
     return [r for r in relations if r.first in ids and r.second in ids]
 
 
+def plan_key(team, sequences) -> tuple[tuple[int, ...], ...]:
+    """The planner's key for `sequences`: per-agent tuples in team order."""
+    return tuple(tuple(sequences.get(a, ())) for a in team)
+
+
 def plan_node(team, sequences, depth=0) -> PlanNode:
     """A search node over `team` holding `sequences`, with the key and assigned
     set the search gives a node, worked out here from the sequences alone."""
-    return PlanNode(depth, dict(sequences), tuple(tuple(sequences.get(a, ())) for a in team),
-                    frozenset().union(*sequences.values()))
+    return PlanNode(depth, plan_key(team, sequences), frozenset().union(*sequences.values()))
 
 
 # -- independent oracles ------------------------------------------------------
@@ -233,7 +237,7 @@ def enumerate_candidate_plans(problem: PlannerProblem, relations):
                     if key in seen:
                         continue
                     seen.add(key)
-                    plan = build_plan(seqs, problem)
+                    plan = build_plan(plan_key(problem.team, seqs), problem)
                     if plan is not None:
                         yield plan.rate, {a: tuple(s) for a, s in seqs.items()}, dict(groups)
 
@@ -263,12 +267,33 @@ def recorded_nodes():
         yield nodes
 
 
+def reference_expand_node(node, task_id: int, problem: PlannerProblem):
+    """`planner.expand_node` as it was when a node held a sequences dict: the
+    children's (sequences, assigned set), in the order the search generates them."""
+    cluster = sorted(m for m in problem.clusters[task_id] if m not in node.assigned)
+    interior = len(cluster) > 1 or _related_to_assigned(cluster, node.assigned, problem.index)
+    placements = [dict(zip(problem.team, node.key))]
+    for t in cluster:
+        extended = []
+        for seqs in placements:
+            for group in problem.groups[t]:
+                slots = [range(len(seqs[a]) + 1) if interior else (len(seqs[a]),) for a in group]
+                for combo in itertools.product(*slots):
+                    new_seqs = dict(seqs)
+                    for a, pos in zip(group, combo):
+                        new_seqs[a] = seqs[a][:pos] + (t,) + seqs[a][pos:]
+                    extended.append(new_seqs)
+        placements = extended
+    return [(seqs, node.assigned.union(cluster)) for seqs in placements]
+
+
 def reference_low_bound(node, problem: PlannerProblem, scored: list):
     """`planner.low_bound` as a plain greedy that builds the full plan of every
-    candidate it scores, appending (plan, the best rate before it) to `scored`."""
-    seqs = {a: tuple(node.sequences.get(a, ())) for a in problem.team}
+    candidate it scores, appending (plan, the best rate before it) to `scored`;
+    the key of its best candidate, or None."""
+    seqs = dict(zip(problem.team, node.key))
     assigned = frozenset().union(*seqs.values())
-    own = build_plan(seqs, problem)
+    own = build_plan(node.key, problem)
     best = None if own is None else own.rate
     skipped: set[int] = set()
 
@@ -295,7 +320,7 @@ def reference_low_bound(node, problem: PlannerProblem, scored: list):
             for t in cluster:
                 for a in chosen[t]:
                     new_seqs[a] += (t,)
-            plan = build_plan(new_seqs, problem)
+            plan = build_plan(plan_key(problem.team, new_seqs), problem)
             if plan is None:
                 skipped.add(rep)
                 continue
@@ -305,7 +330,7 @@ def reference_low_bound(node, problem: PlannerProblem, scored: list):
                 progressed = True
             break
         if not progressed:
-            return None if best is None else Bound(best, seqs)
+            return None if best is None else plan_key(problem.team, seqs)
 
 
 def reference_rate_bound(assigned: frozenset[int], problem: PlannerProblem,

@@ -18,9 +18,9 @@ from commplan.schedule import AgentContext, eligible_groups, groups_of
 from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position, astar_travel_time
 
-from conftest import (empty_grid, exhaustive_best_rate, plan_node, random_planner_instance,
-                      recorded_nodes, reference_low_bound, reference_rate_bound,
-                      relations_between)
+from conftest import (empty_grid, exhaustive_best_rate, plan_key, plan_node,
+                      random_planner_instance, recorded_nodes, reference_expand_node,
+                      reference_low_bound, reference_rate_bound, relations_between)
 
 
 def ctx(aid, x, y, caps=("work",), v=2.0):
@@ -65,7 +65,7 @@ def test_objective_rate_examples():
     team = {0: ctx(0, 0.5, 0.5, v=1.0)}
     tasks = {1: task(1, 3.5, 0.5, 10.0), 2: task(2, 6.5, 0.5, 10.0), 3: task(3, 9.5, 0.5, 10.0)}
     problem = make_problem(team, tasks, grid=grid)
-    plan = build_plan({0: (1, 2, 3)}, problem)
+    plan = build_plan(((1, 2, 3),), problem)
     # single agent: event sits at the last task, rate = 3 / makespan
     assert plan.rate == pytest.approx(3.0 / plan.event.time)
     # the rate is the tasks finished by the event over the cycle span
@@ -130,7 +130,7 @@ def test_expand_node_group_enumeration():
     node = empty_node(problem)
     children = expand_node(node, 1, problem)
     assert len(children) == 3  # C(3,2) groups, tails only
-    assert sorted(groups_of(c.sequences)[1] for c in children) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(groups_of(dict(zip(team, c.key)))[1] for c in children) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_expand_node_single_child_for_singleton():
@@ -140,7 +140,7 @@ def test_expand_node_single_child_for_singleton():
     problem = make_problem(team, tasks, grid=grid)
     children = expand_node(empty_node(problem), 1, problem)
     assert len(children) == 1
-    assert children[0].sequences[0] == (1,)
+    assert children[0].key == ((1,),)
 
 
 def test_expand_child_count_within_factorial_bound():
@@ -157,15 +157,60 @@ def test_expand_child_count_within_factorial_bound():
         assert len(kids) <= m * math.factorial(n)
 
 
+def test_expand_node_matches_the_dict_based_expansion():
+    """Inserting into key tuples through `problem.slot` yields the children the
+    dict-based expansion yields, in the same order and with the same assigned
+    sets: on every node of seeded searches, and on a two-member concurrency
+    cluster, a two-agent group over a team not in id order, and a task related
+    to an assigned one (interior insertion)."""
+    def children(node, rep, problem):
+        got = [(dict(zip(problem.team, c.key)), c.assigned) for c in expand_node(node, rep, problem)]
+        assert got == reference_expand_node(node, rep, problem)
+        return [seqs for seqs, _ in got]
+
+    rng = random.Random(40)
+    checked = 0
+    for _ in range(10):
+        grid, team, tasks, rels = random_planner_instance(rng)
+        with recorded_nodes() as nodes:
+            cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
+        problem = make_problem(team, tasks, rels, grid=grid)
+        for node in nodes:
+            for rep in get_feasible_tasks(node.assigned, problem):
+                checked += len(children(node, rep, problem))
+    assert checked > 500
+
+    grid = empty_grid()
+    team = {0: ctx(0, 0.5, 0.5), 1: ctx(1, 2.5, 0.5)}
+    tasks = {t: task(t, 2.5 * t, 4.5, 3.0) for t in range(1, 4)}
+    cluster = make_problem(team, tasks, [TemporalRelation(1, 2, RelationKind.CONCURRENCY)])
+    # 1 and 2 go in jointly, at any place: each of 1's three places leaves four for 2.
+    assert len(children(plan_node(team, {0: (3,), 1: ()}, 1), 1, cluster)) == 12
+
+    team = {2: ctx(2, 4.5, 0.5), 0: ctx(0, 0.5, 0.5), 1: ctx(1, 2.5, 0.5)}
+    tasks = {1: task(1, 6.5, 0.5, 3.0, reqs=((2, "work"),)), 3: task(3, 8.5, 0.5, 3.0)}
+    pair = make_problem(team, tasks)
+    kids = children(plan_node(team, {2: (3,), 0: (), 1: ()}, 1), 1, pair)
+    assert kids == [{2: (3,), 0: (1,), 1: (1,)}, {2: (3, 1), 0: (1,), 1: ()},
+                    {2: (3, 1), 0: (), 1: (1,)}]
+
+    team = {0: ctx(0, 0.5, 0.5), 1: ctx(1, 2.5, 0.5)}
+    tasks = {t: task(t, 2.5 * t, 4.5, 3.0) for t in range(1, 4)}
+    related = make_problem(team, tasks, [TemporalRelation(1, 2, RelationKind.MUTEX)])
+    kids = children(plan_node(team, {0: (1, 3), 1: ()}, 2), 2, related)
+    assert kids == [{0: (2, 1, 3), 1: ()}, {0: (1, 2, 3), 1: ()}, {0: (1, 3, 2), 1: ()},
+                    {0: (1, 3), 1: (2,)}]
+
+
 def test_low_bound_picks_min_max_travel_group():
     grid = empty_grid(30, 6)
     # Two candidate agents; nearer one is the cheaper singleton group.
     team = {0: ctx(0, 0.5, 0.5, v=1.0), 1: ctx(1, 20.5, 0.5, v=1.0)}
     tasks = {1: task(1, 8.5, 0.5, 5.0)}
     problem = make_problem(team, tasks, grid=grid)
-    plan = low_bound(empty_node(problem), problem)
-    assert plan is not None
-    assert groups_of(plan.sequences)[1] == (0,)
+    key = low_bound(empty_node(problem), problem)
+    assert key is not None
+    assert groups_of(dict(zip(team, key)))[1] == (0,)
 
 
 def test_low_bound_le_exhaustive_optimum():
@@ -174,8 +219,8 @@ def test_low_bound_le_exhaustive_optimum():
         grid, team, tasks, rels = random_planner_instance(rng, max_tasks=4)
         problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                  grid=grid, params=CommParams(), now=0.0)
-        plan = low_bound(empty_node(problem), problem)
-        lb = plan.rate if plan is not None else 0.0
+        key = low_bound(empty_node(problem), problem)
+        lb = problem.rate(key) if key is not None else 0.0
         assert lb <= exhaustive_best_rate(problem, rels) + 1e-9
 
 
@@ -187,11 +232,11 @@ def test_up_bound_dominates_low_bound_on_random_nodes():
         problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                  grid=grid, params=CommParams(), now=0.0)
         node = empty_node(problem)
-        plan = low_bound(node, problem)
-        if plan is None:
+        key = low_bound(node, problem)
+        if key is None:
             continue
         ub = up_bound(node, problem)
-        assert ub >= plan.rate - 1e-9
+        assert ub >= problem.rate(key) - 1e-9
         checked += 1
     assert checked >= 40
 
@@ -346,10 +391,10 @@ def test_low_bound_on_fully_assigned_node_returns_own_rate():
     tasks = {1: task(1, 4.5, 0.5, 6.0)}
     problem = make_problem(team, tasks, grid=grid)
     node = plan_node(team, {0: (1,)}, depth=1)
-    plan = low_bound(node, problem)
-    own = build_plan({0: (1,)}, problem)
-    assert plan.rate == pytest.approx(own.rate)
-    assert plan.sequences == own.sequences
+    key = low_bound(node, problem)
+    own = build_plan(((1,),), problem)
+    assert problem.rate(key) == pytest.approx(own.rate)
+    assert dict(zip(team, key)) == own.sequences
 
 
 def test_low_bound_rate_equals_a_fresh_build_of_its_plan():
@@ -363,16 +408,15 @@ def test_low_bound_rate_equals_a_fresh_build_of_its_plan():
         nodes = [root] + [child for rep in get_feasible_tasks(frozenset(), problem)
                           for child in expand_node(root, rep, problem)]
         for node in nodes:
-            bound = low_bound(node, problem)
-            if bound is None:
+            key = low_bound(node, problem)
+            if key is None:
                 continue
             fresh = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                    grid=grid, params=CommParams(), now=0.0)
-            plan = build_plan(bound.sequences, fresh)
+            plan = build_plan(key, fresh)
             assert plan is not None
-            assert bound.rate == plan.rate
-            assert bound.sequences == plan.sequences
-            assert groups_of(bound.sequences) == plan.groups
+            assert problem.rate(key) == plan.rate
+            assert dict(zip(team, key)) == plan.sequences
             checked += 1
     assert checked >= 40
 
@@ -398,7 +442,7 @@ def test_low_bound_rate_cap_keeps_the_full_greedy(monkeypatch):
         with recorded_nodes() as built:
             cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
         problem = make_problem(team, tasks, rels, grid=grid)
-        nodes = {tuple(n.sequences[a] for a in team): n for n in built}
+        nodes = {n.key: n for n in built}
         for node in list(nodes.values())[:30]:
             scored: list = []
             start = optimized[0]
@@ -429,7 +473,7 @@ def test_low_bound_defers_the_nodes_own_event():
     tasks = {1: task(1, 12.5, 0.5, 8.0), 2: task(2, 3.5, 2.5, 1.0)}
     problem = make_problem(team, tasks, grid=grid)
     node = plan_node(team, {0: (1,), 1: ()}, depth=1)
-    key = problem.key(node.sequences)
+    key = node.key
     cap = problem.rate_cap(key, problem.record(key))
     bound = low_bound(node, problem)
     assert problem._memo[key][2] is planner._UNSET
@@ -437,7 +481,7 @@ def test_low_bound_defers_the_nodes_own_event():
     fresh = make_problem(team, tasks, grid=grid)
     assert bound == reference_low_bound(node, fresh, scored)
     assert scored[0][0].rate > cap + IMPROVEMENT_EPS >= fresh.rate(key) + IMPROVEMENT_EPS
-    assert bound.sequences == {0: (1,), 1: (2,)}
+    assert bound == ((1,), (2,))
 
 
 def test_greedy_cap_is_inf_where_an_extension_may_start_a_node_task_earlier():
@@ -509,7 +553,7 @@ def test_cocoplan_returns_a_fresh_build_of_its_plan():
         plan = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
         problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                  grid=grid, params=CommParams(), now=0.0)
-        assert build_plan(plan.sequences, problem) == plan
+        assert build_plan(plan_key(team, plan.sequences), problem) == plan
 
 
 def test_cocoplan_schedules_each_candidate_once(monkeypatch):
@@ -562,15 +606,15 @@ def test_related_to_assigned_matches_relation_scan():
 
 
 def test_duplicate_nodes_are_bounded_once(monkeypatch):
-    """A node whose sequences repeat an earlier node's is generated, counted
-    and pushed as before, but neither bound runs on its sequences again."""
+    """A node whose key repeats an earlier node's is generated, counted and
+    pushed as before, but neither bound runs on its key again."""
     seen: dict[str, list[tuple]] = {"low_bound": [], "up_bound": []}
 
     def recording(name):
         inner = getattr(planner, name)
 
         def bound(node, problem):
-            seen[name].append(tuple(node.sequences.get(a, ()) for a in problem.team))
+            seen[name].append(node.key)
             return inner(node, problem)
         return bound
 
@@ -586,7 +630,7 @@ def test_duplicate_nodes_are_bounded_once(monkeypatch):
             cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
         for name, calls in seen.items():
             assert len(calls) == len(set(calls)), name
-        keys = [tuple(n.sequences[a] for a in team) for n in nodes]
+        keys = [n.key for n in nodes]
         assert set(seen["up_bound"]) == set(keys)
         duplicates += len(keys) - len(set(keys))
     assert duplicates >= 20
@@ -657,23 +701,22 @@ def test_tabled_rate_bound_equals_the_reference():
 
 def test_up_bound_and_greedy_cap_equal_their_reference_forms():
     """On every node of exhaustive searches, both bounds equal their forms
-    that compute the key, assigned set and floors from the node's sequences."""
+    that compute the assigned set and floors from the node's key."""
     def reference_up_bound(node, problem):
-        record = problem.record(problem.key(node.sequences), relaxed=True)
+        record = problem.record(node.key, relaxed=True)
         if record is None:
             return -math.inf
-        return reference_rate_bound(frozenset().union(*node.sequences.values()), problem,
+        return reference_rate_bound(frozenset().union(*node.key), problem,
                                     max(record.makespan - problem.now, 0.0))
 
     def reference_greedy_cap(node, problem):
         if problem.event_optimizer is not None or not problem.extensions_monotone:
             return math.inf
-        key = problem.key(node.sequences)
-        record = problem.record(key)
+        record = problem.record(node.key)
         if record is None:
             return math.inf
-        top = problem.top(key, record)
-        return reference_rate_bound(frozenset().union(*node.sequences.values()), problem,
+        top = problem.top(node.key, record)
+        return reference_rate_bound(frozenset().union(*node.key), problem,
                                     top - problem.now) if top > problem.now else math.inf
 
     rng = random.Random(38)
@@ -695,13 +738,15 @@ def test_up_bound_and_greedy_cap_equal_their_reference_forms():
 
 def test_every_bounded_node_carries_its_key_and_assigned_set(monkeypatch):
     """The search works out a node's key and assigned set once, the child's set
-    as its parent's plus the inserted cluster; each must match the sequences."""
+    as its parent's plus the inserted cluster: the key holds one tuple per team
+    agent, and the set is the key's tasks."""
     evaluate = planner.Search.evaluate
     checked = []
 
     def checking(search, node):
-        assert node.key == search.problem.key(node.sequences)
-        assert node.assigned == frozenset().union(*node.sequences.values())
+        assert len(node.key) == len(search.problem.team)
+        assert all(type(seq) is tuple for seq in node.key)
+        assert node.assigned == frozenset().union(*node.key)
         checked.append(len(node.assigned))
         return evaluate(search, node)
 

@@ -113,9 +113,7 @@ def test_missing_endpoints():
     assert bad == [rels[2]]
 
 
-def test_unknown_and_duplicate_intervals_raise():
-    with pytest.raises(ValueError):
-        check_schedule([iv(1, 0, 5)], [], known_tasks={2, 3})
+def test_duplicate_intervals_raise():
     with pytest.raises(ValueError):
         check_schedule([iv(1, 0, 5), iv(1, 2, 3)], [])
 

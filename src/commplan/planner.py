@@ -99,7 +99,7 @@ class PlannerProblem:
     slot: dict[int, int] = field(init=False, repr=False)  # agent -> its place in a key
     # Whether a tail extension never starts a task of its base earlier (see greedy_cap).
     extensions_monotone: bool = field(init=False, repr=False)
-    # Per candidate key: [timetable record, zero-travel record, rate].
+    # Per candidate key: [timetable record, zero-travel record, rate, event].
     _memo: dict[SequencesKey, list] = field(default_factory=dict, repr=False)
     # Per assigned set: [feasible representatives, _rate_bound's floors].
     _by_assigned: dict[frozenset[int], list] = field(default_factory=dict, repr=False)
@@ -155,7 +155,7 @@ class PlannerProblem:
     def record(self, key: SequencesKey, relaxed: bool = False) -> Optional[TimetableRecord]:
         """`schedule_min_makespan(key's sequences, ..., relaxed=relaxed)` as a record,
         None when infeasible; appended to a recorded base (less one tail task) if exact."""
-        entry = self._memo.setdefault(key, [_UNSET] * 3)
+        entry = self._memo.setdefault(key, [_UNSET] * 4)
         if entry[relaxed] is _UNSET:
             entry[relaxed] = self._schedule(key, relaxed)
         return entry[relaxed]
@@ -177,20 +177,6 @@ class PlannerProblem:
         except InfeasibleSchedule:
             return None
 
-    def event(self, key: SequencesKey, record: Optional[TimetableRecord]) -> Optional[CommEvent]:
-        """The candidate's event, None when it has none; memoizes its rate."""
-        event = None
-        if record is not None:
-            # Not stored on the problem: a bound method there would make it a reference
-            # cycle, and its memo would outlive the cycle until the collector runs.
-            optimizer = self.event_optimizer or self._default_event
-            finish = {s[-1]: record.start_of(s[-1]) + self.tasks[s[-1]].duration for s in key if s}
-            event = optimizer(last_state(dict(zip(self.team, key)), finish, self.team, self.tasks))
-        count = len(set().union(*key))
-        self._memo.setdefault(key, [_UNSET] * 3)[2] = None if event is None else (
-            count / (event.time - self.now) if count and event.time > self.now else 0.0)
-        return event
-
     def top(self, key: SequencesKey, record: TimetableRecord) -> float:
         """When the last agent is free: its last task ends, or it is ready holding none."""
         return max(record.start_of(s[-1]) + self.tasks[s[-1]].duration if s else ctx.ready_time
@@ -202,17 +188,29 @@ class PlannerProblem:
         return len(set().union(*key)) / (top - self.now) if top > self.now else math.inf
 
     def rate(self, key: SequencesKey) -> Optional[float]:
-        """Rate of `build_plan(key, self)`, None when that is None;
-        each candidate's event is optimized once per cycle."""
-        entry = self._memo.setdefault(key, [_UNSET] * 3)
+        """Rate of `build_plan(key, self)`, None when that is None; each
+        candidate's event is optimized once per cycle and kept beside its rate."""
+        entry = self._memo.setdefault(key, [_UNSET] * 4)
         if entry[2] is _UNSET:
-            self.event(key, self.record(key))
+            record, event = self.record(key), None
+            if record is not None:
+                # Not stored on the problem: a bound method there would make it a reference
+                # cycle, and its memo would outlive the cycle until the collector runs.
+                optimizer = self.event_optimizer or self._default_event
+                finish = {s[-1]: record.start_of(s[-1]) + self.tasks[s[-1]].duration
+                          for s in key if s}
+                event = optimizer(last_state(dict(zip(self.team, key)), finish, self.team,
+                                             self.tasks))
+            count = len(set().union(*key))
+            entry[2] = None if event is None else (
+                count / (event.time - self.now) if count and event.time > self.now else 0.0)
+            entry[3] = event
         return entry[2]
 
     def _known_or_cap(self, key: SequencesKey) -> Optional[float]:
         """The memo's rate of `key`, else its rate cap (default optimizer with a
         schedule), else its rate, optimizing its event."""
-        if self.event_optimizer is None and self._memo.get(key, (_UNSET,) * 3)[2] is _UNSET:
+        if self.event_optimizer is None and self._memo.get(key, (_UNSET,) * 4)[2] is _UNSET:
             record = self.record(key)
             if record is not None:
                 return self.rate_cap(key, record)
@@ -328,12 +326,11 @@ def last_state(sequences: Mapping[int, Sequence[int]], finish: Mapping[int, floa
 
 def build_plan(key: SequencesKey, problem: PlannerProblem) -> Optional[CollectivePlan]:
     """Schedule + event-optimize a candidate assignment; None when infeasible."""
-    record = problem.record(key)
-    event = problem.event(key, record)
-    if event is None:
+    if problem.rate(key) is None:
         return None
+    record, _, rate, event = problem._memo[key]
     return CollectivePlan(dict(zip(problem.team, key)), record.timetable(problem.tasks), event,
-                          problem.rate(key))
+                          rate)
 
 
 def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[SequencesKey]:

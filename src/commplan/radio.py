@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .workspace import GridMap, Position, los_obstacle_length
 
@@ -66,30 +66,19 @@ def linked(p_i: Position, p_j: Position, grid: GridMap, params: CommParams) -> b
     return free - params.attenuation * los_obstacle_length(p_i, p_j, grid) > params.threshold
 
 
-def update_links(prev_links: set[tuple[int, int]], prev_pos: Mapping[int, Position],
+def update_links(prev_links: set[tuple[int, int]], moved: Sequence[int],
                  pos: Mapping[int, Position], grid: GridMap,
                  params: CommParams) -> set[tuple[int, int]]:
     """Linked pairs (i, j), i < j, among the agents of `pos`, as a new set.
 
-    `prev_links` must be the result for `prev_pos`. A link depends only on
-    its two positions, so a pair whose two ends sit where they sat in
-    `prev_pos` keeps its old result, and only pairs with a moved end call
-    `linked`, in ascending (i, j) order: a moved id against every higher
-    id, an unmoved id against the higher moved ids. With nobody moved and
-    the same ids, the result is a copy of `prev_links`. A pair with an end
-    absent from `pos` is dropped. With empty `prev_pos` every pair is
-    checked. A position off the map or not finite never passed `linked`,
-    so it differs from every stored one and `linked` still raises
-    `MapError` for it.
+    `prev_links` must be the result for the same agents before the agents in
+    `moved` (ascending ids) moved to `pos`. A link depends only on its two
+    positions, so a pair with no end in `moved` keeps its old result, and
+    only pairs with a moved end call `linked`, in ascending (i, j) order: a
+    moved id against every higher id, an unmoved id against the higher moved
+    ids. With every id in `moved`, every pair is checked.
     """
     ids = sorted(pos)
-    moved = []
-    for a in ids:
-        p, q = pos[a], prev_pos.get(a)
-        if q is not p and q != p:
-            moved.append(a)
-    if not moved and len(pos) == len(prev_pos):
-        return set(prev_links)
     still = set(ids).difference(moved)
     links = {pair for pair in prev_links if pair[0] in still and pair[1] in still}
     for k, a in enumerate(ids):
@@ -109,8 +98,9 @@ class CommGraph:
 def comm_graph(positions: Mapping[int, Position], grid: GridMap,
                params: CommParams) -> CommGraph:
     """Graph over agent ids with an edge wherever quality > threshold."""
-    return CommGraph(nodes=tuple(sorted(positions)),
-                     edges=frozenset(update_links(set(), {}, positions, grid, params)))
+    ids = sorted(positions)
+    return CommGraph(nodes=tuple(ids),
+                     edges=frozenset(update_links(set(), ids, positions, grid, params)))
 
 
 def is_connected(g: CommGraph) -> bool:

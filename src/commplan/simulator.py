@@ -164,8 +164,8 @@ class Simulator:
         self.index = RelationIndex(relations)
         # A running total of the agents' known-set sizes.
         self.known_count = sum(len(a.known) for a in self.agents.values())
-        self.looked_from: dict[int, Position] = {}  # positions at the last detection pass
-        self.looked_at = float("-inf")  # the time of that pass
+        self.moved: list[int] = []  # ascending ids whose position this tick's _move changed
+        self.looked_at = float("-inf")  # the time of the last detection pass
 
     # -- logging helpers -------------------------------------------------
 
@@ -292,9 +292,11 @@ class Simulator:
         return [start, *path[1:]]
 
     def _move(self, t: float) -> None:
+        self.moved = []
         for aid, ag in self.agents.items():
             if ag.status != "traveling" or ag.leg is None:
                 continue
+            start = ag.position
             ag.position = ag.leg.advance(ag.v_max * self.dt)
             if ag.leg.done:
                 ag.position = ag.leg.waypoints[-1]
@@ -306,16 +308,19 @@ class Simulator:
                     ag.arrived_comm_at = t
                     self.log(t, "arrival", aid, "comm")
                 ag.leg = None
+            if ag.position is not start:  # a zero-length leg keeps its position
+                self.moved.append(aid)
 
     def _detect(self, t: float) -> None:
         # Each task is detected once, by the lowest agent id that sees it. An
-        # agent still where it last looked saw every older task it can see, so
-        # it looks only at the tasks released since (map and range are fixed).
+        # agent not in `moved` stands where it looked on the last tick, so it
+        # looks only at the tasks released since (map and range are fixed); on
+        # the first tick every released task is new.
         released = [task for task in self.undetected if task.release_time <= t]
         fresh = [task for task in released if task.release_time > self.looked_at]
+        moved = set(self.moved)
         for aid, ag in self.agents.items():
-            candidates = released if self.looked_from.get(aid) is not ag.position else fresh
-            self.looked_from[aid] = ag.position
+            candidates = released if aid in moved else fresh
             if not candidates:
                 continue
             found = detect_tasks(ag.position, ag.sensor_range, candidates, t, self.grid)

@@ -238,12 +238,13 @@ class GreedyController:
         self.cfg = cfg
         self.options = options
         self.in_range: set[tuple[int, int]] = set()
-        self.in_range_pos: dict[int, Position] = {}  # where in_range was computed
         self.last_sig: dict[tuple[int, int], tuple] = {}
         self.news: Optional[tuple[int, int]] = None  # the last tick's news signature
 
     def on_start(self, sim: Simulator) -> None:
-        pass
+        # Every pair at the start positions; a tick re-checks only pairs with a moved end.
+        positions = {a: ag.position for a, ag in sim.agents.items()}
+        self.in_range = update_links(set(), list(sim.agents), positions, sim.grid, sim.params)
 
     def on_tick(self, sim: Simulator, t: float) -> None:
         # Known sets only grow and a done task stays done, so an equal news
@@ -253,9 +254,10 @@ class GreedyController:
         if changed:
             # A claim since the last pass only removed candidates.
             self._solo_claims(sim)
-        positions = {a: ag.position for a, ag in sim.agents.items()}
-        now_in_range = update_links(self.in_range, self.in_range_pos, positions,
-                                    sim.grid, sim.params)
+        now_in_range = self.in_range
+        if sim.moved:
+            positions = {a: ag.position for a, ag in sim.agents.items()}
+            now_in_range = update_links(self.in_range, sim.moved, positions, sim.grid, sim.params)
         # Unchanged news means no known set grew since the last tick began, so
         # its pairs in range all ended it with equal sets and a current
         # signature; without a fresh encounter there is nothing new.
@@ -272,7 +274,6 @@ class GreedyController:
                     self._pair_claims(sim, pair)
                     self.last_sig[pair] = (len(sim.agents[pair[0]].known), len(sim.done))
         self.in_range = now_in_range
-        self.in_range_pos = positions
 
     def _claimable(self, sim: Simulator, tid: int, agents: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         """The eligible group from `agents` whose farthest member is nearest the

@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 from commplan.experiment import run_trial
-from commplan import meeting, planner, strategies, workspace
+from commplan import meeting, planner, radio, strategies, workspace
 from commplan.meeting import com_opt_fast
 from commplan.planner import SearchStats, cocoplan
-from commplan.radio import CommParams
+from commplan.radio import CommParams, linked
 from commplan.scenario import load_scenario
 from commplan.strategies import StrategyConfig
 from commplan.tasks import RelationIndex
@@ -45,6 +45,10 @@ DESK_TRIAL0_SHA256 = {
 }
 # The same scenario as perfbench's subt10-greedy workload; 1,033 events.
 SUBT10_GREEDY_TRIAL0_SHA256 = "5e82bed4d463f74b901e2d486d2725d60122dee422aa5378066cb8d039a35f87"
+# The link checks (radio.linked calls) of the desk and subt10 greedy trial-0 runs: greedy
+# checks every pair at the start and then only the pairs with an end that moved.
+DESK_GREEDY_TRIAL0_LINKED_CALLS = 3587
+SUBT10_GREEDY_TRIAL0_LINKED_CALLS = 15897
 # Criterion 7's 10-agent instance searched until 300 nodes are generated.
 CRITERION7_RATE = 0.1452596131931247
 CRITERION7_GROUPS = {3: (5,), 4: (0, 4), 5: (0,), 7: (1,), 9: (4,), 15: (7,)}
@@ -55,7 +59,9 @@ DESK_SEED42_SEARCH = (3724, 359, 578)
 # The same trial's com_opt_fast calls (perfbench's meeting.com_opt_fast.calls): a change
 # that optimizes more events must say why. low_bound runs only on nodes whose greedy_cap
 # can beat the incumbent, and fewer low_bound calls optimize fewer events (2,588 before).
-DESK_SEED42_COM_OPT_FAST_CALLS = 1142
+# build_plan reads the event kept beside its candidate's rate instead of optimizing it
+# again (1,142 before).
+DESK_SEED42_COM_OPT_FAST_CALLS = 1126
 # The same trial's low_bound calls (perfbench's planner.low_bound.calls; 2,492 before
 # greedy_cap) and A* searches, one per unordered cell pair (433 astar_cells lookups).
 DESK_SEED42_LOW_BOUND_CALLS = 1131
@@ -64,6 +70,17 @@ DESK_SEED42_ASTAR_SEARCHES = 229
 # bounded its candidates in another order would schedule others.
 DESK_SEED42_FULL_SOLVES = 505
 DESK_SEED42_APPENDS = 6042
+
+
+def _count_linked(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return linked(*args)
+
+    monkeypatch.setattr(radio, "linked", counting)
+    return calls
 
 
 def _trial0_digest(cfg, strategy=None) -> str:
@@ -78,10 +95,13 @@ def test_desk_cocoplan_trial0_log_hash():
 
 
 @pytest.mark.parametrize("kind", DESK_TRIAL0_SHA256)
-def test_desk_trial0_log_hash_per_strategy(kind):
+def test_desk_trial0_log_hash_per_strategy(monkeypatch, kind):
     cfg = load_scenario(DESK)
     make_strategy, want = DESK_TRIAL0_SHA256[kind]
+    linked_calls = _count_linked(monkeypatch)
     assert _trial0_digest(cfg, make_strategy(cfg)) == want
+    if kind == "greedy":
+        assert len(linked_calls) == DESK_GREEDY_TRIAL0_LINKED_CALLS
 
 
 def test_desk_cocoplan_seed42_search_counts(monkeypatch):
@@ -118,10 +138,12 @@ def test_desk_cocoplan_seed42_search_counts(monkeypatch):
                       "append_to_timetable": DESK_SEED42_APPENDS}
 
 
-def test_subt10_greedy_trial0_log_hash():
+def test_subt10_greedy_trial0_log_hash(monkeypatch):
     cfg = load_scenario(SUBT10_GREEDY)
     assert cfg.strategy.kind == "greedy"
+    linked_calls = _count_linked(monkeypatch)
     assert _trial0_digest(cfg) == SUBT10_GREEDY_TRIAL0_SHA256
+    assert len(linked_calls) == SUBT10_GREEDY_TRIAL0_LINKED_CALLS
 
 
 def test_criterion7_plan_at_300_generated_nodes():

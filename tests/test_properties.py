@@ -39,11 +39,10 @@ def moving_agents(draw):
 def test_update_links_equals_all_pairs_links(case, threshold):
     grid, pos, steps = case
     params = CommParams(threshold=threshold)
-    links, prev_pos = set(), {}
-    for moves in [{}] + steps:
+    links = set()
+    for moves in [pos] + steps:  # first, every agent moves to its start
         pos = {**pos, **moves}
-        links = update_links(links, prev_pos, pos, grid, params)
-        prev_pos = pos
+        links = update_links(links, sorted(moves), pos, grid, params)
         assert links == {(a, b) for a, b in itertools.combinations(sorted(pos), 2)
                          if linked(pos[a], pos[b], grid, params)}
 

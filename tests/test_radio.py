@@ -180,34 +180,33 @@ def test_update_links_rechecks_only_pairs_with_a_moved_end(monkeypatch):
 
     monkeypatch.setattr(radio, "linked", recording_linked)
 
-    def step(prev_links, prev_pos, pos):
+    def step(prev_links, moved, pos):
         checked.clear()
-        links = update_links(prev_links, prev_pos, pos, grid, p)
+        links = update_links(prev_links, moved, pos, grid, p)
         assert links == {(a, b) for a, b in itertools.combinations(sorted(pos), 2)
                          if linked(pos[a], pos[b], grid, p)}
         return links
 
-    # No stored positions: every pair is checked.
+    # Everybody moved: every pair is checked.
     pos0 = {0: Position(1, 1), 1: Position(5, 1), 2: Position(20, 1)}
-    links0 = step(set(), {}, pos0)
+    links0 = step(set(), [0, 1, 2], pos0)
     assert links0 == {(0, 1)}
     assert checked == [(pos0[0], pos0[1]), (pos0[0], pos0[2]), (pos0[1], pos0[2])]
 
     # Agent 2 moves into range of 1: the pair is added, (0, 1) is carried unchecked.
     pos1 = {**pos0, 2: Position(12, 1)}
-    links1 = step(links0, pos0, pos1)
+    links1 = step(links0, [2], pos1)
     assert links1 == {(0, 1), (1, 2)}
     assert checked == [(pos1[0], pos1[2]), (pos1[1], pos1[2])]
 
     # Agent 1 moves away from 0: the pair is dropped, (1, 2) is re-checked at the new place.
     pos2 = {**pos1, 1: Position(16, 1)}
-    links2 = step(links1, pos1, pos2)
+    links2 = step(links1, [1], pos2)
     assert links2 == {(1, 2)}
     assert checked == [(pos2[0], pos2[1]), (pos2[1], pos2[2])]
 
-    # Nobody moves (equal, not identical, positions): no check at all.
-    pos3 = {a: Position(q.x, q.y) for a, q in pos2.items()}
-    assert step(links2, pos2, pos3) == links2
+    # Nobody moves: no check at all.
+    assert step(links2, [], pos2) == links2
     assert checked == []
 
 
@@ -215,38 +214,19 @@ def test_update_links_rechecks_a_position_off_the_map():
     grid = empty_grid()
     p = CommParams()
     prev = {0: Position(1, 1), 1: Position(2, 1)}
-    links = update_links(set(), {}, prev, grid, p)
+    links = update_links(set(), [0, 1], prev, grid, p)
     for bad in (Position(math.nan, 1), Position(100, 100), Position(-0.5, 1)):
         with pytest.raises(MapError):
-            update_links(links, prev, {**prev, 1: bad}, grid, p)
-
-
-def test_update_links_drops_the_pairs_of_an_agent_missing_from_pos(monkeypatch):
-    grid = empty_grid(30, 6)
-    p = CommParams()
-    prev = {0: Position(1, 1), 1: Position(5, 1), 2: Position(8, 1)}
-    links = update_links(set(), {}, prev, grid, p)
-    assert links == {(0, 1), (0, 2), (1, 2)}
-    checked = []
-
-    def recording_linked(*args):
-        checked.append(args)
-        return linked(*args)
-
-    monkeypatch.setattr(radio, "linked", recording_linked)
-    # Nobody in the smaller set moved, yet every pair with the missing end goes.
-    assert update_links(links, prev, {0: prev[0], 2: prev[2]}, grid, p) == {(0, 2)}
-    assert update_links(links, prev, {1: prev[1]}, grid, p) == set()
-    assert checked == []
+            update_links(links, [1], {**prev, 1: bad}, grid, p)
 
 
 def test_update_links_with_nobody_moved_returns_a_new_set():
     grid = empty_grid(30, 6)
     p = CommParams()
     pos = {0: Position(1, 1), 1: Position(5, 1), 2: Position(20, 1)}
-    links = update_links(set(), {}, pos, grid, p)
+    links = update_links(set(), [0, 1, 2], pos, grid, p)
     kept = set(links)
-    again = update_links(links, pos, dict(pos), grid, p)
+    again = update_links(links, [], pos, grid, p)
     assert again == links and again is not links
     again.add((0, 2))
     again.discard((0, 1))

@@ -390,11 +390,11 @@ def test_a_standing_agent_looks_only_at_new_tasks_and_a_moving_one_at_all(monkey
 
 
 class FullLookSimulator(simulator.Simulator):
-    """Simulator that forgets where its agents last looked before every tick,
+    """Simulator that lists every agent as moved before every detection pass,
     so every agent looks at every released, undetected task on every tick."""
 
     def _detect(self, t):
-        self.looked_from.clear()
+        self.moved = list(self.agents)
         super()._detect(t)
 
 
@@ -490,3 +490,37 @@ def test_known_and_done_counts_stay_exact(name, kind, horizon):
     check = CounterCheck(ctrl)
     _, metrics = sim.run(check)
     assert check.merged and metrics.finished_tasks > 0
+
+
+class MovedCheck:
+    """Controller wrapper that checks after each tick that `sim.moved` lists, in
+    ascending order, the agents whose position object the tick replaced."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.scheduled_events = inner.scheduled_events
+        self.moving_ticks = 0
+
+    def on_start(self, sim):
+        self.inner.on_start(sim)
+        self.seen = {a: ag.position for a, ag in sim.agents.items()}
+
+    def on_tick(self, sim, t):
+        self.inner.on_tick(sim, t)
+        pos = {a: ag.position for a, ag in sim.agents.items()}
+        assert sim.moved == [a for a in sorted(pos) if pos[a] is not self.seen[a]], t
+        self.moving_ticks += bool(sim.moved)
+        self.seen = pos
+
+
+@pytest.mark.parametrize("name, kind, horizon", [("desk_scenario.json", "cocoplan", 150.0),
+                                                 ("subt10_greedy.json", "greedy", 200.0)])
+def test_moved_lists_the_agents_whose_position_changed(name, kind, horizon):
+    # On desk, a chain's resident travels a zero-length leg to its own anchor:
+    # it traveled, but its position object is kept, so it is not listed.
+    cfg = load_scenario(DATA / name)
+    cfg.horizon = horizon  # shortened for test speed
+    sim, ctrl = build_simulator(cfg, strategy=StrategyConfig(kind))
+    check = MovedCheck(ctrl)
+    sim.run(check)
+    assert 0 < check.moving_ticks < round(horizon / cfg.dt) + 1

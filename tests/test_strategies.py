@@ -327,26 +327,33 @@ def test_greedy_claims_at_encounter():
 
 
 class AllPairsCheckedGreedy(GreedyController):
-    """Greedy that asserts after every tick that its links equal all-pairs
-    `linked` and that it checked exactly the pairs with an end that moved."""
+    """Greedy that asserts at the start and after every tick that its links
+    equal all-pairs `linked` and that it checked exactly the pairs with an end
+    that moved (every pair at the start)."""
 
     def __init__(self, cfg, options, calls):
         super().__init__(cfg, options)
         self.calls = calls  # appended to by the patched radio.linked
-        self.seen_pos = {}
         self.ticks = 0
 
+    def on_start(self, sim):
+        self.seen_pos = {}
+        self._check(sim, "start", lambda: GreedyController.on_start(self, sim))
+
     def on_tick(self, sim, t):
+        self._check(sim, t, lambda: GreedyController.on_tick(self, sim, t))
+        self.ticks += 1
+
+    def _check(self, sim, when, step):
         pos = {a: ag.position for a, ag in sim.agents.items()}
         pairs = list(itertools.combinations(sorted(pos), 2))
-        moved = {a for a in pos if self.seen_pos.get(a) != pos[a]}
+        moved = {a for a in pos if self.seen_pos.get(a) is not pos[a]}
         self.calls.clear()
-        super().on_tick(sim, t)
-        assert len(self.calls) == sum(1 for a, b in pairs if a in moved or b in moved), t
+        step()
+        assert len(self.calls) == sum(1 for a, b in pairs if a in moved or b in moved), when
         assert self.in_range == {(a, b) for a, b in pairs
-                                 if linked(pos[a], pos[b], sim.grid, sim.params)}, t
+                                 if linked(pos[a], pos[b], sim.grid, sim.params)}, when
         self.seen_pos = pos
-        self.ticks += 1
 
 
 @pytest.mark.parametrize("scenario, horizon", [("desk_scenario.json", 150.0),

@@ -44,7 +44,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
-from .meeting import CommEvent, com_opt, com_opt_fast
+from .meeting import DEFAULT_GAP, CommEvent, com_opt, com_opt_fast
 from .radio import CommParams, comm_graph, is_connected
 from .schedule import (EXHAUSTIVE_MUTEX_LIMIT, AgentContext, InfeasibleSchedule, Timetable,
                        TimetableRecord, append_to_timetable, eligible_groups, groups_of,
@@ -93,9 +93,8 @@ class PlannerProblem:
     now: float
     completed: frozenset[int] = frozenset()
     event_optimizer: Optional[Callable[[Mapping[int, AgentContext]], Optional[CommEvent]]] = None
-    gap: float = 0.5
+    gap: float = DEFAULT_GAP
     groups: dict[int, list[tuple[int, ...]]] = field(init=False, repr=False)  # eligible, per task
-    clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     slot: dict[int, int] = field(init=False, repr=False)  # agent -> its place in a key
     # Whether a tail extension never starts a task of its base earlier (see greedy_cap).
     extensions_monotone: bool = field(init=False, repr=False)
@@ -110,15 +109,6 @@ class PlannerProblem:
         self.tasks = {t: task for t, task in self.tasks.items() if t not in self.completed}
         self.groups = {t: eligible_groups(task, self.team) for t, task in self.tasks.items()}
         self.slot = {a: i for i, a in enumerate(self.team)}
-        # Concurrency-linked tasks must execute with overlapping intervals, so
-        # plans admit them only jointly: each task's concurrency component over
-        # the known task set is the unit of insertion.
-        self.clusters = {t: (t,) for t in self.tasks}
-        for t in sorted(self.tasks):
-            for p in self.index.conc.get(t, ()):
-                if p in self.tasks and p not in self.clusters[t]:
-                    merged = tuple(sorted(self.clusters[t] + self.clusters[p]))
-                    self.clusters.update(dict.fromkeys(merged, merged))
         mutex = sum(m > t and m in self.tasks for t in self.tasks for m in self.index.mutex.get(t, ()))
         conc = any(c in self.tasks for t in self.tasks for c in self.index.conc.get(t, ()))
         self.extensions_monotone = mutex <= EXHAUSTIVE_MUTEX_LIMIT and not (mutex and conc)
@@ -237,10 +227,10 @@ class PlannerProblem:
 def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> list[int]:
     """Representative tasks whose concurrency cluster can be added next.
 
-    A cluster is addable when every member is detected, unassigned, not
-    completed, coverable by the team, and has all precedence predecessors
-    already assigned or completed. Only the lowest member id is returned for
-    each cluster; expansion inserts the whole cluster jointly.
+    A cluster (`RelationIndex.cluster`) is addable when every unassigned member
+    is detected, not completed, coverable by the team, and has all precedence
+    predecessors already assigned or completed. Only the lowest member id is
+    returned for each cluster; expansion inserts the whole cluster jointly.
     """
     entry = problem._by_assigned.setdefault(assigned, [_UNSET, _UNSET])
     if entry[0] is not _UNSET:
@@ -249,24 +239,22 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
     done = assigned | problem.completed
 
     def member_ok(t: int, cluster: set[int]) -> bool:
-        # Members are known, unassigned and not completed by construction.
-        if not problem.groups[t]:
+        # A member outside the known set (undetected, completed in an earlier
+        # cycle, or an id that never becomes a task) makes the required overlap
+        # impossible for now, so the whole cluster stays out. Members are
+        # unassigned by construction.
+        if t not in problem.tasks or not problem.groups[t]:
             return False
         # Predecessors must be assigned, completed, or co-added in the same
         # cluster insertion.
-        if not all(p in done or p in cluster for p in preds.get(t, ())):
-            return False
-        # A concurrency partner outside the known set (undetected, or already
-        # completed in an earlier cycle) makes the required overlap impossible
-        # for now, so the whole cluster stays out.
-        return all(p in problem.tasks for p in problem.index.conc.get(t, ()))
+        return all(p in done or p in cluster for p in preds.get(t, ()))
 
     out = []
     seen: set[int] = set()
     for t in sorted(problem.tasks):
         if t in assigned or t in seen:
             continue
-        cluster = [m for m in problem.clusters[t] if m not in assigned]
+        cluster = [m for m in problem.index.cluster.get(t, (t,)) if m not in assigned]
         seen.update(cluster)
         cset = set(cluster)
         if all(member_ok(m, cset) for m in cluster):
@@ -291,7 +279,7 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem) -> list[P
     Multi-task clusters always use interior insertion so every relative
     placement of the jointly added members stays reachable.
     """
-    cluster = sorted(m for m in problem.clusters[task_id] if m not in node.assigned)
+    cluster = [m for m in problem.index.cluster.get(task_id, (task_id,)) if m not in node.assigned]
     interior = len(cluster) > 1 or _related_to_assigned(cluster, node.assigned, problem.index)
     placements = [node.key]
     for t in cluster:  # extend each placement so far by each of t's, in depth-first order
@@ -356,7 +344,7 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[SequencesKey]
         for rep in get_feasible_tasks(assigned, problem):
             if rep in skipped:
                 continue
-            cluster = sorted(m for m in problem.clusters[rep] if m not in assigned)
+            cluster = [m for m in problem.index.cluster.get(rep, (rep,)) if m not in assigned]
             chosen: dict[int, tuple[int, ...]] = {}
             cost = 0.0
             for t in cluster:
@@ -524,7 +512,7 @@ def cocoplan(team: Mapping[int, AgentContext], tasks: Mapping[int, Task],
              completed: frozenset[int] = frozenset(),
              event_optimizer: Optional[Callable[[Mapping[int, AgentContext]],
                                               Optional[CommEvent]]] = None,
-             gap: float = 0.5, node_limit: Optional[int] = None,
+             gap: float = DEFAULT_GAP, node_limit: Optional[int] = None,
              generated_limit: Optional[int] = None,
              stats: Optional[SearchStats] = None) -> CollectivePlan:
     """Best collective plan for the current cycle, found by branch and bound.

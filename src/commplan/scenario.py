@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .radio import CommParams
-from .simulator import DEFAULT_DT, AgentState, Simulator
+from .simulator import DEFAULT_DT, DEFAULT_RECHECK_INTERVAL, AgentState, Simulator
 from .strategies import (FIMR_MARGIN_TICKS, STRATEGY_KINDS, PlannerOptions, StrategyConfig,
                          make_controller)
 from .tasks import RelationKind, Task, TemporalRelation
@@ -104,7 +104,7 @@ class ScenarioConfig:
     planner_budget: Optional[float] = PlannerOptions.budget
     node_limit: Optional[int] = PlannerOptions.node_limit
     gap: float = PlannerOptions.gap
-    recheck_interval: float = 5.0
+    recheck_interval: float = DEFAULT_RECHECK_INTERVAL
     generator: Optional[GeneratorSpec] = None
 
     @property

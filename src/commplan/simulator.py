@@ -21,6 +21,7 @@ from .tasks import ExecutionInterval, RelationIndex, Task, TemporalRelation, det
 from .workspace import GridMap, Position, astar_path, astar_travel_time
 
 DEFAULT_DT = 0.1
+DEFAULT_RECHECK_INTERVAL = 5.0  # s, how often an idle team polls for new work
 DEPART_MARGIN_TICKS = 2
 
 
@@ -138,7 +139,7 @@ class Simulator:
     def __init__(self, grid: GridMap, agents: Sequence[AgentState], params: CommParams,
                  tasks: dict[int, Task], relations: Sequence[TemporalRelation],
                  horizon: float, dt: float = DEFAULT_DT,
-                 recheck_interval: float = 5.0):
+                 recheck_interval: float = DEFAULT_RECHECK_INTERVAL):
         self.grid = grid
         # In id order: each tick moves and detects the agents in this order.
         self.agents = {a.id: a for a in sorted(agents, key=lambda a: a.id)}
@@ -294,7 +295,7 @@ class Simulator:
     def _move(self, t: float) -> None:
         self.moved = []
         for aid, ag in self.agents.items():
-            if ag.status != "traveling" or ag.leg is None:
+            if ag.leg is None:  # an agent has a leg exactly when it is traveling
                 continue
             start = ag.position
             ag.position = ag.leg.advance(ag.v_max * self.dt)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .meeting import CommEvent, all_gather_event, chain_event, com_opt, latest
+from .meeting import DEFAULT_GAP, CommEvent, all_gather_event, chain_event, com_opt, latest
 from .planner import cocoplan, last_state
 from .radio import update_links
 from .schedule import AgentContext, eligible_groups
@@ -49,7 +49,7 @@ class PlannerOptions:
     budget: Optional[float] = None
     node_limit: Optional[int] = 200
     generated_limit: Optional[int] = 2000
-    gap: float = 0.5
+    gap: float = DEFAULT_GAP
 
 
 def _plan(sim: Simulator, agent_ids: Sequence[int], now: float, options: PlannerOptions,
@@ -253,7 +253,8 @@ class GreedyController:
         changed, self.news = news != self.news, news
         if changed:
             # A claim since the last pass only removed candidates.
-            self._solo_claims(sim)
+            for aid, ag in sim.agents.items():  # in id order
+                self._claims(sim, (aid,), ag.known)
         now_in_range = self.in_range
         if sim.moved:
             positions = {a: ag.position for a, ag in sim.agents.items()}
@@ -271,7 +272,7 @@ class GreedyController:
                         or self.last_sig.get(pair) != (len(known_a), len(sim.done))):
                     sim.log(t, "comm_event", *pair)
                     sim.merge_knowledge(pair)
-                    self._pair_claims(sim, pair)
+                    self._claims(sim, pair, sim.agents[pair[0]].known)  # the merged set
                     self.last_sig[pair] = (len(sim.agents[pair[0]].known), len(sim.done))
         self.in_range = now_in_range
 
@@ -290,38 +291,26 @@ class GreedyController:
                                        sim.agents[a].v_max) for a in set().union(*groups)}
         return min((max(map(travel.__getitem__, g)), g) for g in groups)[1]
 
-    def _cluster_ids(self, sim: Simulator, tid: int) -> list[int]:
-        return sorted(set([tid] + [p for p in sim.index.conc.get(tid, ()) if p in sim.tasks]))
+    def _claims(self, sim: Simulator, agents: tuple[int, ...], known: set[int]) -> None:
+        """Claim the pending tasks of `known` that `agents` can take, lowest id first.
 
-    def _solo_claims(self, sim: Simulator) -> None:
-        for aid in sorted(sim.agents):
-            ag = sim.agents[aid]
-            for tid in sorted(ag.known):
-                if sim.task_state[tid] != "pending" or sim.index.conc.get(tid):
-                    continue
-                group = self._claimable(sim, tid, (aid,))
-                if group is not None:
-                    sim.assign(tid, group)
-
-    def _pair_claims(self, sim: Simulator, pair: tuple[int, int]) -> None:
-        known = sorted(sim.agents[pair[0]].known | sim.agents[pair[1]].known)
-        for tid in known:
+        A task with no concurrency partner goes to its `_claimable` group. A
+        two-task concurrency component (`RelationIndex.cluster`) whose tasks are
+        both known goes to two agents at once, one solo group per task, so the
+        tasks run together. A larger component is never claimed: claiming part
+        of it would leave agents waiting for a partner nobody holds.
+        """
+        for tid in sorted(known):
             if sim.task_state[tid] != "pending":
                 continue
-            cluster = self._cluster_ids(sim, tid)
+            cluster = sim.index.cluster.get(tid, (tid,))
             if len(cluster) == 1:
-                group = self._claimable(sim, tid, pair)
+                group = self._claimable(sim, tid, agents)
                 if group is not None:
                     sim.assign(tid, group)
-            elif len(cluster) == 2:
-                # Overlapping execution needs disjoint solo groups, one per agent,
-                # and both tasks must already be known to the pair.
+            elif len(cluster) == 2 and len(agents) == 2 and known.issuperset(cluster):
                 a, b = cluster
-                if a not in known or b not in known:
-                    continue
-                if sim.task_state.get(a) != "pending" or sim.task_state.get(b) != "pending":
-                    continue
-                for agent_a, agent_b in (pair, pair[::-1]):
+                for agent_a, agent_b in (agents, agents[::-1]):
                     g_a = self._claimable(sim, a, (agent_a,))
                     g_b = self._claimable(sim, b, (agent_b,))
                     if g_a and g_b:

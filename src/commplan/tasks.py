@@ -122,8 +122,10 @@ class RelationIndex:
 
     `preds[t]` holds the tasks that must finish before t starts (`succs` is its
     inverse), `mutex[t]` the tasks whose intervals must be disjoint from t's,
-    and `conc[t]` the tasks whose intervals must intersect t's. Each value is a
-    sorted tuple; a task with no relation of a kind has no entry in that view.
+    and `conc[t]` the tasks whose intervals must intersect t's. `cluster[t]` is
+    t's connected component under `conc`, t included: the tasks that can only be
+    planned or claimed together. Each value is a sorted tuple; a task with no
+    relation of a kind has no entry in that view.
     """
 
     def __init__(self, relations: Iterable[TemporalRelation]):
@@ -138,3 +140,12 @@ class RelationIndex:
             {t: tuple(sorted(others)) for t, others in view.items()}
             for view in (views[RelationKind.PRECEDENCE], succs, views[RelationKind.MUTEX],
                          views[RelationKind.CONCURRENCY]))
+        # Concurrency-linked tasks must execute with overlapping intervals, so
+        # plans admit them only jointly: each task's concurrency component is
+        # the unit of insertion.
+        self.cluster = {t: (t,) for t in self.conc}
+        for t in sorted(self.conc):
+            for p in self.conc[t]:
+                if p not in self.cluster[t]:
+                    merged = tuple(sorted(self.cluster[t] + self.cluster[p]))
+                    self.cluster.update(dict.fromkeys(merged, merged))

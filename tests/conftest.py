@@ -267,10 +267,38 @@ def recorded_nodes():
         yield nodes
 
 
+def reference_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> list[int]:
+    """`planner.get_feasible_tasks` as it was before clusters were worked out once
+    per run: each cycle merges the concurrency components over its known tasks,
+    and a cluster stays out while a member has a partner outside them."""
+    clusters = {t: (t,) for t in problem.tasks}
+    for t in sorted(problem.tasks):
+        for p in problem.index.conc.get(t, ()):
+            if p in problem.tasks and p not in clusters[t]:
+                merged = tuple(sorted(clusters[t] + clusters[p]))
+                clusters.update(dict.fromkeys(merged, merged))
+    done = assigned | problem.completed
+
+    def member_ok(t, cluster):
+        return (bool(problem.groups[t])
+                and all(p in done or p in cluster for p in problem.index.preds.get(t, ()))
+                and all(p in problem.tasks for p in problem.index.conc.get(t, ())))
+
+    out, seen = [], set()
+    for t in sorted(problem.tasks):
+        if t in assigned or t in seen:
+            continue
+        cluster = [m for m in clusters[t] if m not in assigned]
+        seen.update(cluster)
+        if all(member_ok(m, set(cluster)) for m in cluster):
+            out.append(min(cluster))
+    return out
+
+
 def reference_expand_node(node, task_id: int, problem: PlannerProblem):
     """`planner.expand_node` as it was when a node held a sequences dict: the
     children's (sequences, assigned set), in the order the search generates them."""
-    cluster = sorted(m for m in problem.clusters[task_id] if m not in node.assigned)
+    cluster = [m for m in problem.index.cluster.get(task_id, (task_id,)) if m not in node.assigned]
     interior = len(cluster) > 1 or _related_to_assigned(cluster, node.assigned, problem.index)
     placements = [dict(zip(problem.team, node.key))]
     for t in cluster:
@@ -307,7 +335,7 @@ def reference_low_bound(node, problem: PlannerProblem, scored: list):
         for rep in get_feasible_tasks(assigned, problem):
             if rep in skipped:
                 continue
-            cluster = sorted(m for m in problem.clusters[rep] if m not in assigned)
+            cluster = [m for m in problem.index.cluster.get(rep, (rep,)) if m not in assigned]
             chosen, cost = {}, 0.0
             for t in cluster:
                 costs = {g: max(travel(a, t) for a in g) for g in problem.groups[t]}

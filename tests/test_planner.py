@@ -20,7 +20,8 @@ from commplan.workspace import Position, astar_travel_time
 
 from conftest import (empty_grid, exhaustive_best_rate, plan_key, plan_node,
                       random_planner_instance, recorded_nodes, reference_expand_node,
-                      reference_low_bound, reference_rate_bound, relations_between)
+                      reference_feasible_tasks, reference_low_bound, reference_rate_bound,
+                      relations_between)
 
 
 def ctx(aid, x, y, caps=("work",), v=2.0):
@@ -759,5 +760,39 @@ def test_every_bounded_node_carries_its_key_and_assigned_set(monkeypatch):
             rels = rels + [TemporalRelation(*sorted(rng.sample(sorted(tasks), 2)),
                                             RelationKind.CONCURRENCY)]
         cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
-        clusters += any(len(c) > 1 for c in make_problem(team, tasks, rels, grid).clusters.values())
+        clusters += bool(RelationIndex(rels).cluster)
     assert clusters >= 6 and len(checked) > 300 and max(checked) >= 3
+
+
+def test_feasible_tasks_equal_the_per_cycle_cluster_rule(monkeypatch):
+    """On every node of searches over chains, stars, partner ids that never
+    become tasks and completed members, the feasible representatives read from
+    `RelationIndex.cluster` equal those of clusters merged over each cycle's
+    known tasks."""
+    evaluate = planner.Search.evaluate
+    checked = []
+
+    def checking(search, node):
+        problem = search.problem
+        assert (get_feasible_tasks(node.assigned, problem)
+                == reference_feasible_tasks(node.assigned, problem))
+        checked.append(node.assigned)
+        return evaluate(search, node)
+
+    monkeypatch.setattr(planner.Search, "evaluate", checking)
+    rng = random.Random(40)
+    seen = Counter()
+    for _ in range(40):
+        grid, team, tasks, rels = random_planner_instance(rng)
+        ids = sorted(tasks) + [50, 51]  # 50 and 51 never become tasks
+        for _ in range(rng.randint(1, 3)):
+            rels = rels + [TemporalRelation(*rng.sample(ids, 2), RelationKind.CONCURRENCY)]
+        completed = frozenset(rng.sample(sorted(tasks), 1) if tasks and rng.random() < 0.3 else ())
+        index = RelationIndex(rels)
+        members = set().union(*index.cluster.values())
+        seen["component of 3+"] += any(len(c) >= 3 for c in index.cluster.values())
+        seen["unknown member"] += bool(members - set(tasks))
+        seen["completed member"] += bool(members & completed)
+        cocoplan(team, tasks, index, grid, CommParams(), completed=completed, node_limit=60)
+    assert min(seen.values()) >= 10 and len(seen) == 3, seen
+    assert len(checked) > 300 and max(map(len, checked)) >= 3

@@ -494,7 +494,8 @@ def test_known_and_done_counts_stay_exact(name, kind, horizon):
 
 class MovedCheck:
     """Controller wrapper that checks after each tick that `sim.moved` lists, in
-    ascending order, the agents whose position object the tick replaced."""
+    ascending order, the agents whose position object the tick replaced, and
+    that an agent has a leg exactly when it is traveling."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -509,6 +510,8 @@ class MovedCheck:
         self.inner.on_tick(sim, t)
         pos = {a: ag.position for a, ag in sim.agents.items()}
         assert sim.moved == [a for a in sorted(pos) if pos[a] is not self.seen[a]], t
+        assert all((ag.status == "traveling") == (ag.leg is not None)
+                   for ag in sim.agents.values()), t
         self.moving_ticks += bool(sim.moved)
         self.seen = pos
 

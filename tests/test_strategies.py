@@ -13,7 +13,8 @@ from commplan.schedule import AgentContext, eligible_groups, group_covers
 from commplan.simulator import AgentState, Simulator
 from commplan.strategies import (GreedyController, PlannerOptions, StrategyConfig,
                                  TeamCycleController, make_controller)
-from commplan.tasks import RelationKind, Task, TemporalRelation
+from commplan.tasks import (ExecutionInterval, RelationKind, Task, TemporalRelation,
+                            check_schedule)
 from commplan.workspace import Position, astar_travel_time
 
 from conftest import empty_grid, random_connected_grid
@@ -388,13 +389,14 @@ class FullPathGreedy(GreedyController):
                                                ("subt10_greedy.json", 200.0)])
 def test_greedy_skips_change_no_event(monkeypatch, scenario, horizon):
     solo_passes = []
-    full_solo_claims = GreedyController._solo_claims
+    full_claims = GreedyController._claims
 
-    def counting_solo_claims(self, sim):
-        solo_passes.append(sim.now)
-        full_solo_claims(self, sim)
+    def counting_claims(self, sim, agents, known):
+        if agents == (min(sim.agents),):  # the solo pass starts with the lowest id
+            solo_passes.append(sim.now)
+        full_claims(self, sim, agents, known)
 
-    monkeypatch.setattr(GreedyController, "_solo_claims", counting_solo_claims)
+    monkeypatch.setattr(GreedyController, "_claims", counting_claims)
     cfg = load_scenario(DATA / scenario)
     cfg.horizon = horizon  # shortened for test speed
     ticks = round(horizon / cfg.dt) + 1
@@ -420,3 +422,67 @@ def test_greedy_out_of_range_only_solo_tasks():
     assert metrics.finished_tasks == 1
     assert sim.task_state[1] == "done"
     assert sim.task_state[2] == "pending"  # pair task needs an encounter that never happens
+
+
+def concurrency_chain_run(edges):
+    """Two agents, three 10 s tasks joined by concurrency `edges`, and two solo
+    tasks released at 20 s."""
+    grid = empty_grid(20, 8)
+    tasks = [task(0, 6.5, 2.5, duration=10.0), task(1, 10.5, 2.5, duration=10.0),
+             task(2, 14.5, 2.5, duration=10.0),
+             task(3, 6.5, 5.5, release=20.0), task(4, 12.5, 5.5, release=20.0)]
+    rels = [TemporalRelation(a, b, RelationKind.CONCURRENCY) for a, b in edges]
+    return run_sim(grid, [agent(0, 2.5, 2.5), agent(1, 4.5, 2.5)], tasks, "greedy",
+                   horizon=80.0, rels=rels)
+
+
+@pytest.mark.parametrize("edges", [((0, 1), (1, 2)), ((0, 1), (0, 2))], ids=["chain", "star"])
+def test_greedy_never_claims_part_of_a_concurrency_component(edges):
+    """A claimed pair of a three-task component could never start, and its two
+    agents would wait at their tasks for the rest of the run."""
+    sim, events, metrics = concurrency_chain_run(edges)
+    assert any(e.kind == "comm_event" for e in events)
+    assert metrics.finished_tasks == 2
+    assert [sim.task_state[t] for t in range(5)] == ["pending"] * 3 + ["done"] * 2
+    assert not {0, 1, 2} & set(sim.groups)
+    assert all(ag.status != "waiting_at_task" and not ag.queue for ag in sim.agents.values())
+
+
+class ClaimTimes:
+    """Controller wrapper that records the tick at which each task left "pending"."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.scheduled_events = inner.scheduled_events
+        self.claimed_at = {}
+
+    def on_start(self, sim):
+        self.inner.on_start(sim)
+
+    def on_tick(self, sim, t):
+        self.inner.on_tick(sim, t)
+        for tid, state in sim.task_state.items():
+            if state != "pending":
+                self.claimed_at.setdefault(tid, t)
+
+
+def test_greedy_claims_a_concurrency_pair_at_an_encounter():
+    """Each agent knows one task of a concurrency pair and cannot claim it
+    alone; when solo tasks bring them into range, the pair claims both, one
+    agent each, and the two run at the same time."""
+    grid = empty_grid(60, 6)
+    tasks = [task(0, 20.5, 4.5, duration=10.0), task(1, 40.5, 4.5, duration=10.0),
+             task(2, 27.5, 2.5), task(3, 32.5, 2.5)]
+    rels = [TemporalRelation(0, 1, RelationKind.CONCURRENCY)]
+    sim = Simulator(grid, [agent(0, 2.5, 2.5, sensor=25.0), agent(1, 57.5, 2.5, sensor=25.0)],
+                    CommParams(), {t.id: t for t in tasks}, rels, horizon=80.0)
+    ctrl = ClaimTimes(make_controller(StrategyConfig("greedy")))
+    events, metrics = sim.run(ctrl)
+    first_comm = min(e.timestamp for e in events if e.kind == "comm_event")
+    assert first_comm > 0.0  # the agents start out of range
+    assert ctrl.claimed_at[0] == ctrl.claimed_at[1] == pytest.approx(first_comm)
+    assert sim.groups[0] == (0,) and sim.groups[1] == (1,)
+    assert metrics.finished_tasks == 4
+    assert sim.task_start[0] == sim.task_start[1]
+    intervals = [ExecutionInterval(t, sim.task_start[t], sim.task_finish[t]) for t in sim.done]
+    assert check_schedule(intervals, rels) == (True, [])

@@ -176,3 +176,29 @@ def test_relation_index_matches_a_scan_of_the_relations():
         assert index.preds == view(RelationKind.PRECEDENCE, False)
         assert index.mutex == view(RelationKind.MUTEX, True)
         assert index.conc == view(RelationKind.CONCURRENCY, True)
+
+
+def test_relation_index_cluster_is_the_concurrency_component():
+    """`cluster[t]` equals t's component under a plain breadth-first search of
+    the concurrency relations; other kinds never join a component."""
+    rng = random.Random(12)
+    sizes = set()
+    for _ in range(200):
+        pairs = rng.sample([(a, b) for a in range(10) for b in range(10) if a != b],
+                           rng.randint(0, 12))
+        rels = [TemporalRelation(a, b, rng.choice(list(RelationKind))) for a, b in pairs]
+        partners = {}
+        for r in rels:
+            if r.kind is RelationKind.CONCURRENCY:
+                partners.setdefault(r.first, set()).add(r.second)
+                partners.setdefault(r.second, set()).add(r.first)
+        want = {}
+        for t in partners:
+            component, frontier = {t}, [t]
+            while frontier:
+                frontier = {p for m in frontier for p in partners[m]} - component
+                component.update(frontier)
+            want[t] = tuple(sorted(component))
+        assert RelationIndex(rels).cluster == want
+        sizes.update(map(len, want.values()))
+    assert {2, 3, 4} <= sizes

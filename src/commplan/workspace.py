@@ -12,6 +12,8 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -41,7 +43,14 @@ class GridMap:
     """Immutable occupancy grid. `_memo` holds the results of the pure
     geometry queries decorated with `memoized` and the searches of
     `astar_cells`; it only changes by adding entries or by being cleared
-    whole, so no read sees a stale value."""
+    whole, so no read sees a stale value.
+
+    The per-cell kernels read `_flat`, the occupancy as row-major bytes
+    (cell (cx, cy) at `cy * width_cells + cx`, 1 when occupied), and
+    `_sat`, its summed-area table: `(height_cells + 1) * (width_cells + 1)`
+    counts, row-major with a zero first row and column, where entry
+    `y * (width_cells + 1) + x` counts the occupied cells with `cx < x` and
+    `cy < y`."""
 
     def __init__(self, occupancy: np.ndarray, resolution: float):
         occ = np.asarray(occupancy, dtype=bool)
@@ -53,15 +62,20 @@ class GridMap:
         self._occ.setflags(write=False)
         self.resolution = float(resolution)
         self.height_cells, self.width_cells = occ.shape
+        self.width_m = self.width_cells * self.resolution
+        self.height_m = self.height_cells * self.resolution
+        if not (math.isfinite(self.width_m) and math.isfinite(self.height_m)):
+            raise MapError(f"resolution {self.resolution} gives a map of "
+                           f"{self.width_m} x {self.height_m} m, which is not finite")
+        self._flat = occ.tobytes()
+        w = self.width_cells
+        sat = [0] * (w + 1)
+        for y in range(self.height_cells):
+            above = sat[-w:]  # the previous row without its leading 0
+            sat.append(0)
+            sat.extend(map(add, above, accumulate(self._flat[y * w:(y + 1) * w])))
+        self._sat = sat
         self._memo: dict[tuple, object] = {}
-
-    @property
-    def width_m(self) -> float:
-        return self.width_cells * self.resolution
-
-    @property
-    def height_m(self) -> float:
-        return self.height_cells * self.resolution
 
     @property
     def occupancy(self) -> np.ndarray:
@@ -71,10 +85,12 @@ class GridMap:
         return 0.0 <= p.x < self.width_m and 0.0 <= p.y < self.height_m
 
     def require_inside(self, p: Position) -> None:
+        # One comparison on the common path; it is False for NaN and +-inf too.
+        if 0.0 <= p.x < self.width_m and 0.0 <= p.y < self.height_m:
+            return
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise MapError(f"position ({p.x}, {p.y}) is not finite")
-        if not self.contains(p):
-            raise MapError(f"position ({p.x}, {p.y}) outside map {self.width_m} x {self.height_m} m")
+        raise MapError(f"position ({p.x}, {p.y}) outside map {self.width_m} x {self.height_m} m")
 
     def cell_at(self, p: Position) -> tuple[int, int]:
         self.require_inside(p)
@@ -90,7 +106,7 @@ class GridMap:
         cx, cy = cell
         if not (0 <= cx < self.width_cells and 0 <= cy < self.height_cells):
             return False
-        return not self._occ[cy, cx]
+        return not self._flat[cy * self.width_cells + cx]
 
     def is_free(self, p: Position) -> bool:
         return self.is_free_cell(self.cell_at(p))
@@ -123,6 +139,8 @@ def parse_grid(text: str) -> GridMap:
         raise MapError(f"line 1: bad header values: {exc}") from exc
     if width < 1 or height < 1 or not resolution > 0:
         raise MapError("line 1: width/height must be >= 1 and resolution > 0")
+    if not math.isfinite(resolution):
+        raise MapError(f"line 1: resolution {resolution} is not finite")
     rows = [line.rstrip() for line in lines[1:] if line.rstrip() != ""]
     if len(rows) != height:
         raise MapError(f"expected {height} map rows, found {len(rows)}")
@@ -183,10 +201,28 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
         return 0.0
 
     res = grid.resolution
-    cx = min(int(a.x / res), grid.width_cells - 1)
-    cy = min(int(a.y / res), grid.height_cells - 1)
-    end_cx = min(int(b.x / res), grid.width_cells - 1)
-    end_cy = min(int(b.y / res), grid.height_cells - 1)
+    w, h = grid.width_cells, grid.height_cells
+    cx = min(int(a.x / res), w - 1)
+    cy = min(int(a.y / res), h - 1)
+    end_cx = min(int(b.x / res), w - 1)
+    end_cy = min(int(b.y / res), h - 1)
+
+    # Free-box test. The walk below starts in (cx, cy) and steps each axis
+    # only toward the end cell, so it visits only cells in the box of the two
+    # endpoint cells. Float rounding near a grid line through an endpoint can
+    # carry it one cell past the end cell on each axis, but no further; hence
+    # the box is padded by one cell on each side (clamped to the grid). If
+    # every cell of that box is free, `total` stays 0.0 and the walk would
+    # return max(0.0, 0.0) == 0.0, so the answer is returned without walking.
+    # The box's occupied count is four summed-area lookups; x1 and y1 are
+    # exclusive, and a.x <= b.x after the swap above, so cx <= end_cx.
+    x0, x1 = max(cx - 1, 0), min(end_cx + 2, w)
+    y0, y1 = (cy, end_cy) if cy <= end_cy else (end_cy, cy)
+    y0, y1 = max(y0 - 1, 0), min(y1 + 2, h)
+    sat, top, bottom = grid._sat, y0 * (w + 1), y1 * (w + 1)
+    if sat[bottom + x1] - sat[top + x1] - sat[bottom + x0] + sat[top + x0] == 0:
+        return 0.0
+    flat = grid._flat
 
     step_x = 1 if dx > 0 else -1
     step_y = 1 if dy > 0 else -1
@@ -211,7 +247,7 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
     t = 0.0
     while True:
         t_next = min(t_max_x, t_max_y, 1.0)
-        if grid.occupancy[cy, cx]:
+        if flat[cy * w + cx]:
             total += (t_next - t) * seg_len
         if t_next >= 1.0 or (cx == end_cx and cy == end_cy):
             break
@@ -226,7 +262,7 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
         else:
             cy += step_y
             t_max_y += t_delta_y
-        if not (0 <= cx < grid.width_cells and 0 <= cy < grid.height_cells):
+        if not (0 <= cx < w and 0 <= cy < h):
             break
     return max(total, 0.0)
 
@@ -283,7 +319,7 @@ def _astar_search(grid: GridMap, s: tuple[int, int],
     """A* between free cells; (length_m, the path from s to g as `_NEIGHBORS`
     indices), None when g is unreachable."""
     res = grid.resolution
-    occ = grid.occupancy
+    flat = grid._flat
     w, h = grid.width_cells, grid.height_cells
     g_score: dict[tuple[int, int], float] = {s: 0.0}
     parent: dict[tuple[int, int], tuple[int, int]] = {}
@@ -306,9 +342,9 @@ def _astar_search(grid: GridMap, s: tuple[int, int],
         base = g_score[cur]
         for ox, oy in _NEIGHBORS:
             nx, ny = cx + ox, cy + oy
-            if not (0 <= nx < w and 0 <= ny < h) or occ[ny, nx]:
+            if not (0 <= nx < w and 0 <= ny < h) or flat[ny * w + nx]:
                 continue
-            if ox != 0 and oy != 0 and (occ[cy, nx] or occ[ny, cx]):
+            if ox != 0 and oy != 0 and (flat[cy * w + nx] or flat[ny * w + cx]):
                 continue
             cost = base + (SQRT2 * res if ox != 0 and oy != 0 else res)
             nxt = (nx, ny)

@@ -154,6 +154,58 @@ def los_oracle(a: Position, b: Position, grid: GridMap) -> float:
     return total
 
 
+def reference_los(a: Position, b: Position, grid: GridMap) -> float:
+    """`workspace.los_obstacle_length` as it was before its free-box test and
+    flat mask: the same cell walk, reading `grid.occupancy` at every step."""
+    grid.require_inside(a)
+    grid.require_inside(b)
+    if (b.x, b.y) < (a.x, a.y):
+        a, b = b, a
+    dx = b.x - a.x
+    dy = b.y - a.y
+    seg_len = math.hypot(dx, dy)
+    if seg_len == 0.0:
+        return 0.0
+    res = grid.resolution
+    cx = min(int(a.x / res), grid.width_cells - 1)
+    cy = min(int(a.y / res), grid.height_cells - 1)
+    end_cx = min(int(b.x / res), grid.width_cells - 1)
+    end_cy = min(int(b.y / res), grid.height_cells - 1)
+    step_x = 1 if dx > 0 else -1
+    step_y = 1 if dy > 0 else -1
+    if dx != 0:
+        t_max_x = ((cx + (1 if dx > 0 else 0)) * res - a.x) / dx
+        t_delta_x = res / abs(dx)
+    else:
+        t_max_x = t_delta_x = math.inf
+    if dy != 0:
+        t_max_y = ((cy + (1 if dy > 0 else 0)) * res - a.y) / dy
+        t_delta_y = res / abs(dy)
+    else:
+        t_max_y = t_delta_y = math.inf
+    total = 0.0
+    t = 0.0
+    while True:
+        t_next = min(t_max_x, t_max_y, 1.0)
+        if grid.occupancy[cy, cx]:
+            total += (t_next - t) * seg_len
+        if t_next >= 1.0 or (cx == end_cx and cy == end_cy):
+            break
+        t = t_next
+        if t_max_x <= t_max_y:
+            if t_max_x == t_max_y:
+                cy += step_y
+                t_max_y += t_delta_y
+            cx += step_x
+            t_max_x += t_delta_x
+        else:
+            cy += step_y
+            t_max_y += t_delta_y
+        if not (0 <= cx < grid.width_cells and 0 <= cy < grid.height_cells):
+            break
+    return max(total, 0.0)
+
+
 def dijkstra_oracle(grid: GridMap, start, goal) -> float:
     """Plain Dijkstra over the same 8-connected no-corner-cut graph."""
     import heapq

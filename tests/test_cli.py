@@ -266,11 +266,15 @@ def test_cli_capabilities_must_be_list_of_strings(tmp_path, capsys, command, val
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("map_name", ["small\x00.map", "binary.map", "wide.map"])
+@pytest.mark.parametrize("map_name", ["small\x00.map", "binary.map", "wide.map", "inf.map",
+                                      "huge.map"])
 def test_cli_unreadable_map_exit_code(tmp_path, capsys, command, map_name):
     (tmp_path / "binary.map").write_bytes(b"12 10 1\n\xff\xfe\n")
     # 10^12 columns over one short row: refused before numpy is asked for 931 GiB.
     (tmp_path / "wide.map").write_text("1000000000000 1 1.0\n.\n")
+    # A map whose extent is not finite in metres would put every position in cell 0.
+    (tmp_path / "inf.map").write_text("3 1 inf\n...\n")
+    (tmp_path / "huge.map").write_text("3 1 1e308\n...\n")
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(small_raw(map_name)))
     assert main([command, str(path)]) == 2

@@ -1,13 +1,18 @@
 import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from commplan import workspace
 from commplan.workspace import (GridMap, MapError, Position, Unreachable, astar_length,
                                 astar_path, astar_travel_time, los_obstacle_length, parse_grid)
 
-from conftest import dijkstra_oracle, empty_grid, grid_from_rows, los_oracle, random_connected_grid
+from conftest import (dijkstra_oracle, empty_grid, grid_from_rows, los_oracle,
+                      random_connected_grid, reference_los)
+
+DATA = Path(__file__).parent / "data"
 
 
 def format_grid(grid: GridMap) -> str:
@@ -33,6 +38,16 @@ def test_parse_rejects_bad_headers():
     # 10^12 cells would be 931 GiB: the short row is refused before any allocation.
     with pytest.raises(MapError, match="line 2: expected 1000000000000 cells, got 1"):
         parse_grid("1000000000000 1 1.0\n.")
+
+
+def test_parse_rejects_a_map_not_finite_in_metres():
+    with pytest.raises(MapError, match="line 1: resolution inf is not finite"):
+        parse_grid("3 1 inf\n...")
+    # 3 * 1e308 overflows: the map's width would be inf and every x would lie in cell 0.
+    with pytest.raises(MapError, match="not finite"):
+        parse_grid("3 1 1e308\n...")
+    with pytest.raises(MapError, match="not finite"):
+        GridMap(np.zeros((1, 3), dtype=bool), math.inf)
 
 
 def test_parse_trailing_whitespace_and_roundtrip():
@@ -80,6 +95,99 @@ def test_los_matches_clipping_oracle_on_random_segments():
         got = los_obstacle_length(a, b, grid)
         want = los_oracle(a, b, grid)
         assert got == pytest.approx(want, abs=1e-6)
+
+
+def lattice_coordinate(rng: random.Random, extent: float, res: float) -> float:
+    """A coordinate in [0, extent): often on a quarter-cell lattice (grid lines
+    included), one ulp beside a grid line, or in the last row or column."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        v = rng.randint(0, round(extent / res) * 4) * res / 4
+    elif kind == 1:
+        line = rng.randint(0, round(extent / res)) * res
+        v = math.nextafter(line, rng.choice((-math.inf, math.inf)))
+    elif kind == 2:
+        v = rng.uniform(extent - res, extent)
+    else:
+        v = rng.uniform(0.0, extent)
+    return min(max(v, 0.0), math.nextafter(extent, 0.0))
+
+
+def los_test_grids(rng: random.Random) -> list[GridMap]:
+    grids = [parse_grid((DATA / name).read_text()) for name in ("desk.map", "subt.map")]
+    for res in (1.0, 0.1, 0.25, 0.3, 0.7):
+        for density in (0.0, 0.05, 0.3):
+            w, h = rng.randint(1, 12), rng.randint(1, 12)
+            grids.append(grid_from_rows(["".join("#" if rng.random() < density else "."
+                                                 for _ in range(w)) for _ in range(h)], res))
+    return grids
+
+
+def test_los_equals_the_reference_walk_bit_for_bit():
+    """The free-box test and the flat mask change no float: every segment gives
+    exactly the value of the cell walk that reads `occupancy` at every step."""
+    rng = random.Random(29)
+    grids = los_test_grids(rng)
+    for _ in range(6000):
+        grid = rng.choice(grids)
+        res, w, h = grid.resolution, grid.width_m, grid.height_m
+        a = Position(lattice_coordinate(rng, w, res), lattice_coordinate(rng, h, res))
+        kind = rng.randrange(6)
+        if kind == 0:
+            b = a
+        elif kind == 1:
+            b = Position(a.x, lattice_coordinate(rng, h, res))
+        elif kind == 2:
+            b = Position(lattice_coordinate(rng, w, res), a.y)
+        else:
+            b = Position(lattice_coordinate(rng, w, res), lattice_coordinate(rng, h, res))
+        got = los_obstacle_length.__wrapped__(a, b, grid)
+        want = reference_los(a, b, grid)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (a, b)
+
+
+def test_los_counts_a_cell_one_past_the_end_cell():
+    """From (6.8485..., 6.3) to (7.0, 3.5) at 0.7 m the walk ends in cell (9, 4),
+    one row past the end cell (10, 5): rounding puts the crossing of y = 3.5
+    before t = 1. That cell is only inside the box padded by one cell."""
+    rows = ["." * 15 for _ in range(10)]
+    rows[4] = "." * 9 + "#" + "." * 5
+    grid = grid_from_rows(rows, 0.7)
+    a, b = Position(7.0, 3.5), Position(6.848538917456285, 6.300000000000001)
+    got = los_obstacle_length(a, b, grid)
+    assert got == reference_los(a, b, grid) and got > 0.0
+
+
+class RaisingMask:
+    def __getitem__(self, index):
+        raise AssertionError("the cell walk ran")
+
+
+def test_los_across_open_floor_does_not_walk():
+    rows = ["#" + "." * 10 + "#"] * 6
+    grid = grid_from_rows(rows)
+    grid._flat = RaisingMask()
+    # Columns 1-10 are free; the padded box of cells 2..9 stays inside them.
+    assert los_obstacle_length(Position(2.5, 0.5), Position(9.5, 5.5), grid) == 0.0
+    with pytest.raises(AssertionError, match="the cell walk ran"):
+        los_obstacle_length(Position(1.5, 0.5), Position(9.5, 5.5), grid)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    (math.nan, 1.0, "position (nan, 1.0) is not finite"),
+    (1.0, math.inf, "position (1.0, inf) is not finite"),
+    (-math.inf, 1.0, "position (-inf, 1.0) is not finite"),
+    (-0.5, 1.0, "position (-0.5, 1.0) outside map 12.0 x 10.0 m"),
+    (1.0, -1e-300, "position (1.0, -1e-300) outside map 12.0 x 10.0 m"),
+    (12.0, 1.0, "position (12.0, 1.0) outside map 12.0 x 10.0 m"),
+    (1.0, 10.0, "position (1.0, 10.0) outside map 12.0 x 10.0 m"),
+])
+def test_require_inside_messages(x, y, message):
+    grid = empty_grid(12, 10)
+    with pytest.raises(MapError) as info:
+        grid.require_inside(Position(x, y))
+    assert str(info.value) == message
+    grid.require_inside(Position(0.0, math.nextafter(10.0, 0.0)))
 
 
 def test_los_symmetry_exact():

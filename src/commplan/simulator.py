@@ -1,17 +1,19 @@
 """Deterministic fixed-timestep simulation of execute/communicate/replan cycles.
 
-Motion integrates along grid paths at v_max with a 0.1 s default timestep;
-detection runs every tick, where an agent that has not moved looks only at
-newly released tasks; execution starts are gated at runtime so that
-completed intervals always satisfy the temporal relations (predecessors must
-have finished, mutex partners finished strictly earlier, concurrency
-clusters start together). Planning happens "at" communication events and
-costs no simulated time. Identical scenario and seed reproduce the event
-log byte for byte.
+Motion integrates along grid paths at v_max with a 0.1 s default timestep.
+Each phase of a tick returns at once when nothing can change it, and an
+agent that has not moved looks only at newly released tasks; execution
+starts are gated at runtime so that completed intervals always satisfy the
+temporal relations (predecessors must have finished, mutex partners finished
+strictly earlier, concurrency clusters start together). Planning happens
+"at" communication events and costs no simulated time. Identical scenario
+and seed reproduce the event log byte for byte.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Protocol, Sequence
 
@@ -146,6 +148,7 @@ class Simulator:
         self.params = params
         self.tasks = tasks
         self.undetected = [tasks[t] for t in sorted(tasks)]
+        self.release_times = sorted(task.release_time for task in tasks.values())
         self.horizon = horizon
         self.dt = dt
         self.recheck_interval = recheck_interval
@@ -158,6 +161,7 @@ class Simulator:
         self.claimed: set[int] = set()
         self.executing: set[int] = set()
         self.done: set[int] = set()
+        self.finishing: list[tuple[float, int]] = []  # a heap of (task_finish, id) of executing
         self.task_start: dict[int, float] = {}
         self.task_finish: dict[int, float] = {}
         self.planned_start: dict[int, float] = {}
@@ -166,6 +170,8 @@ class Simulator:
         # A running total of the agents' known-set sizes.
         self.known_count = sum(len(a.known) for a in self.agents.values())
         self.moved: list[int] = []  # ascending ids whose position this tick's _move changed
+        self.traveling: set[int] = set()  # the ids of the agents that hold a leg
+        self.legs_due = float("-inf")  # no _plan_legs pass before this time can start a leg
         self.looked_at = float("-inf")  # the time of the last detection pass
 
     # -- logging helpers -------------------------------------------------
@@ -202,6 +208,7 @@ class Simulator:
         self._claim(task_id, group)
         for a in group:
             self.agents[a].queue.append(task_id)
+        self.legs_due = self.now
 
     def apply_team_plan(self, agent_ids: Sequence[int],
                         plan_sequences: dict[int, tuple[int, ...]],
@@ -217,6 +224,8 @@ class Simulator:
             ag = self.agents[aid]
             ag.queue = list(plan_sequences.get(aid, ()))
             ag.set_meeting(event_positions.get(aid) if event_positions else None, event_time)
+        self.traveling.difference_update(agent_ids)
+        self.legs_due = self.now
 
     def has_future_work(self) -> bool:
         return len(self.done) < len(self.tasks)
@@ -241,6 +250,8 @@ class Simulator:
         self.merge_knowledge(agent_ids)
         for a in agent_ids:
             self.agents[a].set_meeting(None, None)
+        self.traveling.difference_update(agent_ids)
+        self.legs_due = self.now
 
     # -- engine ------------------------------------------------------------
 
@@ -259,8 +270,11 @@ class Simulator:
         return self.events, self._metrics(controller)
 
     def _complete_executions(self, t: float) -> None:
-        due = [(self.task_finish[tid], tid) for tid in self.executing if self.task_finish[tid] <= t]
-        for finish, tid in sorted(due):
+        # The heap holds each executing task once, so it pops the due ones in
+        # sorted (finish, id) order.
+        finishing = self.finishing
+        while finishing and finishing[0][0] <= t:
+            finish, tid = heapq.heappop(finishing)
             self.task_state[tid] = "done"
             self.executing.remove(tid)
             self.done.add(tid)
@@ -270,8 +284,15 @@ class Simulator:
                 if ag.queue and ag.queue[0] == tid:
                     ag.queue.pop(0)
                 ag.status = "idle"
+            self.legs_due = t
 
     def _plan_legs(self, t: float) -> None:
+        # Only a completion or a helper that changes a queue or a meeting gives
+        # an idle agent work, and each sets legs_due to now; until then the
+        # earliest waiting departure is the next leg this pass could start.
+        if t < self.legs_due - 1e-9:
+            return
+        due = float("inf")
         for ag in self.agents.values():
             if ag.status != "idle":
                 continue
@@ -279,6 +300,7 @@ class Simulator:
                 target = self.tasks[ag.queue[0]].region_center
                 ag.leg = Leg(self._waypoints(ag.position, target), ag.queue[0])
                 ag.status = "traveling"
+                self.traveling.add(ag.id)
             elif ag.comm_target is not None:
                 if ag.depart_time is None:
                     travel = astar_travel_time(ag.position, ag.comm_target, self.grid, ag.v_max)
@@ -287,6 +309,10 @@ class Simulator:
                 if t >= ag.depart_time - 1e-9:
                     ag.leg = Leg(self._waypoints(ag.position, ag.comm_target), None)
                     ag.status = "traveling"
+                    self.traveling.add(ag.id)
+                else:
+                    due = min(due, ag.depart_time)
+        self.legs_due = due
 
     def _waypoints(self, start: Position, goal: Position) -> list[Position]:
         path = astar_path(start, goal, self.grid)
@@ -294,9 +320,10 @@ class Simulator:
 
     def _move(self, t: float) -> None:
         self.moved = []
-        for aid, ag in self.agents.items():
-            if ag.leg is None:  # an agent has a leg exactly when it is traveling
-                continue
+        if not self.traveling:  # only an agent that holds a leg moves
+            return
+        for aid in sorted(self.traveling):
+            ag = self.agents[aid]
             start = ag.position
             ag.position = ag.leg.advance(ag.v_max * self.dt)
             if ag.leg.done:
@@ -309,6 +336,7 @@ class Simulator:
                     ag.arrived_comm_at = t
                     self.log(t, "arrival", aid, "comm")
                 ag.leg = None
+                self.traveling.remove(aid)
             if ag.position is not start:  # a zero-length leg keeps its position
                 self.moved.append(aid)
 
@@ -316,7 +344,12 @@ class Simulator:
         # Each task is detected once, by the lowest agent id that sees it. An
         # agent not in `moved` stands where it looked on the last tick, so it
         # looks only at the tasks released since (map and range are fixed); on
-        # the first tick every released task is new.
+        # the first tick every released task is new. So with nobody moved and
+        # no release time in (looked_at, t], no agent has anything to look at.
+        times = self.release_times
+        if not self.moved and bisect_right(times, self.looked_at) == bisect_right(times, t):
+            self.looked_at = t
+            return
         released = [task for task in self.undetected if task.release_time <= t]
         fresh = [task for task in released if task.release_time > self.looked_at]
         moved = set(self.moved)
@@ -358,8 +391,12 @@ class Simulator:
         equal or unknown planned order must start simultaneously, so their
         tie group is started as a unit once every member is ready.
         """
+        if not self.claimed:  # only a claimed task can start
+            return
         ready = {tid for tid in self.claimed
                  if self._group_present(tid) and self._gates_pass(tid, t)}
+        if not ready:  # a tie group starts only from ready tasks
+            return
         started: set[int] = set()
         order = sorted(ready, key=lambda m: (self.planned_start.get(m, 0.0), m))
         for tid in order:
@@ -398,6 +435,7 @@ class Simulator:
                 self.executing.add(m)
                 self.task_start[m] = t
                 self.task_finish[m] = t + self.tasks[m].duration
+                heapq.heappush(self.finishing, (self.task_finish[m], m))
                 self.log(t, "execution_start", m, *self.groups[m])
                 for a in self.groups[m]:
                     self.agents[a].status = "executing"

@@ -41,9 +41,10 @@ class Position:
 
 class GridMap:
     """Immutable occupancy grid. `_memo` holds the results of the pure
-    geometry queries decorated with `memoized` and the searches of
-    `astar_cells`; it only changes by adding entries or by being cleared
-    whole, so no read sees a stale value.
+    queries decorated with `memoized` and the searches of `astar_cells`; it
+    only changes by adding entries or by being cleared whole, so no read sees
+    a stale value. `los_obstacle_length` is not memoized: its endpoints
+    rarely repeat, and its summed-area box test answers most calls in O(1).
 
     The per-cell kernels read `_flat`, the occupancy as row-major bytes
     (cell (cx, cy) at `cy * width_cells + cx`, 1 when occupied), and
@@ -182,7 +183,6 @@ def memoized(fn):
     return wrapper
 
 
-@memoized
 def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
     """Total length of the straight segment a-b that lies inside occupied cells.
 

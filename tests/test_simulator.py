@@ -457,9 +457,155 @@ def test_detection_skip_changes_no_event(monkeypatch, name, horizon, kind, on_ti
     assert stock_calls < len(seeds) * ticks * len(cfg.agents) / 10, stock_calls
 
 
+class FullTickSimulator(simulator.Simulator):
+    """Simulator that defeats every early return of the engine's phases:
+    before each phase it rebuilds the finish heap from `executing` and the
+    traveling set from the agents' legs, makes legs due now and, for
+    detection, counts every agent as moved."""
+
+    def _complete_executions(self, t):
+        self.finishing = sorted((self.task_finish[m], m) for m in self.executing)
+        super()._complete_executions(t)
+
+    def _plan_legs(self, t):
+        self.legs_due = float("-inf")
+        super()._plan_legs(t)
+
+    def _move(self, t):
+        self.traveling = {a for a, ag in self.agents.items() if ag.leg is not None}
+        super()._move(t)
+
+    def _detect(self, t):
+        moved, self.moved = self.moved, list(self.agents)
+        super()._detect(t)
+        self.moved = moved
+
+
+class ScanCount(dict):
+    """The agents dict, counting the scans of it that a full phase pass makes."""
+
+    scans = 0
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+class PassCountSimulator(simulator.Simulator):
+    """Stock simulator that counts the ticks on which `_plan_legs` and
+    `_detect` scan the agents, that is, run a full pass, and the ticks on
+    which an agent moved or a task was released since the last tick."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.agents = ScanCount(self.agents)
+        self.passes = {"_plan_legs": 0, "_detect": 0}
+        self.news_ticks = 0
+
+    def _counted(self, phase, t):
+        before = self.agents.scans
+        getattr(super(), phase)(t)
+        self.passes[phase] += self.agents.scans > before
+
+    def _plan_legs(self, t):
+        self._counted("_plan_legs", t)
+
+    def _detect(self, t):
+        self.news_ticks += bool(self.moved) or any(
+            self.looked_at < task.release_time <= t for task in self.tasks.values())
+        self._counted("_detect", t)
+
+
+@pytest.mark.parametrize("kind", ["greedy", "cocoplan"])
+@pytest.mark.parametrize("name, horizon", [("desk_scenario.json", 150.0),
+                                           ("subt10_greedy.json", 200.0)])
+def test_engine_skips_change_no_event(monkeypatch, name, horizon, kind):
+    cfg = load_scenario(DATA / name)
+    cfg.horizon = horizon  # shortened for test speed
+    seeds = (cfg.seed, cfg.seed + 1, cfg.seed + 2)
+    ticks = round(horizon / cfg.dt) + 1
+    ends = 0
+    for seed in seeds:
+        lines = []
+        for cls in (PassCountSimulator, FullTickSimulator):
+            monkeypatch.setattr(scenario, "Simulator", cls)
+            sim, ctrl = build_simulator(cfg, seed=seed, strategy=StrategyConfig(kind))
+            events, _ = sim.run(ctrl)
+            lines.append([e.line() for e in events])
+            if cls is PassCountSimulator:
+                stock = sim
+        assert lines[0] == lines[1], seed
+        ends += sum(line.split()[1] == "execution_end" for line in lines[0])
+        # Legs are planned after a completion or a controller's change only;
+        # detection must look on every tick with news, and looks on no other.
+        assert 0 < stock.passes["_plan_legs"] < ticks / 10, (seed, stock.passes)
+        assert stock.passes["_detect"] == stock.news_ticks < ticks / 2, (seed, stock.passes)
+    assert ends > 0
+
+
+def test_tasks_due_in_one_tick_finish_in_finish_then_id_order():
+    # Tasks 3 and 5 finish at one instant and task 1 later, all between the
+    # ticks at 2.9 and 3.0 s, so the completion pass at 3.0 s ends all three.
+    grid = empty_grid(12, 4)
+    tasks = [task(1, 0.5, 0.5, duration=2.98), task(3, 2.5, 0.5, duration=2.95),
+             task(5, 4.5, 0.5, duration=2.95)]
+
+    class AssignAtStart:
+        scheduled_events = False
+
+        def __init__(self):
+            self.done = {}
+
+        def on_start(self, sim):
+            for aid, tid in enumerate((1, 3, 5)):
+                sim.assign(tid, (aid,))
+
+        def on_tick(self, sim, t):
+            self.done[round(t / sim.dt)] = set(sim.done)
+
+    ctrl = AssignAtStart()
+    sim, events, _ = run_sim(grid, [agent(0, 0.5, 0.5), agent(1, 2.5, 0.5), agent(2, 4.5, 0.5)],
+                             tasks, horizon=5.0, ctrl=ctrl)
+    assert [sim.task_start[t] for t in (1, 3, 5)] == [0.0] * 3
+    assert (ctrl.done[29], ctrl.done[30]) == (set(), {1, 3, 5})
+    ends = [e.line() for e in events if e.kind == "execution_end"]
+    assert ends == ["2.950000 execution_end 3", "2.950000 execution_end 5",
+                    "2.980000 execution_end 1"]
+
+
+def test_a_comm_event_sends_a_freed_agent_to_the_task_it_was_given():
+    # Agent 0 is given task 1 while it waits at its meeting, so no leg can
+    # start then; the event that frees it must send it to the task.
+    grid = empty_grid(12, 4)
+
+    class MeetThenWork:
+        scheduled_events = False
+
+        def on_start(self, sim):
+            sim.apply_team_plan((0, 1), {}, {}, 1.0, {a: sim.agents[a].position for a in (0, 1)})
+
+        def on_tick(self, sim, t):
+            if abs(t - 1.5) < 1e-9:
+                assert sim.agents[0].status == "waiting_at_comm"
+                sim.assign(1, (0,))
+            elif abs(t - 2.0) < 1e-9:
+                sim.fire_comm_event((0, 1), t)
+
+    sim, events, _ = run_sim(grid, [agent(0, 0.5, 0.5), agent(1, 1.5, 0.5)],
+                             [task(1, 6.5, 0.5)], horizon=15.0, ctrl=MeetThenWork())
+    arrivals = [e for e in events if e.kind == "arrival" and e.payload[1] == "task"]
+    assert [e.payload for e in arrivals] == [(0, "task", 1)] and arrivals[0].timestamp > 2.0
+    assert sim.task_state[1] == "done"
+
+
 class CounterCheck:
-    """Controller wrapper that checks the simulator's running total and its
-    claimed, executing and done id sets against full scans after each tick."""
+    """Controller wrapper that checks the simulator's running total, its
+    claimed, executing and done id sets, its finish heap and the agents that
+    hold a leg against full scans after each tick."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -478,6 +624,8 @@ class CounterCheck:
         for state in ("claimed", "executing", "done"):
             assert getattr(sim, state) == {tid for tid, s in sim.task_state.items()
                                            if s == state}, (t, state)
+        assert sorted(sim.finishing) == sorted((sim.task_finish[m], m) for m in sim.executing), t
+        assert sim.traveling == {a for a, ag in sim.agents.items() if ag.leg is not None}, t
 
 
 @pytest.mark.parametrize("name, kind, horizon", [("desk_scenario.json", "greedy", 150.0),

@@ -141,7 +141,7 @@ def test_los_equals_the_reference_walk_bit_for_bit():
             b = Position(lattice_coordinate(rng, w, res), a.y)
         else:
             b = Position(lattice_coordinate(rng, w, res), lattice_coordinate(rng, h, res))
-        got = los_obstacle_length.__wrapped__(a, b, grid)
+        got = los_obstacle_length(a, b, grid)
         want = reference_los(a, b, grid)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (a, b)
 
@@ -303,8 +303,19 @@ def test_memoized_queries_match_the_plain_functions():
     for _ in range(60):
         a, b = (Position(cx + rng.random(), cy + rng.random()) for cx, cy in rng.sample(free, 2))
         for p, q in ((a, b), (b, a), (a, b)):  # the repeat is served from the memo
-            for fn in (astar_length, astar_path, los_obstacle_length):
+            for fn in (astar_length, astar_path):
                 assert fn(p, q, grid) == fn.__wrapped__(p, q, grid)
+
+
+def test_los_leaves_the_memo_empty():
+    rng = random.Random(6)
+    grid = random_connected_grid(rng, density=0.2)
+    free = grid.free_cells()
+    for _ in range(60):
+        a, b = (Position(cx + rng.random(), cy + rng.random()) for cx, cy in rng.sample(free, 2))
+        los_obstacle_length(a, b, grid)
+        los_obstacle_length(b, a, grid)
+    assert grid._memo == {}
 
 
 def test_astar_cells_searches_each_unordered_cell_pair_once(monkeypatch):
@@ -341,8 +352,8 @@ def test_astar_cells_searches_each_unordered_cell_pair_once(monkeypatch):
 def test_memo_serves_a_zero_result():
     grid = grid_from_rows(["..#........."] + ["." * 12] * 11)
     a, b = Position(0.5, 0.5), Position(5.5, 0.5)
-    grid._memo[(los_obstacle_length.__wrapped__, a.x, a.y, b.x, b.y)] = 0.0
-    assert los_obstacle_length(a, b, grid) == 0.0  # the wall would give 1.0
+    grid._memo[(astar_length.__wrapped__, a.x, a.y, b.x, b.y)] = 0.0
+    assert astar_length(a, b, grid) == 0.0  # the detour round the wall is 5.83
 
 
 def test_memo_stays_within_its_limit(monkeypatch):
@@ -354,7 +365,6 @@ def test_memo_stays_within_its_limit(monkeypatch):
     for _ in range(40):
         a, b = (grid.center(c) for c in rng.sample(free, 2))
         astar_length(a, b, grid)
-        los_obstacle_length(a, b, grid)
         sizes.append(len(grid._memo))
     assert max(sizes) == 8
     assert min(sizes[sizes.index(8):]) < 8  # cleared, then filled again
@@ -363,5 +373,5 @@ def test_memo_stays_within_its_limit(monkeypatch):
 def test_memo_does_not_store_exceptions():
     grid = empty_grid()
     with pytest.raises(MapError):
-        los_obstacle_length(Position(-1, 0), Position(1, 1), grid)
+        astar_length(Position(-1, 0), Position(1, 1), grid)
     assert grid._memo == {}

@@ -132,29 +132,33 @@ def com_opt(last: Mapping[int, AgentContext], grid: GridMap, params: CommParams,
     event satisfies every agent's travel constraint, and the worst-case delay
     never exceeds the all-gather baseline at the latest finisher. After the
     anchored single pass, the anchor itself is scanned along the path toward
-    the arrival bottleneck; the scan stops when an accepted improvement
+    the arrival bottleneck, unless the single pass already meets when the
+    last agent becomes free; the scan stops when an accepted improvement
     falls below `gap`.
     """
     best = com_opt_fast(last, grid, params)
     if len(last) == 1:
         return best
-    p0 = latest(last).position
-    try:
-        # Scan virtual anchors along the path from the arrival bottleneck
-        # toward the latest finisher; each candidate yields a full chain event.
-        bottleneck = max(last.values(),
-                         key=lambda c: (_arrival(c, astar_length(c.position, p0, grid)), -c.id))
-        path = astar_path(bottleneck.position, p0, grid)
-        stride = max(1, len(path) // MAX_ANCHOR_CANDIDATES)
-        for idx in range(0, len(path), stride):
-            cand = chain_event(last, path[idx], grid, params)
-            if cand is not None and cand.time < best.time:
-                improvement = best.time - cand.time
-                best = cand
-                if improvement < gap:
-                    break
-    except Unreachable as exc:
-        raise MeetingInfeasible(f"workspace disconnected across agents: {exc}") from exc
+    # No event meets before every agent is free, and the scan keeps only a
+    # strictly earlier candidate, so an event at that floor is already final.
+    if best.time > max(ctx.ready_time for ctx in last.values()):
+        p0 = latest(last).position
+        try:
+            # Scan virtual anchors along the path from the arrival bottleneck
+            # toward the latest finisher; each candidate yields a full chain event.
+            bottleneck = max(last.values(),
+                             key=lambda c: (_arrival(c, astar_length(c.position, p0, grid)), -c.id))
+            path = astar_path(bottleneck.position, p0, grid)
+            stride = max(1, len(path) // MAX_ANCHOR_CANDIDATES)
+            for idx in range(0, len(path), stride):
+                cand = chain_event(last, path[idx], grid, params)
+                if cand is not None and cand.time < best.time:
+                    improvement = best.time - cand.time
+                    best = cand
+                    if improvement < gap:
+                        break
+        except Unreachable as exc:
+            raise MeetingInfeasible(f"workspace disconnected across agents: {exc}") from exc
 
     if not is_connected(comm_graph(best.positions, grid, params)):
         # Chain construction guarantees connectivity; the gather event is the

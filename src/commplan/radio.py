@@ -3,12 +3,16 @@
 Link quality follows a log-distance path-loss model with an additive
 per-meter penalty for obstacles crossed by the line of sight. An edge
 exists between two agents iff their quality strictly exceeds the
-configured threshold.
+configured threshold. `linked` decides that with as little geometry as the
+answer needs: a pair beyond the free-space reach is refused on its squared
+distance, and the line-of-sight walk stops once the obstacle length crossed
+already rules the link out.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -32,6 +36,50 @@ class CommParams:
             raise ValueError("path_exponent must be > 0")
         if self.attenuation < 0:
             raise ValueError("attenuation must be >= 0")
+        # Not a field: scenario.COMM builds its rows from fields(CommParams).
+        object.__setattr__(self, "_reach_sq", _squared_reach(self))
+
+
+# Relative slack on the squared reach. A squared distance summed in floats is
+# within 2 ulp of the exact one and math.hypot within 1 ulp of its root, so a
+# pair whose float square exceeds reach**2 * (1 + 2**-48) (and the least
+# normal float, below which squares lose their relative precision) measures at
+# least `reach` in `_free_space`, whose quality never rises with distance.
+_REACH_SLACK = 1.0 + 2.0 ** -48
+_NUDGES = 128
+
+
+def _nudged_up(value: float, holds) -> float:
+    """`value`, raised by a step that starts at one ulp and doubles, until
+    `holds` is true of it (inf, where no finite value gives that in time)."""
+    step = math.ulp(value)
+    for _ in range(_NUDGES):
+        if holds(value):
+            return value
+        value += step
+        step += step
+    return math.inf
+
+
+def _squared_reach(params: CommParams) -> float:
+    """Squared distance beyond which `_free_space` is at most the threshold.
+
+    The closed form is checked against `_free_space` itself and nudged up
+    until it holds there, so `linked` may refuse any pair farther away
+    without taking the logarithm. A reach that overflows is inf and refuses
+    nothing.
+    """
+    try:
+        reach = params.ref_dist * 10.0 ** ((params.tx_power - params.pl_ref - params.threshold)
+                                           / (10.0 * params.path_exponent))
+    except OverflowError:
+        return math.inf
+    if not reach < math.inf:  # inf, or nan from a nan parameter
+        return math.inf
+    origin = Position(0.0, 0.0)
+    reach = _nudged_up(reach, lambda r: not _free_space(origin, Position(r, 0.0), params)
+                       > params.threshold)
+    return max(reach * reach * _REACH_SLACK, sys.float_info.min)
 
 
 def _free_space(p_i: Position, p_j: Position, params: CommParams) -> float:
@@ -56,14 +104,31 @@ def linked(p_i: Position, p_j: Position, grid: GridMap, params: CommParams) -> b
     """True iff quality(p_i, p_j) strictly exceeds the threshold.
 
     The obstacle penalty is never negative, so a pair already at or below
-    the threshold in free space is refused without tracing the line of sight.
+    the threshold in free space is refused without tracing the line of
+    sight, and a pair beyond the free-space reach without the logarithm. The
+    walk is told the obstacle length `limit` at which the link is lost in
+    floats, and stops once it has crossed more: any length above `limit`
+    gives the same False.
     """
     grid.require_inside(p_i)
     grid.require_inside(p_j)
-    free = _free_space(p_i, p_j, params)
-    if free <= params.threshold:
+    dx = p_i.x - p_j.x
+    dy = p_i.y - p_j.y
+    if dx * dx + dy * dy > params._reach_sq:
         return False
-    return free - params.attenuation * los_obstacle_length(p_i, p_j, grid) > params.threshold
+    free = _free_space(p_i, p_j, params)
+    threshold = params.threshold
+    if not free > threshold:  # a nan quality or threshold links nothing
+        return False
+    att = params.attenuation
+    if att == 0.0:  # free - 0.0 * length is free, which passed
+        return True
+    # Float products and differences are monotone, so free - att * length is
+    # at most the threshold for every length above this limit.
+    limit = (free - threshold) / att
+    if free - att * limit > threshold:
+        limit = _nudged_up(limit, lambda v: not free - att * v > threshold)
+    return free - att * los_obstacle_length(p_i, p_j, grid, limit) > threshold
 
 
 def update_links(prev_links: set[tuple[int, int]], moved: Sequence[int],

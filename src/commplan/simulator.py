@@ -172,6 +172,7 @@ class Simulator:
         self.moved: list[int] = []  # ascending ids whose position this tick's _move changed
         self.traveling: set[int] = set()  # the ids of the agents that hold a leg
         self.legs_due = float("-inf")  # no _plan_legs pass before this time can start a leg
+        self.starts_due = True  # False: no group waited at its task at the last _start_tasks pass
         self.looked_at = float("-inf")  # the time of the last detection pass
 
     # -- logging helpers -------------------------------------------------
@@ -209,6 +210,7 @@ class Simulator:
         for a in group:
             self.agents[a].queue.append(task_id)
         self.legs_due = self.now
+        self.starts_due = True
 
     def apply_team_plan(self, agent_ids: Sequence[int],
                         plan_sequences: dict[int, tuple[int, ...]],
@@ -226,6 +228,7 @@ class Simulator:
             ag.set_meeting(event_positions.get(aid) if event_positions else None, event_time)
         self.traveling.difference_update(agent_ids)
         self.legs_due = self.now
+        self.starts_due = True
 
     def has_future_work(self) -> bool:
         return len(self.done) < len(self.tasks)
@@ -285,6 +288,7 @@ class Simulator:
                     ag.queue.pop(0)
                 ag.status = "idle"
             self.legs_due = t
+            self.starts_due = True
 
     def _plan_legs(self, t: float) -> None:
         # Only a completion or a helper that changes a queue or a meeting gives
@@ -330,6 +334,7 @@ class Simulator:
                 ag.position = ag.leg.waypoints[-1]
                 if ag.leg.target_task is not None:
                     ag.status = "waiting_at_task"
+                    self.starts_due = True
                     self.log(t, "arrival", aid, "task", ag.leg.target_task)
                 else:
                     ag.status = "waiting_at_comm"
@@ -391,10 +396,20 @@ class Simulator:
         equal or unknown planned order must start simultaneously, so their
         tie group is started as a unit once every member is ready.
         """
-        if not self.claimed:  # only a claimed task can start
+        # A task starts only once its whole group waits at it, and a group
+        # comes to wait only when an agent arrives at a task. An arrival sets
+        # starts_due, and so do a completion, assign and apply_team_plan, the
+        # other changes to claims and queues. A pass that finds no group
+        # waiting clears it; one that finds a group its gates hold back (a
+        # mutex partner that finished at exactly t passes on the next tick)
+        # leaves it set, so a gate that opens needs no news.
+        if not self.starts_due:
             return
-        ready = {tid for tid in self.claimed
-                 if self._group_present(tid) and self._gates_pass(tid, t)}
+        present = [tid for tid in self.claimed if self._group_present(tid)]
+        if not present:
+            self.starts_due = False
+            return
+        ready = {tid for tid in present if self._gates_pass(tid, t)}
         if not ready:  # a tie group starts only from ready tasks
             return
         started: set[int] = set()

@@ -46,12 +46,18 @@ class GridMap:
     a stale value. `los_obstacle_length` is not memoized: its endpoints
     rarely repeat, and its summed-area box test answers most calls in O(1).
 
-    The per-cell kernels read `_flat`, the occupancy as row-major bytes
-    (cell (cx, cy) at `cy * width_cells + cx`, 1 when occupied), and
-    `_sat`, its summed-area table: `(height_cells + 1) * (width_cells + 1)`
-    counts, row-major with a zero first row and column, where entry
-    `y * (width_cells + 1) + x` counts the occupied cells with `cx < x` and
-    `cy < y`."""
+    The per-cell kernels read the occupancy in two byte layouts, 1 where a
+    cell is occupied. `_flat` is row-major (cell (cx, cy) at
+    `cy * width_cells + cx`) and serves the line-of-sight walk and
+    `is_free_cell`; `_sat` is its summed-area table:
+    `(height_cells + 1) * (width_cells + 1)` counts, row-major with a zero
+    first row and column, where entry `y * (width_cells + 1) + x` counts the
+    occupied cells with `cx < x` and `cy < y`. `_padded` serves A*: the grid
+    with a border of occupied cells, x-major, cell (cx, cy) at
+    `(cx + 1) * (height_cells + 2) + cy + 1`. The border makes every
+    neighbor of a grid cell an index, so the search needs no bounds check,
+    and x-major ids order as `(cx, cy)` tuples do, so heap ties break as they
+    would on the tuples."""
 
     def __init__(self, occupancy: np.ndarray, resolution: float):
         occ = np.asarray(occupancy, dtype=bool)
@@ -76,6 +82,7 @@ class GridMap:
             sat.append(0)
             sat.extend(map(add, above, accumulate(self._flat[y * w:(y + 1) * w])))
         self._sat = sat
+        self._padded = np.pad(occ.T, 1, constant_values=True).tobytes()
         self._memo: dict[tuple, object] = {}
 
     @property
@@ -183,12 +190,16 @@ def memoized(fn):
     return wrapper
 
 
-def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
+def los_obstacle_length(a: Position, b: Position, grid: GridMap,
+                        limit: float = math.inf) -> float:
     """Total length of the straight segment a-b that lies inside occupied cells.
 
-    Traverses the cells crossed by the segment and accumulates the clipped
-    length inside each occupied one. Endpoints are canonically ordered so the
-    result is exactly symmetric in (a, b).
+    Traverses the cells crossed by the segment (the voxel traversal of
+    Amanatides and Woo) and accumulates the clipped length inside each
+    occupied one. Endpoints are canonically ordered so the result is exactly
+    symmetric in (a, b). The walk stops as soon as the length crossed exceeds
+    `limit` and returns that partial length, which is above `limit` exactly
+    when the full one is; a full length at most `limit` is returned whole.
     """
     grid.require_inside(a)
     grid.require_inside(b)
@@ -243,24 +254,37 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
         t_max_y = math.inf
         t_delta_y = math.inf
 
+    # Only the first cell's share can be negative (when rounding puts a.x or
+    # a.y a hair past its cell's near edge); every later share is >= 0, so
+    # once `total` exceeds `limit` the full length does too.
+    idx, end_idx, step_row = cy * w + cx, end_cy * w + end_cx, step_y * w
     total = 0.0
     t = 0.0
     while True:
-        t_next = min(t_max_x, t_max_y, 1.0)
-        if flat[cy * w + cx]:
+        x_first = t_max_x <= t_max_y
+        t_next = t_max_x if x_first else t_max_y
+        if t_next > 1.0:
+            t_next = 1.0
+        if flat[idx]:
             total += (t_next - t) * seg_len
-        if t_next >= 1.0 or (cx == end_cx and cy == end_cy):
+            if total > limit:
+                return total
+        # Both cells lie on the grid, so equal indices mean equal cells.
+        if t_next >= 1.0 or idx == end_idx:
             break
         t = t_next
-        if t_max_x <= t_max_y:
+        if x_first:
             if t_max_x == t_max_y:
                 # Exact corner crossing: step both axes at once.
                 cy += step_y
+                idx += step_row
                 t_max_y += t_delta_y
             cx += step_x
+            idx += step_x
             t_max_x += t_delta_x
         else:
             cy += step_y
+            idx += step_row
             t_max_y += t_delta_y
         if not (0 <= cx < w and 0 <= cy < h):
             break
@@ -268,7 +292,6 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
 
 
 _NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
-_STEP = {offset: k for k, offset in enumerate(_NEIGHBORS)}
 
 
 def _octile(a: tuple[int, int], b: tuple[int, int], res: float) -> float:
@@ -317,41 +340,57 @@ def astar_cells(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) ->
 def _astar_search(grid: GridMap, s: tuple[int, int],
                   g: tuple[int, int]) -> Optional[tuple[float, bytes]]:
     """A* between free cells; (length_m, the path from s to g as `_NEIGHBORS`
-    indices), None when g is unreachable."""
+    indices), None when g is unreachable.
+
+    Cells are ids into `grid._padded`, whose border of occupied cells makes a
+    bounds check needless. An id orders as its cell tuple does, so heap ties
+    break, and every path comes out, as they would on the tuples themselves."""
     res = grid.resolution
-    flat = grid._flat
-    w, h = grid.width_cells, grid.height_cells
-    g_score: dict[tuple[int, int], float] = {s: 0.0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    open_heap: list[tuple[float, tuple[int, int]]] = [(_octile(s, g, res), s)]
-    closed: set[tuple[int, int]] = set()
+    diag = SQRT2 * res
+    blocked = grid._padded
+    stride = grid.height_cells + 2
+    moves = [(ox * stride + oy, ox * stride, oy, ox) for ox, oy in _NEIGHBORS]
+    gx, gy = g[0] + 1, g[1] + 1  # padded coordinates: their differences are the cells'
+    start = (s[0] + 1) * stride + s[1] + 1
+    goal = gx * stride + gy
+    g_score = [math.inf] * len(blocked)
+    parent = [-1] * len(blocked)
+    closed = bytearray(len(blocked))
+    g_score[start] = 0.0
+    open_heap: list[tuple[float, int]] = [(_octile(s, g, res), start)]
     while open_heap:
         f, cur = heapq.heappop(open_heap)
-        if cur in closed:
+        if closed[cur]:
             continue
-        if cur == g:
+        if cur == goal:
+            step_of = {move[0]: k for k, move in enumerate(moves)}
             steps = bytearray()
-            while cur in parent:
+            while cur != start:
                 prev = parent[cur]
-                steps.append(_STEP[cur[0] - prev[0], cur[1] - prev[1]])
+                steps.append(step_of[cur - prev])
                 cur = prev
             steps.reverse()
-            return g_score[g], bytes(steps)
-        closed.add(cur)
-        cx, cy = cur
+            return g_score[goal], bytes(steps)
+        closed[cur] = 1
+        cx, cy = divmod(cur, stride)
         base = g_score[cur]
-        for ox, oy in _NEIGHBORS:
-            nx, ny = cx + ox, cy + oy
-            if not (0 <= nx < w and 0 <= ny < h) or flat[ny * w + nx]:
+        for delta, x_step, oy, ox in moves:
+            nxt = cur + delta
+            if blocked[nxt]:
                 continue
-            if ox != 0 and oy != 0 and (flat[cy * w + nx] or flat[ny * w + cx]):
-                continue
-            cost = base + (SQRT2 * res if ox != 0 and oy != 0 else res)
-            nxt = (nx, ny)
-            if cost < g_score.get(nxt, math.inf):
+            if x_step and oy:  # no corner cutting: both cells beside a diagonal are free
+                if blocked[cur + x_step] or blocked[cur + oy]:
+                    continue
+                cost = base + diag
+            else:
+                cost = base + res
+            if cost < g_score[nxt]:
                 g_score[nxt] = cost
                 parent[nxt] = cur
-                heapq.heappush(open_heap, (cost + _octile(nxt, g, res), nxt))
+                # _octile of the neighbor and g, in the same float operations.
+                ax, ay = abs(cx + ox - gx), abs(cy + oy - gy)
+                lo, hi = (ax, ay) if ax < ay else (ay, ax)
+                heapq.heappush(open_heap, (cost + ((hi - lo) * res + lo * SQRT2 * res), nxt))
     return None
 
 

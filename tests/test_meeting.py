@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from commplan import meeting
 from commplan.meeting import (CommEvent, MeetingInfeasible, all_gather_event, chain_event, com_opt,
                               com_opt_fast, latest, sel_com)
 from commplan.radio import CommParams, comm_graph, is_connected, quality
@@ -255,3 +256,101 @@ def test_chain_with_a_deadline_equals_the_plain_chain(map_name, comm_params):
             assert got.time == want.time and got.positions == want.positions
         outcomes.add((deadline is None, want is None))
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls to `module.name` in the returned list, one entry a call."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_an_event_at_the_floor_skips_the_anchor_scan(monkeypatch, comm_params):
+    """Agent 1 is free last and agent 0, free earlier, already holds a link to
+    it, so com_opt_fast's event meets at max(ready_time): no event can be
+    earlier, and com_opt builds no chain beyond com_opt_fast's one."""
+    grid = empty_grid(30, 6)
+    s = state(fin(0, 2.0, 2.5, 2.5), fin(1, 6.0, 6.5, 2.5))
+    fast = com_opt_fast(s, grid, comm_params)
+    assert fast.time == max(f.ready_time for f in s.values())
+    chains = counting(monkeypatch, meeting, "chain_event")
+    ev = com_opt(s, grid, comm_params)
+    assert len(chains) == 1
+    assert (ev.time, ev.positions) == (fast.time, fast.positions)
+
+
+def test_an_event_above_the_floor_still_scans(monkeypatch, comm_params):
+    grid = empty_grid(40, 6)
+    s = state(fin(0, 0.0, 2.5, 2.5), fin(1, 0.0, 37.5, 2.5))
+    assert com_opt_fast(s, grid, comm_params).time > 0.0
+    chains = counting(monkeypatch, meeting, "chain_event")
+    com_opt(s, grid, comm_params)
+    assert len(chains) > 1
+
+
+def test_the_floor_event_still_gets_the_connectivity_check(monkeypatch, comm_params):
+    grid = empty_grid(30, 6)
+    s = state(fin(0, 2.0, 2.5, 2.5), fin(1, 6.0, 6.5, 2.5))
+    checks = []
+
+    def refuse(g):
+        checks.append(g)
+        return False
+
+    monkeypatch.setattr(meeting, "is_connected", refuse)
+    ev = com_opt(s, grid, comm_params)
+    gather = all_gather_event(s, grid)
+    assert len(checks) == 1
+    assert (ev.time, ev.positions) == (gather.time, gather.positions)
+
+
+def scanning_com_opt(last, grid, params, gap=meeting.DEFAULT_GAP):
+    """`com_opt` that scans the anchors even when the single pass is at the floor."""
+    best = com_opt_fast(last, grid, params)
+    if len(last) == 1:
+        return best
+    p0 = latest(last).position
+    try:
+        bottleneck = max(last.values(), key=lambda c: (
+            c.ready_time + astar_length(c.position, p0, grid) / c.v_max, -c.id))
+        path = meeting.astar_path(bottleneck.position, p0, grid)
+        stride = max(1, len(path) // meeting.MAX_ANCHOR_CANDIDATES)
+        for idx in range(0, len(path), stride):
+            cand = chain_event(last, path[idx], grid, params)
+            if cand is not None and cand.time < best.time:
+                improvement = best.time - cand.time
+                best = cand
+                if improvement < gap:
+                    break
+    except Unreachable as exc:
+        raise MeetingInfeasible(str(exc)) from exc
+    if not is_connected(comm_graph(best.positions, grid, params)):
+        best = all_gather_event(last, grid)
+    return best
+
+
+@pytest.mark.parametrize("map_name", ["desk.map", "subt.map"])
+def test_the_floor_skip_changes_no_event(map_name, comm_params):
+    grid = load_grid(DATA / map_name)
+    rng = random.Random(15)
+    at_floor = set()
+    for _ in range(120):
+        last = random_team(rng, grid)
+        try:
+            want = scanning_com_opt(last, grid, comm_params)
+        except MeetingInfeasible:
+            with pytest.raises(MeetingInfeasible):
+                com_opt(last, grid, comm_params)
+            continue
+        got = com_opt(last, grid, comm_params)
+        assert (got.time, got.positions) == (want.time, want.positions)
+        if len(last) > 1:
+            fast = com_opt_fast(last, grid, comm_params)
+            at_floor.add(fast.time == max(f.ready_time for f in last.values()))
+    assert at_floor == {True, False}

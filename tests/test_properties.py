@@ -1,20 +1,22 @@
-"""Property tests: the link carry-over equals the all-pairs link rule, and a
-malformed scenario is refused with exit 2, never a traceback; one that
+"""Property tests: the link carry-over equals the all-pairs link rule, the
+link rule's shortcuts (the reach test and the walk that stops at its limit)
+change no answer, and a malformed scenario is refused with exit 2, never a traceback; one that
 validates runs without raising."""
 
 import copy
 import functools
 import itertools
 import json
+import math
 import operator
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commplan.cli import main
-from commplan.radio import CommParams, linked, update_links
-from commplan.workspace import Position, load_grid
+from commplan.radio import CommParams, linked, quality, update_links
+from commplan.workspace import Position, load_grid, los_obstacle_length
 
 DATA = Path(__file__).parent / "data"
 GRIDS = {name: load_grid(DATA / name) for name in ("desk.map", "subt.map")}
@@ -45,6 +47,82 @@ def test_update_links_equals_all_pairs_links(case, threshold):
         links = update_links(links, sorted(moves), pos, grid, params)
         assert links == {(a, b) for a, b in itertools.combinations(sorted(pos), 2)
                          if linked(pos[a], pos[b], grid, params)}
+
+
+def closed_form_reach(params: CommParams) -> float:
+    """Distance at which free-space quality falls to the threshold (inf on overflow)."""
+    try:
+        return params.ref_dist * 10.0 ** ((params.tx_power - params.pl_ref - params.threshold)
+                                          / (10.0 * params.path_exponent))
+    except OverflowError:
+        return math.inf
+
+
+@st.composite
+def radio_params(draw):
+    """Valid radio parameters; the threshold is drawn directly or put where the
+    reach falls inside the maps. Tiny attenuations, tiny path exponents and
+    reaches that overflow are drawn on purpose."""
+    tiny = st.sampled_from([5e-324, 1e-300, 1e-12])
+    path_exponent = draw(tiny | st.floats(0.05, 6.0))
+    attenuation = draw(st.just(0.0) | tiny | st.floats(0.0, 40.0))
+    ref_dist = draw(st.sampled_from([1e-3, 0.1, 1.0]) | st.floats(1e-3, 20.0))
+    tx_power, pl_ref = draw(st.floats(-50.0, 50.0)), draw(st.floats(0.0, 80.0))
+    if draw(st.booleans()):
+        threshold = draw(st.floats(-200.0, 50.0))
+    else:
+        reach = draw(st.floats(0.01, 40.0))
+        threshold = (tx_power - pl_ref
+                     - 10.0 * path_exponent * math.log10(max(reach, ref_dist / 10) / ref_dist))
+    return CommParams(tx_power, pl_ref, ref_dist, path_exponent, attenuation, threshold)
+
+
+def map_point(grid):
+    return st.builds(Position, st.floats(0.0, grid.width_m, exclude_max=True),
+                     st.floats(0.0, grid.height_m, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(GRIDS)), radio_params(), st.data())
+def test_linked_is_quality_above_the_threshold(name, params, data):
+    grid = GRIDS[name]
+    a, b = data.draw(map_point(grid)), data.draw(map_point(grid))
+    assert linked(a, b, grid, params) == (quality(a, b, grid, params) > params.threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(GRIDS)), radio_params(), st.data(),
+       st.floats(0.0, 2 * math.pi), st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12]))
+def test_linked_at_the_reach(name, params, data, angle, scale):
+    """Pairs a hair inside, at and a hair beyond the free-space reach."""
+    grid = GRIDS[name]
+    a = data.draw(map_point(grid))
+    dist = closed_form_reach(params) * scale
+    b = Position(a.x + dist * math.cos(angle), a.y + dist * math.sin(angle))
+    assume(grid.contains(b))
+    assert linked(a, b, grid, params) == (quality(a, b, grid, params) > params.threshold)
+
+
+def test_an_overflowing_reach_refuses_nothing():
+    params = CommParams(path_exponent=1e-300)
+    assert closed_form_reach(params) == math.inf and params._reach_sq == math.inf
+    grid = GRIDS["subt.map"]
+    a, b = Position(0.5, 0.5), Position(grid.width_m - 0.5, grid.height_m - 0.5)
+    assert linked(a, b, grid, params) == (quality(a, b, grid, params) > params.threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(GRIDS)), st.data(), st.floats(0.0, 1.5))
+def test_los_with_a_limit_returns_the_full_length_or_more_than_the_limit(name, data, share):
+    grid = GRIDS[name]
+    a, b = data.draw(map_point(grid)), data.draw(map_point(grid))
+    full = los_obstacle_length(a, b, grid)
+    for limit in (0.0, full * share, full, math.nextafter(full, -math.inf)):
+        got = los_obstacle_length(a, b, grid, limit)
+        if full <= limit:
+            assert got == full
+        else:
+            assert got > limit
 
 
 DESK = {**json.loads((DATA / "desk_scenario.json").read_text()),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -167,6 +168,97 @@ def test_linked_rejects_points_outside_the_map():
     for a, b in ((inside, near_out), (near_out, inside), (inside, far_out), (far_out, inside)):
         with pytest.raises(MapError):
             linked(a, b, grid, p)
+
+
+def test_the_reach_is_not_a_field():
+    names = [f.name for f in dataclasses.fields(CommParams)]
+    assert names == ["tx_power", "pl_ref", "ref_dist", "path_exponent", "attenuation",
+                     "threshold"]
+    assert CommParams() == CommParams() and "_reach_sq" not in repr(CommParams())
+    # With the defaults free-space quality reaches the threshold at 10 m.
+    assert 100.0 <= CommParams()._reach_sq < 100.0 * (1 + 1e-13)
+
+
+def test_linked_refuses_a_pair_beyond_the_reach_without_the_logarithm(monkeypatch):
+    grid = empty_grid(30, 6)
+    p = CommParams()
+    free_space = []
+
+    def counting(a, b, params):
+        free_space.append((a, b))
+        return radio_free_space(a, b, params)
+
+    radio_free_space = radio._free_space
+    monkeypatch.setattr(radio, "_free_space", counting)
+    assert not linked(Position(1.0, 1.0), Position(11.001, 1.0), grid, p)
+    assert free_space == []
+    assert linked(Position(1.0, 1.0), Position(10.999, 1.0), grid, p)
+    assert len(free_space) == 1
+
+
+def test_linked_traces_no_line_of_sight_without_attenuation(monkeypatch):
+    rows = ["............"] * 2 + ["....##......"] + ["............"] * 3
+    grid = grid_from_rows(rows)
+
+    def walk(*args):
+        raise AssertionError("the line of sight was traced")
+
+    monkeypatch.setattr(radio, "los_obstacle_length", walk)
+    assert linked(Position(1, 2.5), Position(9, 2.5), grid, CommParams(attenuation=0.0))
+    with pytest.raises(AssertionError, match="traced"):
+        linked(Position(1, 2.5), Position(9, 2.5), grid, CommParams())
+
+
+def test_linked_stops_the_walk_where_the_link_is_lost(monkeypatch):
+    """The limit linked passes is the least length at which the link is lost
+    in floats, or a hair above it: the quotient (free - threshold) / att,
+    raised where rounding leaves the link standing at that length."""
+    rows = ["............"] * 2 + ["....##......"] + ["............"] * 3
+    grid = grid_from_rows(rows)
+    walk = radio.los_obstacle_length
+    limits = []
+
+    def recording(a, b, grid, *limit):  # quality traces without a limit
+        limits.extend(limit)
+        return walk(a, b, grid, *limit)
+
+    monkeypatch.setattr(radio, "los_obstacle_length", recording)
+    rng = random.Random(5)
+    walked = set()
+    nudged = 0
+    for _ in range(400):
+        p = CommParams(tx_power=rng.uniform(0.0, 40.0), attenuation=rng.uniform(0.5, 10.0),
+                       threshold=rng.uniform(-60.0, -20.0))
+        a = Position(rng.uniform(0, 3), rng.uniform(0, 6))
+        b = Position(rng.uniform(6, 12), rng.uniform(0, 6))
+        del limits[:]
+        got = linked(a, b, grid, p)
+        assert got == (quality(a, b, grid, p) > p.threshold)
+        if limits:
+            free = radio._free_space(a, b, p)
+            (limit,) = limits
+            assert free - p.attenuation * limit <= p.threshold
+            assert limit <= (free - p.threshold) / p.attenuation * (1 + 1e-12)
+            walked.add(got)
+            nudged += limit != (free - p.threshold) / p.attenuation
+    assert walked == {True, False} and nudged > 0
+
+
+@pytest.mark.parametrize("params", [
+    CommParams(threshold=math.nan), CommParams(threshold=-math.inf),
+    CommParams(threshold=math.inf), CommParams(tx_power=math.inf),
+    CommParams(tx_power=math.nan), CommParams(attenuation=math.inf),
+    CommParams(attenuation=math.nan), CommParams(path_exponent=math.inf),
+    CommParams(attenuation=0.0, threshold=math.nan), CommParams(ref_dist=math.inf)])
+def test_linked_is_quality_above_the_threshold_for_parameters_not_finite(params):
+    # Scenarios refuse these; the dataclass accepts them, and linked must still
+    # answer as quality does.
+    rows = ["............"] * 2 + ["....##......"] + ["............"] * 3
+    grid = grid_from_rows(rows)
+    points = [Position(1, 2.5), Position(1.02, 2.5), Position(3.5, 2.5), Position(9, 2.5),
+              Position(11.5, 5.5)]
+    for a, b in itertools.product(points, repeat=2):
+        assert linked(a, b, grid, params) == (quality(a, b, grid, params) > params.threshold)
 
 
 def test_update_links_rechecks_only_pairs_with_a_moved_end(monkeypatch):

@@ -460,8 +460,8 @@ def test_detection_skip_changes_no_event(monkeypatch, name, horizon, kind, on_ti
 class FullTickSimulator(simulator.Simulator):
     """Simulator that defeats every early return of the engine's phases:
     before each phase it rebuilds the finish heap from `executing` and the
-    traveling set from the agents' legs, makes legs due now and, for
-    detection, counts every agent as moved."""
+    traveling set from the agents' legs, makes legs and starts due now and,
+    for detection, counts every agent as moved."""
 
     def _complete_executions(self, t):
         self.finishing = sorted((self.task_finish[m], m) for m in self.executing)
@@ -479,6 +479,10 @@ class FullTickSimulator(simulator.Simulator):
         moved, self.moved = self.moved, list(self.agents)
         super()._detect(t)
         self.moved = moved
+
+    def _start_tasks(self, t):
+        self.starts_due = True
+        super()._start_tasks(t)
 
 
 class ScanCount(dict):
@@ -545,6 +549,75 @@ def test_engine_skips_change_no_event(monkeypatch, name, horizon, kind):
         assert 0 < stock.passes["_plan_legs"] < ticks / 10, (seed, stock.passes)
         assert stock.passes["_detect"] == stock.news_ticks < ticks / 2, (seed, stock.passes)
     assert ends > 0
+
+
+class StartsDueSimulator(simulator.Simulator):
+    """Stock simulator whose `_start_tasks` makes a full pass on every tick."""
+
+    def _start_tasks(self, t):
+        self.starts_due = True
+        super()._start_tasks(t)
+
+
+class StartPassCountSimulator(simulator.Simulator):
+    """Stock simulator that counts the ticks on which `_start_tasks` passes."""
+
+    start_passes = 0
+
+    def _start_tasks(self, t):
+        self.start_passes += self.starts_due
+        super()._start_tasks(t)
+
+
+@pytest.mark.parametrize("name, kind", [("desk_scenario.json", "cocoplan"),
+                                        ("desk_scenario.json", "greedy"),
+                                        ("desk_scenario.json", "ring"),
+                                        ("subt10_greedy.json", "greedy")])
+def test_the_start_skip_changes_no_event(monkeypatch, name, kind):
+    """Task starts looked for on every tick give the same log, byte for byte,
+    as starts looked for only after an arrival at a task, a completion, an
+    assign or an apply_team_plan, over whole runs of three seeds."""
+    cfg = load_scenario(DATA / name)
+    ticks = round(cfg.horizon / cfg.dt) + 1
+    for seed in (cfg.seed, cfg.seed + 1, cfg.seed + 2):
+        lines = []
+        for cls in (StartPassCountSimulator, StartsDueSimulator):
+            monkeypatch.setattr(scenario, "Simulator", cls)
+            sim, ctrl = build_simulator(cfg, seed=seed, strategy=StrategyConfig(kind))
+            events, _ = sim.run(ctrl)
+            lines.append("\n".join(e.line() for e in events))
+            if cls is StartPassCountSimulator:
+                passes = sim.start_passes
+        assert lines[0] == lines[1], seed
+        assert "execution_start" in lines[0]
+        assert 0 < passes < ticks / 10, (seed, passes, ticks)
+
+
+def test_a_task_held_by_a_mutex_partner_ending_at_t_starts_on_the_next_tick():
+    # Agents 0 and 1 wait at mutex tasks 1 and 2 from t = 0; task 1 goes first
+    # and ends at exactly 2.5 s, a tick, where task 2's gate still holds it
+    # back. Nothing happens at 2.6 s, but task 2 must start then.
+    grid = empty_grid(12, 4)
+    tasks = [task(1, 0.5, 0.5, duration=2.5), task(2, 4.5, 0.5)]
+
+    class AssignAtStart:
+        scheduled_events = False
+
+        def on_start(self, sim):
+            sim.assign(1, (0,))
+            sim.assign(2, (1,))
+
+        def on_tick(self, sim, t):
+            pass
+
+    sim, events, _ = run_sim(grid, [agent(0, 0.5, 0.5), agent(1, 4.5, 0.5)], tasks,
+                             rels=[TemporalRelation(1, 2, RelationKind.MUTEX)], horizon=10.0,
+                             ctrl=AssignAtStart())
+    assert (sim.task_start[1], sim.task_finish[1]) == (0.0, 2.5) == (0.0, 25 * sim.dt)
+    assert sim.task_start[2] == 26 * sim.dt
+    assert [e.line() for e in events if e.kind.startswith("execution")] == [
+        "0.000000 execution_start 1 0", "2.500000 execution_end 1",
+        "2.600000 execution_start 2 1", "7.600000 execution_end 2"]
 
 
 def test_tasks_due_in_one_tick_finish_in_finish_then_id_order():

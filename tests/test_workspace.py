@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from pathlib import Path
@@ -146,6 +147,35 @@ def test_los_equals_the_reference_walk_bit_for_bit():
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (a, b)
 
 
+def test_los_stops_above_its_limit_and_only_there():
+    """A walk given a limit returns the full length when that is at most the
+    limit, and otherwise some length above it."""
+    rng = random.Random(37)
+    grids = los_test_grids(rng)
+    stopped = 0
+    for _ in range(3000):
+        grid = rng.choice(grids)
+        res, w, h = grid.resolution, grid.width_m, grid.height_m
+        a = Position(lattice_coordinate(rng, w, res), lattice_coordinate(rng, h, res))
+        b = Position(lattice_coordinate(rng, w, res), lattice_coordinate(rng, h, res))
+        full = los_obstacle_length(a, b, grid)
+        for limit in (0.0, full, math.nextafter(full, -math.inf), full / 2,
+                      rng.uniform(0.0, 2.0 * full)):
+            got = los_obstacle_length(a, b, grid, limit)
+            if full <= limit:
+                assert got == full, (a, b, limit)
+            else:
+                assert limit < got <= full, (a, b, limit)
+                stopped += got < full
+    assert stopped > 0
+
+
+def test_los_with_a_limit_still_refuses_points_off_the_map():
+    grid = empty_grid()
+    with pytest.raises(MapError):
+        los_obstacle_length(Position(0.5, 0.5), Position(12.5, 0.5), grid, 0.0)
+
+
 def test_los_counts_a_cell_one_past_the_end_cell():
     """From (6.8485..., 6.3) to (7.0, 3.5) at 0.7 m the walk ends in cell (9, 4),
     one row past the end cell (10, 5): rounding puts the crossing of y = 3.5
@@ -222,6 +252,80 @@ def test_unreachable_raises():
     grid = grid_from_rows(rows)
     with pytest.raises(Unreachable):
         astar_travel_time(Position(0.5, 1.5), Position(2.5, 1.5), grid, 1.0)
+
+
+def tuple_astar_search(grid, s, g):
+    """`workspace._astar_search` as it was before its flat arrays: cells are
+    tuples, g-scores and parents live in dicts, and the map in row-major bytes."""
+    res = grid.resolution
+    flat = grid._flat
+    w, h = grid.width_cells, grid.height_cells
+    step_of = {offset: k for k, offset in enumerate(workspace._NEIGHBORS)}
+    g_score = {s: 0.0}
+    parent = {}
+    open_heap = [(workspace._octile(s, g, res), s)]
+    closed = set()
+    while open_heap:
+        f, cur = heapq.heappop(open_heap)
+        if cur in closed:
+            continue
+        if cur == g:
+            steps = bytearray()
+            while cur in parent:
+                prev = parent[cur]
+                steps.append(step_of[cur[0] - prev[0], cur[1] - prev[1]])
+                cur = prev
+            steps.reverse()
+            return g_score[g], bytes(steps)
+        closed.add(cur)
+        cx, cy = cur
+        base = g_score[cur]
+        for ox, oy in workspace._NEIGHBORS:
+            nx, ny = cx + ox, cy + oy
+            if not (0 <= nx < w and 0 <= ny < h) or flat[ny * w + nx]:
+                continue
+            if ox != 0 and oy != 0 and (flat[cy * w + nx] or flat[ny * w + cx]):
+                continue
+            cost = base + (workspace.SQRT2 * res if ox != 0 and oy != 0 else res)
+            nxt = (nx, ny)
+            if cost < g_score.get(nxt, math.inf):
+                g_score[nxt] = cost
+                parent[nxt] = cur
+                heapq.heappush(open_heap, (cost + workspace._octile(nxt, g, res), nxt))
+    return None
+
+
+def test_astar_search_equals_the_tuple_search():
+    """The flat-array search gives the tuple search's length and steps, bit for
+    bit, in both orders, on the shipped maps and on random ones that are often
+    split (unreachable goals give None in both)."""
+    rng = random.Random(31)
+    grids = [parse_grid((DATA / name).read_text()) for name in ("desk.map", "subt.map")]
+    for res in (1.0, 0.3, 0.7):
+        for density in (0.1, 0.3, 0.45):
+            w, h = rng.randint(1, 14), rng.randint(1, 14)
+            grids.append(grid_from_rows(["".join("#" if rng.random() < density else "."
+                                                 for _ in range(w)) for _ in range(h)], res))
+    outcomes = set()
+    for grid in grids:
+        free = grid.free_cells()
+        if not free:
+            continue
+        for _ in range(60):
+            a, b = rng.choice(free), rng.choice(free)
+            for s, g in ((a, b), (b, a)):
+                want = tuple_astar_search(grid, s, g)
+                assert workspace._astar_search(grid, s, g) == want, (s, g)
+                outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_the_padded_grid_is_the_occupancy_x_major_with_a_wall_round_it():
+    grid = grid_from_rows(["..#", "#..", "..."], 0.5)
+    stride = grid.height_cells + 2
+    for x in range(-1, grid.width_cells + 1):
+        for y in range(-1, grid.height_cells + 1):
+            assert grid._padded[(x + 1) * stride + y + 1] == (not grid.is_free_cell((x, y)))
 
 
 def test_u_shaped_detour_matches_dijkstra():

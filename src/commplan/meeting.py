@@ -137,8 +137,6 @@ def com_opt(last: Mapping[int, AgentContext], grid: GridMap, params: CommParams,
     falls below `gap`.
     """
     best = com_opt_fast(last, grid, params)
-    if len(last) == 1:
-        return best
     # No event meets before every agent is free, and the scan keeps only a
     # strictly earlier candidate, so an event at that floor is already final.
     if best.time > max(ctx.ready_time for ctx in last.values()):

@@ -136,6 +136,10 @@ class Simulator:
 
     A strategy controller drives communication events and (re)planning
     through the public helpers; the engine itself never plans.
+
+    A task's state is the record that holds its id, and each id is in
+    exactly one: `pending`, `claimed`, the heap `finishing` of executing
+    tasks, or `done`. A start sets `task_start` and `task_finish`.
     """
 
     def __init__(self, grid: GridMap, agents: Sequence[AgentState], params: CommParams,
@@ -156,12 +160,10 @@ class Simulator:
         self.now = 0.0
         self.events: list[SimEvent] = []
         self.groups: dict[int, tuple[int, ...]] = {}
-        self.task_state: dict[int, str] = {t: "pending" for t in tasks}
-        # The ids in task_state that are claimed, that are executing and that are done.
+        self.pending: set[int] = set(tasks)
         self.claimed: set[int] = set()
-        self.executing: set[int] = set()
-        self.done: set[int] = set()
         self.finishing: list[tuple[float, int]] = []  # a heap of (task_finish, id) of executing
+        self.done: set[int] = set()
         self.task_start: dict[int, float] = {}
         self.task_finish: dict[int, float] = {}
         self.planned_start: dict[int, float] = {}
@@ -199,10 +201,10 @@ class Simulator:
             self.agents[a].known = set(union)
 
     def _claim(self, tid: int, group: Sequence[int]) -> None:
-        if self.task_state[tid] != "pending":
-            raise SimulationError(f"task {tid} claimed while {self.task_state[tid]}")
+        if tid not in self.pending:
+            raise SimulationError(f"task {tid} claimed while not pending")
         self.groups[tid] = tuple(sorted(group))
-        self.task_state[tid] = "claimed"
+        self.pending.remove(tid)
         self.claimed.add(tid)
 
     def assign(self, task_id: int, group: tuple[int, ...]) -> None:
@@ -210,7 +212,6 @@ class Simulator:
         for a in group:
             self.agents[a].queue.append(task_id)
         self.legs_due = self.now
-        self.starts_due = True
 
     def apply_team_plan(self, agent_ids: Sequence[int],
                         plan_sequences: dict[int, tuple[int, ...]],
@@ -228,7 +229,6 @@ class Simulator:
             ag.set_meeting(event_positions.get(aid) if event_positions else None, event_time)
         self.traveling.difference_update(agent_ids)
         self.legs_due = self.now
-        self.starts_due = True
 
     def has_future_work(self) -> bool:
         return len(self.done) < len(self.tasks)
@@ -278,8 +278,6 @@ class Simulator:
         finishing = self.finishing
         while finishing and finishing[0][0] <= t:
             finish, tid = heapq.heappop(finishing)
-            self.task_state[tid] = "done"
-            self.executing.remove(tid)
             self.done.add(tid)
             self.log(finish, "execution_end", tid)
             for a in self.groups[tid]:
@@ -288,7 +286,6 @@ class Simulator:
                     ag.queue.pop(0)
                 ag.status = "idle"
             self.legs_due = t
-            self.starts_due = True
 
     def _plan_legs(self, t: float) -> None:
         # Only a completion or a helper that changes a queue or a meeting gives
@@ -362,7 +359,7 @@ class Simulator:
             candidates = released if aid in moved else fresh
             if not candidates:
                 continue
-            found = detect_tasks(ag.position, ag.sensor_range, candidates, t, self.grid)
+            found = detect_tasks(ag.position, ag.sensor_range, candidates, self.grid)
             for tid in found:
                 ag.known.add(tid)
                 self.known_count += 1  # a detected task was unknown to everyone
@@ -374,14 +371,12 @@ class Simulator:
         self.looked_at = t
 
     def _gates_pass(self, tid: int, t: float) -> bool:
-        # A done task finished by t: _complete_executions marks no other.
-        if any(self.task_state.get(p, "done") != "done" for p in self.index.preds.get(tid, ())):
+        # _complete_executions has popped every task due by t, so a mutex
+        # partner with a finish at or after t is executing or ended at exactly t.
+        if any(p in self.tasks and p not in self.done for p in self.index.preds.get(tid, ())):
             return False
-        for m in self.index.mutex.get(tid, ()):
-            st = self.task_state.get(m)
-            if st == "executing" or (st == "done" and self.task_finish[m] >= t):
-                return False
-        return True
+        finish = self.task_finish
+        return all(finish.get(m, float("-inf")) < t for m in self.index.mutex.get(tid, ()))
 
     def _group_present(self, tid: int) -> bool:
         return all(self.agents[a].status == "waiting_at_task" and self.agents[a].queue
@@ -397,12 +392,11 @@ class Simulator:
         tie group is started as a unit once every member is ready.
         """
         # A task starts only once its whole group waits at it, and a group
-        # comes to wait only when an agent arrives at a task. An arrival sets
-        # starts_due, and so do a completion, assign and apply_team_plan, the
-        # other changes to claims and queues. A pass that finds no group
-        # waiting clears it; one that finds a group its gates hold back (a
-        # mutex partner that finished at exactly t passes on the next tick)
-        # leaves it set, so a gate that opens needs no news.
+        # comes to wait only when an agent arrives at a task, which sets
+        # starts_due. A pass that finds no group waiting clears it; one that
+        # finds a group its gates hold back (a mutex partner that finished at
+        # exactly t passes on the next tick) leaves it set, so a gate that
+        # opens needs no news.
         if not self.starts_due:
             return
         present = [tid for tid in self.claimed if self._group_present(tid)]
@@ -410,8 +404,6 @@ class Simulator:
             self.starts_due = False
             return
         ready = {tid for tid in present if self._gates_pass(tid, t)}
-        if not ready:  # a tie group starts only from ready tasks
-            return
         started: set[int] = set()
         order = sorted(ready, key=lambda m: (self.planned_start.get(m, 0.0), m))
         for tid in order:
@@ -423,14 +415,13 @@ class Simulator:
             while stack and feasible:
                 m = stack.pop()
                 for p in self.index.conc.get(m, ()):
-                    st = self.task_state.get(p)
-                    if st == "done" and t > self.task_finish[p] + 1e-9:
+                    if p in self.done and t > self.task_finish[p] + 1e-9:
                         raise SimulationError(
                             f"task {m}: concurrency window with {p} was missed at t={t}")
                     mp, pp = self.planned_start.get(m), self.planned_start.get(p)
                     # A partner not yet started, and not planned strictly later
                     # (when it would overlap us anyway), must start together.
-                    if st not in ("pending", "claimed") or (
+                    if (p not in self.pending and p not in self.claimed) or (
                             mp is not None and pp is not None and pp > mp + 1e-9):
                         continue
                     if p not in ready:
@@ -445,9 +436,7 @@ class Simulator:
             if any(other in started for m in tie_group for other in self.index.mutex.get(m, ())):
                 continue
             for m in sorted(tie_group):
-                self.task_state[m] = "executing"
                 self.claimed.remove(m)
-                self.executing.add(m)
                 self.task_start[m] = t
                 self.task_finish[m] = t + self.tasks[m].duration
                 heapq.heappush(self.finishing, (self.task_finish[m], m))

@@ -58,7 +58,7 @@ def _plan(sim: Simulator, agent_ids: Sequence[int], now: float, options: Planner
     know; with fewer than `min_tasks` of them, the plan assigns nothing."""
     team = {a: sim.agents[a].context(now) for a in agent_ids}
     known = sim.known_tasks(agent_ids)
-    tasks = {tid: task for tid, task in known.items() if sim.task_state[tid] == "pending"}
+    tasks = {tid: task for tid, task in known.items() if tid in sim.pending}
     if len(tasks) < min_tasks:
         tasks = {}
     plan = cocoplan(team, tasks, sim.index, sim.grid, sim.params, options.budget,
@@ -280,9 +280,9 @@ class GreedyController:
         """The eligible group from `agents` whose farthest member is nearest the
         task, lowest ids on ties, if it is pending with its predecessors done."""
         task = sim.tasks[tid]
-        if sim.task_state[tid] != "pending":
+        if tid not in sim.pending:
             return None
-        if any(sim.task_state.get(p) != "done" for p in sim.index.preds.get(tid, ())):
+        if any(p not in sim.done for p in sim.index.preds.get(tid, ())):
             return None
         groups = eligible_groups(task, {a: sim.agents[a].context(sim.now) for a in agents})
         if len(groups) < 2:
@@ -301,7 +301,7 @@ class GreedyController:
         of it would leave agents waiting for a partner nobody holds.
         """
         for tid in sorted(known):
-            if sim.task_state[tid] != "pending":
+            if tid not in sim.pending:
                 continue
             cluster = sim.index.cluster.get(tid, (tid,))
             if len(cluster) == 1:

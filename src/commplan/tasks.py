@@ -64,19 +64,16 @@ class ExecutionInterval:
             raise ValueError(f"task {self.task_id}: finish before start")
 
 
-def detect_tasks(agent_pos: Position, sensor_range: float, undetected: Iterable[Task],
-                 now: float, grid: GridMap) -> list[int]:
-    """Ids of the tasks in `undetected` that the agent can currently see.
+def detect_tasks(agent_pos: Position, sensor_range: float, released: Iterable[Task],
+                 grid: GridMap) -> list[int]:
+    """Ids of the tasks in `released` that the agent can currently see.
 
-    A task is seen when it has been released, its region center is within
-    sensor range, and the line of sight to the center crosses no obstacle.
+    A task is seen when its region center is within sensor range and the
+    line of sight to the center crosses no obstacle. The caller passes only
+    tasks already released: no release time is tested here.
     """
-    if now < 0:
-        raise ValueError("now must be >= 0")
     found = []
-    for task in undetected:
-        if task.release_time > now:
-            continue
+    for task in released:
         if agent_pos.dist(task.region_center) > sensor_range:
             continue
         if los_obstacle_length(agent_pos, task.region_center, grid) > 0.0:

@@ -12,8 +12,6 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add
 from typing import Optional
 
 import numpy as np
@@ -46,18 +44,16 @@ class GridMap:
     a stale value. `los_obstacle_length` is not memoized: its endpoints
     rarely repeat, and its summed-area box test answers most calls in O(1).
 
-    The per-cell kernels read the occupancy in two byte layouts, 1 where a
-    cell is occupied. `_flat` is row-major (cell (cx, cy) at
-    `cy * width_cells + cx`) and serves the line-of-sight walk and
-    `is_free_cell`; `_sat` is its summed-area table:
+    The per-cell kernels (A*, the line-of-sight walk and `is_free_cell`)
+    read one byte layout, `_padded`: the grid with a border of occupied
+    cells, x-major, 1 where a cell is occupied, cell (cx, cy) at
+    `(cx + 1) * (height_cells + 2) + cy + 1`. The border makes every
+    neighbor of a grid cell an index, so A* needs no bounds check, and
+    x-major ids order as `(cx, cy)` tuples do, so heap ties break as they
+    would on the tuples. `_sat` is the summed-area table of the occupancy:
     `(height_cells + 1) * (width_cells + 1)` counts, row-major with a zero
     first row and column, where entry `y * (width_cells + 1) + x` counts the
-    occupied cells with `cx < x` and `cy < y`. `_padded` serves A*: the grid
-    with a border of occupied cells, x-major, cell (cx, cy) at
-    `(cx + 1) * (height_cells + 2) + cy + 1`. The border makes every
-    neighbor of a grid cell an index, so the search needs no bounds check,
-    and x-major ids order as `(cx, cy)` tuples do, so heap ties break as they
-    would on the tuples."""
+    occupied cells with `cx < x` and `cy < y`."""
 
     def __init__(self, occupancy: np.ndarray, resolution: float):
         occ = np.asarray(occupancy, dtype=bool)
@@ -74,14 +70,7 @@ class GridMap:
         if not (math.isfinite(self.width_m) and math.isfinite(self.height_m)):
             raise MapError(f"resolution {self.resolution} gives a map of "
                            f"{self.width_m} x {self.height_m} m, which is not finite")
-        self._flat = occ.tobytes()
-        w = self.width_cells
-        sat = [0] * (w + 1)
-        for y in range(self.height_cells):
-            above = sat[-w:]  # the previous row without its leading 0
-            sat.append(0)
-            sat.extend(map(add, above, accumulate(self._flat[y * w:(y + 1) * w])))
-        self._sat = sat
+        self._sat = np.pad(occ.cumsum(0).cumsum(1), ((1, 0), (1, 0))).ravel().tolist()
         self._padded = np.pad(occ.T, 1, constant_values=True).tobytes()
         self._memo: dict[tuple, object] = {}
 
@@ -114,7 +103,7 @@ class GridMap:
         cx, cy = cell
         if not (0 <= cx < self.width_cells and 0 <= cy < self.height_cells):
             return False
-        return not self._flat[cy * self.width_cells + cx]
+        return not self._padded[(cx + 1) * (self.height_cells + 2) + cy + 1]
 
     def is_free(self, p: Position) -> bool:
         return self.is_free_cell(self.cell_at(p))
@@ -233,7 +222,7 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap,
     sat, top, bottom = grid._sat, y0 * (w + 1), y1 * (w + 1)
     if sat[bottom + x1] - sat[top + x1] - sat[bottom + x0] + sat[top + x0] == 0:
         return 0.0
-    flat = grid._flat
+    blocked, stride = grid._padded, h + 2
 
     step_x = 1 if dx > 0 else -1
     step_y = 1 if dy > 0 else -1
@@ -257,7 +246,8 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap,
     # Only the first cell's share can be negative (when rounding puts a.x or
     # a.y a hair past its cell's near edge); every later share is >= 0, so
     # once `total` exceeds `limit` the full length does too.
-    idx, end_idx, step_row = cy * w + cx, end_cy * w + end_cx, step_y * w
+    idx, end_idx = (cx + 1) * stride + cy + 1, (end_cx + 1) * stride + end_cy + 1
+    step_col = step_x * stride
     total = 0.0
     t = 0.0
     while True:
@@ -265,7 +255,7 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap,
         t_next = t_max_x if x_first else t_max_y
         if t_next > 1.0:
             t_next = 1.0
-        if flat[idx]:
+        if blocked[idx]:
             total += (t_next - t) * seg_len
             if total > limit:
                 return total
@@ -277,14 +267,14 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap,
             if t_max_x == t_max_y:
                 # Exact corner crossing: step both axes at once.
                 cy += step_y
-                idx += step_row
+                idx += step_y
                 t_max_y += t_delta_y
             cx += step_x
-            idx += step_x
+            idx += step_col
             t_max_x += t_delta_x
         else:
             cy += step_y
-            idx += step_row
+            idx += step_y
             t_max_y += t_delta_y
         if not (0 <= cx < w and 0 <= cy < h):
             break

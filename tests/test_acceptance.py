@@ -206,7 +206,7 @@ def test_criterion_4_theorem1_feasibility():
         ctrl = make_controller(strat, PlannerOptions(node_limit=25, generated_limit=150))
         sim.run(ctrl)
         total += 1
-        done = {t for t, s in sim.task_state.items() if s == "done"}
+        done = sim.done
         intervals = [ExecutionInterval(t, sim.task_start[t], sim.task_finish[t])
                      for t in sorted(done)]
         ok, bad = check_schedule(intervals, relations_between(rels, done))

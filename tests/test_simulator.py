@@ -168,7 +168,7 @@ def test_completed_intervals_pass_check_schedule():
     sim, events, metrics = run_sim(grid, [agent(0, 7.5, 7.5), agent(1, 9.5, 7.5)],
                                    tasks_list, rels=rels, horizon=120.0)
     assert metrics.finished_tasks == 6
-    done = {t for t, s in sim.task_state.items() if s == "done"}
+    done = sim.done
     intervals = [ExecutionInterval(t, sim.task_start[t], sim.task_finish[t]) for t in sorted(done)]
     ok, bad = check_schedule(intervals, relations_between(rels, done))
     assert ok, bad
@@ -262,7 +262,7 @@ def test_concurrency_cluster_with_internal_precedence_executes():
                                           agent(1, 7.5, 2.5, sensor=20.0)],
                                    tasks_list, rels=rels, horizon=90.0)
     assert metrics.finished_tasks == 3
-    done = {t for t, s in sim.task_state.items() if s == "done"}
+    done = sim.done
     intervals = [ExecutionInterval(t, sim.task_start[t], sim.task_finish[t]) for t in sorted(done)]
     ok, bad = check_schedule(intervals, relations_between(rels, done))
     assert ok, bad
@@ -286,7 +286,7 @@ def test_apply_team_plan_leaves_other_agents_untouched():
     assert vars(other) == snapshot
     assert sim.agents[0].queue == [1] and sim.agents[1].queue == []
     assert [sim.agents[a].comm_target for a in (0, 1)] == [meet[0], meet[1]]
-    assert sim.task_state[1] == "claimed" and sim.planned_start[1] == 4.0
+    assert 1 in sim.claimed and sim.planned_start[1] == 4.0
 
 
 def test_apply_team_plan_claims_each_task_for_the_agents_holding_it():
@@ -299,7 +299,7 @@ def test_apply_team_plan_claims_each_task_for_the_agents_holding_it():
     assert sim.groups == {1: (0, 1), 2: (0,)}
     assert sim.agents[0].queue == [1, 2] and sim.agents[1].queue == [1]
     assert sim.agents[2].queue == []
-    assert all(sim.task_state[t] == "claimed" for t in (1, 2))
+    assert sim.claimed == {1, 2} and not sim.pending
 
 
 @pytest.mark.parametrize("state", ["claimed", "executing", "done"])
@@ -307,12 +307,19 @@ def test_only_a_pending_task_can_be_claimed(state):
     grid = empty_grid(12, 4)
     sim = Simulator(grid, [agent(0, 0.5, 0.5), agent(1, 2.5, 0.5)], CommParams(),
                     {1: task(1, 6.5, 0.5)}, [], horizon=10.0)
-    sim.task_state[1] = state
-    with pytest.raises(SimulationError, match=f"task 1 claimed while {state}"):
+    sim.pending.remove(1)
+    if state == "executing":
+        sim.task_finish[1] = 5.0
+        sim.finishing.append((5.0, 1))
+    else:
+        getattr(sim, state).add(1)
+    records = (set(sim.pending), set(sim.claimed), list(sim.finishing), set(sim.done))
+    with pytest.raises(SimulationError, match="task 1 claimed while not pending"):
         sim.assign(1, (0,))
-    with pytest.raises(SimulationError, match=f"task 1 claimed while {state}"):
+    with pytest.raises(SimulationError, match="task 1 claimed while not pending"):
         sim.apply_team_plan((0, 1), {1: (1,)}, {1: ExecutionInterval(1, 4.0, 9.0)})
-    assert sim.task_state[1] == state and sim.agents[0].queue == []
+    assert (sim.pending, sim.claimed, sim.finishing, sim.done) == records
+    assert sim.agents[0].queue == []
 
 
 def test_comm_event_clears_the_meeting_of_its_participants_only():
@@ -337,13 +344,19 @@ def test_comm_event_clears_the_meeting_of_its_participants_only():
 
 def record_detect_calls(monkeypatch):
     """Make the simulator's detect_tasks calls append (now, position, candidates)
-    to the returned list."""
-    calls = []
+    to the returned list, where now is the clock of the simulator detecting."""
+    calls, detecting = [], []
+    stock_detect = simulator.Simulator._detect
 
-    def recording_detect(pos, sensor_range, candidates, now, grid):
-        calls.append((now, pos, list(candidates)))
-        return detect_tasks(pos, sensor_range, candidates, now, grid)
+    def detect_pass(sim, t):
+        detecting[:] = [sim]
+        stock_detect(sim, t)
 
+    def recording_detect(pos, sensor_range, candidates, grid):
+        calls.append((detecting[0].now, pos, list(candidates)))
+        return detect_tasks(pos, sensor_range, candidates, grid)
+
+    monkeypatch.setattr(simulator.Simulator, "_detect", detect_pass)
     monkeypatch.setattr(simulator, "detect_tasks", recording_detect)
     return calls
 
@@ -459,12 +472,12 @@ def test_detection_skip_changes_no_event(monkeypatch, name, horizon, kind, on_ti
 
 class FullTickSimulator(simulator.Simulator):
     """Simulator that defeats every early return of the engine's phases:
-    before each phase it rebuilds the finish heap from `executing` and the
-    traveling set from the agents' legs, makes legs and starts due now and,
-    for detection, counts every agent as moved."""
+    before each phase it rebuilds the finish heap from the finish times of
+    the tasks not done and the traveling set from the agents' legs, makes
+    legs and starts due now and, for detection, counts every agent as moved."""
 
     def _complete_executions(self, t):
-        self.finishing = sorted((self.task_finish[m], m) for m in self.executing)
+        self.finishing = sorted((f, m) for m, f in self.task_finish.items() if m not in self.done)
         super()._complete_executions(t)
 
     def _plan_legs(self, t):
@@ -575,8 +588,8 @@ class StartPassCountSimulator(simulator.Simulator):
                                         ("subt10_greedy.json", "greedy")])
 def test_the_start_skip_changes_no_event(monkeypatch, name, kind):
     """Task starts looked for on every tick give the same log, byte for byte,
-    as starts looked for only after an arrival at a task, a completion, an
-    assign or an apply_team_plan, over whole runs of three seeds."""
+    as starts looked for only after an arrival at a task and while a group
+    waits at its task, over whole runs of three seeds."""
     cfg = load_scenario(DATA / name)
     ticks = round(cfg.horizon / cfg.dt) + 1
     for seed in (cfg.seed, cfg.seed + 1, cfg.seed + 2):
@@ -672,13 +685,14 @@ def test_a_comm_event_sends_a_freed_agent_to_the_task_it_was_given():
                              [task(1, 6.5, 0.5)], horizon=15.0, ctrl=MeetThenWork())
     arrivals = [e for e in events if e.kind == "arrival" and e.payload[1] == "task"]
     assert [e.payload for e in arrivals] == [(0, "task", 1)] and arrivals[0].timestamp > 2.0
-    assert sim.task_state[1] == "done"
+    assert sim.done == {1}
 
 
 class CounterCheck:
-    """Controller wrapper that checks the simulator's running total, its
-    claimed, executing and done id sets, its finish heap and the agents that
-    hold a leg against full scans after each tick."""
+    """Controller wrapper that checks after each tick the simulator's running
+    total and the agents that hold a leg against full scans, that every task
+    id is in exactly one of the pending, claimed, executing (the finish heap)
+    and done records, and that the heap holds each executing task's finish."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -693,11 +707,12 @@ class CounterCheck:
         self.inner.on_tick(sim, t)
         self.merged |= before != [len(ag.known) for ag in sim.agents.values()]
         assert sim.known_count == sum(len(ag.known) for ag in sim.agents.values()), t
-        assert sim.has_future_work() == any(s != "done" for s in sim.task_state.values())
-        for state in ("claimed", "executing", "done"):
-            assert getattr(sim, state) == {tid for tid, s in sim.task_state.items()
-                                           if s == state}, (t, state)
-        assert sorted(sim.finishing) == sorted((sim.task_finish[m], m) for m in sim.executing), t
+        executing = [m for _, m in sim.finishing]
+        records = [*sim.pending, *sim.claimed, *executing, *sim.done]
+        assert sorted(records) == sorted(sim.tasks), t
+        assert sim.has_future_work() == bool(sim.pending or sim.claimed or executing), t
+        assert sorted(sim.finishing) == sorted((sim.task_finish[m], m) for m in executing), t
+        assert set(sim.task_finish) == {*executing, *sim.done}, t
         assert sim.traveling == {a for a, ag in sim.agents.items() if ag.leg is not None}, t
 
 

@@ -242,9 +242,9 @@ def reference_claimable(sim, tid, agents):
     nearest capable agent for a one-agent task, the pair itself if it covers a
     two-agent task."""
     task = sim.tasks[tid]
-    if sim.task_state[tid] != "pending":
+    if tid not in sim.pending:
         return None
-    if any(sim.task_state.get(p) != "done" for p in sim.index.preds.get(tid, ())):
+    if any(p not in sim.done for p in sim.index.preds.get(tid, ())):
         return None
     needed = task.agents_required
     if needed > len(agents):
@@ -293,7 +293,15 @@ def test_greedy_claim_rule_matches_the_reference(monkeypatch):
                 for t in range(1, len(tasks)) if rng.random() < 0.3]
         sim = Simulator(grid, agents, CommParams(), {t.id: t for t in tasks}, rels,
                         horizon=10.0)
-        sim.task_state = {t.id: rng.choice(states) for t in tasks}
+        for t in tasks:
+            state = rng.choice(states)
+            if state != "pending":
+                sim.pending.remove(t.id)
+                if state == "executing":
+                    sim.task_finish[t.id] = 5.0
+                    sim.finishing.append((5.0, t.id))
+                else:
+                    getattr(sim, state).add(t.id)
         for tid in sim.tasks:
             for group in itertools.chain(((a,) for a in sim.agents),
                                          itertools.combinations(sorted(sim.agents), 2)):
@@ -322,7 +330,7 @@ def test_greedy_claims_at_encounter():
     sim, events, metrics = run_sim(grid, agents, tasks, "greedy", horizon=120.0)
     comm = [e for e in events if e.kind == "comm_event"]
     assert comm  # they met while crossing
-    assert sim.task_state[1] == "done"
+    assert 1 in sim.done
     assert metrics.finished_tasks == 3
     assert metrics.comm_intervals == []  # no interval metric for greedy
 
@@ -420,8 +428,8 @@ def test_greedy_out_of_range_only_solo_tasks():
     agents = [agent(0, 2.5, 2.5, sensor=8.0), agent(1, 57.5, 2.5, sensor=8.0)]
     sim, events, metrics = run_sim(grid, agents, tasks, "greedy", horizon=60.0)
     assert metrics.finished_tasks == 1
-    assert sim.task_state[1] == "done"
-    assert sim.task_state[2] == "pending"  # pair task needs an encounter that never happens
+    assert sim.done == {1}
+    assert sim.pending == {2}  # pair task needs an encounter that never happens
 
 
 def concurrency_chain_run(edges):
@@ -443,7 +451,7 @@ def test_greedy_never_claims_part_of_a_concurrency_component(edges):
     sim, events, metrics = concurrency_chain_run(edges)
     assert any(e.kind == "comm_event" for e in events)
     assert metrics.finished_tasks == 2
-    assert [sim.task_state[t] for t in range(5)] == ["pending"] * 3 + ["done"] * 2
+    assert (sim.pending, sim.done) == ({0, 1, 2}, {3, 4})
     assert not {0, 1, 2} & set(sim.groups)
     assert all(ag.status != "waiting_at_task" and not ag.queue for ag in sim.agents.values())
 
@@ -461,9 +469,8 @@ class ClaimTimes:
 
     def on_tick(self, sim, t):
         self.inner.on_tick(sim, t)
-        for tid, state in sim.task_state.items():
-            if state != "pending":
-                self.claimed_at.setdefault(tid, t)
+        for tid in sim.tasks.keys() - sim.pending:
+            self.claimed_at.setdefault(tid, t)
 
 
 def test_greedy_claims_a_concurrency_pair_at_an_encounter():

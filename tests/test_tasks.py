@@ -29,17 +29,16 @@ def test_detection_respects_sensor_range():
     grid = empty_grid(20, 20)
     task = make_task(9, x=10.5, y=1.5)
     # 9 m away with an 8 m sensor: not detected.
-    found = detect_tasks(Position(1.5, 1.5), 8.0, [task], 0.0, grid)
+    found = detect_tasks(Position(1.5, 1.5), 8.0, [task], grid)
     assert found == []
-    found = detect_tasks(Position(3.5, 1.5), 8.0, [task], 2.0, grid)
+    found = detect_tasks(Position(3.5, 1.5), 8.0, [task], grid)
     assert found == [9]
 
 
-def test_detection_at_agent_position_and_release_gate():
+def test_detection_at_agent_position():
     grid = empty_grid()
-    task = make_task(1, x=2.5, y=2.5, release=10.0)
-    assert detect_tasks(Position(2.5, 2.5), 8.0, [task], 5.0, grid) == []
-    assert detect_tasks(Position(2.5, 2.5), 8.0, [task], 10.0, grid) == [1]
+    task = make_task(1, x=2.5, y=2.5)
+    assert detect_tasks(Position(2.5, 2.5), 8.0, [task], grid) == [1]
 
 
 def test_detection_blocked_by_wall():
@@ -49,11 +48,11 @@ def test_detection_blocked_by_wall():
             "........"]
     grid = grid_from_rows(rows)
     task = make_task(2, x=6.5, y=1.5)
-    found = detect_tasks(Position(0.5, 1.5), 8.0, [task], 0.0, grid)
+    found = detect_tasks(Position(0.5, 1.5), 8.0, [task], grid)
     assert found == []
     # A clear line of sight at the same distance detects.
     task2 = make_task(3, x=6.5, y=3.5)
-    found = detect_tasks(Position(0.5, 3.5), 8.0, [task2], 0.0, grid)
+    found = detect_tasks(Position(0.5, 3.5), 8.0, [task2], grid)
     assert found == [3]
 
 
@@ -61,9 +60,9 @@ def test_detection_mutates_nothing():
     grid = empty_grid()
     tasks = [make_task(1, x=2.5, y=2.5), make_task(2, x=9.5, y=9.5), make_task(3, x=3.5, y=2.5)]
     before = list(tasks)
-    first = detect_tasks(Position(2.5, 2.5), 8.0, tasks, 1.0, grid)
+    first = detect_tasks(Position(2.5, 2.5), 8.0, tasks, grid)
     assert first == [1, 3]
-    assert detect_tasks(Position(2.5, 2.5), 8.0, tasks, 1.0, grid) == first
+    assert detect_tasks(Position(2.5, 2.5), 8.0, tasks, grid) == first
     assert tasks == before
 
 

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 import random
 from pathlib import Path
@@ -147,6 +148,25 @@ def test_los_equals_the_reference_walk_bit_for_bit():
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (a, b)
 
 
+def test_los_through_exact_cell_corners_equals_the_reference_walk():
+    """Segments at 45 degrees between cell centers cross grid corners exactly,
+    where the walk steps both axes at once."""
+    rng = random.Random(43)
+    blocked = 0
+    for res in (1.0, 0.5):
+        rows = ["".join("#" if rng.random() < 0.3 else "." for _ in range(9)) for _ in range(7)]
+        grid = grid_from_rows(rows, res)
+        for cx, cy in itertools.product(range(9), range(7)):
+            a = grid.center((cx, cy))
+            for d, sign in itertools.product(range(1, 9 - cx), (1, -1)):
+                if 0 <= cy + sign * d < 7:
+                    b = grid.center((cx + d, cy + sign * d))
+                    got = los_obstacle_length(a, b, grid)
+                    assert got == reference_los(a, b, grid), (a, b)
+                    blocked += got > 0.0
+    assert blocked > 100
+
+
 def test_los_stops_above_its_limit_and_only_there():
     """A walk given a limit returns the full length when that is at most the
     limit, and otherwise some length above it."""
@@ -196,7 +216,7 @@ class RaisingMask:
 def test_los_across_open_floor_does_not_walk():
     rows = ["#" + "." * 10 + "#"] * 6
     grid = grid_from_rows(rows)
-    grid._flat = RaisingMask()
+    grid._padded = RaisingMask()
     # Columns 1-10 are free; the padded box of cells 2..9 stays inside them.
     assert los_obstacle_length(Position(2.5, 0.5), Position(9.5, 5.5), grid) == 0.0
     with pytest.raises(AssertionError, match="the cell walk ran"):
@@ -256,9 +276,10 @@ def test_unreachable_raises():
 
 def tuple_astar_search(grid, s, g):
     """`workspace._astar_search` as it was before its flat arrays: cells are
-    tuples, g-scores and parents live in dicts, and the map in row-major bytes."""
+    tuples, g-scores and parents live in dicts, and the map is the occupancy
+    array."""
     res = grid.resolution
-    flat = grid._flat
+    occ = grid.occupancy
     w, h = grid.width_cells, grid.height_cells
     step_of = {offset: k for k, offset in enumerate(workspace._NEIGHBORS)}
     g_score = {s: 0.0}
@@ -282,9 +303,9 @@ def tuple_astar_search(grid, s, g):
         base = g_score[cur]
         for ox, oy in workspace._NEIGHBORS:
             nx, ny = cx + ox, cy + oy
-            if not (0 <= nx < w and 0 <= ny < h) or flat[ny * w + nx]:
+            if not (0 <= nx < w and 0 <= ny < h) or occ[ny, nx]:
                 continue
-            if ox != 0 and oy != 0 and (flat[cy * w + nx] or flat[ny * w + cx]):
+            if ox != 0 and oy != 0 and (occ[cy, nx] or occ[ny, cx]):
                 continue
             cost = base + (workspace.SQRT2 * res if ox != 0 and oy != 0 else res)
             nxt = (nx, ny)
@@ -321,11 +342,39 @@ def test_astar_search_equals_the_tuple_search():
 
 
 def test_the_padded_grid_is_the_occupancy_x_major_with_a_wall_round_it():
-    grid = grid_from_rows(["..#", "#..", "..."], 0.5)
-    stride = grid.height_cells + 2
-    for x in range(-1, grid.width_cells + 1):
-        for y in range(-1, grid.height_cells + 1):
-            assert grid._padded[(x + 1) * stride + y + 1] == (not grid.is_free_cell((x, y)))
+    rows = ["..#.", "#...", "...#"]  # not square, so a transposed layout fails
+    grid = grid_from_rows(rows, 0.5)
+    w, h = len(rows[0]), len(rows)
+    assert len(grid._padded) == (w + 2) * (h + 2)
+    for x in range(-1, w + 1):
+        for y in range(-1, h + 1):
+            occupied = rows[y][x] == "#" if 0 <= x < w and 0 <= y < h else True
+            assert grid._padded[(x + 1) * (h + 2) + y + 1] == occupied, (x, y)
+
+
+def test_the_summed_area_table_counts_the_occupied_cells_below_and_left():
+    rng = random.Random(29)
+    for w, h in ((1, 1), (1, 6), (6, 1), (5, 9), (12, 4)):
+        for density in (0.0, 0.3, 0.7, 1.0):
+            rows = ["".join("#" if rng.random() < density else "." for _ in range(w))
+                    for _ in range(h)]
+            sat = grid_from_rows(rows)._sat
+            assert len(sat) == (h + 1) * (w + 1) and all(type(n) is int for n in sat)
+            for y in range(h + 1):
+                for x in range(w + 1):
+                    count = sum(row[:x].count("#") for row in rows[:y])
+                    assert sat[y * (w + 1) + x] == count, (rows, x, y)
+
+
+@pytest.mark.parametrize("name", ["desk.map", "subt.map"])
+def test_is_free_cell_reads_the_occupancy_and_nothing_off_the_grid(name):
+    grid = parse_grid((DATA / name).read_text())
+    w, h = grid.width_cells, grid.height_cells
+    for cx in range(w):
+        for cy in range(h):
+            assert grid.is_free_cell((cx, cy)) == (not grid.occupancy[cy, cx]), (cx, cy)
+    off = [(-1, 0), (0, -1), (w, 0), (0, h), (-1, -1), (w, h), (-2, 3), (3, h + 5), (w + 7, 1)]
+    assert not any(grid.is_free_cell(cell) for cell in off)
 
 
 def test_u_shaped_detour_matches_dijkstra():

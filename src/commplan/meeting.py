@@ -78,21 +78,19 @@ def chain_event(last: Mapping[int, AgentContext], anchor: Position, grid: GridMa
         return to_anchor[a] if p == anchor else astar_length(last[a].position, p, grid)
 
     order = sorted(last, key=lambda a: (a != resident, _arrival(last[a], to_anchor[a]), a))
-    placed: list[tuple[int, Position]] = []
     positions: dict[int, Position] = {}
     for agent_id in order:
         ctx = last[agent_id]
-        if not placed:
+        if not positions:
             cand = anchor
         else:
-            target = min(placed, key=lambda it: (length(agent_id, it[1]), it[0]))[1]
+            target = min(positions.items(), key=lambda it: (length(agent_id, it[1]), it[0]))[1]
             cand = sel_com(ctx.position, target, grid, params)
         if deadline is not None and _arrival(ctx, length(agent_id, cand)) > deadline:
             cand = anchor
             if _arrival(ctx, to_anchor[agent_id]) > deadline:
                 return None
         positions[agent_id] = cand
-        placed.append((agent_id, cand))
     if deadline is not None:
         return CommEvent(deadline, positions)
     return CommEvent(max(_arrival(last[a], length(a, p)) for a, p in positions.items()), positions)

@@ -3,10 +3,9 @@
 Link quality follows a log-distance path-loss model with an additive
 per-meter penalty for obstacles crossed by the line of sight. An edge
 exists between two agents iff their quality strictly exceeds the
-configured threshold. `linked` decides that with as little geometry as the
-answer needs: a pair beyond the free-space reach is refused on its squared
-distance, and the line-of-sight walk stops once the obstacle length crossed
-already rules the link out.
+configured threshold. `linked` decides that as `quality` does, but refuses a
+pair beyond the free-space reach on its squared distance and a pair at or
+below the threshold in free space without tracing the line of sight.
 """
 
 from __future__ import annotations
@@ -49,25 +48,14 @@ _REACH_SLACK = 1.0 + 2.0 ** -48
 _NUDGES = 128
 
 
-def _nudged_up(value: float, holds) -> float:
-    """`value`, raised by a step that starts at one ulp and doubles, until
-    `holds` is true of it (inf, where no finite value gives that in time)."""
-    step = math.ulp(value)
-    for _ in range(_NUDGES):
-        if holds(value):
-            return value
-        value += step
-        step += step
-    return math.inf
-
-
 def _squared_reach(params: CommParams) -> float:
     """Squared distance beyond which `_free_space` is at most the threshold.
 
-    The closed form is checked against `_free_space` itself and nudged up
-    until it holds there, so `linked` may refuse any pair farther away
-    without taking the logarithm. A reach that overflows is inf and refuses
-    nothing.
+    The closed form is checked against `_free_space` itself and raised, by a
+    step that starts at one ulp and doubles, until it holds there, so
+    `linked` may refuse any pair farther away without taking the logarithm.
+    A reach that overflows, or that `_NUDGES` steps do not make hold, is inf
+    and refuses nothing.
     """
     try:
         reach = params.ref_dist * 10.0 ** ((params.tx_power - params.pl_ref - params.threshold)
@@ -77,9 +65,13 @@ def _squared_reach(params: CommParams) -> float:
     if not reach < math.inf:  # inf, or nan from a nan parameter
         return math.inf
     origin = Position(0.0, 0.0)
-    reach = _nudged_up(reach, lambda r: not _free_space(origin, Position(r, 0.0), params)
-                       > params.threshold)
-    return max(reach * reach * _REACH_SLACK, sys.float_info.min)
+    step = math.ulp(reach)
+    for _ in range(_NUDGES):
+        if not _free_space(origin, Position(reach, 0.0), params) > params.threshold:
+            return max(reach * reach * _REACH_SLACK, sys.float_info.min)
+        reach += step
+        step += step
+    return math.inf
 
 
 def _free_space(p_i: Position, p_j: Position, params: CommParams) -> float:
@@ -105,10 +97,7 @@ def linked(p_i: Position, p_j: Position, grid: GridMap, params: CommParams) -> b
 
     The obstacle penalty is never negative, so a pair already at or below
     the threshold in free space is refused without tracing the line of
-    sight, and a pair beyond the free-space reach without the logarithm. The
-    walk is told the obstacle length `limit` at which the link is lost in
-    floats, and stops once it has crossed more: any length above `limit`
-    gives the same False.
+    sight, and a pair beyond the free-space reach without the logarithm.
     """
     grid.require_inside(p_i)
     grid.require_inside(p_j)
@@ -117,18 +106,9 @@ def linked(p_i: Position, p_j: Position, grid: GridMap, params: CommParams) -> b
     if dx * dx + dy * dy > params._reach_sq:
         return False
     free = _free_space(p_i, p_j, params)
-    threshold = params.threshold
-    if not free > threshold:  # a nan quality or threshold links nothing
+    if not free > params.threshold:  # a nan quality or threshold links nothing
         return False
-    att = params.attenuation
-    if att == 0.0:  # free - 0.0 * length is free, which passed
-        return True
-    # Float products and differences are monotone, so free - att * length is
-    # at most the threshold for every length above this limit.
-    limit = (free - threshold) / att
-    if free - att * limit > threshold:
-        limit = _nudged_up(limit, lambda v: not free - att * v > threshold)
-    return free - att * los_obstacle_length(p_i, p_j, grid, limit) > threshold
+    return free - params.attenuation * los_obstacle_length(p_i, p_j, grid) > params.threshold
 
 
 def update_links(prev_links: set[tuple[int, int]], moved: Sequence[int],

@@ -373,7 +373,7 @@ class Simulator:
     def _gates_pass(self, tid: int, t: float) -> bool:
         # _complete_executions has popped every task due by t, so a mutex
         # partner with a finish at or after t is executing or ended at exactly t.
-        if any(p in self.tasks and p not in self.done for p in self.index.preds.get(tid, ())):
+        if any(p not in self.done for p in self.index.preds.get(tid, ())):
             return False
         finish = self.task_finish
         return all(finish.get(m, float("-inf")) < t for m in self.index.mutex.get(tid, ()))

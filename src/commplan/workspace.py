@@ -39,10 +39,13 @@ class Position:
 
 class GridMap:
     """Immutable occupancy grid. `_memo` holds the results of the pure
-    queries decorated with `memoized` and the searches of `astar_cells`; it
-    only changes by adding entries or by being cleared whole, so no read sees
-    a stale value. `los_obstacle_length` is not memoized: its endpoints
-    rarely repeat, and its summed-area box test answers most calls in O(1).
+    queries decorated with `memoized` (`astar_length` and `meeting.sel_com`)
+    and the searches of `astar_cells`; it only changes by adding entries or
+    by being cleared whole, so no read sees a stale value.
+    `los_obstacle_length` is not memoized: its endpoints rarely repeat, and
+    its summed-area box test answers most calls in O(1). Nor is `astar_path`:
+    its search is kept as `astar_cells`' entry, so a repeated position pair
+    would save only the cell-to-waypoint conversion.
 
     The per-cell kernels (A*, the line-of-sight walk and `is_free_cell`)
     read one byte layout, `_padded`: the grid with a border of occupied
@@ -159,9 +162,9 @@ def memoized(fn):
     """Memoize a pure query `fn(a, b, grid, *rest)` in `grid._memo`.
 
     Keys are `(fn, a.x, a.y, b.x, b.y, *rest)`, so one dict per map serves
-    every decorated query. Float coordinates hash and compare as the
-    `Position` pair does (`-0.0 == 0.0` included), without running the
-    dataclass `__hash__` on every lookup. The dict is cleared when it reaches
+    every decorated query (`astar_length` and `meeting.sel_com`). Float
+    coordinates hash and compare as the `Position` pair does (`-0.0 == 0.0`
+    included), without running the dataclass `__hash__` on every lookup. The dict is cleared when it reaches
     MEMO_LIMIT entries. Raised exceptions are not stored; results must never
     be None.
     """
@@ -179,16 +182,13 @@ def memoized(fn):
     return wrapper
 
 
-def los_obstacle_length(a: Position, b: Position, grid: GridMap,
-                        limit: float = math.inf) -> float:
+def los_obstacle_length(a: Position, b: Position, grid: GridMap) -> float:
     """Total length of the straight segment a-b that lies inside occupied cells.
 
     Traverses the cells crossed by the segment (the voxel traversal of
     Amanatides and Woo) and accumulates the clipped length inside each
     occupied one. Endpoints are canonically ordered so the result is exactly
-    symmetric in (a, b). The walk stops as soon as the length crossed exceeds
-    `limit` and returns that partial length, which is above `limit` exactly
-    when the full one is; a full length at most `limit` is returned whole.
+    symmetric in (a, b).
     """
     grid.require_inside(a)
     grid.require_inside(b)
@@ -244,8 +244,7 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap,
         t_delta_y = math.inf
 
     # Only the first cell's share can be negative (when rounding puts a.x or
-    # a.y a hair past its cell's near edge); every later share is >= 0, so
-    # once `total` exceeds `limit` the full length does too.
+    # a.y a hair past its cell's near edge), hence the max on return.
     idx, end_idx = (cx + 1) * stride + cy + 1, (end_cx + 1) * stride + end_cy + 1
     step_col = step_x * stride
     total = 0.0
@@ -257,8 +256,6 @@ def los_obstacle_length(a: Position, b: Position, grid: GridMap,
             t_next = 1.0
         if blocked[idx]:
             total += (t_next - t) * seg_len
-            if total > limit:
-                return total
         # Both cells lie on the grid, so equal indices mean equal cells.
         if t_next >= 1.0 or idx == end_idx:
             break
@@ -384,7 +381,6 @@ def _astar_search(grid: GridMap, s: tuple[int, int],
     return None
 
 
-@memoized
 def astar_path(a: Position, b: Position, grid: GridMap) -> tuple[Position, ...]:
     """Cell-center waypoints from the cell of a to the cell of b."""
     _, cells = astar_cells(grid, grid.cell_at(a), grid.cell_at(b))

@@ -633,6 +633,29 @@ def test_a_task_held_by_a_mutex_partner_ending_at_t_starts_on_the_next_tick():
         "2.600000 execution_start 2 1", "7.600000 execution_end 2"]
 
 
+def test_a_predecessor_that_is_no_task_holds_its_task_back():
+    # Relation 99 -> 1 names no task 99, so task 1 can never follow it: the
+    # engine reads it as greedy and the planner do, which never claim task 1.
+    grid = empty_grid(12, 4)
+
+    class AssignAtStart:
+        scheduled_events = False
+
+        def on_start(self, sim):
+            sim.assign(1, (0,))
+
+        def on_tick(self, sim, t):
+            pass
+
+    sim, events, _ = run_sim(grid, [agent(0, 0.5, 0.5)], [task(1, 6.5, 0.5)],
+                             rels=[TemporalRelation(99, 1, RelationKind.PRECEDENCE)],
+                             horizon=30.0, ctrl=AssignAtStart())
+    arrivals = [e.line() for e in events if e.kind == "arrival"]
+    assert arrivals == ["2.900000 arrival 0 task 1"]
+    assert 1 not in sim.task_start and sim.claimed == {1}
+    assert not [e for e in events if e.kind.startswith("execution")]
+
+
 def test_tasks_due_in_one_tick_finish_in_finish_then_id_order():
     # Tasks 3 and 5 finish at one instant and task 1 later, all between the
     # ticks at 2.9 and 3.0 s, so the completion pass at 3.0 s ends all three.

@@ -167,35 +167,6 @@ def test_los_through_exact_cell_corners_equals_the_reference_walk():
     assert blocked > 100
 
 
-def test_los_stops_above_its_limit_and_only_there():
-    """A walk given a limit returns the full length when that is at most the
-    limit, and otherwise some length above it."""
-    rng = random.Random(37)
-    grids = los_test_grids(rng)
-    stopped = 0
-    for _ in range(3000):
-        grid = rng.choice(grids)
-        res, w, h = grid.resolution, grid.width_m, grid.height_m
-        a = Position(lattice_coordinate(rng, w, res), lattice_coordinate(rng, h, res))
-        b = Position(lattice_coordinate(rng, w, res), lattice_coordinate(rng, h, res))
-        full = los_obstacle_length(a, b, grid)
-        for limit in (0.0, full, math.nextafter(full, -math.inf), full / 2,
-                      rng.uniform(0.0, 2.0 * full)):
-            got = los_obstacle_length(a, b, grid, limit)
-            if full <= limit:
-                assert got == full, (a, b, limit)
-            else:
-                assert limit < got <= full, (a, b, limit)
-                stopped += got < full
-    assert stopped > 0
-
-
-def test_los_with_a_limit_still_refuses_points_off_the_map():
-    grid = empty_grid()
-    with pytest.raises(MapError):
-        los_obstacle_length(Position(0.5, 0.5), Position(12.5, 0.5), grid, 0.0)
-
-
 def test_los_counts_a_cell_one_past_the_end_cell():
     """From (6.8485..., 6.3) to (7.0, 3.5) at 0.7 m the walk ends in cell (9, 4),
     one row past the end cell (10, 5): rounding puts the crossing of y = 3.5
@@ -456,8 +427,7 @@ def test_memoized_queries_match_the_plain_functions():
     for _ in range(60):
         a, b = (Position(cx + rng.random(), cy + rng.random()) for cx, cy in rng.sample(free, 2))
         for p, q in ((a, b), (b, a), (a, b)):  # the repeat is served from the memo
-            for fn in (astar_length, astar_path):
-                assert fn(p, q, grid) == fn.__wrapped__(p, q, grid)
+            assert astar_length(p, q, grid) == astar_length.__wrapped__(p, q, grid)
 
 
 def test_los_leaves_the_memo_empty():

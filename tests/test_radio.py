@@ -220,6 +220,36 @@ def test_linked_refuses_a_pair_at_exactly_the_reach_without_walking(monkeypatch)
     assert not linked(a, b, grid, p)
 
 
+def test_linked_traces_the_line_of_sight_only_for_pairs_free_space_links(monkeypatch):
+    """Over random parameters linked answers as quality does, and walks the
+    whole line of sight exactly when the pair is linked in free space."""
+    rows = ["............"] * 2 + ["....##......"] + ["............"] * 3
+    grid = grid_from_rows(rows)
+    walk = radio.los_obstacle_length
+    walks = []
+
+    def recording(a, b, grid):
+        walks.append((a, b))
+        return walk(a, b, grid)
+
+    monkeypatch.setattr(radio, "los_obstacle_length", recording)
+    rng = random.Random(5)
+    walked = set()
+    for _ in range(400):
+        p = CommParams(tx_power=rng.uniform(0.0, 40.0), attenuation=rng.uniform(0.5, 10.0),
+                       threshold=rng.uniform(-60.0, -20.0))
+        a = Position(rng.uniform(0, 3), rng.uniform(0, 6))
+        b = Position(rng.uniform(6, 12), rng.uniform(0, 6))
+        del walks[:]
+        got = linked(a, b, grid, p)
+        assert walks == ([(a, b)] if radio._free_space(a, b, p) > p.threshold else [])
+        del walks[:]
+        assert got == (quality(a, b, grid, p) > p.threshold)
+        if walk(a, b, grid) > 0.0 and radio._free_space(a, b, p) > p.threshold:
+            walked.add(got)
+    assert walked == {True, False}
+
+
 @pytest.mark.parametrize("params", [
     CommParams(threshold=math.nan), CommParams(threshold=-math.inf),
     CommParams(threshold=math.inf), CommParams(tx_power=math.inf),

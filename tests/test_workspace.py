@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from commplan import workspace
-from commplan.workspace import (GridMap, MapError, Position, Unreachable, astar_length,
-                                astar_path, astar_travel_time, los_obstacle_length, parse_grid)
+from commplan.workspace import (GridMap, MapError, Position, Unreachable, astar_cells,
+                                astar_length, astar_path, astar_travel_time, los_obstacle_length,
+                                parse_grid)
 
 from conftest import (dijkstra_oracle, empty_grid, grid_from_rows, los_oracle,
                       random_connected_grid, reference_los)
@@ -428,6 +429,20 @@ def test_memoized_queries_match_the_plain_functions():
         a, b = (Position(cx + rng.random(), cy + rng.random()) for cx, cy in rng.sample(free, 2))
         for p, q in ((a, b), (b, a), (a, b)):  # the repeat is served from the memo
             assert astar_length(p, q, grid) == astar_length.__wrapped__(p, q, grid)
+
+
+def test_astar_path_keeps_only_the_cell_search_in_the_memo():
+    """astar_path stores nothing of its own: both orders of a position pair
+    read the one astar_cells entry, and the reverse path is the forward one
+    reversed."""
+    grid = random_connected_grid(random.Random(8), density=0.2)
+    (ax, ay), (bx, by) = grid.free_cells()[0], grid.free_cells()[-1]
+    a, b = Position(ax + 0.3, ay + 0.6), Position(bx + 0.7, by + 0.2)
+    forward = astar_path(a, b, grid)
+    assert list(grid._memo) == [(astar_cells, (ax, ay), (bx, by))]
+    assert astar_path(b, a, grid) == forward[::-1]
+    assert astar_path(a, b, grid) == forward
+    assert len(grid._memo) == 1
 
 
 def test_los_leaves_the_memo_empty():

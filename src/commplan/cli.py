@@ -40,20 +40,19 @@ def _cmd_run(args) -> int:
     if problem is not None:
         print(f"validation error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    strategy = None
     try:
         cfg = load_scenario(args.scenario)
         if args.strategy is not None:
             # StrategyConfig refuses a kind whose field the scenario lacks.
-            strategy = dataclasses.replace(cfg.strategy, kind=args.strategy)
+            cfg.strategy = dataclasses.replace(cfg.strategy, kind=args.strategy)
     except ValueError as exc:  # ScenarioError, or the StrategyConfig check
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.seed is not None:
         cfg.seed = args.seed
     try:
-        rows = run_experiment(cfg, args.trials, out_path=args.out, strategy=strategy,
-                              series_path=args.series, log_dir=args.log_dir)
+        rows = run_experiment(cfg, args.trials, out_path=args.out, series_path=args.series,
+                              log_dir=args.log_dir)
     except (MeetingInfeasible, Unreachable, SimulationError) as exc:
         print(f"infeasible simulation: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -5,11 +5,9 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Optional
 
 from .scenario import ScenarioConfig, build_simulator
 from .simulator import MetricsRecord, SimEvent
-from .strategies import StrategyConfig
 
 SERIES_BIN = 10.0      # s between robustness-series rows
 SLOPE_WINDOW = 60.0    # s of completion curve behind each slope
@@ -35,16 +33,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def run_trial(cfg: ScenarioConfig, trial: int, strategy: Optional[StrategyConfig] = None):
+def run_trial(cfg: ScenarioConfig, trial: int):
     """One deterministic simulation run; trial index offsets the seed."""
-    sim, controller = build_simulator(cfg, seed=cfg.seed + trial, strategy=strategy)
+    sim, controller = build_simulator(cfg, seed=cfg.seed + trial)
     events, metrics = sim.run(controller)
     return sim, events, metrics
 
 
-def metrics_row(cfg: ScenarioConfig, strategy_kind: str, trial, metrics: MetricsRecord) -> dict:
+def metrics_row(cfg: ScenarioConfig, trial, metrics: MetricsRecord) -> dict:
     return {
-        "strategy": strategy_kind,
+        "strategy": cfg.strategy.kind,
         "env": cfg.env,
         "trial": trial,
         "finished": metrics.finished_tasks,
@@ -57,7 +55,6 @@ def metrics_row(cfg: ScenarioConfig, strategy_kind: str, trial, metrics: Metrics
 
 
 def run_experiment(cfg: ScenarioConfig, trials: int, out_path=None,
-                   strategy: Optional[StrategyConfig] = None,
                    series_path=None, log_dir=None) -> list[dict]:
     """Per-trial metric rows plus mean/std summary rows.
 
@@ -71,21 +68,20 @@ def run_experiment(cfg: ScenarioConfig, trials: int, out_path=None,
     if log_dir is not None:
         log_dir = Path(log_dir)
         log_dir.mkdir(parents=True, exist_ok=True)
-    strategy_kind = (strategy or cfg.strategy).kind
     rows = []
     completion_series: list[dict[int, float]] = []
     for trial in range(trials):
-        _, events, metrics = run_trial(cfg, trial, strategy=strategy)
+        _, events, metrics = run_trial(cfg, trial)
         if log_dir is not None:
             write_event_log(log_dir / f"trial_{trial}.log", events)
-        rows.append(metrics_row(cfg, strategy_kind, trial, metrics))
+        rows.append(metrics_row(cfg, trial, metrics))
         completion_series.append(metrics.completion_times)
 
     for agg_name, agg in (("mean", _mean), ("std", _std)):
-        row = {"strategy": strategy_kind, "env": cfg.env, "trial": agg_name}
+        row = {"strategy": cfg.strategy.kind, "env": cfg.env, "trial": agg_name}
         for col in CSV_COLUMNS[3:]:  # the numeric columns
             vals = [r[col] for r in rows[:trials] if not (isinstance(r[col], float) and math.isnan(r[col]))]
-            row[col] = agg(vals) if vals else float("nan")
+            row[col] = agg(vals)
         rows.append(row)
 
     if out_path is not None:
@@ -120,9 +116,7 @@ def write_series_csv(path, completion_series, horizon: float) -> None:
             return 0.0
         mt = sum(times) / n
         mv = sum(values) / n
-        denom = sum((t - mt) ** 2 for t in times)
-        if denom == 0:
-            return 0.0
+        denom = sum((t - mt) ** 2 for t in times)  # > 0: bin times are distinct
         return sum((t - mt) * (v - mv) for t, v in zip(times, values)) / denom
 
     with open(path, "w", newline="", encoding="utf-8") as fh:

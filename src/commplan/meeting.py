@@ -110,9 +110,6 @@ def com_opt_fast(last: Mapping[int, AgentContext], grid: GridMap,
     """Single-pass event refinement: the better of the all-gather event and
     one chain, both at the latest finisher. Used inside bound evaluation where
     the optimizer runs thousands of times per planning call."""
-    if len(last) == 1:
-        (only,) = last.values()
-        return CommEvent(only.ready_time, {only.id: only.position})
     anchor = latest(last)
     try:
         chain = chain_event(last, anchor.position, grid, params, resident=anchor.id)

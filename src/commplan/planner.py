@@ -28,8 +28,8 @@ timetable and rate; a child's timetables append to its parent's when exact, the
 greedy completion stops at a candidate that is free too late to win without
 optimizing its event and reads the node's own rate only when its cap cannot
 tell, and full plans are built for the fallback and incumbent. Each assigned
-set has one entry per cycle holding its feasible representatives and the
-duration and capacity floors of `_rate_bound`. A candidate is held one way, as
+set has one entry per cycle holding its addable clusters and the duration
+and capacity floors of `_rate_bound`. A candidate is held one way, as
 its key (per-agent sequences in team order); a node is its key and its assigned
 set, both worked out once, when the node is built, and a key becomes a dict only
 for the scheduler, the event optimizer and the returned plan.
@@ -100,7 +100,7 @@ class PlannerProblem:
     extensions_monotone: bool = field(init=False, repr=False)
     # Per candidate key: [timetable record, zero-travel record, rate, event].
     _memo: dict[SequencesKey, list] = field(default_factory=dict, repr=False)
-    # Per assigned set: [feasible representatives, _rate_bound's floors].
+    # Per assigned set: [addable clusters, _rate_bound's floors].
     _by_assigned: dict[frozenset[int], list] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -224,13 +224,13 @@ class PlannerProblem:
                 or rate > self.rate(best) + IMPROVEMENT_EPS)
 
 
-def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> list[int]:
-    """Representative tasks whose concurrency cluster can be added next.
+def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> list[tuple[int, ...]]:
+    """The concurrency clusters that can be added next, each as its unassigned
+    members in id order; expansion inserts a cluster's members jointly.
 
     A cluster (`RelationIndex.cluster`) is addable when every unassigned member
     is detected, not completed, coverable by the team, and has all precedence
-    predecessors already assigned or completed. Only the lowest member id is
-    returned for each cluster; expansion inserts the whole cluster jointly.
+    predecessors already assigned or completed.
     """
     entry = problem._by_assigned.setdefault(assigned, [_UNSET, _UNSET])
     if entry[0] is not _UNSET:
@@ -238,7 +238,7 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
     preds = problem.index.preds
     done = assigned | problem.completed
 
-    def member_ok(t: int, cluster: set[int]) -> bool:
+    def member_ok(t: int, cluster: tuple[int, ...]) -> bool:
         # A member outside the known set (undetected, completed in an earlier
         # cycle, or an id that never becomes a task) makes the required overlap
         # impossible for now, so the whole cluster stays out. Members are
@@ -254,11 +254,10 @@ def get_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> lis
     for t in sorted(problem.tasks):
         if t in assigned or t in seen:
             continue
-        cluster = [m for m in problem.index.cluster.get(t, (t,)) if m not in assigned]
+        cluster = tuple(m for m in problem.index.cluster.get(t, (t,)) if m not in assigned)
         seen.update(cluster)
-        cset = set(cluster)
-        if all(member_ok(m, cset) for m in cluster):
-            out.append(min(cluster))
+        if all(member_ok(m, cluster) for m in cluster):
+            out.append(cluster)
     entry[0] = out
     return list(out)
 
@@ -270,8 +269,8 @@ def _related_to_assigned(cluster: Sequence[int], assigned: frozenset[int],
     return any(o in assigned for t in cluster for view in views for o in view.get(t, ()))
 
 
-def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem) -> list[PlanNode]:
-    """Children assigning the task's cluster to every eligible group choice.
+def expand_node(node: PlanNode, cluster: Sequence[int], problem: PlannerProblem) -> list[PlanNode]:
+    """Children assigning an addable cluster to every eligible group choice.
 
     Tasks unrelated to the already-assigned set are appended at sequence
     tails only; related tasks are additionally tried at every interior
@@ -279,7 +278,6 @@ def expand_node(node: PlanNode, task_id: int, problem: PlannerProblem) -> list[P
     Multi-task clusters always use interior insertion so every relative
     placement of the jointly added members stays reachable.
     """
-    cluster = [m for m in problem.index.cluster.get(task_id, (task_id,)) if m not in node.assigned]
     interior = len(cluster) > 1 or _related_to_assigned(cluster, node.assigned, problem.index)
     placements = [node.key]
     for t in cluster:  # extend each placement so far by each of t's, in depth-first order
@@ -334,17 +332,16 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[SequencesKey]
     """
     assigned = node.assigned
     best = node.key
-    skipped: set[int] = set()
+    skipped: set[tuple[int, ...]] = set()
     improved = True
     while improved:
         improved = False
         ends = {a: problem.tasks[s[-1]].region_center if s else problem.team[a].position
                 for a, s in zip(problem.team, best)}
         scored = []
-        for rep in get_feasible_tasks(assigned, problem):
-            if rep in skipped:
+        for cluster in get_feasible_tasks(assigned, problem):
+            if cluster in skipped:
                 continue
-            cluster = [m for m in problem.index.cluster.get(rep, (rep,)) if m not in assigned]
             chosen: dict[int, tuple[int, ...]] = {}
             cost = 0.0
             for t in cluster:
@@ -354,9 +351,9 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[SequencesKey]
                 worst, chosen[t] = min((max(map(travel.__getitem__, g)), g)
                                        for g in problem.groups[t])
                 cost = max(cost, worst)
-            scored.append((cost, rep, cluster, chosen))
+            scored.append((cost, cluster, chosen))
 
-        for cost, rep, cluster, chosen in sorted(scored):  # (cost, rep) never ties
+        for cost, cluster, chosen in sorted(scored):  # disjoint clusters never tie
             seqs = list(best)
             for t in cluster:
                 for a in chosen[t]:
@@ -364,7 +361,7 @@ def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[SequencesKey]
             key = tuple(seqs)
             better = problem.beats(key, best)
             if better is None:
-                skipped.add(rep)
+                skipped.add(cluster)
                 continue
             if better:
                 assigned, best, improved = assigned.union(cluster), key, True
@@ -430,12 +427,12 @@ class SearchStats:
 
 
 def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
-    """Fallback plan assigning nothing; rendezvous at the current positions
-    when they are already connected, otherwise a gathered event."""
+    """Fallback plan assigning nothing; its event is the event optimizer's for
+    the team as it stands (by default, now where it stands when it is linked)."""
     plan = build_plan(((),) * len(problem.team), problem)  # memoizes the root's first candidate
     if plan is not None:
         return plan
-    # Custom event optimizers may refuse even the empty plan; gather instead.
+    # Custom event optimizers may refuse even the empty plan; meet at com_opt's event instead.
     event = com_opt(problem.team, problem.grid, problem.params, gap=problem.gap)
     return CollectivePlan(dict.fromkeys(problem.team, ()), Timetable({}, 0.0), event, 0.0)
 
@@ -497,10 +494,10 @@ class Search:
                 stats.nodes_pruned += 1
                 continue
             stats.nodes_expanded += 1
-            for child in (child for rep in get_feasible_tasks(node.assigned, problem)
-                          for child in expand_node(node, rep, problem)):
+            for child in (child for cluster in get_feasible_tasks(node.assigned, problem)
+                          for child in expand_node(node, cluster, problem)):
                 if self.stopped():
-                    break  # and expand no further rep
+                    break  # and expand no further cluster
                 if not self.evaluate(child):
                     stats.nodes_pruned += 1
         return self.fallback if self.best is None else build_plan(self.best, problem)

@@ -86,6 +86,12 @@ class GeneratorSpec:
         if not expected <= MAX_ARRIVALS:  # NaN: a phase bound is not finite
             raise ScenarioError(f"generator: phases expect {expected:.3g} arrivals, at most "
                                 f"{MAX_ARRIVALS} in one trial and finite phase bounds allowed")
+        # Each clustered phase draws its centers up front, whether or not a task arrives.
+        centers = self.cluster_count * sum(ph.spatial == "clustered" and ph.end > ph.start
+                                           for ph in self.phases)
+        if centers > MAX_ARRIVALS:
+            raise ScenarioError(f"generator.cluster_count: clustered phases draw {centers} "
+                                f"centers, at most {MAX_ARRIVALS} in one trial allowed")
 
 
 @dataclass(kw_only=True)
@@ -150,11 +156,10 @@ def generate_tasks(spec: GeneratorSpec, seed: int, grid: GridMap, start_id: int 
         if span <= 0:
             continue
         times: list[float] = []
-        if ph.temporal == "uniform":
-            times = [ph.start + rng.random() * span for _ in range(_poisson(spec.rate * span, rng))]
-        elif ph.temporal == "low_frequency":
-            lam = spec.rate * spec.low_frequency_factor * span
-            times = [ph.start + rng.random() * span for _ in range(_poisson(lam, rng))]
+        if ph.temporal != "spiky":  # uniform, or low_frequency at rate * low_frequency_factor
+            rate = (spec.rate * spec.low_frequency_factor if ph.temporal == "low_frequency"
+                    else spec.rate)
+            times = [ph.start + rng.random() * span for _ in range(_poisson(rate * span, rng))]
         else:  # spiky
             for _ in range(_poisson(spec.burst_rate * span, rng)):
                 burst_at = ph.start + rng.random() * span
@@ -484,7 +489,7 @@ def scenario_from_dict(raw: dict, base_dir: Path) -> ScenarioConfig:
         if pair in pairs:
             errors.append(f"relations[{i}]: duplicate relation for pair {pair}")
         pairs.add(pair)
-        if top["generator"] is None:  # otherwise a generated task may be the one named
+        if raw.get("generator") is None:  # otherwise a generated task may be the one named
             errors.extend(f"relations[{i}]: dangling task id {tid}"
                           for tid in (rel.first, rel.second) if tid not in task_ids)
 
@@ -533,8 +538,7 @@ task_to_dict = TASK.dump  # a task as a scenario file lists it
 serialize_scenario = SCENARIO.dump  # a config as a scenario file lists it
 
 
-def build_simulator(cfg: ScenarioConfig, seed: Optional[int] = None,
-                    strategy: Optional[StrategyConfig] = None) -> tuple[Simulator, object]:
+def build_simulator(cfg: ScenarioConfig, seed: Optional[int] = None) -> tuple[Simulator, object]:
     """Fresh simulator plus controller for one trial."""
     seed = cfg.seed if seed is None else seed
     tasks = {t.id: t for t in cfg.tasks}
@@ -547,7 +551,7 @@ def build_simulator(cfg: ScenarioConfig, seed: Optional[int] = None,
     sim = Simulator(cfg.grid, agents, cfg.params, tasks, cfg.relations,
                     horizon=cfg.horizon, dt=cfg.dt,
                     recheck_interval=cfg.recheck_interval)
-    controller = make_controller(strategy or cfg.strategy,
+    controller = make_controller(cfg.strategy,
                                  PlannerOptions(budget=cfg.planner_budget,
                                                 node_limit=cfg.node_limit, gap=cfg.gap))
     return sim, controller

@@ -52,10 +52,7 @@ class Leg:
         remaining = self.progress
         prev = self.waypoints[0]
         for wp, seg in zip(self.waypoints[1:], self.lengths):
-            if remaining <= seg or seg == 0.0:
-                if seg == 0.0:
-                    prev = wp
-                    continue
+            if remaining <= seg:  # consecutive waypoints lie in different cells: seg > 0
                 frac = remaining / seg
                 return Position(prev.x + (wp.x - prev.x) * frac, prev.y + (wp.y - prev.y) * frac)
             remaining -= seg
@@ -306,7 +303,7 @@ class Simulator:
                 if ag.depart_time is None:
                     travel = astar_travel_time(ag.position, ag.comm_target, self.grid, ag.v_max)
                     margin = DEPART_MARGIN_TICKS * self.dt
-                    ag.depart_time = max(t, (ag.comm_time or t) - travel - margin)
+                    ag.depart_time = max(t, ag.comm_time - travel - margin)
                 if t >= ag.depart_time - 1e-9:
                     ag.leg = Leg(self._waypoints(ag.position, ag.comm_target), None)
                     ag.status = "traveling"

@@ -319,7 +319,8 @@ def recorded_nodes():
         yield nodes
 
 
-def reference_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) -> list[int]:
+def reference_feasible_tasks(assigned: frozenset[int],
+                             problem: PlannerProblem) -> list[tuple[int, ...]]:
     """`planner.get_feasible_tasks` as it was before clusters were worked out once
     per run: each cycle merges the concurrency components over its known tasks,
     and a cluster stays out while a member has a partner outside them."""
@@ -340,17 +341,16 @@ def reference_feasible_tasks(assigned: frozenset[int], problem: PlannerProblem) 
     for t in sorted(problem.tasks):
         if t in assigned or t in seen:
             continue
-        cluster = [m for m in clusters[t] if m not in assigned]
+        cluster = tuple(m for m in clusters[t] if m not in assigned)
         seen.update(cluster)
         if all(member_ok(m, set(cluster)) for m in cluster):
-            out.append(min(cluster))
+            out.append(cluster)
     return out
 
 
-def reference_expand_node(node, task_id: int, problem: PlannerProblem):
+def reference_expand_node(node, cluster: tuple[int, ...], problem: PlannerProblem):
     """`planner.expand_node` as it was when a node held a sequences dict: the
     children's (sequences, assigned set), in the order the search generates them."""
-    cluster = [m for m in problem.index.cluster.get(task_id, (task_id,)) if m not in node.assigned]
     interior = len(cluster) > 1 or _related_to_assigned(cluster, node.assigned, problem.index)
     placements = [dict(zip(problem.team, node.key))]
     for t in cluster:
@@ -375,7 +375,7 @@ def reference_low_bound(node, problem: PlannerProblem, scored: list):
     assigned = frozenset().union(*seqs.values())
     own = build_plan(node.key, problem)
     best = None if own is None else own.rate
-    skipped: set[int] = set()
+    skipped: set[tuple[int, ...]] = set()
 
     def travel(a, t):
         end = problem.tasks[seqs[a][-1]].region_center if seqs[a] else problem.team[a].position
@@ -384,25 +384,24 @@ def reference_low_bound(node, problem: PlannerProblem, scored: list):
 
     while True:
         options = []
-        for rep in get_feasible_tasks(assigned, problem):
-            if rep in skipped:
+        for cluster in get_feasible_tasks(assigned, problem):
+            if cluster in skipped:
                 continue
-            cluster = [m for m in problem.index.cluster.get(rep, (rep,)) if m not in assigned]
             chosen, cost = {}, 0.0
             for t in cluster:
                 costs = {g: max(travel(a, t) for a in g) for g in problem.groups[t]}
                 chosen[t] = min(problem.groups[t], key=costs.__getitem__)
                 cost = max(cost, costs[chosen[t]])
-            options.append((cost, rep, cluster, chosen))
+            options.append((cost, cluster, chosen))
         progressed = False
-        for cost, rep, cluster, chosen in sorted(options, key=lambda o: o[:2]):
+        for cost, cluster, chosen in sorted(options, key=lambda o: o[:2]):
             new_seqs = dict(seqs)
             for t in cluster:
                 for a in chosen[t]:
                     new_seqs[a] += (t,)
             plan = build_plan(plan_key(problem.team, new_seqs), problem)
             if plan is None:
-                skipped.add(rep)
+                skipped.add(cluster)
                 continue
             scored.append((plan, best))
             if best is None or plan.rate > best + IMPROVEMENT_EPS:

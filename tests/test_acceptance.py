@@ -249,7 +249,8 @@ def desk_results():
     }
     results = {}
     for label, strat in variants.items():
-        rows = run_experiment(cfg, trials=3, strategy=strat)
+        cfg.strategy = strat
+        rows = run_experiment(cfg, trials=3)
         results[label] = rows[3]  # mean row
     elapsed = time.monotonic() - t0
     return results, elapsed
@@ -273,8 +274,8 @@ def test_criterion_5_trend_reproduction(desk_results):
 
 def test_criterion_6_fimr_interval_exactness():
     cfg = load_scenario(DESK)
-    strat = StrategyConfig("fimr", interval=35.0)
-    sim, events, metrics = run_trial(cfg, 0, strategy=strat)
+    cfg.strategy = StrategyConfig("fimr", interval=35.0)
+    sim, events, metrics = run_trial(cfg, 0)
     gaps = metrics.comm_intervals
     assert len(gaps) >= 10
     assert all(gap == 35.0 for gap in gaps), gaps
@@ -308,7 +309,7 @@ def test_criterion_8_determinism():
         log = "\n".join(e.line() for e in events)
         buf = io.StringIO()
         writer = csv.writer(buf)
-        row = metrics_row(cfg, "cocoplan", 0, metrics)
+        row = metrics_row(cfg, 0, metrics)
         writer.writerow([row[k] for k in sorted(row)])
         if log_a is None:
             log_a, rows_a = log, buf.getvalue()

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import commplan
-from commplan import cli
+from commplan import cli, scenario
 from commplan.cli import main
 from commplan.experiment import CSV_COLUMNS, run_experiment, run_trial, write_event_log
-from commplan.scenario import MAX_HORIZON, MAX_TICKS, load_scenario
+from commplan.scenario import MAX_ARRIVALS, MAX_HORIZON, MAX_TICKS, load_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -251,6 +251,55 @@ def test_cli_bad_generator_field_exit_code(tmp_path, capsys, command, field, val
     path.write_text(json.dumps(raw))
     assert main([command, str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def subt10_copy(path: Path, **changes) -> Path:
+    """tests/data/subt10_greedy.json with `changes`, written to `path` with its
+    map named by absolute path."""
+    raw = json.loads((DATA / "subt10_greedy.json").read_text())
+    raw["map"] = str((DATA / raw["map"]).resolve())
+    for key, value in changes.items():
+        if isinstance(value, dict) and isinstance(raw.get(key), dict):
+            value = {**raw[key], **value}
+        raw[key] = value
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "generate"])
+def test_cli_absurd_cluster_count_is_refused_before_any_center_is_drawn(
+        tmp_path, monkeypatch, capsys, command):
+    """No task can arrive with both rates 0, yet each clustered phase would
+    draw all its centers: more than MAX_ARRIVALS of them is refused at load."""
+    draws = []
+    for module in (scenario, cli):  # build_simulator's and `generate`'s
+        monkeypatch.setattr(module, "generate_tasks", lambda *args, **kw: draws.append(args))
+    generator = {"rate": 0.0, "burst_rate": 0.0, "cluster_count": 10 ** 9}
+    path = tmp_path / "subt10.json"
+    assert main([command, str(subt10_copy(path, generator=generator))]) == 2
+    err = capsys.readouterr().err
+    assert "generator.cluster_count:" in err and "Traceback" not in err
+    assert "dangling" not in err  # subt10's relations name tasks the generator would make
+    assert draws == []
+    # subt10 has one clustered phase, so MAX_ARRIVALS centers are allowed.
+    generator["cluster_count"] = MAX_ARRIVALS
+    assert main(["validate", str(subt10_copy(path, generator=generator))]) == 0
+    generator["cluster_count"] = MAX_ARRIVALS + 1
+    assert main(["validate", str(subt10_copy(path, generator=generator))]) == 2
+
+
+@pytest.mark.parametrize("flags, changes", [
+    (["--seed", "7"], {"seed": 7}), (["--strategy", "ring"], {"strategy": {"kind": "ring"}})])
+def test_cli_run_override_writes_the_log_of_the_scenario_that_sets_it(tmp_path, flags, changes):
+    """`run --seed` and `run --strategy` set the loaded scenario's own field, so
+    their log is trial 0's of a scenario file that names the same value."""
+    logs = {}
+    stock, changed = subt10_copy(tmp_path / "stock.json"), tmp_path / "changed.json"
+    for name, path, extra in (("flag", stock, flags), ("file", subt10_copy(changed, **changes), []),
+                              ("stock", stock, [])):
+        assert main(["run", str(path), "--log-dir", str(tmp_path / name), *extra]) == 0
+        logs[name] = (tmp_path / name / "trial_0.log").read_bytes()
+    assert logs["flag"] == logs["file"] != logs["stock"]
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -85,8 +85,8 @@ def _count_linked(monkeypatch) -> list:
     return calls
 
 
-def _trial0_digest(cfg, strategy=None) -> str:
-    _, events, _ = run_trial(cfg, 0, strategy=strategy)
+def _trial0_digest(cfg) -> str:
+    _, events, _ = run_trial(cfg, 0)
     return hashlib.sha256("\n".join(e.line() for e in events).encode()).hexdigest()
 
 
@@ -101,7 +101,8 @@ def test_desk_trial0_log_hash_per_strategy(monkeypatch, kind):
     cfg = load_scenario(DESK)
     make_strategy, want = DESK_TRIAL0_SHA256[kind]
     linked_calls = _count_linked(monkeypatch)
-    assert _trial0_digest(cfg, make_strategy(cfg)) == want
+    cfg.strategy = make_strategy(cfg)
+    assert _trial0_digest(cfg) == want
     if kind == "greedy":
         assert len(linked_calls) == DESK_GREEDY_TRIAL0_LINKED_CALLS
 

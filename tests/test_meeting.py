@@ -288,17 +288,16 @@ def test_an_event_at_the_floor_skips_the_anchor_scan(monkeypatch, comm_params):
 @pytest.mark.parametrize("map_name", ["desk.map", "subt.map"])
 def test_a_lone_agent_meets_where_it_stands_when_it_is_free(monkeypatch, map_name, comm_params):
     """One agent's event is at its position at its ready time: com_opt_fast
-    returns that floor, so com_opt builds no chain and scans no anchor."""
+    returns that floor, so com_opt scans no anchor."""
     grid = load_grid(DATA / map_name)
     rng = random.Random(17)
-    chains = counting(monkeypatch, meeting, "chain_event")
     paths = counting(monkeypatch, meeting, "astar_path")
     for cell in rng.sample(grid.free_cells(), 20):
         at = grid.center(cell)
         ctx = fin(rng.randrange(10), rng.uniform(0.0, 100.0), at.x, at.y)
         ev = com_opt(state(ctx), grid, comm_params)
         assert (ev.time, ev.positions) == (ctx.ready_time, {ctx.id: at})
-    assert chains == [] and paths == []
+    assert paths == []
 
 
 def test_an_event_above_the_floor_still_scans(monkeypatch, comm_params):

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from commplan import planner
+from commplan.meeting import com_opt
 from commplan.planner import (IMPROVEMENT_EPS, PlannerProblem, SearchStats,
                               build_plan, cocoplan, expand_node, get_feasible_tasks,
                               greedy_cap, last_state, low_bound, up_bound)
@@ -51,6 +52,20 @@ def test_no_tasks_returns_zero_task_plan_at_current_positions():
     assert plan.event.positions == {0: Position(2.5, 2.5), 1: Position(5.5, 2.5)}
 
 
+def test_a_refused_plan_falls_back_to_assigning_nothing_at_com_opts_event():
+    """An event optimizer that refuses every plan, the empty one included,
+    leaves no incumbent: the plan assigns nothing and meets at com_opt's event."""
+    grid = empty_grid(30, 6)
+    team = {0: ctx(0, 2.5, 2.5), 1: ctx(1, 27.5, 2.5)}
+    tasks = {1: task(1, 10.5, 2.5, 3.0), 2: task(2, 20.5, 2.5, 3.0)}
+    plan = cocoplan(team, tasks, RelationIndex([]), grid, CommParams(),
+                    event_optimizer=lambda last: None)
+    assert plan.sequences == {0: (), 1: ()} and plan.task_count() == 0
+    assert plan.rate == 0.0
+    assert plan.event == com_opt(team, grid, CommParams())
+    assert plan.event.time > 0.0  # the two agents are out of range: com_opt gathers them
+
+
 def test_two_agents_two_tasks_matches_exhaustive():
     grid = empty_grid(20, 20)
     team = {0: ctx(0, 0.5, 0.5), 1: ctx(1, 10.5, 0.5)}
@@ -87,9 +102,9 @@ def test_get_feasible_tasks_gating():
     rels = [TemporalRelation(1, 2, RelationKind.PRECEDENCE)]
     problem = make_problem(team, tasks, rels, grid=grid)
     feas = get_feasible_tasks(frozenset(), problem)
-    assert feas == [1]  # 2 gated by precedence, 3 and 4 uncoverable
+    assert feas == [(1,)]  # 2 gated by precedence, 3 and 4 uncoverable
     feas = get_feasible_tasks(frozenset({1}), problem)
-    assert feas == [2]
+    assert feas == [(2,)]
     # all assigned -> nothing left
     assert get_feasible_tasks(frozenset({1, 2}), problem) == []
 
@@ -104,7 +119,7 @@ def test_concurrency_cluster_gating_until_partner_known():
     tasks2 = dict(tasks)
     tasks2[2] = task(2, 7.5, 2.5, 3.0)
     problem2 = make_problem(team, tasks2, rels, grid=grid)
-    assert get_feasible_tasks(frozenset(), problem2) == [1]
+    assert get_feasible_tasks(frozenset(), problem2) == [(1, 2)]
 
 
 def test_completed_tasks_are_never_planned():
@@ -118,7 +133,7 @@ def test_completed_tasks_are_never_planned():
     problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels), grid=grid,
                              params=CommParams(), now=0.0, completed=done)
     assert sorted(problem.tasks) == [1, 3, 4]
-    assert get_feasible_tasks(frozenset(), problem) == [1, 4]
+    assert get_feasible_tasks(frozenset(), problem) == [(1,), (4,)]
     plan = cocoplan(team, tasks, RelationIndex(rels), grid, CommParams(), completed=done)
     assert plan.task_count() > 0 and not {2, 3} & set(plan.groups)
 
@@ -129,7 +144,7 @@ def test_expand_node_group_enumeration():
     tasks = {1: task(1, 6.5, 0.5, 3.0, reqs=((2, "work"),))}
     problem = make_problem(team, tasks, grid=grid)
     node = empty_node(problem)
-    children = expand_node(node, 1, problem)
+    children = expand_node(node, (1,), problem)
     assert len(children) == 3  # C(3,2) groups, tails only
     assert sorted(groups_of(dict(zip(team, c.key)))[1] for c in children) == [(0, 1), (0, 2), (1, 2)]
 
@@ -139,7 +154,7 @@ def test_expand_node_single_child_for_singleton():
     team = {0: ctx(0, 0.5, 0.5)}
     tasks = {1: task(1, 6.5, 0.5, 3.0)}
     problem = make_problem(team, tasks, grid=grid)
-    children = expand_node(empty_node(problem), 1, problem)
+    children = expand_node(empty_node(problem), (1,), problem)
     assert len(children) == 1
     assert children[0].key == ((1,),)
 
@@ -153,8 +168,8 @@ def test_expand_child_count_within_factorial_bound():
     node = empty_node(problem)
     m = len(tasks)
     n = len(team)
-    for rep in get_feasible_tasks(frozenset(), problem):
-        kids = expand_node(node, rep, problem)
+    for cluster in get_feasible_tasks(frozenset(), problem):
+        kids = expand_node(node, cluster, problem)
         assert len(kids) <= m * math.factorial(n)
 
 
@@ -164,9 +179,10 @@ def test_expand_node_matches_the_dict_based_expansion():
     sets: on every node of seeded searches, and on a two-member concurrency
     cluster, a two-agent group over a team not in id order, and a task related
     to an assigned one (interior insertion)."""
-    def children(node, rep, problem):
-        got = [(dict(zip(problem.team, c.key)), c.assigned) for c in expand_node(node, rep, problem)]
-        assert got == reference_expand_node(node, rep, problem)
+    def children(node, members, problem):
+        got = [(dict(zip(problem.team, c.key)), c.assigned)
+               for c in expand_node(node, members, problem)]
+        assert got == reference_expand_node(node, members, problem)
         return [seqs for seqs, _ in got]
 
     rng = random.Random(40)
@@ -177,8 +193,8 @@ def test_expand_node_matches_the_dict_based_expansion():
             cocoplan(team, tasks, RelationIndex(rels), grid, CommParams())
         problem = make_problem(team, tasks, rels, grid=grid)
         for node in nodes:
-            for rep in get_feasible_tasks(node.assigned, problem):
-                checked += len(children(node, rep, problem))
+            for members in get_feasible_tasks(node.assigned, problem):
+                checked += len(children(node, members, problem))
     assert checked > 500
 
     grid = empty_grid()
@@ -186,19 +202,19 @@ def test_expand_node_matches_the_dict_based_expansion():
     tasks = {t: task(t, 2.5 * t, 4.5, 3.0) for t in range(1, 4)}
     cluster = make_problem(team, tasks, [TemporalRelation(1, 2, RelationKind.CONCURRENCY)])
     # 1 and 2 go in jointly, at any place: each of 1's three places leaves four for 2.
-    assert len(children(plan_node(team, {0: (3,), 1: ()}, 1), 1, cluster)) == 12
+    assert len(children(plan_node(team, {0: (3,), 1: ()}, 1), (1, 2), cluster)) == 12
 
     team = {2: ctx(2, 4.5, 0.5), 0: ctx(0, 0.5, 0.5), 1: ctx(1, 2.5, 0.5)}
     tasks = {1: task(1, 6.5, 0.5, 3.0, reqs=((2, "work"),)), 3: task(3, 8.5, 0.5, 3.0)}
     pair = make_problem(team, tasks)
-    kids = children(plan_node(team, {2: (3,), 0: (), 1: ()}, 1), 1, pair)
+    kids = children(plan_node(team, {2: (3,), 0: (), 1: ()}, 1), (1,), pair)
     assert kids == [{2: (3,), 0: (1,), 1: (1,)}, {2: (3, 1), 0: (1,), 1: ()},
                     {2: (3, 1), 0: (), 1: (1,)}]
 
     team = {0: ctx(0, 0.5, 0.5), 1: ctx(1, 2.5, 0.5)}
     tasks = {t: task(t, 2.5 * t, 4.5, 3.0) for t in range(1, 4)}
     related = make_problem(team, tasks, [TemporalRelation(1, 2, RelationKind.MUTEX)])
-    kids = children(plan_node(team, {0: (1, 3), 1: ()}, 2), 2, related)
+    kids = children(plan_node(team, {0: (1, 3), 1: ()}, 2), (2,), related)
     assert kids == [{0: (2, 1, 3), 1: ()}, {0: (1, 2, 3), 1: ()}, {0: (1, 3, 2), 1: ()},
                     {0: (1, 3), 1: (2,)}]
 
@@ -406,8 +422,8 @@ def test_low_bound_rate_equals_a_fresh_build_of_its_plan():
         problem = PlannerProblem(team=team, tasks=tasks, index=RelationIndex(rels),
                                  grid=grid, params=CommParams(), now=0.0)
         root = empty_node(problem)
-        nodes = [root] + [child for rep in get_feasible_tasks(frozenset(), problem)
-                          for child in expand_node(root, rep, problem)]
+        nodes = [root] + [child for cluster in get_feasible_tasks(frozenset(), problem)
+                          for child in expand_node(root, cluster, problem)]
         for node in nodes:
             key = low_bound(node, problem)
             if key is None:
@@ -766,9 +782,8 @@ def test_every_bounded_node_carries_its_key_and_assigned_set(monkeypatch):
 
 def test_feasible_tasks_equal_the_per_cycle_cluster_rule(monkeypatch):
     """On every node of searches over chains, stars, partner ids that never
-    become tasks and completed members, the feasible representatives read from
-    `RelationIndex.cluster` equal those of clusters merged over each cycle's
-    known tasks."""
+    become tasks and completed members, the addable clusters read from
+    `RelationIndex.cluster` equal those merged over each cycle's known tasks."""
     evaluate = planner.Search.evaluate
     checked = []
 

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from commplan.schedule import (AgentContext, CapabilityError, InfeasibleSchedule,
-                               TimetableRecord, append_to_timetable, eligible_groups,
-                               group_covers, groups_of, schedule_min_makespan)
+from commplan.schedule import (EXHAUSTIVE_MUTEX_LIMIT, AgentContext, CapabilityError,
+                               InfeasibleSchedule, TimetableRecord, append_to_timetable,
+                               eligible_groups, group_covers, groups_of, schedule_min_makespan)
 from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position, astar_travel_time, load_grid
 
@@ -281,6 +281,38 @@ def test_starts_do_not_depend_on_relation_order():
         for _ in range(6):
             rng.shuffle(rels)
             assert starts(rels) == want, seed
+
+
+def test_more_mutex_pairs_than_the_exhaustive_limit_orient_along_one_order():
+    """13 mutex pairs, one more than EXHAUSTIVE_MUTEX_LIMIT, take the single
+    total-order orientation: it satisfies every relation, cannot beat the best
+    of the 2^13 orientations, and does not depend on the relations' order."""
+    assert EXHAUSTIVE_MUTEX_LIMIT == 12
+    for seed in range(3):
+        rng = random.Random(seed)
+        grid = empty_grid(10, 10)
+        free = grid.free_cells()
+        team = {i: AgentContext(i, grid.center(c), 0.0, 1.0, frozenset({"work"}))
+                for i, c in enumerate(rng.sample(free, 2))}
+        tasks = {}
+        for t in range(6):
+            c = grid.center(rng.choice(free))
+            tasks[t] = task(t, c.x, c.y, float(rng.randint(1, 6)))
+        seqs = {a: [] for a in team}
+        for t in tasks:
+            seqs[rng.choice(sorted(team))].append(t)
+        pairs = rng.sample(list(itertools.combinations(sorted(tasks), 2)), 13)
+        rels = [TemporalRelation(*((p, q) if rng.random() < 0.5 else (q, p)), RelationKind.MUTEX)
+                for p, q in pairs]
+        tt = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
+        ok, bad = check_schedule(tt.intervals.values(), rels)
+        assert ok, bad
+        best = _oracle_min_makespan(seqs, {t: () for t in tasks}, tasks, rels, grid, team)
+        assert tt.makespan >= best - 1e-9
+        for _ in range(3):
+            rng.shuffle(rels)
+            again = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
+            assert again.intervals == tt.intervals, seed
 
 
 def _desk_append_instance(seed):

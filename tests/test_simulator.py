@@ -439,6 +439,7 @@ class WatchedSimulator(simulator.Simulator):
 def test_detection_skip_changes_no_event(monkeypatch, name, horizon, kind, on_ticks):
     calls = record_detect_calls(monkeypatch)
     cfg = load_scenario(DATA / name)
+    cfg.strategy = StrategyConfig(kind)
     cfg.horizon = horizon  # shortened for test speed
     if on_ticks:
         # A task released at exactly a tick's time is new at that tick only.
@@ -456,7 +457,7 @@ def test_detection_skip_changes_no_event(monkeypatch, name, horizon, kind, on_ti
         lines = []
         for cls in (WatchedSimulator, FullLookSimulator):
             monkeypatch.setattr(scenario, "Simulator", cls)
-            sim, ctrl = build_simulator(cfg, seed=seed, strategy=StrategyConfig(kind))
+            sim, ctrl = build_simulator(cfg, seed=seed)
             sim.calls = calls
             calls.clear()
             events, _ = sim.run(ctrl)
@@ -542,6 +543,7 @@ class PassCountSimulator(simulator.Simulator):
                                            ("subt10_greedy.json", 200.0)])
 def test_engine_skips_change_no_event(monkeypatch, name, horizon, kind):
     cfg = load_scenario(DATA / name)
+    cfg.strategy = StrategyConfig(kind)
     cfg.horizon = horizon  # shortened for test speed
     seeds = (cfg.seed, cfg.seed + 1, cfg.seed + 2)
     ticks = round(horizon / cfg.dt) + 1
@@ -550,7 +552,7 @@ def test_engine_skips_change_no_event(monkeypatch, name, horizon, kind):
         lines = []
         for cls in (PassCountSimulator, FullTickSimulator):
             monkeypatch.setattr(scenario, "Simulator", cls)
-            sim, ctrl = build_simulator(cfg, seed=seed, strategy=StrategyConfig(kind))
+            sim, ctrl = build_simulator(cfg, seed=seed)
             events, _ = sim.run(ctrl)
             lines.append([e.line() for e in events])
             if cls is PassCountSimulator:
@@ -591,12 +593,13 @@ def test_the_start_skip_changes_no_event(monkeypatch, name, kind):
     as starts looked for only after an arrival at a task and while a group
     waits at its task, over whole runs of three seeds."""
     cfg = load_scenario(DATA / name)
+    cfg.strategy = StrategyConfig(kind)
     ticks = round(cfg.horizon / cfg.dt) + 1
     for seed in (cfg.seed, cfg.seed + 1, cfg.seed + 2):
         lines = []
         for cls in (StartPassCountSimulator, StartsDueSimulator):
             monkeypatch.setattr(scenario, "Simulator", cls)
-            sim, ctrl = build_simulator(cfg, seed=seed, strategy=StrategyConfig(kind))
+            sim, ctrl = build_simulator(cfg, seed=seed)
             events, _ = sim.run(ctrl)
             lines.append("\n".join(e.line() for e in events))
             if cls is StartPassCountSimulator:
@@ -744,8 +747,9 @@ class CounterCheck:
                                                  ("subt10_greedy.json", "greedy", 200.0)])
 def test_known_and_done_counts_stay_exact(name, kind, horizon):
     cfg = load_scenario(DATA / name)
+    cfg.strategy = StrategyConfig(kind)
     cfg.horizon = horizon  # shortened for test speed
-    sim, ctrl = build_simulator(cfg, strategy=StrategyConfig(kind))
+    sim, ctrl = build_simulator(cfg)
     check = CounterCheck(ctrl)
     _, metrics = sim.run(check)
     assert check.merged and metrics.finished_tasks > 0
@@ -781,8 +785,9 @@ def test_moved_lists_the_agents_whose_position_changed(name, kind, horizon):
     # On desk, a chain's resident travels a zero-length leg to its own anchor:
     # it traveled, but its position object is kept, so it is not listed.
     cfg = load_scenario(DATA / name)
+    cfg.strategy = StrategyConfig(kind)
     cfg.horizon = horizon  # shortened for test speed
-    sim, ctrl = build_simulator(cfg, strategy=StrategyConfig(kind))
+    sim, ctrl = build_simulator(cfg)
     check = MovedCheck(ctrl)
     sim.run(check)
     assert 0 < check.moving_ticks < round(horizon / cfg.dt) + 1

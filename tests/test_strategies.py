@@ -10,7 +10,7 @@ from commplan.meeting import all_gather_event, com_opt, latest, sel_com
 from commplan.radio import CommParams, comm_graph, is_connected, linked
 from commplan.scenario import build_simulator, load_scenario
 from commplan.schedule import AgentContext, eligible_groups, group_covers
-from commplan.simulator import AgentState, Simulator
+from commplan.simulator import AgentState, SimEvent, Simulator
 from commplan.strategies import (GreedyController, PlannerOptions, StrategyConfig,
                                  TeamCycleController, make_controller)
 from commplan.tasks import (ExecutionInterval, RelationKind, Task, TemporalRelation,
@@ -180,6 +180,25 @@ def test_fimr_fires_at_exact_multiples():
     assert comm_times == [20.0 * k for k in range(1, len(comm_times) + 1)]
     gaps = metrics.comm_intervals
     assert all(gap == 20.0 for gap in gaps)
+
+
+def test_fimr_past_its_deadline_meets_where_the_team_stands():
+    """Replanning after the cycle's deadline, every fimr event is refused, so
+    the plan assigns nothing and falls back to com_opt: the linked team meets
+    at once where it stands, and fimr keeps that meeting pending."""
+    grid = empty_grid(16, 8)
+    sim = Simulator(grid, [agent(0, 2.5, 2.5), agent(1, 4.5, 2.5)], CommParams(),
+                    {1: task(1, 12.5, 6.5)}, [], horizon=120.0)
+    sim.agents[0].known.add(1)
+    ctrl = make_controller(StrategyConfig("fimr", interval=20.0), PlannerOptions())
+    ctrl.cycle = 1  # the next deadline is 40 s, and it is replanning at 45 s
+    ctrl._replan(sim, 45.0)
+    assert sim.events[-1] == SimEvent(45.0, "replanned", (2,))  # cycle 2 assigns nothing
+    assert 1 in sim.pending and ctrl.pending_event == 45.0 and ctrl.recheck_at is None
+    for aid, ag in sim.agents.items():
+        assert ag.queue == [] and ag.comm_time == 45.0
+        assert ag.comm_target == ag.position
+    assert sim.cycle_records == []
 
 
 def test_fimr_interval_equal_to_horizon_single_event():
@@ -376,8 +395,9 @@ def test_greedy_links_equal_all_pairs_every_tick(monkeypatch, scenario, horizon)
 
     monkeypatch.setattr(radio, "linked", counting_linked)
     cfg = load_scenario(DATA / scenario)
+    cfg.strategy = StrategyConfig("greedy")
     cfg.horizon = horizon  # shortened for test speed
-    sim, ctrl = build_simulator(cfg, strategy=StrategyConfig("greedy"))
+    sim, ctrl = build_simulator(cfg)
     checked = AllPairsCheckedGreedy(ctrl.cfg, ctrl.options, calls)
     _, metrics = sim.run(checked)
     assert checked.ticks == round(horizon / cfg.dt) + 1
@@ -406,14 +426,15 @@ def test_greedy_skips_change_no_event(monkeypatch, scenario, horizon):
 
     monkeypatch.setattr(GreedyController, "_claims", counting_claims)
     cfg = load_scenario(DATA / scenario)
+    cfg.strategy = StrategyConfig("greedy")
     cfg.horizon = horizon  # shortened for test speed
     ticks = round(horizon / cfg.dt) + 1
     for seed in (cfg.seed, cfg.seed + 1, cfg.seed + 2):
-        sim, stock = build_simulator(cfg, seed=seed, strategy=StrategyConfig("greedy"))
+        sim, stock = build_simulator(cfg, seed=seed)
         solo_passes.clear()
         stock_events, _ = sim.run(stock)
         stock_passes = len(solo_passes)
-        sim, _ = build_simulator(cfg, seed=seed, strategy=StrategyConfig("greedy"))
+        sim, _ = build_simulator(cfg, seed=seed)
         solo_passes.clear()
         full_events, _ = sim.run(FullPathGreedy(stock.cfg, stock.options))
         assert len(solo_passes) == ticks

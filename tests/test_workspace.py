@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from commplan import workspace
+from commplan.meeting import sel_com
+from commplan.radio import CommParams
 from commplan.workspace import (GridMap, MapError, Position, Unreachable, astar_cells,
                                 astar_length, astar_path, astar_travel_time, los_obstacle_length,
                                 parse_grid)
@@ -506,6 +508,26 @@ def test_memo_stays_within_its_limit(monkeypatch):
         sizes.append(len(grid._memo))
     assert max(sizes) == 8
     assert min(sizes[sizes.index(8):]) < 8  # cleared, then filled again
+
+
+@pytest.mark.parametrize("limit", [1, 2, 5])
+def test_a_full_memo_is_cleared_without_changing_an_answer(monkeypatch, limit):
+    """With MEMO_LIMIT small, astar_cells and the memoized queries each clear
+    the map's one memo when it is full: it never holds more than the limit,
+    and astar_length and sel_com answer as on a map with an empty memo."""
+    monkeypatch.setattr(workspace, "MEMO_LIMIT", limit)
+    grid = random_connected_grid(random.Random(9), density=0.2)
+    fresh = random_connected_grid(random.Random(9), density=0.2)
+    params = CommParams()
+    rng = random.Random(10)
+    free = grid.free_cells()
+    for _ in range(40):
+        a, b = (Position(cx + rng.random(), cy + rng.random()) for cx, cy in rng.sample(free, 2))
+        for query, rest in ((astar_length, ()), (sel_com, (params,))):
+            got = query(a, b, grid, *rest)
+            assert len(grid._memo) <= limit
+            fresh._memo.clear()
+            assert got == query(a, b, fresh, *rest)
 
 
 def test_memo_does_not_store_exceptions():

@@ -40,9 +40,10 @@ def sel_com(p_from: Position, p_to: Position, grid: GridMap, params: CommParams)
     """Earliest point along the path from p_from toward p_to with a link to p_to.
 
     Walks the grid path and returns the first position whose quality to p_to
-    strictly exceeds the threshold; p_to itself always qualifies through the
-    coincidence clamp, so the walk cannot fail. Memoized on the map since the
-    same endpoints recur heavily during bound evaluation.
+    strictly exceeds the threshold; when two agents at one point link (the
+    clamped quality tx_power - pl_ref + 10 * path_exponent dB exceeds the
+    threshold), p_to itself qualifies, else p_to is returned unlinked.
+    Memoized on the map since the same endpoints recur in bound evaluation.
     """
     if linked(p_from, p_to, grid, params):
         return p_from
@@ -123,9 +124,10 @@ def com_opt(last: Mapping[int, AgentContext], grid: GridMap, params: CommParams,
             gap: float = DEFAULT_GAP) -> CommEvent:
     """Optimize the next communication event for the whole team.
 
-    Guarantees: the returned meeting positions induce a connected graph, the
-    event satisfies every agent's travel constraint, and the worst-case delay
-    never exceeds the all-gather baseline at the latest finisher. After the
+    Guarantees: the event satisfies every agent's travel constraint, its
+    worst-case delay never exceeds the all-gather baseline at the latest
+    finisher, and its positions induce a connected graph when two agents at
+    one point link (see `sel_com`); otherwise no meeting connects. After the
     anchored single pass, the anchor itself is scanned along the path toward
     the arrival bottleneck, unless the single pass already meets when the
     last agent becomes free; the scan stops when an accepted improvement
@@ -154,7 +156,7 @@ def com_opt(last: Mapping[int, AgentContext], grid: GridMap, params: CommParams,
             raise MeetingInfeasible(f"workspace disconnected across agents: {exc}") from exc
 
     if not is_connected(comm_graph(best.positions, grid, params)):
-        # Chain construction guarantees connectivity; the gather event is the
-        # unconditional fallback should a degenerate configuration slip through.
+        # Chain construction connects whenever two agents at one point link; the
+        # gather event is the fallback should a degenerate configuration slip through.
         best = all_gather_event(last, grid)
     return best

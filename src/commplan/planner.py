@@ -47,8 +47,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .meeting import DEFAULT_GAP, CommEvent, com_opt, com_opt_fast
 from .radio import CommParams, comm_graph, is_connected
 from .schedule import (EXHAUSTIVE_MUTEX_LIMIT, AgentContext, InfeasibleSchedule, Timetable,
-                       TimetableRecord, append_to_timetable, eligible_groups, groups_of,
-                       schedule_min_makespan)
+                       append_to_timetable, eligible_groups, groups_of, schedule_min_makespan)
 from .tasks import RelationIndex, Task
 from .workspace import GridMap, astar_travel_time
 
@@ -61,7 +60,7 @@ _UNSET = object()  # a memo slot not computed yet; None means infeasible
 @dataclass
 class CollectivePlan:
     sequences: dict[int, tuple[int, ...]]   # agent -> ordered task ids
-    timetable: Timetable
+    timetable: Timetable                    # flat: `start` maps each task to its start
     event: CommEvent
     rate: float
 
@@ -71,7 +70,7 @@ class CollectivePlan:
         return groups_of(self.sequences)
 
     def task_count(self) -> int:
-        return len(self.timetable.intervals)
+        return len(self.timetable.start)
 
 
 @dataclass(slots=True)
@@ -98,7 +97,7 @@ class PlannerProblem:
     slot: dict[int, int] = field(init=False, repr=False)  # agent -> its place in a key
     # Whether a tail extension never starts a task of its base earlier (see greedy_cap).
     extensions_monotone: bool = field(init=False, repr=False)
-    # Per candidate key: [timetable record, zero-travel record, rate, event].
+    # Per candidate key: [timetable, zero-travel timetable, rate, event].
     _memo: dict[SequencesKey, list] = field(default_factory=dict, repr=False)
     # Per assigned set: [addable clusters, _rate_bound's floors].
     _by_assigned: dict[frozenset[int], list] = field(default_factory=dict, repr=False)
@@ -142,37 +141,36 @@ class PlannerProblem:
             entry[1] = floors
         return entry[1]
 
-    def record(self, key: SequencesKey, relaxed: bool = False) -> Optional[TimetableRecord]:
-        """`schedule_min_makespan(key's sequences, ..., relaxed=relaxed)` as a record,
-        None when infeasible; appended to a recorded base (less one tail task) if exact."""
+    def record(self, key: SequencesKey, relaxed: bool = False) -> Optional[Timetable]:
+        """`schedule_min_makespan(key's sequences, ..., relaxed=relaxed)`, None when
+        infeasible; appended to a memoized base (less one tail task) if exact."""
         entry = self._memo.setdefault(key, [_UNSET] * 4)
         if entry[relaxed] is _UNSET:
             entry[relaxed] = self._schedule(key, relaxed)
         return entry[relaxed]
 
-    def _schedule(self, key: SequencesKey, relaxed: bool) -> Optional[TimetableRecord]:
+    def _schedule(self, key: SequencesKey, relaxed: bool) -> Optional[Timetable]:
         sequences = dict(zip(self.team, key))
         for tid in sorted({seq[-1] for seq in key if seq}):
             base = self._memo.get(tuple([seq[:-1] if seq and seq[-1] == tid else seq
                                          for seq in key]))
-            if base is not None and isinstance(base[relaxed], TimetableRecord):
+            if base is not None and isinstance(base[relaxed], Timetable):
                 record = append_to_timetable(sequences, tid, base[relaxed], self.tasks,
                                              self.index, self.grid, self.team, relaxed=relaxed)
                 if record is not None:
                     return record
         try:
-            return TimetableRecord.solved(schedule_min_makespan(
-                sequences, self.tasks, self.index, self.grid, self.team, relaxed=relaxed),
-                self.index)
+            return schedule_min_makespan(sequences, self.tasks, self.index, self.grid,
+                                         self.team, relaxed=relaxed)
         except InfeasibleSchedule:
             return None
 
-    def top(self, key: SequencesKey, record: TimetableRecord) -> float:
+    def top(self, key: SequencesKey, record: Timetable) -> float:
         """When the last agent is free: its last task ends, or it is ready holding none."""
         return max(record.start_of(s[-1]) + self.tasks[s[-1]].duration if s else ctx.ready_time
                    for s, ctx in zip(key, self.team.values()))
 
-    def rate_cap(self, key: SequencesKey, record: TimetableRecord) -> float:
+    def rate_cap(self, key: SequencesKey, record: Timetable) -> float:
         """At least `rate(key)` with the default optimizer: it never meets before `top`."""
         top = self.top(key, record)
         return len(set().union(*key)) / (top - self.now) if top > self.now else math.inf
@@ -187,9 +185,7 @@ class PlannerProblem:
                 # Not stored on the problem: a bound method there would make it a reference
                 # cycle, and its memo would outlive the cycle until the collector runs.
                 optimizer = self.event_optimizer or self._default_event
-                finish = {s[-1]: record.start_of(s[-1]) + self.tasks[s[-1]].duration
-                          for s in key if s}
-                event = optimizer(last_state(dict(zip(self.team, key)), finish, self.team,
+                event = optimizer(last_state(dict(zip(self.team, key)), record, self.team,
                                              self.tasks))
             count = len(set().union(*key))
             entry[2] = None if event is None else (
@@ -296,16 +292,17 @@ def expand_node(node: PlanNode, cluster: Sequence[int], problem: PlannerProblem)
     return [PlanNode(node.depth + 1, key, assigned) for key in placements]
 
 
-def last_state(sequences: Mapping[int, Sequence[int]], finish: Mapping[int, float],
+def last_state(sequences: Mapping[int, Sequence[int]], timetable: Timetable,
                team: Mapping[int, AgentContext],
                tasks: Mapping[int, Task]) -> dict[int, AgentContext]:
     """Each agent's context once its sequence is done: free at its last task's
-    center from that task's `finish`, or its own context when it holds no task."""
+    center when the timetable finishes it, or its own context when it holds none."""
     last = dict(team)
     for a, ctx in team.items():
         seq = sequences.get(a)
         if seq:
-            last[a] = AgentContext(a, tasks[seq[-1]].region_center, finish[seq[-1]],
+            last[a] = AgentContext(a, tasks[seq[-1]].region_center,
+                                   timetable.start_of(seq[-1]) + tasks[seq[-1]].duration,
                                    ctx.v_max, ctx.capabilities)
     return last
 
@@ -315,8 +312,7 @@ def build_plan(key: SequencesKey, problem: PlannerProblem) -> Optional[Collectiv
     if problem.rate(key) is None:
         return None
     record, _, rate, event = problem._memo[key]
-    return CollectivePlan(dict(zip(problem.team, key)), record.timetable(problem.tasks), event,
-                          rate)
+    return CollectivePlan(dict(zip(problem.team, key)), record.flat(), event, rate)
 
 
 def low_bound(node: PlanNode, problem: PlannerProblem) -> Optional[SequencesKey]:
@@ -434,7 +430,7 @@ def zero_task_plan(problem: PlannerProblem) -> CollectivePlan:
         return plan
     # Custom event optimizers may refuse even the empty plan; meet at com_opt's event instead.
     event = com_opt(problem.team, problem.grid, problem.params, gap=problem.gap)
-    return CollectivePlan(dict.fromkeys(problem.team, ()), Timetable({}, 0.0), event, 0.0)
+    return CollectivePlan(dict.fromkeys(problem.team, ()), Timetable({}, 0.0, True), event, 0.0)
 
 
 class Search:

@@ -134,6 +134,12 @@ def _poisson(lam: float, rng: random.Random) -> int:
     return total
 
 
+# The 5x5 bucket offsets around a sparse candidate, nearest first, where a
+# placed task that is too close is likeliest.
+_NEAR_FIRST = sorted(((i, j) for i in range(-2, 3) for j in range(-2, 3)),
+                     key=lambda o: abs(o[0]) + abs(o[1]))
+
+
 def generate_tasks(spec: GeneratorSpec, seed: int, grid: GridMap, start_id: int = 0) -> list[Task]:
     """Deterministic task stream for the given seed.
 
@@ -148,6 +154,15 @@ def generate_tasks(spec: GeneratorSpec, seed: int, grid: GridMap, start_id: int 
 
     def uniform_pos() -> Position:
         return grid.center(free[rng.randrange(len(free))])
+
+    # Sparse tasks are kept by bucket. A pair closer than sparse_min_dist lies in
+    # buckets at most one apart, and a second ring covers rounding at a bucket
+    # edge; a bucket is at least a cell wide, so no index overflows.
+    side = max(spec.sparse_min_dist, grid.resolution)
+    near = _NEAR_FIRST if spec.sparse_min_dist > 0 else ()  # at 0 every place is spaced
+
+    def bucket(p: Position) -> tuple[int, int]:
+        return math.floor(p.x / side), math.floor(p.y / side)
 
     tasks: list[Task] = []
     next_id = start_id
@@ -171,7 +186,7 @@ def generate_tasks(spec: GeneratorSpec, seed: int, grid: GridMap, start_id: int 
         times.sort()
 
         centers = [uniform_pos() for _ in range(spec.cluster_count)] if ph.spatial == "clustered" else []
-        placed: list[Position] = []
+        placed: dict[tuple[int, int], list[Position]] = {}  # sparse tasks by bucket
         for t_release in times:
             if ph.spatial == "uniform":
                 pos = uniform_pos()
@@ -189,12 +204,14 @@ def generate_tasks(spec: GeneratorSpec, seed: int, grid: GridMap, start_id: int 
                 pos = None
                 for _ in range(200):
                     cand = uniform_pos()
-                    if all(cand.dist(p) >= spec.sparse_min_dist for p in placed):
+                    bx, by = bucket(cand)
+                    if all(cand.dist(p) >= spec.sparse_min_dist for i, j in near
+                           for p in placed.get((bx + i, by + j), ())):
                         pos = cand
                         break
                 if pos is None:
                     pos = uniform_pos()
-                placed.append(pos)
+                placed.setdefault(bucket(pos), []).append(pos)
             duration = rng.uniform(*spec.duration_range)
             req = spec.requirement_options[rng.randrange(len(spec.requirement_options))]
             tasks.append(Task(next_id, pos, spec.radius, duration, tuple(req),

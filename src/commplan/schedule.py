@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
-from .tasks import ExecutionInterval, RelationIndex, Task
+from .tasks import RelationIndex, Task
 from .workspace import GridMap, Position, astar_travel_time
 
 MUTEX_GAP = 1e-6  # strict separation between mutex intervals, seconds
@@ -42,10 +42,31 @@ class AgentContext:
     capabilities: frozenset[str]
 
 
-@dataclass
+@dataclass(slots=True)
 class Timetable:
-    intervals: dict[int, ExecutionInterval]
+    """Start times kept compactly: a full solve's starts, or one task appended to
+    a base timetable. `mutex_free` says that no two of its tasks are mutex partners."""
+    start: Any                            # a full solve's starts by task id, or tid's start
     makespan: float
+    mutex_free: bool
+    base: Optional[Timetable] = None      # None for a full solve
+    tid: int = -1                         # the appended task; -1 for a full solve
+
+    def start_of(self, tid: int) -> Optional[float]:
+        """tid's start, or None when the timetable does not hold tid."""
+        tt = self
+        while tt.base is not None and tt.tid != tid:
+            tt = tt.base
+        return tt.start if tt.base is not None else tt.start.get(tid)
+
+    def flat(self) -> Timetable:
+        """The same timetable as a full solve's: every start in one dict, in id order."""
+        tt, starts = self, {}
+        while tt.base is not None:
+            starts[tt.tid] = tt.start
+            tt = tt.base
+        starts.update(tt.start)
+        return Timetable(dict(sorted(starts.items())), self.makespan, self.mutex_free)
 
 
 def group_covers(task: Task, agent_ids: Sequence[int], team: Mapping[int, AgentContext]) -> bool:
@@ -149,7 +170,7 @@ def schedule_min_makespan(sequences: Mapping[int, Sequence[int]], tasks: Mapping
     assigned = groups.keys()
     task_ids = sorted(assigned)
     if not task_ids:
-        return Timetable({}, 0.0)
+        return Timetable({}, 0.0, True)
 
     # Chain and source constraints from each agent's sequence.
     source_bound: dict[int, float] = {}
@@ -227,49 +248,15 @@ def schedule_min_makespan(sequences: Mapping[int, Sequence[int]], tasks: Mapping
     if best is None:
         raise InfeasibleSchedule("no feasible orientation of the constraint graph")
 
-    intervals = {t: ExecutionInterval(t, best[t], best[t] + tasks[t].duration) for t in task_ids}
-    return Timetable(intervals, best_mk)
+    return Timetable(best, best_mk, not mutex_pairs)
 
 
-@dataclass(slots=True, eq=False)
-class TimetableRecord:
-    """A timetable kept compactly: a full solve's starts, or one task appended
-    to a base record. `mutex_free` says that no two of its tasks are mutex partners."""
-    base: Optional[TimetableRecord]       # None for a full solve
-    tid: int                              # the appended task; -1 for a full solve
-    start: Any                            # the appended task's start, or a full solve's starts
-    makespan: float
-    mutex_free: bool
-
-    @classmethod
-    def solved(cls, timetable: Timetable, index: RelationIndex) -> TimetableRecord:
-        starts = {t: iv.start for t, iv in timetable.intervals.items()}
-        return cls(None, -1, starts, timetable.makespan,
-                   not any(m in starts for t in starts for m in index.mutex.get(t, ())))
-
-    def start_of(self, tid: int) -> Optional[float]:
-        """tid's start, or None when the timetable does not hold tid."""
-        rec = self
-        while rec.base is not None and rec.tid != tid:
-            rec = rec.base
-        return rec.start if rec.base is not None else rec.start.get(tid)
-
-    def timetable(self, tasks: Mapping[int, Task]) -> Timetable:
-        rec, starts = self, {}
-        while rec.base is not None:
-            starts[rec.tid] = rec.start
-            rec = rec.base
-        starts.update(rec.start)
-        return Timetable({t: ExecutionInterval(t, starts[t], starts[t] + tasks[t].duration)
-                          for t in sorted(starts)}, self.makespan)
-
-
-def append_to_timetable(sequences: Mapping[int, Sequence[int]], tid: int, base: TimetableRecord,
+def append_to_timetable(sequences: Mapping[int, Sequence[int]], tid: int, base: Timetable,
                         tasks: Mapping[int, Task], index: RelationIndex, grid: GridMap,
                         team: Mapping[int, AgentContext], *,
-                        relaxed: bool = False) -> Optional[TimetableRecord]:
-    """The record of `schedule_min_makespan(sequences, ..., relaxed=relaxed)`,
-    from the record of its base (`sequences` less task `tid` at the tails that
+                        relaxed: bool = False) -> Optional[Timetable]:
+    """`schedule_min_makespan(sequences, ..., relaxed=relaxed)`, from the
+    timetable of its base (`sequences` less task `tid` at the tails that
     end in it) and the start of tid alone.
 
     Exact when tid has no mutex or concurrency partner and no successor in the
@@ -304,4 +291,4 @@ def append_to_timetable(sequences: Mapping[int, Sequence[int]], tid: int, base: 
     for p in index.preds.get(tid, ()):
         if (p_start := base.start_of(p)) is not None:
             start = max(start, p_start + tasks[p].duration)
-    return TimetableRecord(base, tid, start, max(base.makespan, start + task.duration), True)
+    return Timetable(start, max(base.makespan, start + task.duration), True, base, tid)

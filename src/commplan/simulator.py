@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 
 from .radio import CommParams, comm_graph, is_connected
 from .schedule import AgentContext, groups_of
-from .tasks import ExecutionInterval, RelationIndex, Task, TemporalRelation, detect_tasks
+from .tasks import RelationIndex, Task, TemporalRelation, detect_tasks
 from .workspace import GridMap, Position, astar_path, astar_travel_time
 
 DEFAULT_DT = 0.1
@@ -212,14 +212,14 @@ class Simulator:
 
     def apply_team_plan(self, agent_ids: Sequence[int],
                         plan_sequences: dict[int, tuple[int, ...]],
-                        planned: Mapping[int, ExecutionInterval],
+                        planned_starts: Mapping[int, float],
                         event_time: Optional[float] = None,
                         event_positions: Optional[dict[int, Position]] = None) -> None:
         """Claim each plan task for the agents holding it and give each of
         `agent_ids`, and no other agent, its queue and its place at the next event."""
         for tid, group in sorted(groups_of(plan_sequences).items()):
             self._claim(tid, group)
-            self.planned_start[tid] = planned[tid].start
+            self.planned_start[tid] = planned_starts[tid]
         for aid in agent_ids:
             ag = self.agents[aid]
             ag.queue = list(plan_sequences.get(aid, ()))
@@ -292,24 +292,22 @@ class Simulator:
             return
         due = float("inf")
         for ag in self.agents.values():
-            if ag.status != "idle":
+            if ag.status != "idle" or (not ag.queue and ag.comm_target is None):
                 continue
             if ag.queue:
-                target = self.tasks[ag.queue[0]].region_center
-                ag.leg = Leg(self._waypoints(ag.position, target), ag.queue[0])
-                ag.status = "traveling"
-                self.traveling.add(ag.id)
-            elif ag.comm_target is not None:
+                target, tid = self.tasks[ag.queue[0]].region_center, ag.queue[0]
+            else:
                 if ag.depart_time is None:
                     travel = astar_travel_time(ag.position, ag.comm_target, self.grid, ag.v_max)
                     margin = DEPART_MARGIN_TICKS * self.dt
                     ag.depart_time = max(t, ag.comm_time - travel - margin)
-                if t >= ag.depart_time - 1e-9:
-                    ag.leg = Leg(self._waypoints(ag.position, ag.comm_target), None)
-                    ag.status = "traveling"
-                    self.traveling.add(ag.id)
-                else:
+                if t < ag.depart_time - 1e-9:
                     due = min(due, ag.depart_time)
+                    continue
+                target, tid = ag.comm_target, None
+            ag.leg = Leg(self._waypoints(ag.position, target), tid)
+            ag.status = "traveling"
+            self.traveling.add(ag.id)
         self.legs_due = due
 
     def _waypoints(self, start: Position, goal: Position) -> list[Position]:

@@ -150,12 +150,11 @@ class TeamCycleController:
         if event_optimizer is None and plan.task_count() > 0:
             # Bound evaluation uses the fast single-pass optimizer; polish the
             # executed event with the thorough one.
-            finish = {t: iv.finish for t, iv in plan.timetable.intervals.items()}
-            refined = com_opt(last_state(plan.sequences, finish, team, sim.tasks),
+            refined = com_opt(last_state(plan.sequences, plan.timetable, team, sim.tasks),
                               sim.grid, sim.params, gap=self.options.gap)
             if refined.time < event.time:
                 event = refined
-        sim.apply_team_plan(ids, plan.sequences, plan.timetable.intervals,
+        sim.apply_team_plan(ids, plan.sequences, plan.timetable.start,
                             event.time, dict(event.positions))
         self.pending_event = event.time
         sim.cycle_records.append(CycleRecord(start=now, participants=tuple(ids),
@@ -221,7 +220,7 @@ class RingController:
 
     def _plan_pair(self, sim: Simulator, pair, now: float) -> bool:
         _, plan = _plan(sim, pair, now, self.options)
-        sim.apply_team_plan(pair, plan.sequences, plan.timetable.intervals)
+        sim.apply_team_plan(pair, plan.sequences, plan.timetable.start)
         sim.log(now, "replanned", self.edge_idx + 1, *sorted(plan.groups))
         sim.cycle_records.append(CycleRecord(start=now, participants=tuple(sorted(pair)),
                                              assigned=tuple(sorted(plan.groups)),

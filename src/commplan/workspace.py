@@ -297,8 +297,6 @@ def astar_cells(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) ->
     length and one byte per step, so lengths are exactly symmetric; the path
     is reversed when start is the larger cell.
     """
-    if start == goal:
-        return 0.0, (start,)
     s, g = (start, goal) if start <= goal else (goal, start)
     memo = grid._memo
     key = (astar_cells, s, g)
@@ -306,6 +304,8 @@ def astar_cells(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) ->
     if result is None:
         if not grid.is_free_cell(start) or not grid.is_free_cell(goal):
             raise MapError(f"cell {start if not grid.is_free_cell(start) else goal} is occupied or out of bounds")
+        if start == goal:
+            return 0.0, (start,)
         result = _astar_search(grid, s, g)
         if result is None:
             raise Unreachable(f"no path between cells {start} and {goal}")
@@ -392,11 +392,7 @@ def astar_path(a: Position, b: Position, grid: GridMap) -> tuple[Position, ...]:
 def astar_length(a: Position, b: Position, grid: GridMap) -> float:
     """Metric length of the shortest grid path between the cells of a and b,
     never below the euclidean distance between a and b themselves."""
-    ca = grid.cell_at(a)
-    cb = grid.cell_at(b)
-    if not grid.is_free_cell(ca) or not grid.is_free_cell(cb):
-        raise MapError("start or goal lies on an obstacle")
-    length, _ = astar_cells(grid, ca, cb)
+    length, _ = astar_cells(grid, grid.cell_at(a), grid.cell_at(b))
     return max(length, a.dist(b))
 
 

@@ -15,7 +15,7 @@ from commplan.planner import (IMPROVEMENT_EPS, PlanNode, PlannerProblem, _relate
                               build_plan, get_feasible_tasks)
 from commplan.radio import CommParams
 from commplan.schedule import AgentContext, eligible_groups
-from commplan.tasks import RelationKind, Task, TemporalRelation
+from commplan.tasks import ExecutionInterval, RelationKind, Task, TemporalRelation
 from commplan.workspace import GridMap, Position, astar_travel_time, parse_grid
 
 
@@ -107,6 +107,12 @@ def random_planner_instance(rng: random.Random, max_agents=3, max_tasks=5):
 def relations_between(relations, ids) -> list[TemporalRelation]:
     """Relations whose endpoints both lie in `ids`."""
     return [r for r in relations if r.first in ids and r.second in ids]
+
+
+def intervals_of(timetable, tasks) -> list[ExecutionInterval]:
+    """The timetable's execution intervals, in task id order."""
+    flat = timetable.flat()
+    return [ExecutionInterval(t, s, s + tasks[t].duration) for t, s in flat.start.items()]
 
 
 def plan_key(team, sequences) -> tuple[tuple[int, ...], ...]:

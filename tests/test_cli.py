@@ -396,6 +396,28 @@ def test_cli_run_infeasible_exit_code(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, code", [("cocoplan", 3), ("ring", 3), ("greedy", 0)])
+def test_cli_run_with_a_radio_that_never_links(tmp_path, capsys, kind, code):
+    """At a 10 dB threshold not even two agents at one point link. `validate`
+    says ok; the planned meetings of cocoplan and ring cannot connect, so `run`
+    exits 3 naming the event, while greedy, which meets only agents in range, runs."""
+    raw = json.loads((DATA / "desk_scenario.json").read_text())
+    raw["map"] = str((DATA / raw["map"]).resolve())
+    raw["comm"]["threshold"] = 10.0
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--strategy", kind]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 3:
+        assert "infeasible simulation: communication event at " in err
+        assert err.rstrip().endswith("is not connected")
+    else:
+        assert err == ""
+
+
 def test_cli_generate(tmp_path, capsys):
     (tmp_path / "small.map").write_text("12 10 1\n" + "\n".join(["." * 12] * 10) + "\n")
     raw = small_raw()

@@ -19,7 +19,7 @@ from commplan.schedule import AgentContext, eligible_groups, groups_of
 from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position, astar_travel_time
 
-from conftest import (empty_grid, exhaustive_best_rate, plan_key, plan_node,
+from conftest import (empty_grid, exhaustive_best_rate, intervals_of, plan_key, plan_node,
                       random_planner_instance, recorded_nodes, reference_expand_node,
                       reference_feasible_tasks, reference_low_bound, reference_rate_bound,
                       relations_between)
@@ -85,7 +85,7 @@ def test_objective_rate_examples():
     # single agent: event sits at the last task, rate = 3 / makespan
     assert plan.rate == pytest.approx(3.0 / plan.event.time)
     # the rate is the tasks finished by the event over the cycle span
-    finished = sum(1 for iv in plan.timetable.intervals.values() if iv.finish <= plan.event.time)
+    finished = sum(1 for iv in intervals_of(plan.timetable, tasks) if iv.finish <= plan.event.time)
     assert finished == 3
     assert finished / (plan.event.time - problem.now) == pytest.approx(plan.rate)
 
@@ -278,19 +278,20 @@ def test_returned_plan_is_feasible():
         if plan.task_count() == 0:
             continue
         scoped = relations_between(rels, set(plan.groups))
-        ok, bad = check_schedule(plan.timetable.intervals.values(), scoped)
+        ok, bad = check_schedule(intervals_of(plan.timetable, tasks), scoped)
         assert ok, bad
         for t, group in plan.groups.items():
             assert group in eligible_groups(tasks[t], team)
         assert is_connected(comm_graph(plan.event.positions, grid, params))
         # Every assigned task finishes before the event and every agent can
         # reach its meeting point in time.
-        for iv in plan.timetable.intervals.values():
+        for iv in intervals_of(plan.timetable, tasks):
             assert iv.finish <= plan.event.time + 1e-9
         for aid, ctx_ in team.items():
             seq = plan.sequences[aid]
             pos = tasks[seq[-1]].region_center if seq else ctx_.position
-            t_f = plan.timetable.intervals[seq[-1]].finish if seq else ctx_.ready_time
+            t_f = (plan.timetable.start_of(seq[-1]) + tasks[seq[-1]].duration if seq
+                   else ctx_.ready_time)
             arr = t_f + astar_travel_time(pos, plan.event.positions[aid], grid, ctx_.v_max)
             assert arr <= plan.event.time + 1e-9
 
@@ -471,9 +472,8 @@ def test_low_bound_rate_cap_keeps_the_full_greedy(monkeypatch):
             fewer += calls < reference_calls
             assert low_bound(node, problem) == want
             for plan, best in scored:
-                finish = {t: iv.finish for t, iv in plan.timetable.intervals.items()}
-                top = max(c.ready_time for c in last_state(plan.sequences, finish, team,
-                                                            tasks).values())
+                top = max(c.ready_time for c in last_state(plan.sequences, plan.timetable,
+                                                            team, tasks).values())
                 cap = plan.task_count() / (top - problem.now)
                 assert plan.rate <= cap
                 capped += best is not None and cap <= best + IMPROVEMENT_EPS

@@ -1,15 +1,18 @@
 import json
 import math
+import random
+import time
 from pathlib import Path
 
 import pytest
 
 from commplan.experiment import run_trial
-from commplan.scenario import (GeneratorSpec, Phase, ScenarioError, generate_tasks,
+from commplan.scenario import (GeneratorSpec, Phase, ScenarioError, _poisson, generate_tasks,
                                load_scenario, scenario_from_dict, serialize_scenario)
 from commplan.radio import CommParams
 from commplan.strategies import StrategyConfig
-from commplan.workspace import Position
+from commplan.tasks import Task
+from commplan.workspace import Position, load_grid
 
 from conftest import empty_grid
 
@@ -212,6 +215,65 @@ def test_generator_sparse_respects_min_distance():
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert pts[i].dist(pts[j]) >= 6.0 - 1e-9 or len(pts) > 30
+
+
+def all_pairs_sparse_stream(spec, seed, grid):
+    """generate_tasks for one sparse phase with uniform arrivals, testing each
+    candidate against every task placed so far."""
+    (ph,) = spec.phases
+    rng = random.Random(seed)
+    free = grid.free_cells()
+
+    def uniform_pos():
+        return grid.center(free[rng.randrange(len(free))])
+
+    span = ph.end - ph.start
+    times = sorted([ph.start + rng.random() * span for _ in range(_poisson(spec.rate * span, rng))])
+    tasks, placed = [], []
+    for t_release in times:
+        pos = None
+        for _ in range(200):
+            cand = uniform_pos()
+            if all(cand.dist(p) >= spec.sparse_min_dist for p in placed):
+                pos = cand
+                break
+        if pos is None:
+            pos = uniform_pos()
+        placed.append(pos)
+        duration = rng.uniform(*spec.duration_range)
+        req = spec.requirement_options[rng.randrange(len(spec.requirement_options))]
+        tasks.append(Task(len(tasks), pos, spec.radius, duration, tuple(req),
+                          release_time=t_release))
+    return tasks
+
+
+@pytest.mark.parametrize("cells", [0.0, 0.5, 1.0, 2.5])
+def test_generator_sparse_equals_the_all_pairs_rule(cells):
+    """Sparse placement checks only nearby buckets, yet draws and places as the
+    all-pairs rule does, for a minimum distance of 0, below, at and above a cell."""
+    crowded = 0
+    for seed, grid in enumerate([empty_grid(12, 12), empty_grid(20, 9, resolution=0.5),
+                                 load_grid(DATA / "desk.map")]):
+        spec = GeneratorSpec(phases=[Phase(0, 400, "sparse", "uniform")], rate=0.4,
+                             sparse_min_dist=cells * grid.resolution,
+                             requirement_options=(((1, "work"),), ((2, "work"),)))
+        got = generate_tasks(spec, seed, grid)
+        assert len(got) >= 120
+        assert got == all_pairs_sparse_stream(spec, seed, grid), (cells, seed)
+        pts = [t.region_center for t in got]
+        crowded += any(p.dist(q) < spec.sparse_min_dist for i, p in enumerate(pts)
+                       for q in pts[:i])
+    # A phase that outgrows its spaced places falls back to unspaced ones.
+    assert crowded == 0 if cells == 0.0 else crowded >= 1
+
+
+def test_generator_sparse_phase_of_4000_tasks_takes_seconds():
+    grid = load_grid(DATA / "subt.map")
+    spec = GeneratorSpec(phases=[Phase(0, 4000, "sparse", "uniform")], rate=1.0,
+                         sparse_min_dist=0.1)
+    start = time.perf_counter()
+    tasks = generate_tasks(spec, 5, grid)
+    assert len(tasks) > 3900 and time.perf_counter() - start < 20.0
 
 
 def test_generator_uniform_chi_squared():

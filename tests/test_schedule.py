@@ -6,12 +6,12 @@ from pathlib import Path
 import pytest
 
 from commplan.schedule import (EXHAUSTIVE_MUTEX_LIMIT, AgentContext, CapabilityError,
-                               InfeasibleSchedule, TimetableRecord, append_to_timetable,
+                               InfeasibleSchedule, Timetable, append_to_timetable,
                                eligible_groups, group_covers, groups_of, schedule_min_makespan)
 from commplan.tasks import RelationIndex, RelationKind, Task, TemporalRelation, check_schedule
 from commplan.workspace import Position, astar_travel_time, load_grid
 
-from conftest import empty_grid, random_connected_grid
+from conftest import empty_grid, intervals_of, random_connected_grid
 
 NO_RELATIONS = RelationIndex([])
 
@@ -29,8 +29,8 @@ def test_single_chain_travel_then_duration():
     team = {0: ctx(0, 0.5, 0.5)}
     tasks = {1: task(1, 2.5, 0.5, 10.0)}
     tt = schedule_min_makespan({0: [1]}, tasks, NO_RELATIONS, grid, team)
-    assert tt.intervals[1].start == pytest.approx(2.0)
-    assert tt.intervals[1].finish == pytest.approx(12.0)
+    assert tt.start_of(1) == pytest.approx(2.0)
+    assert tt.start_of(1) + tasks[1].duration == pytest.approx(12.0)
 
 
 def test_two_task_chain_example():
@@ -38,8 +38,8 @@ def test_two_task_chain_example():
     team = {0: ctx(0, 0.5, 0.5)}
     tasks = {1: task(1, 2.5, 0.5, 10.0), 2: task(2, 5.5, 0.5, 5.0)}
     tt = schedule_min_makespan({0: [1, 2]}, tasks, NO_RELATIONS, grid, team)
-    assert tt.intervals[1].finish == pytest.approx(12.0)
-    assert tt.intervals[2].finish == pytest.approx(20.0)
+    assert tt.start_of(1) + tasks[1].duration == pytest.approx(12.0)
+    assert tt.start_of(2) + tasks[2].duration == pytest.approx(20.0)
     assert tt.makespan == pytest.approx(20.0)
 
 
@@ -48,7 +48,7 @@ def test_synchronized_start_waits_for_all_agents():
     team = {0: ctx(0, 4.5, 0.5, v=1.0), 1: ctx(1, 9.5, 0.5, v=1.0)}
     tasks = {1: task(1, 0.5, 0.5, 3.0, reqs=((2, "work"),))}
     tt = schedule_min_makespan({0: [1], 1: [1]}, tasks, NO_RELATIONS, grid, team)
-    assert tt.intervals[1].start == pytest.approx(9.0)  # later arrival wins
+    assert tt.start_of(1) == pytest.approx(9.0)  # later arrival wins
 
 
 def test_capability_violation_raises():
@@ -221,7 +221,7 @@ def test_schedule_passes_check_schedule():
             tt = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
         except InfeasibleSchedule:
             continue
-        ok, bad = check_schedule(tt.intervals.values(), rels)
+        ok, bad = check_schedule(intervals_of(tt, tasks), rels)
         assert ok, bad
 
 
@@ -241,8 +241,7 @@ def test_empty_plan_schedules_to_zero():
     grid = empty_grid()
     team = {0: ctx(0, 0.5, 0.5)}
     tt = schedule_min_makespan({0: []}, {}, NO_RELATIONS, grid, team)
-    assert tt.makespan == 0.0
-    assert tt.intervals == {}
+    assert tt == Timetable({}, 0.0, True)
 
 
 def _mutex_instance(seed):
@@ -273,7 +272,7 @@ def test_starts_do_not_depend_on_relation_order():
             tt = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
         except InfeasibleSchedule:
             return None
-        return {t: iv.start for t, iv in tt.intervals.items()}
+        return tt.start
 
     for seed in range(200):
         grid, team, tasks, seqs, rels, rng = _mutex_instance(seed)
@@ -305,14 +304,14 @@ def test_more_mutex_pairs_than_the_exhaustive_limit_orient_along_one_order():
         rels = [TemporalRelation(*((p, q) if rng.random() < 0.5 else (q, p)), RelationKind.MUTEX)
                 for p, q in pairs]
         tt = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
-        ok, bad = check_schedule(tt.intervals.values(), rels)
+        ok, bad = check_schedule(intervals_of(tt, tasks), rels)
         assert ok, bad
         best = _oracle_min_makespan(seqs, {t: () for t in tasks}, tasks, rels, grid, team)
         assert tt.makespan >= best - 1e-9
         for _ in range(3):
             rng.shuffle(rels)
             again = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
-            assert again.intervals == tt.intervals, seed
+            assert again == tt, seed
 
 
 def _desk_append_instance(seed):
@@ -346,19 +345,25 @@ def _falls_back(t, base, rels):
     return None
 
 
+def _holds_no_mutex_pair(timetable, rels):
+    """Whether no two tasks of the timetable are mutex partners."""
+    return not any(r.kind is RelationKind.MUTEX and timetable.start_of(r.first) is not None
+                   and timetable.start_of(r.second) is not None for r in rels)
+
+
 @pytest.mark.parametrize("relaxed", [False, True])
 def test_append_chains_equal_the_full_solve_bit_for_bit(relaxed):
-    """Records appended one tail task at a time, on top of earlier appends,
-    hold the full solve's starts and makespan; every case the append cannot
-    extend exactly returns None."""
+    """Timetables appended one tail task at a time, on top of earlier appends,
+    flatten to the full solve's; every case the append cannot extend exactly
+    returns None. Each full solve's mutex_free says that it holds no mutex pair."""
     longest = appended = 0
     reasons: Counter = Counter()
+    mutex_free = Counter()
     for seed in range(40):
         grid, team, tasks, rels, rng = _desk_append_instance(seed)
         index = RelationIndex(rels)
         seqs = {a: () for a in team}
-        record = TimetableRecord.solved(
-            schedule_min_makespan(seqs, tasks, index, grid, team, relaxed=relaxed), index)
+        record = schedule_min_makespan(seqs, tasks, index, grid, team, relaxed=relaxed)
         run = 0
         for t in rng.sample(sorted(tasks), len(tasks)):
             base = set().union(*seqs.values())
@@ -368,6 +373,9 @@ def test_append_chains_equal_the_full_solve_bit_for_bit(relaxed):
                 full = schedule_min_makespan(seqs, tasks, index, grid, team, relaxed=relaxed)
             except InfeasibleSchedule:
                 full = None
+            if full is not None:
+                assert full.mutex_free == _holds_no_mutex_pair(full, rels), (seed, seqs)
+                mutex_free[full.mutex_free] += 1
             got = append_to_timetable(seqs, t, record, tasks, index, grid, team, relaxed=relaxed)
             reason = _falls_back(t, base, rels)
             if reason is not None:
@@ -375,19 +383,19 @@ def test_append_chains_equal_the_full_solve_bit_for_bit(relaxed):
                 reasons[reason] += 1
                 if full is None:
                     break
-                record, run = TimetableRecord.solved(full, index), 0
-                assert record.mutex_free == (_falls_back(-1, set(full.intervals), rels) is None)
+                record, run = full, 0
                 continue
             assert got is not None and full is not None, (seed, seqs)
-            assert repr(got.timetable(tasks)) == repr(full), (seed, seqs)
+            assert repr(got.flat()) == repr(full), (seed, seqs)
             assert got.makespan == full.makespan
-            assert all(got.start_of(u) == iv.start for u, iv in full.intervals.items())
+            assert all(got.start_of(u) == s for u, s in full.start.items())
             assert got.start_of(-1) is None and got.mutex_free
             record, run = got, run + 1
             appended += 1
             longest = max(longest, run)
     assert appended >= 100 and longest >= 5
     assert set(reasons) == {"base mutex pair", "partner in base", "base successor"}
+    assert mutex_free[True] and mutex_free[False]
 
 
 def test_succs_invert_preds():
@@ -414,15 +422,14 @@ def test_append_leaves_relations_it_cannot_extend_to_the_full_solve():
     base_seqs = {0: (1, 2), 1: (3,)}
 
     def base_record(index):
-        return TimetableRecord.solved(schedule_min_makespan(base_seqs, tasks, index, grid, team),
-                                      index)
+        return schedule_min_makespan(base_seqs, tasks, index, grid, team)
 
     def append(*rels):
         index = RelationIndex(rels)
         return append_to_timetable(seqs, 4, base_record(index), tasks, index, grid, team)
 
     want = schedule_min_makespan(seqs, tasks, NO_RELATIONS, grid, team)
-    assert repr(append().timetable(tasks)) == repr(want)
+    assert repr(append().flat()) == repr(want)
     for kind in (RelationKind.MUTEX, RelationKind.CONCURRENCY):
         assert append(TemporalRelation(4, 1, kind)) is None  # 4 has a partner in the base
     assert append(TemporalRelation(4, 2, RelationKind.PRECEDENCE)) is None  # 2 must follow 4
@@ -431,7 +438,7 @@ def test_append_leaves_relations_it_cannot_extend_to_the_full_solve():
     rels = (TemporalRelation(4, 9, RelationKind.MUTEX),
             TemporalRelation(2, 4, RelationKind.PRECEDENCE))
     want = schedule_min_makespan(seqs, tasks, RelationIndex(rels), grid, team)
-    assert repr(append(*rels).timetable(tasks)) == repr(want)
+    assert repr(append(*rels).flat()) == repr(want)
     # Task 4 already held by a non-tail agent is in the base: not an append.
     assert append_to_timetable({0: (4, 1, 2), 1: (3, 4)}, 4, base_record(NO_RELATIONS), tasks,
                                NO_RELATIONS, grid, team) is None

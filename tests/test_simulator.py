@@ -281,8 +281,7 @@ def test_apply_team_plan_leaves_other_agents_untouched():
     snapshot = dict(vars(other), queue=list(other.queue))
 
     meet = {0: Position(3.5, 0.5), 1: Position(3.5, 1.5)}
-    sim.apply_team_plan((0, 1), {0: (1,), 1: ()}, {1: ExecutionInterval(1, 4.0, 9.0)},
-                        12.0, meet)
+    sim.apply_team_plan((0, 1), {0: (1,), 1: ()}, {1: 4.0}, 12.0, meet)
     assert vars(other) == snapshot
     assert sim.agents[0].queue == [1] and sim.agents[1].queue == []
     assert [sim.agents[a].comm_target for a in (0, 1)] == [meet[0], meet[1]]
@@ -294,9 +293,8 @@ def test_apply_team_plan_claims_each_task_for_the_agents_holding_it():
     tasks = [task(1, 6.5, 0.5, reqs=((2, "work"),)), task(2, 9.5, 0.5)]
     sim = Simulator(grid, [agent(0, 0.5, 0.5), agent(1, 2.5, 0.5), agent(2, 4.5, 0.5)],
                     CommParams(), {t.id: t for t in tasks}, [], horizon=10.0)
-    sim.apply_team_plan((0, 1, 2), {1: (1,), 0: (1, 2), 2: ()},
-                        {1: ExecutionInterval(1, 4.0, 9.0), 2: ExecutionInterval(2, 10.0, 15.0)})
-    assert sim.groups == {1: (0, 1), 2: (0,)}
+    sim.apply_team_plan((0, 1, 2), {1: (1,), 0: (1, 2), 2: ()}, {1: 4.0, 2: 10.0})
+    assert sim.groups == {1: (0, 1), 2: (0,)} and sim.planned_start == {1: 4.0, 2: 10.0}
     assert sim.agents[0].queue == [1, 2] and sim.agents[1].queue == [1]
     assert sim.agents[2].queue == []
     assert sim.claimed == {1, 2} and not sim.pending
@@ -317,7 +315,7 @@ def test_only_a_pending_task_can_be_claimed(state):
     with pytest.raises(SimulationError, match="task 1 claimed while not pending"):
         sim.assign(1, (0,))
     with pytest.raises(SimulationError, match="task 1 claimed while not pending"):
-        sim.apply_team_plan((0, 1), {1: (1,)}, {1: ExecutionInterval(1, 4.0, 9.0)})
+        sim.apply_team_plan((0, 1), {1: (1,)}, {1: 4.0})
     assert (sim.pending, sim.claimed, sim.finishing, sim.done) == records
     assert sim.agents[0].queue == []
 

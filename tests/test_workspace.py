@@ -423,6 +423,18 @@ def test_astar_path_endpoints_are_cell_centers():
         assert p.dist(q) <= grid.resolution * math.sqrt(2) + 1e-9
 
 
+def test_a_path_from_an_occupied_cell_is_refused_even_to_itself():
+    grid = grid_from_rows(["...", ".#.", "..."])
+    wall, free = Position(1.5, 1.5), Position(0.5, 0.5)
+    for a, b in ((wall, wall), (wall, free), (free, wall)):
+        for query in (astar_length, astar_path):
+            with pytest.raises(MapError):
+                query(a, b, grid)
+    with pytest.raises(MapError):
+        astar_cells(grid, (1, 1), (1, 1))
+    assert astar_path(free, free, grid) == (free,) and astar_length(free, free, grid) == 0.0
+
+
 def test_memoized_queries_match_the_plain_functions():
     rng = random.Random(6)
     grid = random_connected_grid(rng, density=0.2)
